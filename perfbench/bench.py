@@ -2,6 +2,9 @@
 
 Timed passes run with tracing off; the only wrapper is :func:`_run_clock`,
 which reads the clock around each ``run`` call for ``run_s_p50``/``p90``.
+They stamp with :func:`calibration.clock` while
+:func:`calibration.sampling` times its block every 0.1 s, and
+:func:`end_to_end` scales each timing by the host's slowdown over it.
 A traced run (:func:`trace`) runs each pass untraced and then again
 under :func:`tracer.instrument`, and reports each layer's self time, the
 residual no layer accounts for, and the tracing overhead.
@@ -21,7 +24,6 @@ import resource
 import shutil
 import statistics
 import tempfile
-import time
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional
 
@@ -29,12 +31,13 @@ import repro.runner.runner as runner_module
 from repro import ResultStore
 from repro.telemetry.metrics import METRICS
 
+import calibration
 from tracer import LAYERS, Tracer, instrument
 from workloads import Workload, make_workload
 
 __all__ = ["Prepared", "Tally", "measure", "prepare", "trace"]
 
-_clock = time.perf_counter
+_clock = calibration.clock
 
 #: replay time after each pass, for workloads without a store cycle
 REPLAY_SECONDS_PER_PASS = 0.3
@@ -133,7 +136,7 @@ class PassRecord:
 
     ``cold`` holds ``(scenarios, rounds, start, seconds)`` per cold
     ``run_batch`` call and ``warm`` holds ``(scenarios, start, seconds)``
-    per replay call: the throughput metrics are medians over these calls.
+    per replay call: the throughput metrics are summed over these calls.
     """
 
     scenarios: list
@@ -235,6 +238,10 @@ def _run_passes(prepared: Prepared, seconds: float, tally: Tally) -> list:
         records.append(record)
         if not prepared.workload.uses_store and record.reports:
             record.warm = _replay(prepared.store, record, tally)
+        if len(records) > 1:
+            # later passes keep their timings only, so that peak_rss_mb
+            # does not grow with the number of passes the host fits in
+            record.scenarios = record.reports = record.canonical = []
         elapsed = _clock() - start
         if elapsed + elapsed / len(records) > seconds:
             return records
@@ -357,7 +364,7 @@ def measure(prepared: Prepared, seconds: float) -> dict:
     """The timed run; :func:`end_to_end` turns it into metrics."""
     tally = Tally()
     workload = prepared.workload
-    with _observed(workload), _run_clock() as run_times:
+    with _observed(workload), _run_clock() as run_times, calibration.sampling() as calibrated:
         records = _run_passes(prepared, seconds, tally)
     innovative = _repeat_first(prepared, records[0], tally)
     if workload.observed:
@@ -375,32 +382,31 @@ def measure(prepared: Prepared, seconds: float) -> dict:
         "fingerprint": fingerprint(records[0], innovative),
         "passes": len(records),
         "run_samples": len(run_times),
+        "calibration": calibrated[0],
     }
 
 
 def end_to_end(result: dict, setup: list, slowdown: Callable) -> dict:
     """End-to-end metrics, each timing scaled by ``slowdown(start, end)``.
 
-    ``setup`` holds ``(start, seconds)`` per set-up sample. Rates are
-    medians over the timed ``run_batch`` calls of each call's rate.
+    ``setup`` holds ``(seconds, slowdown)`` per set-up sample. A rate is
+    the count summed over the timed ``run_batch`` calls over their summed
+    scaled seconds: each call is scaled by the slowdown over its own
+    window, so a slow stretch of the host no longer needs a median.
     """
 
     def rate(calls, field):
-        return statistics.median(
-            call[field] / call[-1] * slowdown(call[-2], call[-2] + call[-1]) for call in calls
-        )
+        seconds = sum(call[-1] / slowdown(call[-2], call[-2] + call[-1]) for call in calls)
+        return sum(call[field] for call in calls) / seconds
 
-    def durations(samples):
-        return [seconds / slowdown(start, start + seconds) for start, seconds in samples]
-
-    runs = durations(result["run_times"])
+    runs = [seconds / slowdown(start, start + seconds) for start, seconds in result["run_times"]]
     return {
         "scenarios_per_s": (rate(result["cold"], 0), "1/s"),
         "sim_rounds_per_s": (rate(result["cold"], 1), "1/s"),
         "run_s_p50": (statistics.median(runs), "s"),
         "run_s_p90": (_quantile(runs, 90), "s"),
         "replay_scenarios_per_s": (rate(result["warm"], 0), "1/s"),
-        "setup_s": (statistics.median(durations(setup)), "s"),
+        "setup_s": (statistics.median(seconds / factor for seconds, factor in setup), "s"),
         "peak_rss_mb": (result["peak_rss_mb"], "MB"),
     }
 

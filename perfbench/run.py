@@ -10,8 +10,9 @@ object with the keys ``correct``, ``attempted``, ``failed`` and
 ``metrics``; the line before it carries the outcome fingerprint, which
 is reported but not gated. Everything, spans included, is also written
 to ``perfbench/out/<workload>-seed<seed>-trace<t>.json``. A timed run
-scales its timings by a calibration process running alongside it (see
-``perfbench/calibration.py``); the unscaled values are on the info line.
+scales its timings by the host's speed, which a block of work timed
+inside the run measures (see ``perfbench/calibration.py``); the unscaled
+values are on the info line.
 """
 
 import time
@@ -65,7 +66,7 @@ def use_checkout_source() -> None:
 
 
 def probe_setup(args) -> tuple:
-    """``(start, setup_s)`` of one fresh process running the same set-up."""
+    """``(setup_s, slowdown)`` of one fresh process running the same set-up."""
     completed = subprocess.run(
         [
             sys.executable,
@@ -81,7 +82,7 @@ def probe_setup(args) -> tuple:
         check=True,
     )
     probe = json.loads(completed.stdout.splitlines()[-1])
-    return probe["start"], probe["setup_s"]
+    return probe["setup_s"], probe["slowdown"]
 
 
 def main(argv=None) -> int:
@@ -99,24 +100,24 @@ def main(argv=None) -> int:
         prepared = bench.prepare(args.workload, args.seed, workdir)
         setup_s = time.perf_counter() - _START
         try:
-            if args.setup_probe:
-                print(json.dumps({"start": _START, "setup_s": setup_s}))
-                return 0
             if args.trace:
                 result = bench.trace(prepared, args.seconds)
             else:
-                with calibration.calibrating(workdir) as calibrated:
-                    half = SETUP_PROBES // 2
-                    setup = [(_START, setup_s)] + [probe_setup(args) for _ in range(half)]
-                    window = [time.perf_counter()]
-                    result = bench.measure(prepared, args.seconds)
-                    window.append(time.perf_counter())
-                    setup += [probe_setup(args) for _ in range(SETUP_PROBES - half)]
-                slowdown = calibrated[0].slowdown
-                result["metrics"] = bench.end_to_end(result, setup, slowdown)
-                raw = bench.end_to_end(result, setup, lambda start, end: 1.0)
+                # the host's speed right after the set-up scales it
+                setup = [(setup_s, calibration.slowdown_now())]
+                if args.setup_probe:
+                    print(json.dumps({"setup_s": setup_s, "slowdown": setup[0][1]}))
+                    return 0
+                half = SETUP_PROBES // 2
+                setup += [probe_setup(args) for _ in range(half)]
+                result = bench.measure(prepared, args.seconds)
+                setup += [probe_setup(args) for _ in range(SETUP_PROBES - half)]
+                calibrated = result.pop("calibration")
+                result["metrics"] = bench.end_to_end(result, setup, calibrated.slowdown)
+                unscaled = [(seconds, 1.0) for seconds, _ in setup]
+                raw = bench.end_to_end(result, unscaled, lambda start, end: 1.0)
                 result["raw_metrics"] = {name: value for name, (value, _) in raw.items()}
-                result["host_slowdown"] = slowdown(*window)
+                result["host_slowdown"] = calibrated.slowdown(-float("inf"), float("inf"))
                 result["setup_samples"] = setup
         finally:
             prepared.close()

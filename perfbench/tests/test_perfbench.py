@@ -8,6 +8,7 @@ import json
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -118,16 +119,35 @@ def test_fingerprint_is_deterministic():
     assert prints[0]["scenarios"] == 2 and prints[0]["rounds"] > 0
 
 
-def test_slowdown_is_the_median_block_over_the_window():
+def test_slowdown_is_the_harmonic_mean_over_the_window():
     nominal = calibration.NOMINAL_BLOCK_S
     # blocks at t=0..99 s: nominal speed for t<50, twice as slow after
     blocks = [(float(t), nominal * (1 if t < 50 else 2)) for t in range(100)]
     cal = calibration.Calibration(blocks)
     assert cal.slowdown(0, 40) == pytest.approx(1.0)
     assert cal.slowdown(60, 99) == pytest.approx(2.0)
+    # half the window at full speed, half at half speed: mean speed 3/4
+    assert cal.slowdown(40, 59) == pytest.approx(4 / 3)
     # a window shorter than the block spacing borrows its nearest blocks
     assert cal.slowdown(80.2, 80.3) == pytest.approx(2.0)
     assert cal.slowdown(-5, -4) == pytest.approx(1.0)
+
+
+def test_clock_leaves_out_the_sampling_handler():
+    with calibration.sampling() as calibrated:
+        net, wall = calibration.clock(), time.perf_counter()
+        while time.perf_counter() - wall < 1.2:
+            pass
+        net, wall = calibration.clock() - net, time.perf_counter() - wall
+    blocks = calibrated[0].blocks
+    assert len(blocks) >= calibration.MIN_BLOCKS
+    handler_s = wall - net
+    block_s = sum(seconds for _, seconds in blocks)
+    assert block_s <= handler_s < block_s + 0.05
+    # outside sampling the clock runs with perf_counter again
+    net, wall = calibration.clock(), time.perf_counter()
+    time.sleep(0.05)
+    assert calibration.clock() - net == pytest.approx(time.perf_counter() - wall, abs=1e-3)
 
 
 def test_end_to_end_scales_every_timing():
@@ -137,9 +157,8 @@ def test_end_to_end_scales_every_timing():
         "run_times": [(0.0, 1.0), (1.0, 1.0)],
         "peak_rss_mb": 70.0,
     }
-    setup = [(5.0, 0.4)]
-    plain = bench.end_to_end(result, setup, lambda start, end: 1.0)
-    slow = bench.end_to_end(result, setup, lambda start, end: 2.0)
+    plain = bench.end_to_end(result, [(0.4, 1.0)], lambda start, end: 1.0)
+    slow = bench.end_to_end(result, [(0.4, 2.0)], lambda start, end: 2.0)
     assert plain["scenarios_per_s"] == (1.5, "1/s")
     assert slow["scenarios_per_s"] == (3.0, "1/s")
     assert slow["sim_rounds_per_s"][0] == 2 * plain["sim_rounds_per_s"][0]
