@@ -1,0 +1,326 @@
+"""Observer overhead benchmark: one harness for every round-observer bar.
+
+``python benchmarks/bench_overhead.py [--scale smoke|full] [--output PATH]``
+emits ``BENCH_overhead.json`` with the channel-round workload from
+``bench_hotpaths`` timed four ways:
+
+* ``bare``     — ``Channel._resolve_round``, the engine's own un-observed
+  round (validate, resolve, count, advance): no metrics read, no
+  observer loop;
+* ``disabled`` — ``Channel.transmit`` with metrics off and no observers,
+  i.e. what every run that asks for nothing pays;
+* ``metrics``  — ``Channel.transmit`` with ``METRICS.enabled``, the
+  ``repro_channel_*`` counters incrementing every round;
+* ``timeline`` — ``Channel.transmit`` with a ``TimelineRecorder``
+  (``every=1``) observer appending one bucket per round, metrics off.
+
+Three acceptance bars are enforced (exit 1 on violation): disabled
+<= 1% over bare, metrics <= 5%, timeline <= 5%.
+
+Two byte-identity checks guard the invariant the bars exist to protect:
+canonical report bytes from ``run_batch`` are identical with telemetry
+and span tracing fully on vs off, and with the timeline recorder on vs
+off once the scenario's own ``timeline`` opt-in entry (and hence the
+cache key) is set aside. A ``memory_model`` entry reports the recorder's
+measured buffer footprint at n=10^5 for PERFORMANCE.md.
+
+The legs run in lockstep — every round is resolved by all four
+channels back to back, in a rotating order — and each leg's time is the
+sum over rounds of its best-of-N round time. Drift in machine load thus
+lands on every leg equally, and a burst only spoils the repeats it hits.
+
+``pytest benchmarks/bench_overhead.py --benchmark-only
+-o python_files='bench_*.py'`` runs the same measurement under
+pytest-benchmark.
+"""
+
+import argparse
+import json
+import os
+import platform
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+import numpy as np
+
+from repro.core.engine import Channel
+from repro.core.faults import FaultConfig
+from repro.core.packets import MessagePacket
+from repro.runner import Scenario, expand_grid, run_batch
+from repro.telemetry.metrics import METRICS
+from repro.telemetry.tracing import TRACER, TraceSink
+from repro.timeline import TimelineConfig, TimelineRecorder
+from repro.topologies import random_graphs
+from repro.util.rng import RandomSource
+
+SCHEMA = "repro.bench_overhead/1"
+
+LEGS = ("bare", "disabled", "metrics", "timeline")
+
+#: allowed overhead over the bare leg, per observed leg
+BARS = {"disabled": 0.01, "metrics": 0.05, "timeline": 0.05}
+
+_SCALES = {
+    "smoke": {"rounds": 600, "repeats": 9, "n": 1024},
+    "full": {"rounds": 2000, "repeats": 15, "n": 1024},
+}
+
+#: the byte-identity sweep: small but multi-seed, the store-canonical path
+_IDENTITY_SCENARIOS = 8
+
+#: the PERFORMANCE.md memory-model size
+_MEMORY_MODEL_N = 100_000
+
+
+def _workload(rounds, n, seed=7):
+    """The bench_hotpaths channel workload: sparse G(n, p), n/8 senders."""
+    network = random_graphs.gnp(n, 16.0 / n, rng=seed)
+    pick = RandomSource(seed)
+    packet = MessagePacket(0)
+    action_sets = [
+        {v: packet for v in pick.sample(range(network.n), network.n // 8)}
+        for _ in range(rounds)
+    ]
+    return network, action_sets
+
+
+def _leg_channel(leg, network, seed):
+    """A fresh channel for ``leg`` and the call that resolves one round."""
+    channel = Channel(network, FaultConfig.receiver(0.1), rng=seed)
+    if leg == "bare":
+        resolve, auto = channel._resolve_round, channel._resolve_auto
+        return channel, lambda actions: resolve(actions, auto)
+    if leg == "timeline":
+        channel.observers.append(
+            TimelineRecorder(network.n, TimelineConfig(every=1))
+        )
+    return channel, channel.transmit
+
+
+def bench_channel_overhead(rounds, repeats, n, seed=7):
+    """Best-of-``repeats`` seconds per leg, with overhead over bare."""
+    network, action_sets = _workload(rounds, n, seed=seed)
+    samples = {leg: np.empty((repeats, rounds)) for leg in LEGS}
+    clock = time.perf_counter
+    was_enabled = METRICS.enabled
+    try:
+        for repeat in range(repeats):
+            legs = {leg: _leg_channel(leg, network, seed) for leg in LEGS}
+            for index, actions in enumerate(action_sets):
+                shift = (index + repeat) % len(LEGS)
+                for leg in LEGS[shift:] + LEGS[:shift]:
+                    step = legs[leg][1]
+                    METRICS.enabled = leg == "metrics"
+                    start = clock()
+                    step(actions)
+                    samples[leg][repeat, index] = clock() - start
+            # every leg must simulate the same rounds, or the baseline
+            # is measuring a different simulation
+            counters = [channel.counters.as_dict() for channel, _ in legs.values()]
+            assert all(c == counters[0] for c in counters), (
+                f"an observer changed the simulation: {counters}"
+            )
+            recorder = legs["timeline"][0].observers[0]
+            recorder.finish()
+            assert len(recorder) == rounds
+    finally:
+        METRICS.enabled = was_enabled
+    best = {leg: float(samples[leg].min(axis=0).sum()) for leg in LEGS}
+
+    def leg_entry(leg):
+        seconds = best[leg]
+        overhead = (seconds - best["bare"]) / best["bare"]
+        return {
+            "seconds": round(seconds, 6),
+            "rounds_per_sec": round(rounds / seconds, 2),
+            "overhead_fraction": round(max(0.0, overhead), 4),
+        }
+
+    return {
+        "name": "channel_round_overhead",
+        "rounds": rounds,
+        "repeats": repeats,
+        "n": network.n,
+        "m": network.edge_count,
+        "broadcasters": network.n // 8,
+        "legs": {leg: leg_entry(leg) for leg in LEGS},
+        "bars": dict(BARS),
+    }
+
+
+def check_byte_identity(tmp_dir):
+    """Canonical report bytes with every observer on vs off.
+
+    Telemetry and span tracing must leave the bytes identical; a
+    recorded timeline may move only the scenario's own ``timeline`` entry
+    and the cache key. Raises AssertionError on any other difference.
+    """
+    base = Scenario(
+        algorithm="decay",
+        topology="path",
+        topology_params={"n": 32},
+        faults=FaultConfig.receiver(0.3),
+    )
+    plain = expand_grid(base, seeds=range(_IDENTITY_SCENARIOS))
+    recorded = [
+        scenario.with_(timeline=TimelineConfig(every=1)) for scenario in plain
+    ]
+    was_enabled = METRICS.enabled
+    previous_sink = TRACER.sink
+    trace_path = str(Path(tmp_dir) / "bench-identity.jsonl")
+    try:
+        METRICS.enabled = False
+        TRACER.configure(None)
+        off = run_batch(plain)
+        METRICS.enabled = True
+        TRACER.configure(TraceSink(trace_path, rate=1.0))
+        on = run_batch(plain)
+        spans_written = TRACER.sink.written
+        METRICS.enabled = False
+        TRACER.configure(None)
+        timed = run_batch(recorded)
+    finally:
+        METRICS.enabled = was_enabled
+        TRACER.configure(previous_sink)
+
+    buckets = 0
+    for scenario, report_off, report_on, report_timed in zip(
+        plain, off, on, timed
+    ):
+        assert report_off.to_json(canonical=True) == report_on.to_json(
+            canonical=True
+        ), f"telemetry leaked into canonical bytes for {scenario.cache_key()}"
+        assert report_off.timeline is None
+        assert report_timed.timeline is not None
+        buckets += len(report_timed.timeline["columns"]["round_start"])
+        a = json.loads(report_off.to_json(canonical=True))
+        b = json.loads(report_timed.to_json(canonical=True))
+        b["scenario"].pop("timeline")
+        a.pop("cache_key")
+        b.pop("cache_key")
+        assert a == b, (
+            f"recording changed canonical report bytes for seed {scenario.seed}"
+        )
+    return {
+        "name": "byte_identity",
+        "scenarios": len(plain),
+        "identical": True,
+        "spans_written": spans_written,
+        "buckets_recorded": buckets,
+    }
+
+
+def measure_memory_model(n=_MEMORY_MODEL_N):
+    """Measured recorder buffer footprint at large n (PERFORMANCE.md)."""
+    recorder = TimelineRecorder(n, TimelineConfig())
+    per_node = (
+        recorder.first_delivery.nbytes + recorder._informed_mask.nbytes
+    )
+    return {
+        "name": "memory_model",
+        "n": n,
+        "per_node_bytes": per_node,
+        "bucket_row_bytes": recorder._rows.nbytes // len(recorder._rows),
+        "initial_bucket_capacity": len(recorder._rows),
+        "total_initial_bytes": per_node + recorder._rows.nbytes,
+    }
+
+
+def run_overhead_benchmarks(scale="smoke"):
+    if scale not in _SCALES:
+        raise ValueError(f"scale must be one of {sorted(_SCALES)}, got {scale!r}")
+    sizes = _SCALES[scale]
+    overhead = bench_channel_overhead(
+        sizes["rounds"], sizes["repeats"], sizes["n"]
+    )
+    with tempfile.TemporaryDirectory(prefix="repro-bench-overhead-") as tmp:
+        identity = check_byte_identity(tmp)
+    return {
+        "schema": SCHEMA,
+        "scale": scale,
+        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
+        "python": platform.python_version(),
+        "cpu_count": os.cpu_count(),
+        "results": [overhead, identity, measure_memory_model()],
+    }
+
+
+def _gate(report):
+    """Print the verdicts; return the exit status."""
+    overhead, identity, memory = report["results"]
+    legs = overhead["legs"]
+    for leg in LEGS:
+        entry = legs[leg]
+        print(
+            f"channel_rounds {leg:>8}: {entry['rounds_per_sec']:>10.2f} "
+            f"rounds/s ({entry['overhead_fraction'] * 100:.2f}% overhead)"
+        )
+    print(
+        f"byte_identity: {identity['scenarios']} scenarios identical with "
+        f"telemetry and the recorder on/off ({identity['spans_written']} "
+        f"spans written, {identity['buckets_recorded']} buckets recorded)"
+    )
+    print(
+        f"memory_model: n={memory['n']} costs {memory['per_node_bytes']} "
+        f"per-node bytes + {memory['bucket_row_bytes']} B/bucket"
+    )
+    failed = False
+    for leg, bar in BARS.items():
+        fraction = legs[leg]["overhead_fraction"]
+        if fraction > bar:
+            print(
+                f"FAIL: the {leg} leg costs {fraction * 100:.2f}%, above "
+                f"the {bar * 100:.0f}% bar"
+            )
+            failed = True
+    return 1 if failed else 0
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--scale", choices=sorted(_SCALES), default="smoke")
+    parser.add_argument("--output", default="BENCH_overhead.json")
+    args = parser.parse_args(argv)
+
+    report = run_overhead_benchmarks(scale=args.scale)
+    with open(args.output, "w", encoding="utf-8") as handle:
+        json.dump(report, handle, indent=2, sort_keys=True)
+        handle.write("\n")
+    status = _gate(report)
+    print(f"wrote {args.output}")
+    return status
+
+
+# -- pytest-benchmark wrappers ----------------------------------------------
+
+
+def test_observer_overhead(benchmark, repro_scale):
+    sizes = _SCALES[repro_scale]
+    result = benchmark.pedantic(
+        lambda: bench_channel_overhead(
+            sizes["rounds"], sizes["repeats"], sizes["n"]
+        ),
+        rounds=1,
+        iterations=1,
+    )
+    benchmark.extra_info["result"] = result
+    for leg, bar in BARS.items():
+        assert result["legs"][leg]["overhead_fraction"] <= bar, leg
+
+
+def test_byte_identity(benchmark, tmp_path):
+    result = benchmark.pedantic(
+        lambda: check_byte_identity(str(tmp_path)),
+        rounds=1,
+        iterations=1,
+    )
+    benchmark.extra_info["result"] = result
+    assert result["identical"]
+    assert result["spans_written"] >= 1
+    assert result["buckets_recorded"] >= 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -84,13 +84,8 @@ class EdgeChurn(Adversary):
         if bool(self._up.all()):
             return None
         if slots is None:
-            indptr = self.network.indptr
-            bs = np.asarray(broadcasters, dtype=np.int64)
-            starts = indptr[bs].astype(np.int64)
-            lens = indptr[bs + 1].astype(np.int64) - starts
-            seg_starts = np.cumsum(lens) - lens
-            slots = np.arange(int(lens.sum()), dtype=np.int64) + np.repeat(
-                starts - seg_starts, lens
+            slots, _ = self.network.csr_slots(
+                np.asarray(broadcasters, dtype=np.int64)
             )
         alive = self._up[self._slot_edge[slots]]
         self.slots_suppressed += int(slots.size - alive.sum())

@@ -44,7 +44,7 @@ from repro.core.protocol import NodeProtocol
 from repro.core.trace import ChannelCounters
 from repro.gbst.gbst import build_gbst
 from repro.gbst.ranked_bfs import RankedBFSTree
-from repro.timeline.recorder import NULL_TIMELINE
+from repro.timeline.recorder import NULL_TIMELINE, TimelineRecorder
 from repro.util.rng import RandomSource, spawn_rng
 from repro.util.validation import check_positive
 
@@ -99,7 +99,7 @@ class RLNCGossipProtocol(NodeProtocol):
         self.rng = rng
         self.active = encoder.can_transmit()
         # flight recorder for rank progress; _run_gossip swaps in the
-        # bound recorder when a timeline capture is armed
+        # channel's recorder when a timeline capture is armed
         self.timeline = NULL_TIMELINE
 
     def act(self, round_index: int) -> Optional[CodedPacket]:
@@ -227,13 +227,13 @@ def _run_gossip(
     sim = Simulator(
         network, protocols, faults, rng.spawn(), adversary=adversary, channel=channel
     )
-    timeline = sim.channel.timeline
-    if timeline.enabled:
-        # rank progress rides the same recorder the channel feeds; the
-        # open bucket absorbs innovative receptions of the round just
-        # resolved (deliveries dispatch after the channel epilogue)
-        for protocol in protocols:
-            protocol.timeline = timeline
+    for observer in sim.channel.observers:
+        if isinstance(observer, TimelineRecorder):
+            # rank progress rides the same recorder the channel feeds; the
+            # open bucket absorbs innovative receptions of the round just
+            # resolved (deliveries dispatch after the channel epilogue)
+            for protocol in protocols:
+                protocol.timeline = observer
     executed = sim.run(max_rounds)
     return MultiMessageOutcome(
         success=sim.all_done(),

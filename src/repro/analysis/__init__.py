@@ -1,15 +1,16 @@
 """Statistics and experiment design over runs, stores, and theory.
 
-Two halves live here. The theory side (bounds, closed-form predictions,
-basic curve fitting) predates the result store. The store-native side —
+Two halves live here. The theory side (bounds, closed-form predictions)
+predates the result store. The store-native side —
 :mod:`~repro.analysis.aggregate` (streaming group-by with Wilson and
-bootstrap intervals), :mod:`~repro.analysis.fit` (scaling-law fitting
-with AIC model comparison), :mod:`~repro.analysis.compare` (paired
-sign-test/bootstrap certification of algorithm gaps), and
-:mod:`~repro.analysis.design` (adaptive sequential sweeps that spend
-seeds where the confidence intervals are widest) — consumes the
-thousands of canonical reports a :class:`~repro.store.ResultStore`
-accumulates and emits content-addressed :class:`AnalysisReport` records.
+bootstrap intervals), :mod:`~repro.analysis.fit` (line and log-log
+slopes, scaling-law fitting with AIC model comparison),
+:mod:`~repro.analysis.compare` (paired sign-test/bootstrap certification
+of algorithm gaps), and :mod:`~repro.analysis.design` (adaptive
+sequential sweeps that spend seeds where the confidence intervals are
+widest) — consumes the thousands of canonical reports a
+:class:`~repro.store.ResultStore` accumulates and emits
+content-addressed :class:`AnalysisReport` records.
 The CLI surface is ``repro analyze aggregate|fit|compare|adaptive``; the
 service surface is ``GET /analysis`` and adaptive ``POST /jobs``.
 """
@@ -17,7 +18,14 @@ service surface is ``GET /analysis`` and adaptive ``POST /jobs``.
 from repro.analysis.aggregate import aggregate, rows_from_reports
 from repro.analysis.compare import compare, sign_test
 from repro.analysis.design import adaptive_sweep
-from repro.analysis.fit import fit, fit_polylog, fit_power_law, fit_scaling
+from repro.analysis.fit import (
+    fit,
+    fit_polylog,
+    fit_power_law,
+    fit_scaling,
+    linear_fit,
+    loglog_slope,
+)
 from repro.analysis.report import ANALYSIS_SCHEMA, AnalysisReport
 from repro.analysis.bounds import (
     chernoff_binomial_lower_tail,
@@ -25,7 +33,6 @@ from repro.analysis.bounds import (
     chernoff_geometric_sum_tail,
     union_bound,
 )
-from repro.analysis.fitting import growth_exponent, linear_fit, loglog_slope
 from repro.analysis.predictions import (
     decay_rounds,
     fastbc_faultless_rounds,
@@ -58,7 +65,6 @@ __all__ = [
     "decay_rounds",
     "fastbc_faultless_rounds",
     "fastbc_noisy_path_rounds",
-    "growth_exponent",
     "linear_fit",
     "loglog_slope",
     "robust_fastbc_rounds",

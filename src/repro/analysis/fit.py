@@ -6,7 +6,7 @@ avoids — so E-series experiments should report *fitted* complexity, not
 raw tables. Two model families are fit against rounds-vs-n curves:
 
 * a power law ``y = C * n^a`` via log-log least squares (the empirical
-  polynomial degree, :func:`repro.analysis.fitting.loglog_slope`);
+  polynomial degree, :func:`loglog_slope`);
 * the paper's additive family ``y = D + c * log^k n`` for
   ``k = 0..max_k`` via linear least squares,
 
@@ -28,12 +28,38 @@ from typing import Any, Iterable, Mapping, Optional, Sequence
 import numpy as np
 
 from repro.analysis.aggregate import Source, aggregate
-from repro.analysis.fitting import linear_fit
 from repro.analysis.report import AnalysisReport
 
-__all__ = ["fit", "fit_scaling", "fit_power_law", "fit_polylog"]
+__all__ = [
+    "fit",
+    "fit_scaling",
+    "fit_power_law",
+    "fit_polylog",
+    "linear_fit",
+    "loglog_slope",
+]
 
 _RSS_FLOOR = 1e-12
+
+
+def linear_fit(xs: Sequence[float], ys: Sequence[float]) -> tuple[float, float]:
+    """Least-squares fit ``y = slope * x + intercept``."""
+    if len(xs) != len(ys):
+        raise ValueError(f"length mismatch: {len(xs)} xs vs {len(ys)} ys")
+    if len(xs) < 2:
+        raise ValueError("need at least two points to fit a line")
+    slope, intercept = np.polyfit(np.asarray(xs, float), np.asarray(ys, float), 1)
+    return float(slope), float(intercept)
+
+
+def loglog_slope(xs: Sequence[float], ys: Sequence[float]) -> float:
+    """Slope of log y against log x — the empirical polynomial degree."""
+    if any(x <= 0 for x in xs) or any(y <= 0 for y in ys):
+        raise ValueError("loglog_slope requires positive data")
+    slope, _ = linear_fit(
+        [math.log(x) for x in xs], [math.log(y) for y in ys]
+    )
+    return slope
 
 
 def _aic(rss: float, points: int, parameters: int) -> float:

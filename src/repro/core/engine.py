@@ -15,7 +15,7 @@ Two layers:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Protocol, Sequence
 
 import numpy as np
 
@@ -24,13 +24,12 @@ from repro.core.faults import AdversaryConfig, FaultConfig
 from repro.core.network import RadioNetwork
 from repro.core.packets import Packet
 from repro.core.protocol import NodeProtocol
-from repro.core.trace import ChannelCounters, TraceRecorder
+from repro.core.trace import ChannelCounters
 from repro.telemetry.metrics import METRICS as _METRICS
 from repro.timeline.capture import maybe_bind_simulator
-from repro.timeline.recorder import NULL_TIMELINE
 from repro.util.rng import RandomSource, spawn_rng
 
-__all__ = ["Channel", "Delivery", "RoundResult", "Simulator"]
+__all__ = ["Channel", "Delivery", "RoundObserver", "RoundResult", "Simulator"]
 
 # channel hot-seam metrics: registered once at import, bulk-incremented
 # per round behind the single _METRICS.enabled attribute read
@@ -70,16 +69,39 @@ class Delivery(NamedTuple):
 
 @dataclass
 class RoundResult:
-    """Everything that happened on the channel in one round."""
+    """Everything that happened on the channel in one round.
+
+    The kernels only fill it; :meth:`Channel._run_round` then derives the
+    counters, the ``repro_channel_*`` metrics and every observer's view
+    from it. Node lists are ascending; each ``*_senders`` list is
+    parallel to the receiver list before it.
+    """
 
     round_index: int
+    #: nodes that broadcast this round
+    broadcasters: list[int] = field(default_factory=list)
     deliveries: list[Delivery] = field(default_factory=list)
-    #: listeners whose unique reception was replaced by noise (either fault)
-    noise_receivers: list[int] = field(default_factory=list)
     #: listeners that heard >= 2 broadcasters
     collision_receivers: list[int] = field(default_factory=list)
-    #: broadcasters whose transmission was noise (sender faults only)
+    #: broadcasters whose transmission was noise (sender faults)
     faulty_senders: list[int] = field(default_factory=list)
+    #: listeners whose unique reception came from a faulty sender
+    silenced_receivers: list[int] = field(default_factory=list)
+    silenced_senders: list[int] = field(default_factory=list)
+    #: listeners whose unique reception a receiver fault replaced by noise
+    corrupted_receivers: list[int] = field(default_factory=list)
+    corrupted_senders: list[int] = field(default_factory=list)
+
+    @property
+    def noise_receivers(self) -> list[int]:
+        """Listeners that heard only noise: sender-silenced, then corrupted."""
+        return self.silenced_receivers + self.corrupted_receivers
+
+
+class RoundObserver(Protocol):
+    """Anything the channel shows each resolved round: traces, timelines."""
+
+    def on_round(self, result: RoundResult) -> None: ...
 
 
 class Channel:
@@ -100,9 +122,15 @@ class Channel:
     Because the kernels are outcome-identical, ``kernel="auto"`` (the
     default) picks per round by the total neighbor-gather work: tiny
     rounds on tiny graphs stay on the scalar loop (numpy call latency
-    would dominate), large rounds go vectorized. When tracing is enabled
-    :meth:`transmit` routes through the scalar kernel so per-event
-    records stay available; outcomes are unchanged either way.
+    would dominate), large rounds go vectorized.
+
+    Either kernel only fills a :class:`RoundResult`. Every round then
+    passes one seam, :meth:`_run_round`: the counters are summed from
+    the result, the ``repro_channel_*`` metrics are updated when
+    telemetry is on, and each observer's ``on_round(result)`` is called.
+    Event traces (:class:`~repro.core.trace.TraceRecorder`) and flight
+    recorders (:class:`~repro.timeline.TimelineRecorder`) are observers,
+    so attaching one never changes the kernel choice.
 
     Parameters
     ----------
@@ -116,8 +144,9 @@ class Channel:
         existed — legacy runs are byte-identical.
     rng:
         Seed / source for fault/adversary sampling.
-    trace:
-        Optional event recorder.
+    observers:
+        :class:`RoundObserver` objects shown every resolved round, in
+        order; ``channel.observers`` is a list and may be appended to.
     kernel:
         ``"auto"`` (default), ``"vectorized"``, or ``"scalar"`` — force a
         resolution kernel, mainly for benchmarks and cross-checks.
@@ -138,7 +167,7 @@ class Channel:
         network: RadioNetwork,
         faults: FaultConfig = FaultConfig.faultless(),
         rng: "int | RandomSource | None" = None,
-        trace: Optional[TraceRecorder] = None,
+        observers: Sequence[RoundObserver] = (),
         kernel: str = "auto",
         adversary: "Adversary | AdversaryConfig | None" = None,
     ) -> None:
@@ -149,11 +178,7 @@ class Channel:
         self.network = network
         self.faults = faults
         self.rng = spawn_rng(rng)
-        self.trace = trace if trace is not None else TraceRecorder(enabled=False)
-        # flight recorder (repro.timeline): the disabled default is a
-        # module-level null object, so the round epilogue pays one
-        # attribute read + branch when no timeline capture is armed
-        self.timeline = NULL_TIMELINE
+        self.observers = list(observers)
         self.kernel = kernel
         self.counters = ChannelCounters()
         self.round_index = 0
@@ -211,46 +236,52 @@ class Channel:
     # -- kernel internals ---------------------------------------------------
 
     def _run_round(self, actions: dict[int, Packet], resolver) -> RoundResult:
-        """Shared prologue/epilogue: validate, count, resolve, advance."""
-        n = self.network.n
-        for b in actions:
-            if not isinstance(b, int) or not 0 <= b < n:
-                raise SimulationError(
-                    f"broadcast action for invalid node {b!r} (n={n})"
-                )
-        result = RoundResult(round_index=self.round_index)
-        counters = self.counters
-        metrics_on = _METRICS.enabled
-        # receiver faults are folded into result.noise_receivers together
-        # with sender-silenced listeners; the exact per-round split only
-        # exists as a counter delta
-        faults_before = counters.receiver_faults if metrics_on else 0
-        counters.rounds += 1
-        counters.broadcasts += len(actions)
-        if actions:
-            resolver(actions, result)
-        self.round_index += 1
-        timeline = self.timeline
-        if timeline.enabled:
-            timeline.on_round(result.round_index, counters, result.deliveries)
-        if metrics_on:
+        """The one place a resolved round is observed.
+
+        Resolves the round, then feeds the result to the metrics (behind
+        one ``METRICS.enabled`` read) and to every observer.
+        """
+        result = self._resolve_round(actions, resolver)
+        if _METRICS.enabled:
             _M_ROUNDS.inc()
-            if actions:
-                _M_BROADCASTS.inc(len(actions))
+            if result.broadcasters:
+                _M_BROADCASTS.inc(len(result.broadcasters))
                 if result.deliveries:
                     _M_DELIVERIES.inc(len(result.deliveries))
                 if result.collision_receivers:
                     _M_COLLISIONS.inc(len(result.collision_receivers))
                 if result.faulty_senders:
                     _M_SENDER_FAULTS.inc(len(result.faulty_senders))
-                receiver_faults = counters.receiver_faults - faults_before
-                if receiver_faults:
-                    _M_RECEIVER_FAULTS.inc(receiver_faults)
+                if result.corrupted_receivers:
+                    _M_RECEIVER_FAULTS.inc(len(result.corrupted_receivers))
+        for observer in self.observers:
+            observer.on_round(result)
+        return result
+
+    def _resolve_round(self, actions: dict[int, Packet], resolver) -> RoundResult:
+        """The un-observed round: validate, resolve, count, advance."""
+        n = self.network.n
+        for b in actions:
+            if not isinstance(b, int) or not 0 <= b < n:
+                raise SimulationError(
+                    f"broadcast action for invalid node {b!r} (n={n})"
+                )
+        result = RoundResult(self.round_index, sorted(actions))
+        if actions:
+            resolver(actions, result)
+        self.round_index += 1
+        counters = self.counters
+        counters.rounds += 1
+        counters.broadcasts += len(result.broadcasters)
+        counters.deliveries += len(result.deliveries)
+        counters.collisions += len(result.collision_receivers)
+        counters.sender_faults += len(result.faulty_senders)
+        counters.receiver_faults += len(result.corrupted_receivers)
         return result
 
     def _resolve_auto(self, actions: dict[int, Packet], result: RoundResult) -> None:
         """Kernel dispatch: honor ``self.kernel``, else pick by gather work."""
-        if self.trace.enabled or self.kernel == "scalar":
+        if self.kernel == "scalar":
             resolver = self._resolve_scalar
         elif self.kernel == "vectorized":
             resolver = self._resolve_vectorized
@@ -277,27 +308,17 @@ class Channel:
         """
         network = self.network
         n = network.n
-        counters = self.counters
         adversary = self.adversary
-        bs = np.fromiter(sorted(actions), dtype=np.int64, count=len(actions))
+        bs = np.fromiter(result.broadcasters, dtype=np.int64, count=len(actions))
 
         if adversary.needs_begin_round:
             adversary.begin_round(self.round_index, bs)
         smask = adversary.sender_mask(bs)
         faulty = bs[smask] if smask is not None else bs[:0]
-        if faulty.size:
-            counters.sender_faults += int(faulty.size)
-            result.faulty_senders.extend(faulty.tolist())
+        result.faulty_senders = faulty.tolist()
 
         # gather all broadcasters' neighbor slices in one shot
-        indptr = network.indptr
-        starts = indptr[bs].astype(np.int64)
-        lens = indptr[bs + 1].astype(np.int64) - starts
-        total = int(lens.sum())
-        seg_starts = np.cumsum(lens) - lens
-        flat = np.arange(total, dtype=np.int64) + np.repeat(
-            starts - seg_starts, lens
-        )
+        flat, lens = network.csr_slots(bs)
         heard = network.indices[flat]
         senders = np.repeat(bs, lens)
 
@@ -316,53 +337,54 @@ class Channel:
         listening = np.ones(n, dtype=bool)
         listening[bs] = False  # a broadcasting node cannot receive
 
-        collided = np.nonzero(listening & (hear_count >= 2))[0]
-        if collided.size:
-            counters.collisions += int(collided.size)
-            result.collision_receivers.extend(collided.tolist())
-
+        result.collision_receivers = np.nonzero(
+            listening & (hear_count >= 2)
+        )[0].tolist()
         unique = np.nonzero(listening & (hear_count == 1))[0]
-        unique_senders = sender_of[unique]
+        self._fill_vectorized(actions, result, faulty, unique, sender_of[unique])
 
+    def _fill_vectorized(
+        self, actions, result: RoundResult, faulty, unique, unique_senders
+    ) -> None:
+        """Array tail shared by the vectorized kernels.
+
+        ``unique`` are the ascending listeners left with exactly one
+        sender: silence those whose sender is ``faulty``, draw receiver
+        faults over the rest, and deliver what survives.
+        """
         if faulty.size:
-            faulty_lookup = np.zeros(n, dtype=bool)
+            faulty_lookup = np.zeros(self.network.n, dtype=bool)
             faulty_lookup[faulty] = True
             silenced = faulty_lookup[unique_senders]
-            result.noise_receivers.extend(unique[silenced].tolist())
+            result.silenced_receivers = unique[silenced].tolist()
+            result.silenced_senders = unique_senders[silenced].tolist()
             unique = unique[~silenced]
             unique_senders = unique_senders[~silenced]
 
-        rmask = adversary.receiver_mask(unique, unique_senders)
+        rmask = self.adversary.receiver_mask(unique, unique_senders)
         if rmask is not None and rmask.any():
-            counters.receiver_faults += int(rmask.sum())
-            result.noise_receivers.extend(unique[rmask].tolist())
+            result.corrupted_receivers = unique[rmask].tolist()
+            result.corrupted_senders = unique_senders[rmask].tolist()
             unique = unique[~rmask]
             unique_senders = unique_senders[~rmask]
 
-        counters.deliveries += int(unique.size)
-        deliveries = result.deliveries
-        for v, s in zip(unique.tolist(), unique_senders.tolist()):
-            deliveries.append(Delivery(v, s, actions[s]))
+        result.deliveries = [
+            Delivery(v, s, actions[s])
+            for v, s in zip(unique.tolist(), unique_senders.tolist())
+        ]
 
     def _resolve_scalar(
         self, actions: dict[int, Packet], result: RoundResult
     ) -> None:
-        """Per-node reference kernel (also serves the tracing path).
+        """Per-node reference kernel.
 
         Calls the adversary hooks at the same points, in the same order,
         with the same ascending-id values as the vectorized kernel (see
         :meth:`_resolve_vectorized`), so both kernels consume one RNG
         stream and agree delivery for delivery.
         """
-        counters = self.counters
-        trace = self.trace
-        tracing = trace.enabled
         adversary = self.adversary
-        broadcasters = sorted(actions)
-
-        if tracing:
-            for b in broadcasters:
-                trace.record(self.round_index, "broadcast", b)
+        broadcasters = result.broadcasters
 
         if adversary.needs_begin_round:
             adversary.begin_round(
@@ -372,12 +394,10 @@ class Channel:
         faulty: set[int] = set()
         smask = adversary.sender_mask(broadcasters)
         if smask is not None:
-            faulty = {b for b, hit in zip(broadcasters, smask) if hit}
-            counters.sender_faults += len(faulty)
-            result.faulty_senders.extend(sorted(faulty))
-            if tracing:
-                for b in sorted(faulty):
-                    trace.record(self.round_index, "sender_fault", b)
+            result.faulty_senders = [
+                b for b, hit in zip(broadcasters, smask) if hit
+            ]
+            faulty = set(result.faulty_senders)
 
         hear_count = self._hear_count
         hear_from = self._hear_from
@@ -421,31 +441,34 @@ class Channel:
             if v in actions:
                 continue  # a broadcasting node cannot receive
             if count >= 2:
-                counters.collisions += 1
                 result.collision_receivers.append(v)
-                if tracing:
-                    trace.record(self.round_index, "collision", v)
                 continue
             if hear_from[v] in faulty:
-                result.noise_receivers.append(v)
+                result.silenced_receivers.append(v)
+                result.silenced_senders.append(hear_from[v])
                 continue
             eligible.append(v)
             eligible_senders.append(hear_from[v])
         touched.clear()
+        self._fill_scalar(actions, result, eligible, eligible_senders)
 
-        rmask = adversary.receiver_mask(eligible, eligible_senders)
+    def _fill_scalar(
+        self, actions, result: RoundResult, eligible, eligible_senders
+    ) -> None:
+        """Per-node tail shared by the scalar kernels.
+
+        ``eligible`` are the ascending listeners whose one sender sent
+        cleanly; one bulk receiver-fault draw over them (the vectorized
+        kernels' stream) splits them into corrupted and delivered.
+        """
+        rmask = self.adversary.receiver_mask(eligible, eligible_senders)
         for i, v in enumerate(eligible):
             sender = eligible_senders[i]
             if rmask is not None and rmask[i]:
-                counters.receiver_faults += 1
-                result.noise_receivers.append(v)
-                if tracing:
-                    trace.record(self.round_index, "receiver_fault", v, sender)
-                continue
-            counters.deliveries += 1
-            result.deliveries.append(Delivery(v, sender, actions[sender]))
-            if tracing:
-                trace.record(self.round_index, "deliver", v, sender)
+                result.corrupted_receivers.append(v)
+                result.corrupted_senders.append(sender)
+            else:
+                result.deliveries.append(Delivery(v, sender, actions[sender]))
 
 
 class Simulator:
@@ -463,8 +486,8 @@ class Simulator:
         Randomness for the channel (fault sampling). Protocols hold their
         own sources so that channel noise and algorithmic randomness are
         independent streams.
-    trace:
-        Optional event recorder.
+    observers:
+        Round observers handed to the channel (see :class:`Channel`).
     adversary:
         Optional channel corruption strategy (see :class:`Channel`);
         mutually exclusive with a non-faultless ``faults``.
@@ -481,7 +504,7 @@ class Simulator:
         protocols: Sequence[NodeProtocol],
         faults: FaultConfig = FaultConfig.faultless(),
         rng: "int | RandomSource | None" = None,
-        trace: Optional[TraceRecorder] = None,
+        observers: Sequence[RoundObserver] = (),
         kernel: str = "auto",
         adversary: "Adversary | AdversaryConfig | None" = None,
         channel: "MacConfig | None" = None,
@@ -494,7 +517,7 @@ class Simulator:
         self.protocols = list(protocols)
         if channel is None:
             self.channel = Channel(
-                network, faults, rng, trace, kernel=kernel, adversary=adversary
+                network, faults, rng, observers, kernel=kernel, adversary=adversary
             )
         else:
             # deferred import: repro.mac.channel subclasses Channel, so a
@@ -505,13 +528,13 @@ class Simulator:
                 network,
                 faults,
                 rng,
-                trace,
+                observers,
                 kernel=kernel,
                 adversary=adversary,
                 config=channel,
             )
-        # an armed timeline capture (repro.timeline.capture) binds its
-        # flight recorder to the first simulator built inside the context
+        # an armed timeline capture (repro.timeline.capture) appends its
+        # flight recorder to the first simulator's channel observers
         maybe_bind_simulator(self)
 
     @property

@@ -114,6 +114,21 @@ class RadioNetwork:
     def degree(self, index: int) -> int:
         return len(self.neighbors[index])
 
+    def csr_slots(self, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The CSR slots of ``nodes``' neighbor slices, concatenated.
+
+        Returns ``(slots, lens)``: ``indices[slots]`` lists the neighbors
+        of each node of the int64 array ``nodes`` in turn, and ``lens``
+        holds their degrees.
+        """
+        starts = self.indptr[nodes].astype(np.int64)
+        lens = self.indptr[nodes + 1].astype(np.int64) - starts
+        seg_starts = np.cumsum(lens) - lens
+        slots = np.arange(int(lens.sum()), dtype=np.int64) + np.repeat(
+            starts - seg_starts, lens
+        )
+        return slots, lens
+
     @property
     def max_degree(self) -> int:
         return max(len(adj) for adj in self.neighbors)

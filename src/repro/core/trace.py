@@ -1,15 +1,19 @@
 """Simulation instrumentation: cheap counters plus an optional event log.
 
-Counters are always maintained (a handful of integer increments per round).
-The full per-event log is opt-in because long multi-message simulations
-would otherwise accumulate millions of event records.
+Counters are always maintained (a handful of integer additions per round).
+The full per-event log is opt-in — a :class:`TraceRecorder` passed as a
+channel observer — because long multi-message simulations would otherwise
+accumulate millions of event records.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
-from typing import Any, Optional
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Any, Optional
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.engine import RoundResult
 
 __all__ = ["ChannelCounters", "TraceRecorder", "TraceEvent"]
 
@@ -62,13 +66,16 @@ class TraceEvent:
 
 
 class TraceRecorder:
-    """Collects :class:`TraceEvent` records when enabled.
+    """Collects :class:`TraceEvent` records: a channel round observer.
+
+    Attach it with ``Channel(..., observers=[recorder])``; it derives each
+    round's events from the :class:`~repro.core.engine.RoundResult`, so it
+    records the same stream on either channel kernel.
 
     Parameters
     ----------
     enabled:
-        When False (default) the recorder is a no-op and costs one branch
-        per call site.
+        When False the recorder ignores every round and ``record`` call.
     max_events:
         Safety cap; recording stops past the cap (the counters in
         :class:`ChannelCounters` stay exact regardless). Overflow is
@@ -79,9 +86,8 @@ class TraceRecorder:
         Fraction of offered events kept, decided per event by a hash of
         ``(sample_seed, event position)`` — the same idiom as
         :class:`~repro.telemetry.tracing.TraceSink`'s per-trace coin, so
-        two runs of the same simulation (or the scalar and vectorized
-        channel kernels replaying identical event streams) keep the
-        *same* subset. 1.0 (the default) keeps everything and skips the
+        two runs of the same simulation (on either channel kernel) keep
+        the *same* subset. 1.0 (the default) keeps everything and skips the
         coin entirely; events skipped by sampling are counted in
         ``sampled_out`` and never touch the cap.
     sample_seed:
@@ -91,7 +97,7 @@ class TraceRecorder:
 
     def __init__(
         self,
-        enabled: bool = False,
+        enabled: bool = True,
         max_events: int = 1_000_000,
         sample: float = 1.0,
         sample_seed: int = 0,
@@ -154,6 +160,29 @@ class TraceRecorder:
             self.dropped += 1
             return
         self.events.append(TraceEvent(round_index, kind, node, peer, detail))
+
+    def on_round(self, result: "RoundResult") -> None:
+        """Record one resolved round's events.
+
+        Per round: broadcasts, sender faults and collisions, each in
+        ascending node order, then receiver faults and deliveries merged
+        in ascending receiver order.
+        """
+        if not self.enabled:
+            return
+        r = result.round_index
+        record = self.record
+        for b in result.broadcasters:
+            record(r, "broadcast", b)
+        for b in result.faulty_senders:
+            record(r, "sender_fault", b)
+        for v in result.collision_receivers:
+            record(r, "collision", v)
+        corrupted = zip(result.corrupted_receivers, result.corrupted_senders)
+        receptions = [(v, "receiver_fault", s) for v, s in corrupted]
+        receptions += [(d.receiver, "deliver", d.sender) for d in result.deliveries]
+        for v, kind, s in sorted(receptions):
+            record(r, kind, v, s)
 
     def as_dict(self) -> dict[str, Any]:
         """Recording status summary (capacity, recorded, dropped)."""

@@ -12,8 +12,8 @@ slot:
    *defers*: it neither transmits nor counts down. Remaining contenders
    transmit iff their counter is zero, else decrement it.
 2. **Resolve.** Actual transmitters go through the ordinary collision
-   channel (same semantics, counters, adversary hooks, timeline and
-   tracing as the default channel) — exogenous adversaries compose *on
+   channel (same semantics, counters, adversary hooks and round
+   observers as the default channel) — exogenous adversaries compose *on
    top of* contention. With a capture threshold set, a receiver hearing
    several transmitters still captures the strongest one when its
    per-slot power exceeds ``capture`` times the runner-up's.
@@ -38,15 +38,15 @@ coin streams match a default-channel run of the same seed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.core.engine import Channel, Delivery, RoundResult
+from repro.core.engine import Channel, RoundObserver, RoundResult
 from repro.core.errors import SimulationError
 from repro.core.faults import AdversaryConfig, FaultConfig
 from repro.core.network import RadioNetwork
-from repro.core.trace import ChannelCounters, TraceRecorder
+from repro.core.trace import ChannelCounters
 from repro.mac.config import MacConfig
 from repro.telemetry.metrics import METRICS as _METRICS
 from repro.util.rng import RandomSource
@@ -134,13 +134,13 @@ class ContentionChannel(Channel):
         network: RadioNetwork,
         faults: FaultConfig = FaultConfig.faultless(),
         rng: "int | RandomSource | None" = None,
-        trace: Optional[TraceRecorder] = None,
+        observers: Sequence[RoundObserver] = (),
         kernel: str = "auto",
         adversary: "AdversaryConfig | None" = None,
         config: Optional[MacConfig] = None,
     ) -> None:
         super().__init__(
-            network, faults, rng, trace, kernel=kernel, adversary=adversary
+            network, faults, rng, observers, kernel=kernel, adversary=adversary
         )
         self.config = config if config is not None else MacConfig()
         self.counters = MacCounters()
@@ -299,15 +299,7 @@ class ContentionChannel(Channel):
             return successes
         tx = np.asarray(tx_nodes, dtype=np.int64)
         busy[tx] = True
-        indptr = network.indptr
-        starts = indptr[tx].astype(np.int64)
-        lens = indptr[tx + 1].astype(np.int64) - starts
-        total = int(lens.sum())
-        seg_starts = np.cumsum(lens) - lens
-        flat = np.arange(total, dtype=np.int64) + np.repeat(
-            starts - seg_starts, lens
-        )
-        busy[network.indices[flat]] = True
+        busy[network.indices[network.csr_slots(tx)[0]]] = True
         succ = np.fromiter(
             (b in succeeded for b in tx_nodes), dtype=bool, count=len(tx_nodes)
         )
@@ -336,26 +328,16 @@ class ContentionChannel(Channel):
             return
         network = self.network
         n = network.n
-        counters = self.counters
         adversary = self.adversary
-        bs = np.fromiter(sorted(actions), dtype=np.int64, count=len(actions))
+        bs = np.fromiter(result.broadcasters, dtype=np.int64, count=len(actions))
 
         if adversary.needs_begin_round:
             adversary.begin_round(self.round_index, bs)
         smask = adversary.sender_mask(bs)
         faulty = bs[smask] if smask is not None else bs[:0]
-        if faulty.size:
-            counters.sender_faults += int(faulty.size)
-            result.faulty_senders.extend(faulty.tolist())
+        result.faulty_senders = faulty.tolist()
 
-        indptr = network.indptr
-        starts = indptr[bs].astype(np.int64)
-        lens = indptr[bs + 1].astype(np.int64) - starts
-        total = int(lens.sum())
-        seg_starts = np.cumsum(lens) - lens
-        flat = np.arange(total, dtype=np.int64) + np.repeat(
-            starts - seg_starts, lens
-        )
+        flat, lens = network.csr_slots(bs)
         heard = network.indices[flat]
         senders = np.repeat(bs, lens)
 
@@ -392,48 +374,20 @@ class ContentionChannel(Channel):
             p_top = p[ends]
             p_second = np.where(multi, p[np.maximum(ends - 1, 0)], 0.0)
             captured = multi & (p_top >= self.config.capture * p_second)
-            counters.mac_captures += int(captured.sum())
+            self.counters.mac_captures += int(captured.sum())
             lost = multi & ~captured
-            collided = receivers[lost]
-            if collided.size:
-                counters.collisions += int(collided.size)
-                result.collision_receivers.extend(collided.tolist())
+            result.collision_receivers = receivers[lost].tolist()
             unique = receivers[~lost]
             unique_senders = strongest[~lost]
 
-        if faulty.size:
-            faulty_lookup = np.zeros(n, dtype=bool)
-            faulty_lookup[faulty] = True
-            silenced = faulty_lookup[unique_senders]
-            result.noise_receivers.extend(unique[silenced].tolist())
-            unique = unique[~silenced]
-            unique_senders = unique_senders[~silenced]
-
-        rmask = adversary.receiver_mask(unique, unique_senders)
-        if rmask is not None and rmask.any():
-            counters.receiver_faults += int(rmask.sum())
-            result.noise_receivers.extend(unique[rmask].tolist())
-            unique = unique[~rmask]
-            unique_senders = unique_senders[~rmask]
-
-        counters.deliveries += int(unique.size)
-        deliveries = result.deliveries
-        for v, sdr in zip(unique.tolist(), unique_senders.tolist()):
-            deliveries.append(Delivery(v, sdr, actions[sdr]))
+        self._fill_vectorized(actions, result, faulty, unique, unique_senders)
 
     def _resolve_scalar(self, actions, result: RoundResult) -> None:
         if not self.config.capture:
             super()._resolve_scalar(actions, result)
             return
-        counters = self.counters
-        trace = self.trace
-        tracing = trace.enabled
         adversary = self.adversary
-        broadcasters = sorted(actions)
-
-        if tracing:
-            for b in broadcasters:
-                trace.record(self.round_index, "broadcast", b)
+        broadcasters = result.broadcasters
 
         if adversary.needs_begin_round:
             adversary.begin_round(
@@ -443,12 +397,10 @@ class ContentionChannel(Channel):
         faulty: set[int] = set()
         smask = adversary.sender_mask(broadcasters)
         if smask is not None:
-            faulty = {b for b, hit in zip(broadcasters, smask) if hit}
-            counters.sender_faults += len(faulty)
-            result.faulty_senders.extend(sorted(faulty))
-            if tracing:
-                for b in sorted(faulty):
-                    trace.record(self.round_index, "sender_fault", b)
+            result.faulty_senders = [
+                b for b, hit in zip(broadcasters, smask) if hit
+            ]
+            faulty = set(result.faulty_senders)
 
         neighbors = self.network.neighbors
         alive = (
@@ -484,29 +436,14 @@ class ContentionChannel(Channel):
                 )
                 if p_top >= ratio * p_second:
                     winner = txs[best]
-                    counters.mac_captures += 1
+                    self.counters.mac_captures += 1
                 else:
-                    counters.collisions += 1
                     result.collision_receivers.append(v)
-                    if tracing:
-                        trace.record(self.round_index, "collision", v)
                     continue
             if winner in faulty:
-                result.noise_receivers.append(v)
+                result.silenced_receivers.append(v)
+                result.silenced_senders.append(winner)
                 continue
             eligible.append(v)
             eligible_senders.append(winner)
-
-        rmask = adversary.receiver_mask(eligible, eligible_senders)
-        for i, v in enumerate(eligible):
-            sender = eligible_senders[i]
-            if rmask is not None and rmask[i]:
-                counters.receiver_faults += 1
-                result.noise_receivers.append(v)
-                if tracing:
-                    trace.record(self.round_index, "receiver_fault", v, sender)
-                continue
-            counters.deliveries += 1
-            result.deliveries.append(Delivery(v, sender, actions[sender]))
-            if tracing:
-                trace.record(self.round_index, "deliver", v, sender)
+        self._fill_scalar(actions, result, eligible, eligible_senders)

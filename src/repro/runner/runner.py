@@ -23,6 +23,7 @@ restart an interrupted thousand-scenario sweep for free.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import multiprocessing
 import time
@@ -66,32 +67,22 @@ def run(scenario: Scenario) -> RunReport:
 
     When the scenario carries a ``timeline`` config, the run executes
     inside an armed :func:`~repro.timeline.capture.capture_timeline`
-    context: the simulator binds a flight recorder to its channel, and
-    the frozen :class:`~repro.timeline.Timeline` artifact is attached to
-    the report (outside its canonical bytes). Recording reads the same
-    counters the run maintains anyway — the simulated outcome is
-    unchanged, which the timeline test suite checks byte-for-byte.
+    context: the simulator's channel gets a flight recorder as a round
+    observer, and the frozen :class:`~repro.timeline.Timeline` artifact
+    is attached to the report (outside its canonical bytes). Recording
+    only reads each round's result — the simulated outcome is unchanged,
+    which the timeline test suite checks byte-for-byte.
     """
     algorithm = get_algorithm(scenario.algorithm)
     network = scenario.build_network()
     timeline_payload: "dict | None" = None
+    capturing = (
+        capture_timeline(scenario.timeline)
+        if scenario.timeline is not None
+        else contextlib.nullcontext()
+    )
     start = time.perf_counter()
-    if scenario.timeline is not None:
-        with capture_timeline(scenario.timeline) as capture:
-            result = algorithm.run(
-                network,
-                scenario.faults,
-                scenario.seed,
-                max_rounds=scenario.max_rounds,
-                params=scenario.params,
-                adversary=scenario.adversary,
-                channel=scenario.channel_config(),
-            )
-        if capture.recorder is not None:
-            timeline_payload = Timeline.from_recorder(
-                capture.recorder
-            ).to_dict()
-    else:
+    with capturing as capture:
         result = algorithm.run(
             network,
             scenario.faults,
@@ -101,6 +92,8 @@ def run(scenario: Scenario) -> RunReport:
             adversary=scenario.adversary,
             channel=scenario.channel_config(),
         )
+    if capture is not None and capture.recorder is not None:
+        timeline_payload = Timeline.from_recorder(capture.recorder).to_dict()
     elapsed = time.perf_counter() - start
     key = scenario.cache_key() if scenario.cacheable else ""
     if _METRICS.enabled:

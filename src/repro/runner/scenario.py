@@ -156,7 +156,7 @@ class Scenario:
                     "timeline must be a TimelineConfig, got "
                     f"{type(self.timeline).__name__}"
                 )
-            # the flight recorder lives in the channel round epilogue;
+            # the flight recorder observes collision-channel rounds;
             # supports_adversary marks exactly the channel-based kinds
             if not algorithm.supports_adversary:
                 raise ValueError(

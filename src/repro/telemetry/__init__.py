@@ -5,7 +5,7 @@ Two module-level singletons the whole stack shares:
 * :data:`METRICS` — a :class:`~repro.telemetry.metrics.MetricsRegistry`
   of counters/gauges/histograms. Instrumented hot paths gate on the
   ``METRICS.enabled`` attribute, so telemetry off costs one attribute
-  read per seam (enforced by ``benchmarks/bench_telemetry.py``).
+  read per seam (enforced by ``benchmarks/bench_overhead.py``).
 * :data:`TRACER` — a :class:`~repro.telemetry.tracing.Tracer` writing
   JSONL spans through a sampling :class:`~repro.telemetry.tracing
   .TraceSink`, with trace/span ids derived deterministically from

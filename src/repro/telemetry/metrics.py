@@ -5,7 +5,7 @@ channel rounds, RLNC rank progress, store latency, coordinator lease
 lifecycle, worker splits, client retries. The design constraint is the
 hot path: instrumented code gates every update on ``METRICS.enabled``,
 a plain attribute read, so a simulation run with telemetry off pays one
-load-and-branch per round and nothing else (``bench_telemetry.py``
+load-and-branch per round and nothing else (``bench_overhead.py``
 enforces <= 1% on the channel-kernel bench). Metric *objects* are
 created once at module import; the disabled path never takes a lock,
 never formats a string, never touches a dict.

@@ -5,8 +5,8 @@ package makes the *simulated protocols* observable. Opt in per scenario
 (``Scenario(timeline=TimelineConfig(...))``) and the engine appends
 per-round channel statistics — informed count, new deliveries,
 broadcasts, collisions, fault attribution, RLNC rank progress — to
-preallocated numpy buffers in the channel's round epilogue
-(:class:`TimelineRecorder`; disabled cost: one attribute read + branch).
+preallocated numpy buffers through a channel round observer
+(:class:`TimelineRecorder`; a run without one pays nothing for it).
 The result serializes as a canonical content-addressed
 :class:`Timeline` artifact attached to the run report, stored as a
 sidecar by :class:`~repro.store.ResultStore`, and served via

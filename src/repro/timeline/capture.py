@@ -6,10 +6,10 @@ The runner knows *that* a scenario wants a timeline
 algorithm's entry point). They meet here: :func:`capture_timeline`
 parks a :class:`TimelineCapture` slot in a :class:`contextvars.ContextVar`
 for the duration of ``algorithm.run``, and the first Simulator
-constructed inside the context binds a fresh recorder to its channel
-(and seeds the informed set from the initially-active protocols — every
-broadcast protocol in this repo starts ``active`` iff it holds the
-message).
+constructed inside the context appends a fresh recorder to its channel's
+observers (and seeds the informed set from the initially-active
+protocols — every broadcast protocol in this repo starts ``active`` iff
+it holds the message).
 
 First-Simulator-only is deliberate: every channel-based algorithm in the
 registry drives exactly one Simulator per run, while helper channels
@@ -69,7 +69,7 @@ def active_capture() -> Optional[TimelineCapture]:
 
 
 def maybe_bind_simulator(simulator: "Simulator") -> None:
-    """Bind a recorder to ``simulator``'s channel if capture is armed.
+    """Attach a recorder to ``simulator``'s channel if capture is armed.
 
     Called from ``Simulator.__init__``. Only the first simulator of a
     capture context binds; later ones (none exist for registry
@@ -83,4 +83,4 @@ def maybe_bind_simulator(simulator: "Simulator") -> None:
         if protocol.active:
             recorder.mark_informed(node)
     slot.recorder = recorder
-    simulator.channel.timeline = recorder
+    simulator.channel.observers.append(recorder)

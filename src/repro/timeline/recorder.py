@@ -1,11 +1,9 @@
-"""The array-based flight recorder the channel feeds.
+"""The array-based flight recorder: a channel round observer.
 
 :class:`TimelineRecorder` accumulates per-round channel statistics into
-preallocated numpy buffers — no per-event Python objects on the hot path
-(the gap ROADMAP item 3 calls out for million-node runs). The channel's
-round epilogue costs one attribute read and one branch when recording is
-off (:data:`NULL_TIMELINE`, the default), matching the telemetry
-discipline from ``repro.telemetry``.
+preallocated numpy buffers — no per-event Python objects on the hot path.
+It attaches like any observer (the timeline capture appends it to the
+channel's ``observers``), so a channel without one pays nothing for it.
 
 Rows are *buckets* of ``config.every`` consecutive rounds. A bucket is
 flushed lazily — at the first round of the *next* bucket, or at
@@ -17,13 +15,12 @@ epilogue: the simulator dispatches deliveries to protocols only after
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.engine import Delivery
-    from repro.core.trace import ChannelCounters
+    from repro.core.engine import RoundResult
     from repro.timeline.config import TimelineConfig
 
 __all__ = ["TimelineRecorder", "NULL_TIMELINE", "DATA_COLUMNS"]
@@ -48,15 +45,15 @@ _INITIAL_CAPACITY = 256
 
 
 class _DisabledTimeline:
-    """The no-op recorder every channel carries by default.
+    """The no-op recorder a protocol carries when no timeline is armed.
 
-    Only ``enabled`` is ever read on the hot path; the methods exist so
-    call sites outside the guarded branch (protocol hooks) stay safe.
+    Protocol hooks read only ``enabled``; the methods keep unguarded call
+    sites safe.
     """
 
     enabled = False
 
-    def on_round(self, round_index, counters, deliveries) -> None:
+    def on_round(self, result: "RoundResult") -> None:
         return
 
     def note_innovative(self, count: int = 1) -> None:
@@ -80,12 +77,12 @@ class TimelineRecorder:
     config:
         Downsampling policy (bucket width, per-node detail cap).
 
-    Per-round column values are computed as deltas of the channel's
-    :class:`~repro.core.trace.ChannelCounters` snapshot — the counters are
-    maintained identically by the vectorized and scalar kernels, so a
-    timeline is kernel-independent by construction (the test suite checks
-    this byte-for-byte). New-delivery detection is a bulk numpy mask over
-    the round's receivers (unique per round by the channel model).
+    Per-round column values are the sizes of the round's
+    :class:`~repro.core.engine.RoundResult` lists — which both channel
+    kernels fill identically, so a timeline is kernel-independent by
+    construction (the test suite checks this byte-for-byte). New-delivery
+    detection is a bulk numpy mask over the round's receivers (unique per
+    round by the channel model).
     """
 
     enabled = True
@@ -106,12 +103,6 @@ class TimelineRecorder:
         self._first_pending = n
         self._rows = np.zeros((_INITIAL_CAPACITY, _NCOL), dtype=np.int64)
         self._len = 0
-        # previous ChannelCounters snapshot (per-round deltas)
-        self._p_broadcasts = 0
-        self._p_deliveries = 0
-        self._p_collisions = 0
-        self._p_sender_faults = 0
-        self._p_receiver_faults = 0
         # open-bucket accumulators
         self._b_open = False
         self._b_index = -1
@@ -136,13 +127,9 @@ class TimelineRecorder:
         """Credit rank-advancing receptions to the open bucket (RLNC)."""
         self._b_innovative += count
 
-    def on_round(
-        self,
-        round_index: int,
-        counters: "ChannelCounters",
-        deliveries: "Sequence[Delivery]",
-    ) -> None:
-        """Absorb one resolved channel round (the ``_run_round`` epilogue)."""
+    def on_round(self, result: "RoundResult") -> None:
+        """Absorb one resolved channel round."""
+        round_index = result.round_index
         bucket = round_index // self.every
         if self._b_open and bucket != self._b_index:
             self._flush()
@@ -151,18 +138,12 @@ class TimelineRecorder:
             self._b_index = bucket
         self.rounds += 1
 
-        self._b_broadcasts += counters.broadcasts - self._p_broadcasts
-        self._b_deliveries += counters.deliveries - self._p_deliveries
-        self._b_collisions += counters.collisions - self._p_collisions
-        self._b_sender_faults += counters.sender_faults - self._p_sender_faults
-        self._b_receiver_faults += (
-            counters.receiver_faults - self._p_receiver_faults
-        )
-        self._p_broadcasts = counters.broadcasts
-        self._p_deliveries = counters.deliveries
-        self._p_collisions = counters.collisions
-        self._p_sender_faults = counters.sender_faults
-        self._p_receiver_faults = counters.receiver_faults
+        deliveries = result.deliveries
+        self._b_broadcasts += len(result.broadcasters)
+        self._b_deliveries += len(deliveries)
+        self._b_collisions += len(result.collision_receivers)
+        self._b_sender_faults += len(result.faulty_senders)
+        self._b_receiver_faults += len(result.corrupted_receivers)
 
         if deliveries and (self._first_pending or self.informed < self.n):
             receivers = np.fromiter(

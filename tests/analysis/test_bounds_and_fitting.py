@@ -12,7 +12,7 @@ from repro.analysis.bounds import (
     chernoff_geometric_sum_tail,
     union_bound,
 )
-from repro.analysis.fitting import growth_exponent, linear_fit, loglog_slope
+from repro.analysis.fit import linear_fit, loglog_slope
 from repro.util.rng import RandomSource
 
 
@@ -118,7 +118,7 @@ class TestFitting:
         with pytest.raises(ValueError):
             loglog_slope([0, 1], [1, 2])
 
-    def test_growth_exponent_linear(self):
+    def test_loglog_slope_linear(self):
         xs = [10, 20, 40]
         ys = [3 * x for x in xs]
-        assert growth_exponent(xs, ys) == pytest.approx(1.0)
+        assert loglog_slope(xs, ys) == pytest.approx(1.0)

@@ -18,7 +18,6 @@ from repro.core.engine import Channel, Simulator
 from repro.core.faults import FaultConfig
 from repro.core.network import RadioNetwork
 from repro.core.packets import MessagePacket
-from repro.core.trace import TraceRecorder
 from repro.topologies import basic, random_graphs
 
 PACKET = MessagePacket(0)
@@ -96,26 +95,6 @@ class TestKernelEquivalence:
                 got = auto.transmit({0: PACKET})
                 want = reference.transmit_reference({0: PACKET})
                 _assert_rounds_equal(got, want, f"seed {seed}")
-
-    def test_tracing_does_not_change_outcomes(self):
-        """Tracing reroutes through the scalar kernel; results and the RNG
-        stream must be unchanged."""
-        network = random_graphs.gnp(48, 0.2, rng=9)
-        sampler = random.Random(1)
-        traced = Channel(
-            network,
-            FaultConfig.receiver(0.4),
-            rng=5,
-            trace=TraceRecorder(enabled=True),
-        )
-        plain = Channel(network, FaultConfig.receiver(0.4), rng=5)
-        for _ in range(10):
-            actions = {
-                v: PACKET for v in sampler.sample(range(48), sampler.randint(0, 48))
-            }
-            _assert_rounds_equal(
-                traced.transmit(dict(actions)), plain.transmit(dict(actions)), ""
-            )
 
     def test_forced_kernels_validate(self):
         with pytest.raises(ValueError):

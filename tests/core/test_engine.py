@@ -159,26 +159,26 @@ class TestCounters:
 class TestTracing:
     def test_trace_records_events(self):
         trace = TraceRecorder(enabled=True)
-        channel = Channel(path(3), trace=trace)
+        channel = Channel(path(3), observers=[trace])
         channel.transmit({0: MSG})
         kinds = {e.kind for e in trace.events}
         assert kinds == {"broadcast", "deliver"}
 
     def test_trace_disabled_records_nothing(self):
         trace = TraceRecorder(enabled=False)
-        channel = Channel(path(3), trace=trace)
+        channel = Channel(path(3), observers=[trace])
         channel.transmit({0: MSG})
         assert len(trace) == 0
 
     def test_trace_max_events_cap(self):
         trace = TraceRecorder(enabled=True, max_events=1)
-        channel = Channel(path(3), trace=trace)
+        channel = Channel(path(3), observers=[trace])
         channel.transmit({0: MSG})
         assert len(trace) == 1
 
     def test_event_filters(self):
         trace = TraceRecorder(enabled=True)
-        channel = Channel(path(3), trace=trace)
+        channel = Channel(path(3), observers=[trace])
         channel.transmit({0: MSG})
         channel.transmit({0: MSG, 2: MSG})
         assert len(trace.events_in_round(0)) == 2

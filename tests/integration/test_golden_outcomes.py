@@ -179,14 +179,15 @@ def _trace(make_channel, network, seed, sample=1.0):
 
 def _default(faults=FaultConfig.faultless(), adversary=None, kernel="auto"):
     return lambda network, recorder: Channel(
-        network, faults, rng=5, trace=recorder, kernel=kernel,
+        network, faults, rng=5, observers=[recorder], kernel=kernel,
         adversary=adversary,
     )
 
 
 def _mac(config, faults=FaultConfig.faultless(), kernel="auto"):
     return lambda network, recorder: ContentionChannel(
-        network, faults, rng=5, trace=recorder, kernel=kernel, config=config
+        network, faults, rng=5, observers=[recorder], kernel=kernel,
+        config=config,
     )
 
 

@@ -1,39 +1,36 @@
-"""Recorder semantics: bucketing, deltas, growth, and the disabled path."""
+"""Recorder semantics: bucketing, per-round counts, growth, disabled path."""
 
 import numpy as np
 import pytest
 
-from repro.core.trace import ChannelCounters
+from repro.core.engine import Delivery, RoundResult
+from repro.core.packets import MessagePacket
 from repro.timeline import NULL_TIMELINE, TimelineConfig, TimelineRecorder
 from repro.timeline.recorder import DATA_COLUMNS
 
+PACKET = MessagePacket(0)
 
-class _Delivery:
-    """The recorder only reads ``.receiver``."""
 
-    def __init__(self, receiver: int) -> None:
-        self.receiver = receiver
+def _round(round_index, receivers=(), **lists):
+    """A resolved round: node 0 broadcasts and reaches ``receivers``."""
+    deliveries = [Delivery(v, 0, PACKET) for v in receivers]
+    return RoundResult(round_index, [0], deliveries, **lists)
 
 
 def _drive(recorder, rounds, deliveries_per_round=0, n=8):
     """Feed synthetic rounds: one broadcast + optional deliveries each."""
-    counters = ChannelCounters()
     for round_index in range(rounds):
-        counters.rounds += 1
-        counters.broadcasts += 1
-        deliveries = [
-            _Delivery((round_index + k) % n)
-            for k in range(deliveries_per_round)
-        ]
-        counters.deliveries += len(deliveries)
-        recorder.on_round(round_index, counters, deliveries)
+        receivers = sorted(
+            {(round_index + k) % n for k in range(deliveries_per_round)}
+        )
+        recorder.on_round(_round(round_index, receivers))
     recorder.finish()
 
 
 class TestDisabledPath:
     def test_null_timeline_is_disabled_and_inert(self):
         assert NULL_TIMELINE.enabled is False
-        NULL_TIMELINE.on_round(0, ChannelCounters(), [])
+        NULL_TIMELINE.on_round(RoundResult(0))
         NULL_TIMELINE.note_innovative()
         NULL_TIMELINE.mark_informed(3)
 
@@ -43,15 +40,37 @@ class TestDisabledPath:
 
 
 class TestBucketing:
-    def test_per_round_rows_are_counter_deltas(self):
+    def test_per_round_rows_count_the_round_result(self):
         recorder = TimelineRecorder(8, TimelineConfig(every=1))
         _drive(recorder, rounds=5, deliveries_per_round=2)
         rows = recorder.rows()
         assert rows.shape == (5, len(DATA_COLUMNS))
         assert list(rows[:, DATA_COLUMNS.index("round_start")]) == [0, 1, 2, 3, 4]
-        # one broadcast and two deliveries per round, as deltas not totals
+        # one broadcast and two deliveries per round, per round not totals
         assert set(rows[:, DATA_COLUMNS.index("broadcasts")]) == {1}
         assert set(rows[:, DATA_COLUMNS.index("deliveries")]) == {2}
+
+    def test_fault_columns_split_sender_and_receiver_faults(self):
+        recorder = TimelineRecorder(8, TimelineConfig(every=1))
+        recorder.on_round(
+            _round(
+                0,
+                collision_receivers=[4],
+                faulty_senders=[0],
+                silenced_receivers=[1, 2],
+                silenced_senders=[0, 0],
+            )
+        )
+        recorder.on_round(
+            _round(1, [3], corrupted_receivers=[1], corrupted_senders=[0])
+        )
+        recorder.finish()
+        columns = {name: list(recorder.rows()[:, i])
+                   for i, name in enumerate(DATA_COLUMNS)}
+        assert columns["collisions"] == [1, 0]
+        assert columns["sender_faults"] == [1, 0]
+        assert columns["receiver_faults"] == [0, 1]
+        assert columns["deliveries"] == [0, 1]
 
     def test_every_k_buckets_sum_the_same_totals(self):
         fine = TimelineRecorder(8, TimelineConfig(every=1))
@@ -80,11 +99,7 @@ class TestBucketing:
         recorder.mark_informed(0)
         recorder.mark_informed(0)  # idempotent
         assert recorder.informed == 1
-        counters = ChannelCounters()
-        counters.rounds += 1
-        counters.broadcasts += 1
-        counters.deliveries += 2
-        recorder.on_round(0, counters, [_Delivery(0), _Delivery(5)])
+        recorder.on_round(_round(0, [0, 5]))
         recorder.finish()
         row = recorder.rows()[0]
         assert row[DATA_COLUMNS.index("new_informed")] == 1  # node 5 only
@@ -100,11 +115,8 @@ class TestBucketing:
 
     def test_innovative_lands_in_the_open_bucket(self):
         recorder = TimelineRecorder(8, TimelineConfig(every=2))
-        counters = ChannelCounters()
         for round_index in range(4):
-            counters.rounds += 1
-            counters.broadcasts += 1
-            recorder.on_round(round_index, counters, [])
+            recorder.on_round(_round(round_index))
             if round_index == 3:
                 # arrives after the epilogue, like Simulator.step dispatch
                 recorder.note_innovative(2)
