@@ -2,10 +2,12 @@
 
 ``golden_outcomes.json`` pins SHA-256 digests of
 
-* the canonical report bytes of ~30 registry scenarios covering every
+* the canonical report bytes of ~40 registry scenarios covering every
   registry algorithm, the default and contention channels (capture on
-  and off), and i.i.d. sender/receiver, ``gilbert_elliott``,
-  ``budgeted_jammer`` and ``edge_churn`` noise;
+  and off), i.i.d. sender/receiver, ``gilbert_elliott``,
+  ``budgeted_jammer`` and ``edge_churn`` noise, and every declared
+  parameter of the channel-based algorithms away from its default (one
+  of them, pure-wave FASTBC on ``gnp``, runs out its round budget);
 * the :meth:`~repro.timeline.Timeline.cache_key` of every channel-based
   scenario's timeline;
 * the :class:`~repro.core.trace.TraceRecorder` event stream of a few
@@ -136,6 +138,38 @@ SCENARIOS = {
     ),
     "rlnc_robust_fastbc-path-jammer": _channel_scenario(
         "rlnc_robust_fastbc", "path", 12, 24, _JAMMER, params=_K2
+    ),
+    # declared parameters away from their defaults
+    "fastbc-gnp-pure-wave": _channel_scenario(
+        "fastbc", "gnp", 24, 32, _RECEIVER, params={"decay_interleave": False}
+    ),
+    "robust_fastbc-path-block1": _channel_scenario(
+        "robust_fastbc", "path", 20, 33, _SENDER,
+        params={"block": 1, "round_multiplier": 3},
+    ),
+    "robust_fastbc-path-pure-wave": _channel_scenario(
+        "robust_fastbc", "path", 20, 34, _RECEIVER,
+        params={"decay_interleave": False},
+    ),
+    "repeated_fastbc-grid-repeat3": _channel_scenario(
+        "repeated_fastbc", "grid", 25, 35, _SENDER, params={"repeat": 3}
+    ),
+    "rlnc_robust_fastbc-grid-block2": _channel_scenario(
+        "rlnc_robust_fastbc", "grid", 16, 36, _RECEIVER,
+        params={"k": 2, "block": 2, "round_multiplier": 4},
+    ),
+    "rlnc_robust_fastbc-grid-contention": _channel_scenario(
+        "rlnc_robust_fastbc", "grid", 16, 39, _RECEIVER, _CONTENTION,
+        params={"k": 2, "payload_length": 4},
+    ),
+    # payload draws come from the source stream before the per-node spawns
+    "rlnc_decay-gnp-payload": _channel_scenario(
+        "rlnc_decay", "gnp", 16, 37, _SENDER,
+        params={"k": 2, "payload_length": 8},
+    ),
+    "rlnc_dense_wave-path-payload": _channel_scenario(
+        "rlnc_dense_wave", "path", 12, 38, _RECEIVER,
+        params={"k": 2, "payload_length": 4},
     ),
     "star_routing-receiver": _schedule_scenario(
         "star_routing", "star", 25, FaultConfig.receiver(_P), n=16
