@@ -1,14 +1,16 @@
 """Broadcast algorithms: Decay, FASTBC, Robust FASTBC, and baselines.
 
-Single-message algorithms (Section 4.1) are implemented as per-node
-:class:`~repro.core.protocol.NodeProtocol` subclasses driven by the
-distributed simulator; multi-message algorithms (Section 4.2, Section 5)
-live in :mod:`repro.algorithms.multi`.
+Single-message algorithms (Section 4.1) are per-node
+:class:`~repro.algorithms.base.MessageProtocol` subclasses driven by the
+distributed simulator; each writes its broadcast schedule once, in
+``act``. Multi-message algorithms (Section 4.2, Section 5) live in
+:mod:`repro.algorithms.multi`; its RLNC gossip runs the single-message
+protocols' schedules, sending a coded packet where they send the message.
 """
 
 from repro.algorithms.base import (
     BroadcastOutcome,
-    broadcast_probe,
+    MessageProtocol,
     ilog2,
     run_broadcast,
 )
@@ -27,9 +29,9 @@ __all__ = [
     "BroadcastOutcome",
     "DecayProtocol",
     "FastBCProtocol",
+    "MessageProtocol",
     "RepeatedFastBCProtocol",
     "RobustFastBCProtocol",
-    "broadcast_probe",
     "decay_broadcast",
     "fastbc_broadcast",
     "ilog2",

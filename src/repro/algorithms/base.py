@@ -1,35 +1,42 @@
 """Shared scaffolding for single-message broadcast algorithms.
 
 Every single-message algorithm in this package is packaged the same way: a
-protocol class plus a ``<name>_broadcast`` convenience function that builds
-protocols for every node, runs the simulator until all nodes are informed
-(or the round budget runs out), and returns a :class:`BroadcastOutcome`.
+:class:`MessageProtocol` subclass that writes only ``act``, plus a
+``<name>_broadcast`` convenience function that sizes a default round
+budget from :func:`budget_terms`, builds protocols for every node, runs
+the simulator until all nodes are informed (or the budget runs out), and
+returns a :class:`BroadcastOutcome`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.adversary.base import Adversary, effective_loss_rate
 from repro.adversary.registry import as_adversary
 from repro.core.engine import Simulator
+from repro.core.errors import ProtocolError
 from repro.core.faults import AdversaryConfig, FaultConfig
 from repro.core.network import RadioNetwork
+from repro.core.packets import MessagePacket, Packet
 from repro.core.protocol import NodeProtocol
 from repro.core.trace import ChannelCounters
-from repro.util.rng import RandomSource, spawn_rng
+from repro.util.rng import RandomSource
 
 __all__ = [
+    "MESSAGE",
     "BroadcastOutcome",
+    "MessageProtocol",
     "run_broadcast",
-    "broadcast_probe",
-    "effective_loss_rate",
     "as_adversary",
-    "channel_slowdown",
+    "budget_terms",
     "ilog2",
 ]
+
+#: the one message a single-message protocol broadcasts
+MESSAGE = MessagePacket(0)
 
 
 def ilog2(n: int) -> int:
@@ -58,15 +65,65 @@ class BroadcastOutcome:
         return self.informed / self.total
 
 
-def channel_slowdown(channel) -> float:
-    """Budget multiplier for the scenario's channel (1.0 for the default).
+class MessageProtocol(NodeProtocol):
+    """A node of a single-message broadcast: done once it holds the message.
 
-    Under contention a broadcast attempt spends ~``(cw_min+1)/2`` slots in
-    backoff plus the transmission slot before it can land, so round budgets
-    sized for the paper's always-deliver channel must stretch by the
-    channel's :meth:`~repro.mac.config.MacConfig.planning_slowdown`.
+    Subclasses write only :meth:`act`, which listens (returns ``None``)
+    until ``informed``. The first legitimate reception informs the node
+    and wakes it; ``informed_round`` records when (0 for the source, None
+    while uninformed) for :mod:`repro.analysis.progress`.
+
+    Parameters
+    ----------
+    rng:
+        This node's private randomness.
+    informed:
+        True for the source.
     """
-    return 1.0 if channel is None else channel.planning_slowdown()
+
+    def __init__(self, rng: RandomSource, informed: bool) -> None:
+        self.rng = rng
+        self.informed = informed
+        self.active = informed
+        self.informed_round: Optional[int] = 0 if informed else None
+
+    def on_receive(self, round_index: int, packet: Packet, sender: int) -> None:
+        if not isinstance(packet, MessagePacket):
+            raise ProtocolError(
+                f"single-message protocol received {type(packet).__name__}; "
+                "the model's routing packets are MessagePacket"
+            )
+        if not self.informed:
+            self.informed = True
+            self.active = True
+            self.informed_round = round_index
+
+    def is_done(self) -> bool:
+        return self.informed
+
+
+def budget_terms(
+    network: RadioNetwork,
+    faults: FaultConfig,
+    adversary: "Adversary | None",
+    channel,
+) -> tuple[int, int, float]:
+    """``(log n + 1, D, slowdown)``: the terms of every default round budget.
+
+    ``D`` is the source eccentricity (at least 1). ``slowdown`` is
+    ``1/(1-p)`` for the nominal loss rate ``p`` of the fault model or
+    adversary, times the channel's
+    :meth:`~repro.mac.config.MacConfig.planning_slowdown` when it is a
+    contention MAC: there a broadcast attempt spends ~``(cw_min+1)/2``
+    slots in backoff plus the transmission slot before it can land, so
+    budgets sized for the paper's always-deliver channel must stretch.
+    """
+    log_n = ilog2(network.n) + 1
+    depth = max(1, network.source_eccentricity)
+    slowdown = 1.0 / (1.0 - effective_loss_rate(faults, adversary))
+    if channel is not None:
+        slowdown *= channel.planning_slowdown()
+    return log_n, depth, slowdown
 
 
 def run_broadcast(
@@ -89,19 +146,3 @@ def run_broadcast(
         total=network.n,
         counters=sim.counters,
     )
-
-
-def broadcast_probe(
-    make_outcome: Callable[[int], BroadcastOutcome],
-    trials: int,
-    rng: "int | RandomSource | None" = None,
-) -> list[BroadcastOutcome]:
-    """Run ``make_outcome(seed)`` for ``trials`` independent seeds.
-
-    The per-trial seeds derive from ``rng`` so a whole sweep reproduces
-    from one top-level seed.
-    """
-    if trials <= 0:
-        raise ValueError(f"trials must be positive, got {trials}")
-    source = spawn_rng(rng)
-    return [make_outcome(source.spawn().seed) for _ in range(trials)]

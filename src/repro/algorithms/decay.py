@@ -15,26 +15,23 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.algorithms.base import (
+    MESSAGE,
     BroadcastOutcome,
+    MessageProtocol,
     as_adversary,
-    channel_slowdown,
-    effective_loss_rate,
+    budget_terms,
     ilog2,
     run_broadcast,
 )
 from repro.core.faults import FaultConfig
 from repro.core.network import RadioNetwork
-from repro.core.errors import ProtocolError
-from repro.core.packets import MessagePacket, Packet
-from repro.core.protocol import NodeProtocol
+from repro.core.packets import Packet
 from repro.util.rng import RandomSource, spawn_rng
 
 __all__ = ["DecayProtocol", "decay_broadcast"]
 
-_MESSAGE = MessagePacket(0)
 
-
-class DecayProtocol(NodeProtocol):
+class DecayProtocol(MessageProtocol):
     """Per-node Decay: informed nodes broadcast w.p. ``2^-(t mod phase)``.
 
     Parameters
@@ -48,33 +45,16 @@ class DecayProtocol(NodeProtocol):
     """
 
     def __init__(self, n: int, rng: RandomSource, informed: bool = False) -> None:
+        super().__init__(rng, informed)
         self.phase_length = ilog2(n) + 1
-        self.rng = rng
-        self.informed = informed
-        self.active = informed
-        self.informed_round: Optional[int] = 0 if informed else None
 
     def act(self, round_index: int) -> Optional[Packet]:
         if not self.informed:
             return None
         i = round_index % self.phase_length
         if self.rng.bernoulli(2.0 ** (-i)):
-            return _MESSAGE
+            return MESSAGE
         return None
-
-    def on_receive(self, round_index: int, packet: Packet, sender: int) -> None:
-        if not isinstance(packet, MessagePacket):
-            raise ProtocolError(
-                f"single-message protocol received {type(packet).__name__}; "
-                "the model's routing packets are MessagePacket"
-            )
-        if not self.informed:
-            self.informed = True
-            self.active = True
-            self.informed_round = round_index
-
-    def is_done(self) -> bool:
-        return self.informed
 
 
 def decay_broadcast(
@@ -98,10 +78,7 @@ def decay_broadcast(
     source = spawn_rng(rng)
     n = network.n
     if max_rounds is None:
-        log_n = ilog2(n) + 1
-        depth = max(1, network.source_eccentricity)
-        slowdown = 1.0 / (1.0 - effective_loss_rate(faults, adversary))
-        slowdown *= channel_slowdown(channel)
+        log_n, depth, slowdown = budget_terms(network, faults, adversary, channel)
         max_rounds = int(40 * slowdown * log_n * (depth + log_n)) + 100
     protocols = [
         DecayProtocol(n, source.spawn(), informed=(v == network.source))

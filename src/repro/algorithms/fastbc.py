@@ -18,28 +18,25 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.algorithms.base import (
+    MESSAGE,
     BroadcastOutcome,
+    MessageProtocol,
     as_adversary,
-    channel_slowdown,
-    effective_loss_rate,
+    budget_terms,
     ilog2,
     run_broadcast,
 )
 from repro.core.faults import FaultConfig
 from repro.core.network import RadioNetwork
-from repro.core.errors import ProtocolError
-from repro.core.packets import MessagePacket, Packet
-from repro.core.protocol import NodeProtocol
+from repro.core.packets import Packet
 from repro.gbst.gbst import build_gbst
 from repro.gbst.ranked_bfs import RankedBFSTree
 from repro.util.rng import RandomSource, spawn_rng
 
 __all__ = ["FastBCProtocol", "fastbc_broadcast", "make_fastbc_protocols"]
 
-_MESSAGE = MessagePacket(0)
 
-
-class FastBCProtocol(NodeProtocol):
+class FastBCProtocol(MessageProtocol):
     """Per-node FASTBC over a shared GBST (known-topology algorithm).
 
     Parameters
@@ -62,11 +59,9 @@ class FastBCProtocol(NodeProtocol):
         informed: bool = False,
         decay_interleave: bool = True,
     ) -> None:
+        super().__init__(rng, informed)
         self.node = node
         self.decay_interleave = decay_interleave
-        self.rng = rng
-        self.informed = informed
-        self.active = informed
         self.level = tree.level[node]
         self.rank = tree.rank[node]
         self.is_fast = tree.is_fast(node)
@@ -76,7 +71,6 @@ class FastBCProtocol(NodeProtocol):
         # treats the wave period as Theta(log n), and using the bound also
         # spares nodes from having to know the realized tree statistic.
         self.max_rank = max(1, ilog2(tree.network.n))
-        self.informed_round: Optional[int] = 0 if informed else None
 
     def act(self, round_index: int) -> Optional[Packet]:
         if not self.informed:
@@ -89,7 +83,7 @@ class FastBCProtocol(NodeProtocol):
                 return None
             i = ((round_index - 1) // 2) % self.phase_length
             if self.rng.bernoulli(2.0 ** (-i)):
-                return _MESSAGE
+                return MESSAGE
             return None
         # fast transmission round 2t: wave schedule along fast stretches.
         # Fast node at level l, rank r broadcasts iff t = l - 6r (mod
@@ -100,22 +94,8 @@ class FastBCProtocol(NodeProtocol):
         t = round_index // 2
         modulus = 6 * self.max_rank
         if (t - (self.level - 6 * self.rank)) % modulus == 0:
-            return _MESSAGE
+            return MESSAGE
         return None
-
-    def on_receive(self, round_index: int, packet: Packet, sender: int) -> None:
-        if not isinstance(packet, MessagePacket):
-            raise ProtocolError(
-                f"single-message protocol received {type(packet).__name__}; "
-                "the model's routing packets are MessagePacket"
-            )
-        if not self.informed:
-            self.informed = True
-            self.active = True
-            self.informed_round = round_index
-
-    def is_done(self) -> bool:
-        return self.informed
 
 
 def make_fastbc_protocols(
@@ -157,12 +137,8 @@ def fastbc_broadcast(
     """
     adversary = as_adversary(adversary)
     source = spawn_rng(rng)
-    n = network.n
     if max_rounds is None:
-        log_n = ilog2(n) + 1
-        depth = max(1, network.source_eccentricity)
-        slowdown = 1.0 / (1.0 - effective_loss_rate(faults, adversary))
-        slowdown *= channel_slowdown(channel)
+        log_n, depth, slowdown = budget_terms(network, faults, adversary, channel)
         max_rounds = int(60 * slowdown * log_n * (depth + log_n)) + 100
         if not decay_interleave:
             # pure-wave mode pays the full Theta(log n) wave period per

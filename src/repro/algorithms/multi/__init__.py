@@ -1,7 +1,7 @@
 """Multi-message broadcast algorithms and schedules (Sections 4.2 and 5).
 
-* :mod:`~repro.algorithms.multi.rlnc_broadcast` — RLNC gossip with Decay or
-  Robust-FASTBC broadcast patterns (Lemmas 12-13).
+* :mod:`~repro.algorithms.multi.rlnc_broadcast` — RLNC gossip on the
+  schedule of the Decay or Robust FASTBC protocol (Lemmas 12-13).
 * :mod:`~repro.algorithms.multi.star` — the Lemma 15 adaptive routing and
   Lemma 16 Reed-Solomon coding schedules on the star.
 * :mod:`~repro.algorithms.multi.single_link` — Appendix A's single-link

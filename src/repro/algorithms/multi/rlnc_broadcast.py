@@ -9,16 +9,25 @@ knowledge subspace is contained in the receiver's, which over GF(2^8)
 happens with probability at most 1/256 per reception; each node decodes
 after k innovative receptions.
 
-* **RLNC-Decay** (Lemma 12): the pattern is the Decay coin schedule run by
-  every knowledge-holding node forever — `O(D log n + k log n + log^2 n)`
-  rounds, i.e. throughput `Ω(1/log n)`.
-* **RLNC-Robust-FASTBC** (Lemma 13): the pattern is Robust FASTBC's
-  fixed slow/fast schedule — `O(D + k log n log log n + log^2 n log log n)`
-  rounds, i.e. throughput `Ω(1/(log n log log n))`.
+The pattern *is* the single-message protocol: each node runs one built
+with ``informed=True`` on its own :class:`~repro.util.rng.RandomSource`
+and broadcasts a coded packet in the rounds where that protocol would
+send the message (:class:`RLNCGossipProtocol`). So each schedule is
+written once, in the protocol's ``act``:
 
-The pattern is *static* (a function of round number, node identity and
-private coins only), satisfying the paper's "node cannot change its
-behavior based on whether it receives a message" requirement.
+* **RLNC-Decay** (Lemma 12): :class:`~repro.algorithms.decay.DecayProtocol`
+  — `O(D log n + k log n + log^2 n)` rounds, i.e. throughput
+  `Ω(1/log n)`.
+* **RLNC-Robust-FASTBC** (Lemma 13):
+  :class:`~repro.algorithms.robust_fastbc.RobustFastBCProtocol`'s fixed
+  slow/fast schedule — `O(D + k log n log log n + log^2 n log log n)`
+  rounds, i.e. throughput `Ω(1/(log n log log n))`.
+* **RLNC dense wave** (open problem): :class:`DenseWaveProtocol`.
+
+An informed protocol's schedule is *static* (a function of round number,
+node identity and private coins only), satisfying the paper's "node
+cannot change its behavior based on whether it receives a message"
+requirement.
 """
 
 from __future__ import annotations
@@ -27,19 +36,23 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from repro.algorithms.base import (
+    MESSAGE,
+    MessageProtocol,
     as_adversary,
-    channel_slowdown,
-    effective_loss_rate,
-    ilog2,
+    budget_terms,
 )
+from repro.algorithms.decay import DecayProtocol
+from repro.algorithms.fastbc import FastBCProtocol
 from repro.algorithms.robust_fastbc import (
     DEFAULT_ROUND_MULTIPLIER,
+    RobustFastBCProtocol,
     block_size,
 )
 from repro.coding.rlnc import CodedPacket, RLNCEncoder
 from repro.core.engine import Simulator
 from repro.core.faults import FaultConfig
 from repro.core.network import RadioNetwork
+from repro.core.packets import Packet
 from repro.core.protocol import NodeProtocol
 from repro.core.trace import ChannelCounters
 from repro.gbst.gbst import build_gbst
@@ -49,6 +62,7 @@ from repro.util.rng import RandomSource, spawn_rng
 from repro.util.validation import check_positive
 
 __all__ = [
+    "DenseWaveProtocol",
     "MultiMessageOutcome",
     "RLNCGossipProtocol",
     "rlnc_decay_broadcast",
@@ -74,29 +88,27 @@ class MultiMessageOutcome:
 
 
 class RLNCGossipProtocol(NodeProtocol):
-    """A node that gossips RLNC combinations on a fixed broadcast pattern.
+    """A node that gossips RLNC combinations on a single-message schedule.
 
     Parameters
     ----------
     pattern:
-        ``pattern(round_index, rng) -> bool``; True means "broadcast this
-        round if you hold anything". Must not depend on receptions.
+        A single-message protocol built with ``informed=True``; the node
+        broadcasts, if it holds anything, in the rounds where
+        ``pattern.act`` returns a packet. It never receives, so its
+        schedule cannot depend on receptions.
     encoder:
         This node's RLNC state (pre-loaded with the k messages at the
         source).
-    rng:
-        Private randomness (pattern coins and combination coefficients).
+
+    The combination coefficients are drawn from ``pattern.rng``, the
+    node's one private stream, right after the coins of the same round.
     """
 
-    def __init__(
-        self,
-        pattern: Callable[[int, RandomSource], bool],
-        encoder: RLNCEncoder,
-        rng: RandomSource,
-    ) -> None:
+    def __init__(self, pattern: MessageProtocol, encoder: RLNCEncoder) -> None:
         self.pattern = pattern
         self.encoder = encoder
-        self.rng = rng
+        self.rng = pattern.rng
         self.active = encoder.can_transmit()
         # flight recorder for rank progress; _run_gossip swaps in the
         # channel's recorder when a timeline capture is armed
@@ -105,7 +117,7 @@ class RLNCGossipProtocol(NodeProtocol):
     def act(self, round_index: int) -> Optional[CodedPacket]:
         if not self.encoder.can_transmit():
             return None
-        if not self.pattern(round_index, self.rng):
+        if self.pattern.act(round_index) is None:
             return None
         return self.encoder.emit(self.rng)
 
@@ -119,83 +131,41 @@ class RLNCGossipProtocol(NodeProtocol):
         return self.encoder.is_complete()
 
 
-def _decay_pattern(n: int) -> Callable[[int, RandomSource], bool]:
-    phase_length = ilog2(n) + 1
-
-    def pattern(round_index: int, rng: RandomSource) -> bool:
-        i = round_index % phase_length
-        return rng.bernoulli(2.0 ** (-i))
-
-    return pattern
-
-
-def _robust_wave_pattern(
-    tree: RankedBFSTree,
-    node: int,
-    block: Optional[int],
-    round_multiplier: int,
-) -> Callable[[int, RandomSource], bool]:
-    n = tree.network.n
-    phase_length = ilog2(n) + 1
-    max_rank = max(1, ilog2(n))
-    s = block if block is not None else block_size(n)
-    level = tree.level[node]
-    rank = tree.rank[node]
-    is_fast = tree.is_fast(node)
-    superround_length = round_multiplier * s
-    modulus = 6 * max_rank
-    target = (level // s - 6 * rank) % modulus
-
-    def pattern(round_index: int, rng: RandomSource) -> bool:
-        if round_index % 2 == 1:
-            i = ((round_index - 1) // 2) % phase_length
-            return rng.bernoulli(2.0 ** (-i))
-        if not is_fast:
-            return False
-        t = round_index // 2
-        if (t // superround_length) % modulus != target:
-            return False
-        return level % 3 == t % 3
-
-    return pattern
-
-
-def _dense_wave_pattern(
-    tree: RankedBFSTree, node: int
-) -> Callable[[int, RandomSource], bool]:
-    """Exploratory pattern for the paper's open problem (Section 4.2).
+class DenseWaveProtocol(FastBCProtocol):
+    """Exploratory schedule for the paper's open problem (Section 4.2).
 
     The paper leaves open whether a fault-robust algorithm can broadcast k
-    messages in ``O(D + k log n + polylog n)`` rounds. This pattern drops
+    messages in ``O(D + k log n + polylog n)`` rounds. This schedule drops
     Robust FASTBC's superround gating entirely: every fast-set node fires
     on *every* even round with ``t ≡ level (mod 3)``, so coded generations
     pipeline down each stretch at full rate instead of one batch per
-    superround cycle; odd rounds keep the Decay step for slow edges. The
-    mod-3 gate still prevents adjacent-level collisions, but unlike the
-    GBST wave there is no rank/level separation between *distinct* fast
-    nodes of one level, so on general graphs same-level interference can
-    occur — experiment X1 measures where the candidate stands.
+    superround cycle; odd rounds keep FASTBC's Decay step for slow edges.
+    The mod-3 gate still prevents adjacent-level collisions, but unlike
+    the GBST wave there is no rank/level separation between *distinct*
+    fast nodes of one level, so on general graphs same-level interference
+    can occur — experiment X1 measures where the candidate stands.
     """
-    n = tree.network.n
-    phase_length = ilog2(n) + 1
-    level = tree.level[node]
-    is_fast = tree.is_fast(node)
 
-    def pattern(round_index: int, rng: RandomSource) -> bool:
+    def act(self, round_index: int) -> Optional[Packet]:
+        if not self.informed:
+            return None
         if round_index % 2 == 1:
-            i = ((round_index - 1) // 2) % phase_length
-            return rng.bernoulli(2.0 ** (-i))
-        if not is_fast:
-            return False
-        t = round_index // 2
-        return level % 3 == t % 3
-
-    return pattern
+            if not self.decay_interleave:
+                return None
+            i = ((round_index - 1) // 2) % self.phase_length
+            if self.rng.bernoulli(2.0 ** (-i)):
+                return MESSAGE
+            return None
+        if not self.is_fast:
+            return None
+        if self.level % 3 != (round_index // 2) % 3:
+            return None
+        return MESSAGE
 
 
 def _run_gossip(
     network: RadioNetwork,
-    patterns: list[Callable[[int, RandomSource], bool]],
+    make_pattern: Callable[[int, RandomSource], MessageProtocol],
     k: int,
     payload_length: int,
     messages: Optional[list[bytes]],
@@ -205,6 +175,7 @@ def _run_gossip(
     adversary=None,
     channel=None,
 ) -> MultiMessageOutcome:
+    """Gossip with node ``v`` on ``make_pattern(v, its RandomSource)``."""
     if messages is None:
         if payload_length:
             messages = [
@@ -221,9 +192,7 @@ def _run_gossip(
             encoder = RLNCEncoder(k, payload_length, messages=messages)
         else:
             encoder = RLNCEncoder(k, payload_length)
-        protocols.append(
-            RLNCGossipProtocol(patterns[v], encoder, rng.spawn())
-        )
+        protocols.append(RLNCGossipProtocol(make_pattern(v, rng.spawn()), encoder))
     sim = Simulator(
         network, protocols, faults, rng.spawn(), adversary=adversary, channel=channel
     )
@@ -262,17 +231,14 @@ def rlnc_decay_broadcast(
     source = spawn_rng(rng)
     n = network.n
     if max_rounds is None:
-        log_n = ilog2(n) + 1
-        depth = max(1, network.source_eccentricity)
-        slowdown = 1.0 / (1.0 - effective_loss_rate(faults, adversary))
-        slowdown *= channel_slowdown(channel)
+        log_n, depth, slowdown = budget_terms(network, faults, adversary, channel)
         max_rounds = int(
             40 * slowdown * (depth * log_n + k * log_n + log_n * log_n)
         ) + 200
-    pattern = _decay_pattern(n)
-    patterns = [pattern for _ in network.nodes()]
     return _run_gossip(
-        network, patterns, k, payload_length, messages, faults, source,
+        network,
+        lambda v, node_rng: DecayProtocol(n, node_rng, informed=True),
+        k, payload_length, messages, faults, source,
         max_rounds, adversary=adversary, channel=channel,
     )
 
@@ -297,13 +263,9 @@ def rlnc_robust_fastbc_broadcast(
     source = spawn_rng(rng)
     if tree is None:
         tree = build_gbst(network).tree
-    n = network.n
     if max_rounds is None:
-        log_n = ilog2(n) + 1
-        log_log_n = block_size(n)
-        depth = max(1, network.source_eccentricity)
-        slowdown = 1.0 / (1.0 - effective_loss_rate(faults, adversary))
-        slowdown *= channel_slowdown(channel)
+        log_n, depth, slowdown = budget_terms(network, faults, adversary, channel)
+        log_log_n = block_size(network.n)
         max_rounds = int(
             slowdown
             * (
@@ -312,12 +274,13 @@ def rlnc_robust_fastbc_broadcast(
                 + 60 * round_multiplier * log_n * log_n * log_log_n
             )
         ) + 200
-    patterns = [
-        _robust_wave_pattern(tree, v, block, round_multiplier)
-        for v in network.nodes()
-    ]
     return _run_gossip(
-        network, patterns, k, payload_length, messages, faults, source,
+        network,
+        lambda v, node_rng: RobustFastBCProtocol(
+            v, tree, node_rng, informed=True,
+            block=block, round_multiplier=round_multiplier,
+        ),
+        k, payload_length, messages, faults, source,
         max_rounds, adversary=adversary, channel=channel,
     )
 
@@ -337,7 +300,7 @@ def rlnc_dense_wave_broadcast(
     """Exploratory: RLNC over the dense-wave pattern (open problem).
 
     Targets the paper's open ``O(D + k log n + polylog n)`` question; see
-    :func:`_dense_wave_pattern` for the construction and its caveats, and
+    :class:`DenseWaveProtocol` for the construction and its caveats, and
     experiment X1 for measurements.
     """
     check_positive(k, "k")
@@ -345,19 +308,14 @@ def rlnc_dense_wave_broadcast(
     source = spawn_rng(rng)
     if tree is None:
         tree = build_gbst(network).tree
-    n = network.n
     if max_rounds is None:
-        log_n = ilog2(n) + 1
-        depth = max(1, network.source_eccentricity)
-        slowdown = 1.0 / (1.0 - effective_loss_rate(faults, adversary))
-        slowdown *= channel_slowdown(channel)
+        log_n, depth, slowdown = budget_terms(network, faults, adversary, channel)
         max_rounds = int(
             40 * slowdown * (depth + k * log_n + log_n * log_n)
         ) + 400
-    patterns = [
-        _dense_wave_pattern(tree, v) for v in network.nodes()
-    ]
     return _run_gossip(
-        network, patterns, k, payload_length, messages, faults, source,
+        network,
+        lambda v, node_rng: DenseWaveProtocol(v, tree, node_rng, informed=True),
+        k, payload_length, messages, faults, source,
         max_rounds, adversary=adversary, channel=channel,
     )

@@ -21,8 +21,7 @@ from typing import Optional
 from repro.algorithms.base import (
     BroadcastOutcome,
     as_adversary,
-    channel_slowdown,
-    effective_loss_rate,
+    budget_terms,
     ilog2,
     run_broadcast,
 )
@@ -88,12 +87,8 @@ def repeated_fastbc_broadcast(
     source = spawn_rng(rng)
     if tree is None:
         tree = build_gbst(network).tree
-    n = network.n
     if max_rounds is None:
-        log_n = ilog2(n) + 1
-        depth = max(1, network.source_eccentricity)
-        slowdown = 1.0 / (1.0 - effective_loss_rate(faults, adversary))
-        slowdown *= channel_slowdown(channel)
+        log_n, depth, slowdown = budget_terms(network, faults, adversary, channel)
         max_rounds = int(60 * repeat * slowdown * (depth + log_n * log_n)) + 200
     protocols = [
         RepeatedFastBCProtocol(

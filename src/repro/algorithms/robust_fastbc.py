@@ -28,18 +28,16 @@ import math
 from typing import Optional
 
 from repro.algorithms.base import (
+    MESSAGE,
     BroadcastOutcome,
     as_adversary,
-    channel_slowdown,
-    effective_loss_rate,
-    ilog2,
+    budget_terms,
     run_broadcast,
 )
+from repro.algorithms.fastbc import FastBCProtocol
 from repro.core.faults import FaultConfig
 from repro.core.network import RadioNetwork
-from repro.core.errors import ProtocolError
-from repro.core.packets import MessagePacket, Packet
-from repro.core.protocol import NodeProtocol
+from repro.core.packets import Packet
 from repro.gbst.gbst import build_gbst
 from repro.gbst.ranked_bfs import RankedBFSTree
 from repro.util.rng import RandomSource, spawn_rng
@@ -50,8 +48,6 @@ __all__ = [
     "block_size",
     "make_robust_fastbc_protocols",
 ]
-
-_MESSAGE = MessagePacket(0)
 
 #: default round multiplier c ("sufficiently large constant"); sized so a
 #: block crossing fails with probability well below 1/log^3 n at p <= 1/2
@@ -64,12 +60,17 @@ def block_size(n: int) -> int:
     return max(1, math.ceil(math.log2(log_n)))
 
 
-class RobustFastBCProtocol(NodeProtocol):
+class RobustFastBCProtocol(FastBCProtocol):
     """Per-node Robust FASTBC over a shared GBST.
+
+    Inherits FASTBC's GBST fields, Decay phase length and schedule period
+    (the Lemma 7 bound ``ceil(log2 n)``, matching the paper's
+    ``Θ(log n)`` treatment of the inter-wave wait); its ``act`` differs
+    from FASTBC's only in the even-round block wave.
 
     Parameters
     ----------
-    node, tree, rng, informed:
+    node, tree, rng, informed, decay_interleave:
         As in :class:`~repro.algorithms.fastbc.FastBCProtocol`.
     block:
         Block size S; defaults to :func:`block_size` of n. Exposed for the
@@ -89,29 +90,17 @@ class RobustFastBCProtocol(NodeProtocol):
         round_multiplier: int = DEFAULT_ROUND_MULTIPLIER,
         decay_interleave: bool = True,
     ) -> None:
-        self.decay_interleave = decay_interleave
         if round_multiplier < 1:
             raise ValueError(
                 f"round_multiplier must be >= 1, got {round_multiplier}"
             )
-        n = tree.network.n
-        self.node = node
-        self.rng = rng
-        self.informed = informed
-        self.active = informed
-        self.level = tree.level[node]
-        self.rank = tree.rank[node]
-        self.is_fast = tree.is_fast(node)
-        self.phase_length = ilog2(n) + 1
-        # Same convention as FastBCProtocol: the schedule period uses the
-        # Lemma 7 bound ceil(log2 n), matching the paper's Theta(log n)
-        # treatment of the inter-wave wait.
-        self.max_rank = max(1, ilog2(n))
-        self.block = block if block is not None else block_size(n)
+        super().__init__(
+            node, tree, rng, informed=informed, decay_interleave=decay_interleave
+        )
+        self.block = block if block is not None else block_size(tree.network.n)
         if self.block < 1:
             raise ValueError(f"block size must be >= 1, got {self.block}")
         self.round_multiplier = round_multiplier
-        self.informed_round: Optional[int] = 0 if informed else None
 
     def act(self, round_index: int) -> Optional[Packet]:
         if not self.informed:
@@ -123,7 +112,7 @@ class RobustFastBCProtocol(NodeProtocol):
                 return None
             i = ((round_index - 1) // 2) % self.phase_length
             if self.rng.bernoulli(2.0 ** (-i)):
-                return _MESSAGE
+                return MESSAGE
             return None
         # even: block wave on the fast set. t indexes even rounds; within
         # its superround, the node at level l fires on every t = l (mod 3),
@@ -141,21 +130,7 @@ class RobustFastBCProtocol(NodeProtocol):
             return None
         if self.level % 3 != t % 3:
             return None
-        return _MESSAGE
-
-    def on_receive(self, round_index: int, packet: Packet, sender: int) -> None:
-        if not isinstance(packet, MessagePacket):
-            raise ProtocolError(
-                f"single-message protocol received {type(packet).__name__}; "
-                "the model's routing packets are MessagePacket"
-            )
-        if not self.informed:
-            self.informed = True
-            self.active = True
-            self.informed_round = round_index
-
-    def is_done(self) -> bool:
-        return self.informed
+        return MESSAGE
 
 
 def make_robust_fastbc_protocols(
@@ -198,13 +173,9 @@ def robust_fastbc_broadcast(
     """Broadcast one message from the source with Robust FASTBC."""
     adversary = as_adversary(adversary)
     source = spawn_rng(rng)
-    n = network.n
     if max_rounds is None:
-        log_n = ilog2(n) + 1
-        log_log_n = block_size(n)
-        depth = max(1, network.source_eccentricity)
-        slowdown = 1.0 / (1.0 - effective_loss_rate(faults, adversary))
-        slowdown *= channel_slowdown(channel)
+        log_n, depth, slowdown = budget_terms(network, faults, adversary, channel)
+        log_log_n = block_size(network.n)
         max_rounds = (
             int(
                 slowdown

@@ -8,9 +8,11 @@ the library's broadcast functions behind an adapter with the signature::
     adapter(network, faults, seed, max_rounds, params) -> AlgorithmResult
 
 so "which protocol under which fault model" becomes data rather than
-code. The wrapped functions themselves are unchanged and remain public —
-``decay_broadcast`` and friends are now thin compatibility entry points
-over the same implementations the registry drives.
+code. The seven algorithms that run on the collision channel share one
+adapter, :func:`_on_channel`, which calls their public ``*_broadcast``
+function with the declared parameters as keywords and normalizes the
+outcome; the star and single-link schedules keep one adapter each,
+because they size their own medium from the scenario.
 
 Outcome normalization: every adapter reduces its native outcome type
 (:class:`~repro.algorithms.base.BroadcastOutcome`, ``MultiMessageOutcome``,
@@ -235,185 +237,101 @@ def _from_multi(outcome: MultiMessageOutcome) -> AlgorithmResult:
     )
 
 
-# -- single-message algorithms ----------------------------------------------
+# -- algorithms on the collision channel ------------------------------------
 
 
-@register_algorithm(
+def _on_channel(
+    broadcast: Callable[..., Any], normalize: Callable[[Any], AlgorithmResult]
+) -> Adapter:
+    """The adapter of a ``*_broadcast`` function that runs on the channel.
+
+    Every declared :class:`Param` is a keyword of ``broadcast``.
+    """
+
+    def adapter(
+        network, faults, seed, max_rounds, params, adversary=None, channel=None
+    ):
+        return normalize(
+            broadcast(
+                network,
+                faults=faults,
+                rng=seed,
+                max_rounds=max_rounds,
+                adversary=adversary,
+                channel=channel,
+                **params,
+            )
+        )
+
+    return adapter
+
+
+_K = Param("k", 4, "number of messages")
+_PAYLOAD = Param(
+    "payload_length", 0, "payload bytes per message (0: headers only)"
+)
+_BLOCK = Param("block", None, "block size override (default: Theta(log log n))")
+_ROUND_MULTIPLIER = Param(
+    "round_multiplier", DEFAULT_ROUND_MULTIPLIER, "rounds per block step"
+)
+_DECAY_INTERLEAVE = Param(
+    "decay_interleave", True, "interleave Decay rounds with the wave"
+)
+
+register_algorithm(
     "decay",
     kind="single",
     supports_adversary=True,
     summary="Decay broadcast (Lemma 9): fault-robust O(log n/(1-p) (D + log n))",
-)
-def _decay(network, faults, seed, max_rounds, params, adversary=None, channel=None):
-    return _from_single(
-        decay_broadcast(
-            network, faults=faults, rng=seed, max_rounds=max_rounds,
-            adversary=adversary, channel=channel,
-        )
-    )
+)(_on_channel(decay_broadcast, _from_single))
 
-
-@register_algorithm(
+register_algorithm(
     "fastbc",
     kind="single",
     supports_adversary=True,
     summary="FASTBC (Lemma 10): fast when faultless, degrades under faults",
-    params=(
-        Param("decay_interleave", True, "interleave Decay rounds with the wave"),
-    ),
-)
-def _fastbc(network, faults, seed, max_rounds, params, adversary=None, channel=None):
-    return _from_single(
-        fastbc_broadcast(
-            network,
-            faults=faults,
-            rng=seed,
-            max_rounds=max_rounds,
-            decay_interleave=params["decay_interleave"],
-            adversary=adversary,
-            channel=channel,
-        )
-    )
+    params=(_DECAY_INTERLEAVE,),
+)(_on_channel(fastbc_broadcast, _from_single))
 
-
-@register_algorithm(
+register_algorithm(
     "robust_fastbc",
     kind="single",
     supports_adversary=True,
     summary="Robust FASTBC (Theorem 11): blocks absorb faults, keeps the wave",
-    params=(
-        Param("block", None, "block size override (default: Theta(log log n))"),
-        Param("round_multiplier", DEFAULT_ROUND_MULTIPLIER, "rounds per block step"),
-        Param("decay_interleave", True, "interleave Decay rounds with the wave"),
-    ),
-)
-def _robust_fastbc(
-    network, faults, seed, max_rounds, params, adversary=None, channel=None
-):
-    return _from_single(
-        robust_fastbc_broadcast(
-            network,
-            faults=faults,
-            rng=seed,
-            max_rounds=max_rounds,
-            block=params["block"],
-            round_multiplier=params["round_multiplier"],
-            decay_interleave=params["decay_interleave"],
-            adversary=adversary,
-            channel=channel,
-        )
-    )
+    params=(_BLOCK, _ROUND_MULTIPLIER, _DECAY_INTERLEAVE),
+)(_on_channel(robust_fastbc_broadcast, _from_single))
 
-
-@register_algorithm(
+register_algorithm(
     "repeated_fastbc",
     kind="single",
     supports_adversary=True,
     summary="Repetition baseline: FASTBC with every round repeated `repeat` times",
     params=(Param("repeat", 2, "repetition factor per wave round"),),
-)
-def _repeated_fastbc(
-    network, faults, seed, max_rounds, params, adversary=None, channel=None
-):
-    return _from_single(
-        repeated_fastbc_broadcast(
-            network,
-            params["repeat"],
-            faults=faults,
-            rng=seed,
-            max_rounds=max_rounds,
-            adversary=adversary,
-            channel=channel,
-        )
-    )
+)(_on_channel(repeated_fastbc_broadcast, _from_single))
 
-
-# -- multi-message (RLNC gossip) algorithms ----------------------------------
-
-
-@register_algorithm(
+register_algorithm(
     "rlnc_decay",
     kind="multi",
     supports_adversary=True,
     summary="k-message RLNC over the Decay pattern (Lemma 12)",
-    params=(
-        Param("k", 4, "number of messages"),
-        Param("payload_length", 0, "payload bytes per message (0: headers only)"),
-    ),
-)
-def _rlnc_decay(
-    network, faults, seed, max_rounds, params, adversary=None, channel=None
-):
-    return _from_multi(
-        rlnc_decay_broadcast(
-            network,
-            params["k"],
-            faults=faults,
-            rng=seed,
-            payload_length=params["payload_length"],
-            max_rounds=max_rounds,
-            adversary=adversary,
-            channel=channel,
-        )
-    )
+    params=(_K, _PAYLOAD),
+)(_on_channel(rlnc_decay_broadcast, _from_multi))
 
-
-@register_algorithm(
+register_algorithm(
     "rlnc_robust_fastbc",
     kind="multi",
     supports_adversary=True,
     summary="k-message RLNC over Robust FASTBC waves (Lemma 13)",
-    params=(
-        Param("k", 4, "number of messages"),
-        Param("payload_length", 0, "payload bytes per message (0: headers only)"),
-        Param("block", None, "block size override (default: Theta(log log n))"),
-        Param("round_multiplier", DEFAULT_ROUND_MULTIPLIER, "rounds per block step"),
-    ),
-)
-def _rlnc_robust_fastbc(
-    network, faults, seed, max_rounds, params, adversary=None, channel=None
-):
-    return _from_multi(
-        rlnc_robust_fastbc_broadcast(
-            network,
-            params["k"],
-            faults=faults,
-            rng=seed,
-            payload_length=params["payload_length"],
-            max_rounds=max_rounds,
-            block=params["block"],
-            round_multiplier=params["round_multiplier"],
-            adversary=adversary,
-            channel=channel,
-        )
-    )
+    params=(_K, _PAYLOAD, _BLOCK, _ROUND_MULTIPLIER),
+)(_on_channel(rlnc_robust_fastbc_broadcast, _from_multi))
 
-
-@register_algorithm(
+register_algorithm(
     "rlnc_dense_wave",
     kind="multi",
     supports_adversary=True,
     summary="exploratory k-message RLNC dense-wave pattern (open problem X1)",
-    params=(
-        Param("k", 4, "number of messages"),
-        Param("payload_length", 0, "payload bytes per message (0: headers only)"),
-    ),
-)
-def _rlnc_dense_wave(
-    network, faults, seed, max_rounds, params, adversary=None, channel=None
-):
-    return _from_multi(
-        rlnc_dense_wave_broadcast(
-            network,
-            params["k"],
-            faults=faults,
-            rng=seed,
-            payload_length=params["payload_length"],
-            max_rounds=max_rounds,
-            adversary=adversary,
-            channel=channel,
-        )
-    )
+    params=(_K, _PAYLOAD),
+)(_on_channel(rlnc_dense_wave_broadcast, _from_multi))
 
 
 # -- star schedules (Theorem 17 coding gap) ----------------------------------
@@ -444,7 +362,7 @@ def _from_star(outcome) -> AlgorithmResult:
     "star_routing",
     kind="star",
     summary="adaptive star routing (Lemma 15): Theta(k log n) against faults",
-    params=(Param("k", 4, "number of messages"),),
+    params=(_K,),
     default_topology="star",
 )
 def _star_routing(
@@ -467,7 +385,7 @@ def _star_routing(
     kind="star",
     summary="Reed-Solomon star coding (Lemma 16): Theta(k), closes the gap",
     params=(
-        Param("k", 4, "number of messages"),
+        _K,
         Param("validate_decode", False, "decode and verify the RS round-trip"),
     ),
     default_topology="star",

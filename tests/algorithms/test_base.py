@@ -2,9 +2,10 @@
 
 import pytest
 
-from repro.algorithms.base import BroadcastOutcome, broadcast_probe
-from repro.algorithms.decay import decay_broadcast
+from repro.algorithms.base import BroadcastOutcome, budget_terms
+from repro.core.faults import FaultConfig
 from repro.core.trace import ChannelCounters
+from repro.mac.config import MacConfig
 from repro.topologies.basic import path
 from repro.util.rng import RandomSource
 
@@ -29,39 +30,22 @@ class TestBroadcastOutcome:
             outcome.rounds = 2  # type: ignore[misc]
 
 
-class TestBroadcastProbe:
-    def test_runs_requested_trials(self):
-        outcomes = broadcast_probe(
-            lambda seed: decay_broadcast(path(6), rng=seed),
-            trials=4,
-            rng=1,
+class TestBudgetTerms:
+    def test_faultless_default_channel(self):
+        # ilog2(9) + 1 = 5; the source sits at one end of the path
+        assert budget_terms(path(9), FaultConfig.faultless(), None, None) == (
+            5, 8, 1.0
         )
-        assert len(outcomes) == 4
-        assert all(o.success for o in outcomes)
 
-    def test_trials_get_distinct_seeds(self):
-        seen = []
-        broadcast_probe(lambda seed: seen.append(seed) or decay_broadcast(
-            path(3), rng=seed), trials=5, rng=2)
-        assert len(set(seen)) == 5
+    def test_single_node_depth_is_at_least_one(self):
+        assert budget_terms(path(1), FaultConfig.faultless(), None, None)[1] == 1
 
-    def test_reproducible(self):
-        def collect(top_seed):
-            seeds = []
-            broadcast_probe(
-                lambda seed: seeds.append(seed) or decay_broadcast(
-                    path(3), rng=seed),
-                trials=3,
-                rng=top_seed,
-            )
-            return seeds
-
-        assert collect(7) == collect(7)
-        assert collect(7) != collect(8)
-
-    def test_rejects_zero_trials(self):
-        with pytest.raises(ValueError):
-            broadcast_probe(lambda seed: None, trials=0)
+    def test_loss_and_contention_stretch_the_slowdown(self):
+        mac = MacConfig()
+        _, _, slowdown = budget_terms(
+            path(9), FaultConfig.receiver(0.5), None, mac
+        )
+        assert slowdown == 2.0 * mac.planning_slowdown()
 
 
 class TestIterBernoulli:

@@ -85,3 +85,25 @@ class TestEveryAlgorithmRuns:
         assert report.extras["k"] == 3
         # faultless coding: exactly k rounds, one packet per message
         assert report.rounds == 3
+
+
+class TestBlockWaveParameterChecks:
+    """Robust FASTBC and its RLNC variant reject the same bad block waves."""
+
+    @pytest.mark.parametrize("name", ["robust_fastbc", "rlnc_robust_fastbc"])
+    @pytest.mark.parametrize(
+        "params, message",
+        [
+            ({"round_multiplier": 0}, "round_multiplier must be >= 1"),
+            ({"round_multiplier": -1}, "round_multiplier must be >= 1"),
+            ({"block": 0}, "block size must be >= 1"),
+        ],
+        ids=["multiplier-0", "multiplier-negative", "block-0"],
+    )
+    def test_rejects(self, name, params, message):
+        scenario = Scenario(
+            algorithm=name, topology="path", topology_params={"n": 8},
+            params=params, seed=1,
+        )
+        with pytest.raises(ValueError, match=message):
+            run(scenario)
