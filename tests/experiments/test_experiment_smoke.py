@@ -1,5 +1,18 @@
 """Smoke tests: every experiment driver runs at reduced scale, produces a
-well-formed table, and exhibits the claimed qualitative shape."""
+well-formed table, and exhibits the claimed qualitative shape.
+
+``golden_tables.json`` pins the SHA-256 of :meth:`Table.to_json` for the
+23 seed drivers (E1-E19, A1-A3, X1) at smoke scale, seed 0, so a change
+that moves any number in those tables fails here. A deliberate change
+regenerates the file::
+
+    PYTHONPATH=src python tests/experiments/test_experiment_smoke.py
+"""
+
+import hashlib
+import json
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -7,6 +20,15 @@ from repro.experiments import all_experiments, get_experiment
 from repro.util.tables import Table
 
 ALL_IDS = [e.id for e in all_experiments()]
+
+GOLDEN = Path(__file__).with_name("golden_tables.json")
+
+#: the seed drivers whose smoke tables are pinned
+SEED_IDS = [f"E{i}" for i in range(1, 20)] + ["A1", "A2", "A3", "X1"]
+
+
+def _table_digest(table: Table) -> str:
+    return hashlib.sha256(table.to_json().encode("utf-8")).hexdigest()
 
 
 class TestRegistry:
@@ -28,8 +50,17 @@ class TestRegistry:
             get_experiment("E1")(scale="galactic")
 
 
+@pytest.fixture(scope="module")
+def golden_tables():
+    return json.loads(GOLDEN.read_text(encoding="utf-8"))
+
+
+def test_golden_file_lists_the_seed_drivers(golden_tables):
+    assert sorted(golden_tables) == sorted(SEED_IDS)
+
+
 @pytest.mark.parametrize("experiment_id", ALL_IDS)
-def test_smoke_run_produces_table(experiment_id):
+def test_smoke_run_produces_table(experiment_id, golden_tables):
     experiment = get_experiment(experiment_id)
     table = experiment(scale="smoke", seed=0)
     assert isinstance(table, Table)
@@ -38,6 +69,8 @@ def test_smoke_run_produces_table(experiment_id):
     # renders without error
     assert table.to_text()
     assert table.to_csv()
+    if experiment_id in golden_tables:
+        assert _table_digest(table) == golden_tables[experiment_id]
 
 
 class TestQualitativeShapes:
@@ -86,3 +119,19 @@ class TestQualitativeShapes:
         zero = next(r for r in rows if r["margin_c"] == 0.0)
         big = next(r for r in rows if r["margin_c"] == 2.0)
         assert big["success_rate"] >= zero["success_rate"]
+
+
+if __name__ == "__main__":
+    GOLDEN.write_text(
+        json.dumps(
+            {
+                id: _table_digest(get_experiment(id)(scale="smoke", seed=0))
+                for id in SEED_IDS
+            },
+            indent=2,
+            sort_keys=True,
+        )
+        + "\n",
+        encoding="utf-8",
+    )
+    print(f"wrote {GOLDEN}", file=sys.stderr)
