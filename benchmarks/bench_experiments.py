@@ -1,9 +1,9 @@
 """Benchmark every registered experiment: one full sweep per experiment.
 
-Each case regenerates one table of DESIGN.md section 4 / EXPERIMENTS.md.
+Each case regenerates one registered experiment's table (``repro list``).
 The benchmarked quantity is the wall-clock of one full experiment sweep at
 smoke scale; pass ``--repro-scale=full`` (see conftest) to regenerate the
-EXPERIMENTS.md scale. The table itself is attached to the benchmark's
+full-scale tables. The table itself is attached to the benchmark's
 ``extra_info`` so results stay inspectable in the pytest-benchmark JSON.
 Case ids are the drivers' module names, so ``-k decay_noisy`` selects E2.
 """

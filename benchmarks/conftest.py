@@ -2,7 +2,7 @@
 
 ``pytest benchmarks/ --benchmark-only`` runs every experiment at smoke
 scale (seconds each). ``--repro-scale=full`` regenerates the
-EXPERIMENTS.md-scale tables (minutes total).
+full-scale tables (minutes total).
 """
 
 import pytest

@@ -40,10 +40,10 @@ compatibility entry points over the same implementations::
     outcome = decay_broadcast(path(64), faults=FaultConfig.receiver(0.3), rng=1)
     print(outcome.rounds, outcome.success)
 
-See DESIGN.md for the system inventory and EXPERIMENTS.md for measured
-results; ``python -m repro list`` enumerates the experiments, algorithms,
-and topology families, and ``python -m repro sweep`` runs scenario grids
-from the command line.
+README.md maps the package layout. ``python -m repro list`` enumerates
+the experiments (with the claim each reproduces), algorithms, and topology
+families; ``python -m repro run <ID>`` prints an experiment's table, and
+``python -m repro sweep`` runs scenario grids from the command line.
 """
 
 from repro._version import __version__

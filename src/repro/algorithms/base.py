@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from repro.adversary.base import Adversary, effective_loss_rate
 from repro.adversary.registry import as_adversary
@@ -70,8 +70,7 @@ class MessageProtocol(NodeProtocol):
 
     Subclasses write only :meth:`act`, which listens (returns ``None``)
     until ``informed``. The first legitimate reception informs the node
-    and wakes it; ``informed_round`` records when (0 for the source, None
-    while uninformed) for :mod:`repro.analysis.progress`.
+    and wakes it.
 
     Parameters
     ----------
@@ -85,7 +84,6 @@ class MessageProtocol(NodeProtocol):
         self.rng = rng
         self.informed = informed
         self.active = informed
-        self.informed_round: Optional[int] = 0 if informed else None
 
     def on_receive(self, round_index: int, packet: Packet, sender: int) -> None:
         if not isinstance(packet, MessagePacket):
@@ -96,7 +94,6 @@ class MessageProtocol(NodeProtocol):
         if not self.informed:
             self.informed = True
             self.active = True
-            self.informed_round = round_index
 
     def is_done(self) -> bool:
         return self.informed

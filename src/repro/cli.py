@@ -61,8 +61,9 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="repro",
         description=(
             "Reproduction of 'Broadcasting in Noisy Radio Networks' "
-            "(PODC 2017): run any experiment from DESIGN.md section 4, "
-            "or sweep declarative scenarios over any registered algorithm."
+            "(PODC 2017): run any registered experiment ('repro list' "
+            "shows each one's claim), or sweep declarative scenarios over "
+            "any registered algorithm."
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -97,7 +98,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "--scale",
         choices=("smoke", "full"),
         default="smoke",
-        help="sweep size: smoke (seconds) or full (the EXPERIMENTS.md scale)",
+        help=(
+            "sweep size: smoke (seconds) or full (the reproduced tables; "
+            "up to a few minutes per experiment)"
+        ),
     )
     run.add_argument("--seed", type=int, default=0, help="top-level RNG seed")
     run.add_argument(
@@ -1561,6 +1565,27 @@ def _command_bench(args: argparse.Namespace) -> int:
     return 0
 
 
+def _experiments_accepting(adversary, channel) -> list:
+    """The experiments ``run all`` runs: those accepting the overrides.
+
+    Each one left out gets a stderr line naming a flag it refuses.
+    """
+    selected = []
+    for experiment in all_experiments():
+        if adversary is not None and not experiment.accepts_adversary:
+            flag = "--adversary"
+        elif channel is not None and not experiment.accepts_channel:
+            flag = "--channel"
+        else:
+            selected.append(experiment)
+            continue
+        print(
+            f"skipping {experiment.id}: it does not accept {flag}",
+            file=sys.stderr,
+        )
+    return selected
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
 
@@ -1609,7 +1634,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
 
     if args.id.lower() == "all":
-        experiments = all_experiments()
+        experiments = _experiments_accepting(adversary, channel)
+        if not experiments:
+            print("no experiment accepts the given overrides", file=sys.stderr)
+            return 2
     else:
         try:
             experiments = [get_experiment(args.id)]

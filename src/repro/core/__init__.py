@@ -1,7 +1,7 @@
 """Core noisy radio network model: channel semantics, faults, simulation.
 
 This package is the normative implementation of the model in Section 3.1 of
-the paper (see DESIGN.md section 5 for the exact semantics):
+the paper (:mod:`repro.core.engine` implements the exact semantics):
 
 * synchronized rounds; each node either broadcasts one packet or listens;
 * a listening node receives a packet iff **exactly one** neighbor broadcasts;

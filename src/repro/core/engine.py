@@ -4,9 +4,10 @@ Two layers:
 
 * :class:`Channel` — the physical layer. Given the set of broadcasts for one
   round it resolves collisions and faults and reports who received what.
-  This is the single place where the model semantics of DESIGN.md §5 are
-  implemented; both the distributed simulator and the centralized schedule
-  executors (:mod:`repro.schedules`) are built on it.
+  This is the single place where the model semantics listed in
+  :mod:`repro.core` are implemented; both the distributed simulator and
+  the centralized schedule executors (:mod:`repro.schedules`) are built
+  on it.
 * :class:`Simulator` — drives per-node :class:`~repro.core.protocol.NodeProtocol`
   instances against a channel until a stop predicate fires or a round budget
   is exhausted.

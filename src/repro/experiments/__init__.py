@@ -2,8 +2,8 @@
 
 Importing this package registers every driver; use
 :func:`repro.experiments.common.get_experiment` or the ``repro`` CLI to
-run them. See DESIGN.md section 4 for the experiment index and
-EXPERIMENTS.md for recorded results.
+run them. ``repro list`` prints the index (id, title, claim) and
+``repro run <ID> --scale full`` regenerates a table.
 """
 
 from repro.experiments import (  # noqa: F401  (import = registration)

@@ -11,10 +11,10 @@ log log n.
 from __future__ import annotations
 
 from repro.algorithms.base import ilog2
-from repro.algorithms.robust_fastbc import block_size, robust_fastbc_broadcast
+from repro.algorithms.robust_fastbc import block_size
 from repro.core.faults import FaultConfig
 from repro.experiments.common import register
-from repro.topologies.basic import path
+from repro.runner import Scenario, run_batch
 from repro.util.rng import RandomSource
 from repro.util.stats import mean
 from repro.util.tables import Table
@@ -42,7 +42,6 @@ def run(scale: str, seed: int) -> Table:
         f"(p={p})",
     )
     for n in sizes:
-        network = path(n)
         paper_s = block_size(n)
         candidates = [
             (1, "1 (fragile)"),
@@ -51,18 +50,21 @@ def run(scale: str, seed: int) -> Table:
         ]
         for s, label in candidates:
             rounds = []
-            for _ in range(trials):
-                outcome = robust_fastbc_broadcast(
-                    network,
+            for report in run_batch(
+                Scenario(
+                    "robust_fastbc",
+                    topology="path",
+                    topology_params={"n": n},
+                    params={"block": s, "decay_interleave": False},
                     faults=FaultConfig.receiver(p),
-                    rng=rng.spawn(),
-                    block=s,
-                    decay_interleave=False,
+                    seed=rng.spawn().seed,
                 )
-                if not outcome.success:
+                for _ in range(trials)
+            ):
+                if not report.success:
                     raise AssertionError(
                         f"Robust FASTBC (S={s}) timed out on path-{n}"
                     )
-                rounds.append(outcome.rounds)
+                rounds.append(report.rounds)
             table.add_row(n, s, label, mean(rounds), mean(rounds) / (n - 1))
     return table

@@ -8,16 +8,10 @@ against plain and Robust FASTBC under faults.
 
 from __future__ import annotations
 
-from repro.algorithms.fastbc import fastbc_broadcast
-from repro.algorithms.repetition import (
-    repeat_factor_log,
-    repeat_factor_loglog,
-    repeated_fastbc_broadcast,
-)
-from repro.algorithms.robust_fastbc import robust_fastbc_broadcast
+from repro.algorithms.repetition import repeat_factor_log, repeat_factor_loglog
 from repro.core.faults import FaultConfig
 from repro.experiments.common import register
-from repro.topologies.basic import path
+from repro.runner import Scenario, run_batch
 from repro.util.rng import RandomSource
 from repro.util.stats import mean
 from repro.util.tables import Table
@@ -45,43 +39,28 @@ def run(scale: str, seed: int) -> Table:
         title=f"A2: FASTBC fault-robustness variants on a path (p={p})",
     )
     for n in sizes:
-        network = path(n)
+        loglog, log = repeat_factor_loglog(n), repeat_factor_log(n)
         variants = [
-            (
-                "plain",
-                lambda: fastbc_broadcast(network, faults=faults, rng=rng.spawn()),
-            ),
-            (
-                "repeat-loglog",
-                lambda: repeated_fastbc_broadcast(
-                    network,
-                    repeat=repeat_factor_loglog(n),
-                    faults=faults,
-                    rng=rng.spawn(),
-                ),
-            ),
-            (
-                "repeat-log",
-                lambda: repeated_fastbc_broadcast(
-                    network,
-                    repeat=repeat_factor_log(n),
-                    faults=faults,
-                    rng=rng.spawn(),
-                ),
-            ),
-            (
-                "robust",
-                lambda: robust_fastbc_broadcast(
-                    network, faults=faults, rng=rng.spawn()
-                ),
-            ),
+            ("plain", "fastbc", {}),
+            ("repeat-loglog", "repeated_fastbc", {"repeat": loglog}),
+            ("repeat-log", "repeated_fastbc", {"repeat": log}),
+            ("robust", "robust_fastbc", {}),
         ]
-        for name, runner in variants:
+        for name, algorithm, params in variants:
             rounds = []
-            for _ in range(trials):
-                outcome = runner()
-                if not outcome.success:
+            for report in run_batch(
+                Scenario(
+                    algorithm,
+                    topology="path",
+                    topology_params={"n": n},
+                    params=params,
+                    faults=faults,
+                    seed=rng.spawn().seed,
+                )
+                for _ in range(trials)
+            ):
+                if not report.success:
                     raise AssertionError(f"{name} timed out on path-{n}")
-                rounds.append(outcome.rounds)
+                rounds.append(report.rounds)
             table.add_row(n, name, mean(rounds), mean(rounds) / (n - 1))
     return table

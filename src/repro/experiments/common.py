@@ -1,25 +1,25 @@
-"""Experiment framework: registration, scales, and shared sweep helpers.
+"""Experiment framework: registration and scales.
 
 Every experiment driver exposes ``run(scale, seed) -> Table`` and registers
 itself with :func:`register`. Two scales exist:
 
 * ``"smoke"`` — seconds; used by the test suite to validate shape and
   well-formedness;
-* ``"full"`` — the EXPERIMENTS.md scale, used by the benchmarks.
+* ``"full"`` — the larger sweep behind the reproduced tables (seconds to
+  a few minutes per experiment); used by the benchmarks.
 
-Drivers that compare algorithms head-to-head should build on the
-scenario helpers (:func:`scenario_sweep`, :func:`report_table`): they run
-a declarative :class:`~repro.runner.Scenario` grid through the unified
-runner — optionally across a process pool — and tabulate the canonical
-:class:`~repro.runner.RunReport` records.
+Experiments whose runs are registry algorithms describe each run as a
+:class:`~repro.runner.Scenario` and execute them with
+:func:`~repro.runner.run_batch`; :func:`report_table` tabulates canonical
+:class:`~repro.runner.RunReport` records with the sweep columns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable
 
-from repro.runner import RunReport, Scenario, sweep
+from repro.runner import RunReport
 from repro.util.tables import Table
 
 __all__ = [
@@ -29,7 +29,6 @@ __all__ = [
     "all_experiments",
     "REPORT_COLUMNS",
     "report_table",
-    "scenario_sweep",
 ]
 
 _REGISTRY: dict[str, "Experiment"] = {}
@@ -152,26 +151,6 @@ def report_table(reports: Iterable[RunReport], title: str = "") -> Table:
             report.total,
         )
     return table
-
-
-def scenario_sweep(
-    base: Scenario,
-    seeds: Optional[Iterable[int]] = None,
-    grid: Optional[Mapping[str, Sequence[Any]]] = None,
-    processes: Optional[int] = None,
-    title: str = "",
-    store: Optional[Any] = None,
-) -> Table:
-    """Run a scenario grid (see :func:`repro.runner.sweep`) into a Table.
-
-    ``store`` (a :class:`~repro.store.ResultStore`) makes the sweep
-    resumable: previously-computed scenarios are served from the store
-    and fresh ones are recorded into it.
-    """
-    return report_table(
-        sweep(base, seeds=seeds, grid=grid, processes=processes, store=store),
-        title=title,
-    )
 
 
 def all_experiments() -> list[Experiment]:

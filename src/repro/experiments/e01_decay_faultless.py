@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-from repro.algorithms.decay import decay_broadcast
 from repro.analysis.predictions import decay_rounds
 from repro.experiments.common import register
-from repro.topologies.registry import make_topology
+from repro.runner import Scenario, run_batch
 from repro.util.rng import RandomSource
 from repro.util.stats import mean
 from repro.util.tables import Table
@@ -33,15 +32,23 @@ def run(scale: str, seed: int) -> Table:
     )
     for family in families:
         for n in sizes:
-            network = make_topology(family, n, seed=seed)
+            scenarios = [
+                Scenario(
+                    "decay",
+                    topology=family,
+                    topology_params={"n": n, "seed": seed},
+                    seed=rng.spawn().seed,
+                )
+                for _ in range(trials)
+            ]
+            network = scenarios[0].build_network()
             rounds = []
-            for _ in range(trials):
-                outcome = decay_broadcast(network, rng=rng.spawn())
-                if not outcome.success:
+            for report in run_batch(scenarios):
+                if not report.success:
                     raise AssertionError(
                         f"faultless Decay timed out on {network.name}"
                     )
-                rounds.append(outcome.rounds)
+                rounds.append(report.rounds)
             depth = network.source_eccentricity
             predicted = decay_rounds(network.n, depth)
             measured = mean(rounds)

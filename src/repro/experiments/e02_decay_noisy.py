@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-from repro.algorithms.decay import decay_broadcast
 from repro.core.faults import FaultConfig, FaultModel
 from repro.experiments.common import register
-from repro.topologies.registry import make_topology
+from repro.runner import Scenario, run_batch
 from repro.util.rng import RandomSource
 from repro.util.stats import mean
 from repro.util.tables import Table
@@ -45,7 +44,6 @@ def run(scale: str, seed: int) -> Table:
         title="E2: noisy Decay slowdown vs the Lemma 9 prediction 1/(1-p)",
     )
     for family in families:
-        network = make_topology(family, n, seed=seed)
         baseline = None
         for model in models:
             for p in probabilities:
@@ -54,14 +52,18 @@ def run(scale: str, seed: int) -> Table:
                     if p == 0.0
                     else FaultConfig(model, p)
                 )
-                rounds, successes = [], 0
-                for _ in range(trials):
-                    outcome = decay_broadcast(
-                        network, faults=faults, rng=rng.spawn()
+                reports = run_batch(
+                    Scenario(
+                        "decay",
+                        topology=family,
+                        topology_params={"n": n, "seed": seed},
+                        faults=faults,
+                        seed=rng.spawn().seed,
                     )
-                    successes += outcome.success
-                    rounds.append(outcome.rounds)
-                measured = mean(rounds)
+                    for _ in range(trials)
+                )
+                successes = sum(report.success for report in reports)
+                measured = mean([report.rounds for report in reports])
                 if p == 0.0:
                     baseline = measured
                 slowdown = measured / baseline if baseline else 1.0

@@ -2,11 +2,9 @@
 
 from __future__ import annotations
 
-from repro.algorithms.decay import decay_broadcast
-from repro.algorithms.fastbc import fastbc_broadcast
 from repro.analysis.predictions import fastbc_faultless_rounds
 from repro.experiments.common import register
-from repro.topologies.basic import caterpillar, path
+from repro.runner import Scenario, run_batch
 from repro.util.rng import RandomSource
 from repro.util.stats import mean
 from repro.util.tables import Table
@@ -40,18 +38,24 @@ def run(scale: str, seed: int) -> Table:
         title="E3: faultless FASTBC vs Decay on deep topologies",
     )
     for depth in depths:
-        for topo_name, network in (
-            ("path", path(depth)),
-            ("caterpillar", caterpillar(depth // 2, 1)),
-        ):
-            fastbc_rounds, decay_rounds_ = [], []
-            for _ in range(trials):
-                fast = fastbc_broadcast(network, rng=rng.spawn())
-                slow = decay_broadcast(network, rng=rng.spawn())
-                if not (fast.success and slow.success):
-                    raise AssertionError(f"faultless timeout on {network.name}")
-                fastbc_rounds.append(fast.rounds)
-                decay_rounds_.append(slow.rounds)
+        for topo_name in ("path", "caterpillar"):
+            # per trial: FASTBC, then Decay
+            scenarios = [
+                Scenario(
+                    algorithm,
+                    topology=topo_name,
+                    topology_params={"n": depth},
+                    seed=rng.spawn().seed,
+                )
+                for _ in range(trials)
+                for algorithm in ("fastbc", "decay")
+            ]
+            network = scenarios[0].build_network()
+            reports = run_batch(scenarios)
+            if not all(report.success for report in reports):
+                raise AssertionError(f"faultless timeout on {network.name}")
+            fastbc_rounds = [report.rounds for report in reports[0::2]]
+            decay_rounds_ = [report.rounds for report in reports[1::2]]
             d = network.source_eccentricity
             table.add_row(
                 topo_name,

@@ -8,11 +8,10 @@ directly, then report the full algorithm alongside for context.
 
 from __future__ import annotations
 
-from repro.algorithms.fastbc import fastbc_broadcast
 from repro.analysis.predictions import fastbc_noisy_path_rounds
 from repro.core.faults import FaultConfig
 from repro.experiments.common import register
-from repro.topologies.basic import path
+from repro.runner import Scenario, run_batch
 from repro.util.rng import RandomSource
 from repro.util.stats import mean
 from repro.util.tables import Table
@@ -48,26 +47,27 @@ def run(scale: str, seed: int) -> Table:
         title="E4: noisy FASTBC per-hop cost vs Lemma 10's recurrence",
     )
     for n in sizes:
-        network = path(n)
         for p in probabilities:
             faults = (
                 FaultConfig.faultless() if p == 0.0 else FaultConfig.receiver(p)
             )
-            wave_rounds, full_rounds = [], []
-            for _ in range(trials):
-                wave = fastbc_broadcast(
-                    network,
+            # per trial: the isolated wave, then the full algorithm
+            reports = run_batch(
+                Scenario(
+                    "fastbc",
+                    topology="path",
+                    topology_params={"n": n},
+                    params=params,
                     faults=faults,
-                    rng=rng.spawn(),
-                    decay_interleave=False,
+                    seed=rng.spawn().seed,
                 )
-                full = fastbc_broadcast(network, faults=faults, rng=rng.spawn())
-                if not (wave.success and full.success):
-                    raise AssertionError(
-                        f"FASTBC timed out on path-{n} at p={p}"
-                    )
-                wave_rounds.append(wave.rounds)
-                full_rounds.append(full.rounds)
+                for _ in range(trials)
+                for params in ({"decay_interleave": False}, {})
+            )
+            if not all(report.success for report in reports):
+                raise AssertionError(f"FASTBC timed out on path-{n} at p={p}")
+            wave_rounds = [report.rounds for report in reports[0::2]]
+            full_rounds = [report.rounds for report in reports[1::2]]
             predicted = fastbc_noisy_path_rounds(n, n - 1, p)
             wave_mean = mean(wave_rounds)
             table.add_row(

@@ -4,18 +4,16 @@ The comparison isolates the wave mechanism (``decay_interleave=False``):
 plain FASTBC's per-hop cost grows with log n (a dropped hop waits out a
 full wave period), while Robust FASTBC's blocks absorb drops with local
 retries and its per-hop cost is flat in n. The full-algorithm columns show
-the blended behaviour (the Decay half floors both at Θ(log n)/hop at these
-scales — see EXPERIMENTS.md for the constant-regime discussion).
+the blended behaviour: at these scales the Decay half floors both at
+Θ(log n)/hop, so Theorem 11's constant per-hop regime shows only in the
+wave-only columns.
 """
 
 from __future__ import annotations
 
-from repro.algorithms.decay import decay_broadcast
-from repro.algorithms.fastbc import fastbc_broadcast
-from repro.algorithms.robust_fastbc import robust_fastbc_broadcast
 from repro.core.faults import FaultConfig
 from repro.experiments.common import register
-from repro.topologies.basic import path
+from repro.runner import Scenario, run_batch
 from repro.util.rng import RandomSource
 from repro.util.stats import mean
 from repro.util.tables import Table
@@ -50,28 +48,34 @@ def run(scale: str, seed: int) -> Table:
         ],
         title=f"E5: per-hop wave cost at p={p} — plain grows, robust flat",
     )
+    wave_only = {"decay_interleave": False}
+    arms = [
+        ("fastbc", wave_only),
+        ("robust_fastbc", wave_only),
+        ("fastbc", {}),
+        ("robust_fastbc", {}),
+        ("decay", {}),
+    ]
     for n in sizes:
-        network = path(n)
-        plain_wave, robust_wave = [], []
-        plain_full, robust_full, decay_full = [], [], []
-        for _ in range(trials):
-            pw = fastbc_broadcast(
-                network, faults=faults, rng=rng.spawn(), decay_interleave=False
+        # per trial, all five arms in order
+        reports = run_batch(
+            Scenario(
+                algorithm,
+                topology="path",
+                topology_params={"n": n},
+                params=params,
+                faults=faults,
+                seed=rng.spawn().seed,
             )
-            rw = robust_fastbc_broadcast(
-                network, faults=faults, rng=rng.spawn(), decay_interleave=False
-            )
-            pf = fastbc_broadcast(network, faults=faults, rng=rng.spawn())
-            rf = robust_fastbc_broadcast(network, faults=faults, rng=rng.spawn())
-            df = decay_broadcast(network, faults=faults, rng=rng.spawn())
-            for outcome in (pw, rw, pf, rf, df):
-                if not outcome.success:
-                    raise AssertionError(f"timeout on path-{n} at p={p}")
-            plain_wave.append(pw.rounds)
-            robust_wave.append(rw.rounds)
-            plain_full.append(pf.rounds)
-            robust_full.append(rf.rounds)
-            decay_full.append(df.rounds)
+            for _ in range(trials)
+            for algorithm, params in arms
+        )
+        if not all(report.success for report in reports):
+            raise AssertionError(f"timeout on path-{n} at p={p}")
+        plain_wave, robust_wave, plain_full, robust_full, decay_full = (
+            [report.rounds for report in reports[arm :: len(arms)]]
+            for arm in range(len(arms))
+        )
         hops = n - 1
         table.add_row(
             n,

@@ -3,10 +3,9 @@
 from __future__ import annotations
 
 from repro.algorithms.base import ilog2
-from repro.algorithms.multi.rlnc_broadcast import rlnc_decay_broadcast
 from repro.core.faults import FaultConfig
 from repro.experiments.common import register
-from repro.topologies.registry import make_topology
+from repro.runner import Scenario, run_batch
 from repro.util.rng import RandomSource
 from repro.util.stats import mean
 from repro.util.tables import Table
@@ -43,22 +42,30 @@ def run(scale: str, seed: int) -> Table:
         title="E6: RLNC-Decay rounds per message vs log n (receiver faults)",
     )
     for family, n in cases:
-        network = make_topology(family, n, seed=seed)
         for k in ks:
-            rounds = []
-            for _ in range(trials):
-                outcome = rlnc_decay_broadcast(
-                    network, k=k, faults=FaultConfig.receiver(p), rng=rng.spawn()
+            reports = run_batch(
+                Scenario(
+                    "rlnc_decay",
+                    topology=family,
+                    topology_params={"n": n, "seed": seed},
+                    params={"k": k},
+                    faults=FaultConfig.receiver(p),
+                    seed=rng.spawn().seed,
                 )
-                if not outcome.success:
+                for _ in range(trials)
+            )
+            rounds = []
+            for report in reports:
+                if not report.success:
                     raise AssertionError(
-                        f"RLNC-Decay timed out on {network.name} k={k}"
+                        f"RLNC-Decay timed out on {report.network_name} k={k}"
                     )
-                rounds.append(outcome.rounds)
-            log_n = ilog2(network.n) + 1
+                rounds.append(report.rounds)
+            network_n = reports[0].network_n
+            log_n = ilog2(network_n) + 1
             per_msg = mean(rounds) / k
             table.add_row(
-                family, network.n, k, mean(rounds), per_msg, log_n,
+                family, network_n, k, mean(rounds), per_msg, log_n,
                 per_msg / log_n,
             )
     return table

@@ -3,14 +3,10 @@
 from __future__ import annotations
 
 from repro.algorithms.base import ilog2
-from repro.algorithms.multi.rlnc_broadcast import (
-    rlnc_decay_broadcast,
-    rlnc_robust_fastbc_broadcast,
-)
 from repro.algorithms.robust_fastbc import block_size
 from repro.core.faults import FaultConfig
 from repro.experiments.common import register
-from repro.topologies.basic import path
+from repro.runner import Scenario, run_batch
 from repro.util.rng import RandomSource
 from repro.util.stats import mean
 from repro.util.tables import Table
@@ -47,20 +43,24 @@ def run(scale: str, seed: int) -> Table:
         f"(receiver faults, p={p})",
     )
     for n in sizes:
-        network = path(n)
         for k in ks:
-            robust_rounds, decay_rounds = [], []
-            for _ in range(trials):
-                robust = rlnc_robust_fastbc_broadcast(
-                    network, k=k, faults=FaultConfig.receiver(p), rng=rng.spawn()
+            # per trial: RLNC-Robust-FASTBC, then RLNC-Decay
+            reports = run_batch(
+                Scenario(
+                    algorithm,
+                    topology="path",
+                    topology_params={"n": n},
+                    params={"k": k},
+                    faults=FaultConfig.receiver(p),
+                    seed=rng.spawn().seed,
                 )
-                decay = rlnc_decay_broadcast(
-                    network, k=k, faults=FaultConfig.receiver(p), rng=rng.spawn()
-                )
-                if not (robust.success and decay.success):
-                    raise AssertionError(f"timeout at n={n} k={k}")
-                robust_rounds.append(robust.rounds)
-                decay_rounds.append(decay.rounds)
+                for _ in range(trials)
+                for algorithm in ("rlnc_robust_fastbc", "rlnc_decay")
+            )
+            if not all(report.success for report in reports):
+                raise AssertionError(f"timeout at n={n} k={k}")
+            robust_rounds = [report.rounds for report in reports[0::2]]
+            decay_rounds = [report.rounds for report in reports[1::2]]
             log_n = ilog2(n) + 1
             shape = (n - 1) + k * log_n * block_size(n)
             table.add_row(

@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
-from repro.algorithms.multi.star import star_rs_coding
 from repro.analysis.predictions import star_coding_rounds
+from repro.core.faults import FaultConfig
 from repro.experiments.common import register
+from repro.runner import Scenario, run_batch
 from repro.util.rng import RandomSource
 from repro.util.stats import mean
 from repro.util.tables import Table
@@ -34,11 +35,20 @@ def run(scale: str, seed: int) -> Table:
     )
     for n_leaves in leaf_counts:
         rounds = []
-        for _ in range(trials):
-            outcome = star_rs_coding(n_leaves, k, p, rng=rng.spawn())
-            if not outcome.success:
+        for report in run_batch(
+            Scenario(
+                "star_coding",
+                topology="star",
+                topology_params={"n": n_leaves + 1},
+                params={"k": k},
+                faults=FaultConfig.receiver(p),
+                seed=rng.spawn().seed,
+            )
+            for _ in range(trials)
+        ):
+            if not report.success:
                 raise AssertionError(f"star coding timed out at n={n_leaves}")
-            rounds.append(outcome.rounds)
+            rounds.append(report.rounds)
         predicted = star_coding_rounds(k, p)
         table.add_row(
             n_leaves,

@@ -12,9 +12,9 @@ gap structure of Alon et al. carries over to sender faults (Theorems
 
 from __future__ import annotations
 
-from repro.algorithms.multi.star import star_adaptive_routing, star_rs_coding
-from repro.core.faults import FaultModel
+from repro.core.faults import FaultConfig, FaultModel
 from repro.experiments.common import register
+from repro.runner import Scenario, run_batch
 from repro.util.rng import RandomSource
 from repro.util.stats import mean
 from repro.util.tables import Table
@@ -51,20 +51,25 @@ def run(scale: str, seed: int) -> Table:
     )
     for n_leaves in leaf_counts:
         for model in (FaultModel.SENDER, FaultModel.RECEIVER):
-            routing_rounds, coding_rounds = [], []
-            for _ in range(trials):
-                routing = star_adaptive_routing(
-                    n_leaves, k, p, rng=rng.spawn(), fault_model=model
+            # per trial: routing, then coding
+            reports = run_batch(
+                Scenario(
+                    algorithm,
+                    topology="star",
+                    topology_params={"n": n_leaves + 1},
+                    params={"k": k},
+                    faults=FaultConfig(model, p),
+                    seed=rng.spawn().seed,
                 )
-                coding = star_rs_coding(
-                    n_leaves, k, p, rng=rng.spawn(), fault_model=model
+                for _ in range(trials)
+                for algorithm in ("star_routing", "star_coding")
+            )
+            if not all(report.success for report in reports):
+                raise AssertionError(
+                    f"star schedule timed out at n={n_leaves} ({model})"
                 )
-                if not (routing.success and coding.success):
-                    raise AssertionError(
-                        f"star schedule timed out at n={n_leaves} ({model})"
-                    )
-                routing_rounds.append(routing.rounds)
-                coding_rounds.append(coding.rounds)
+            routing_rounds = [report.rounds for report in reports[0::2]]
+            coding_rounds = [report.rounds for report in reports[1::2]]
             table.add_row(
                 n_leaves,
                 str(model),

@@ -4,11 +4,10 @@ from __future__ import annotations
 
 import math
 
-from repro.algorithms.multi.single_link import (
-    minimal_nonadaptive_repetitions,
-    single_link_nonadaptive_routing,
-)
+from repro.algorithms.multi.single_link import minimal_nonadaptive_repetitions
+from repro.core.faults import FaultConfig
 from repro.experiments.common import register
+from repro.runner import Scenario, run_batch
 from repro.util.rng import RandomSource
 from repro.util.tables import Table
 
@@ -43,12 +42,18 @@ def run(scale: str, seed: int) -> Table:
     )
     for k in ks:
         repetitions = minimal_nonadaptive_repetitions(k, p)
-        successes = 0
-        rounds = 0
-        for _ in range(trials):
-            outcome = single_link_nonadaptive_routing(k, p, rng=rng.spawn())
-            successes += outcome.success
-            rounds = outcome.rounds  # deterministic given k and p
+        reports = run_batch(
+            Scenario(
+                "single_link_nonadaptive",
+                topology="single_link",
+                params={"k": k},
+                faults=FaultConfig.receiver(p),
+                seed=rng.spawn().seed,
+            )
+            for _ in range(trials)
+        )
+        successes = sum(report.success for report in reports)
+        rounds = reports[-1].rounds  # deterministic given k and p
         table.add_row(
             k,
             repetitions,

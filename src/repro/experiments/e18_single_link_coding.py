@@ -2,11 +2,9 @@
 
 from __future__ import annotations
 
-from repro.algorithms.multi.single_link import (
-    single_link_adaptive_routing,
-    single_link_coding,
-)
+from repro.core.faults import FaultConfig
 from repro.experiments.common import register
+from repro.runner import Scenario, run_batch
 from repro.util.rng import RandomSource
 from repro.util.stats import mean
 from repro.util.tables import Table
@@ -41,14 +39,22 @@ def run(scale: str, seed: int) -> Table:
         "per-message cost flat in k",
     )
     for k in ks:
-        adaptive_rounds, coding_rounds = [], []
-        for _ in range(trials):
-            adaptive = single_link_adaptive_routing(k, p, rng=rng.spawn())
-            coding = single_link_coding(k, p, rng=rng.spawn())
-            if not (adaptive.success and coding.success):
-                raise AssertionError(f"single-link schedule failed at k={k}")
-            adaptive_rounds.append(adaptive.rounds)
-            coding_rounds.append(coding.rounds)
+        # per trial: adaptive routing, then coding
+        reports = run_batch(
+            Scenario(
+                algorithm,
+                topology="single_link",
+                params={"k": k},
+                faults=FaultConfig.receiver(p),
+                seed=rng.spawn().seed,
+            )
+            for _ in range(trials)
+            for algorithm in ("single_link_routing", "single_link_coding")
+        )
+        if not all(report.success for report in reports):
+            raise AssertionError(f"single-link schedule failed at k={k}")
+        adaptive_rounds = [report.rounds for report in reports[0::2]]
+        coding_rounds = [report.rounds for report in reports[1::2]]
         table.add_row(
             k,
             mean(adaptive_rounds),

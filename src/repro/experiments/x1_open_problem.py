@@ -16,14 +16,9 @@ candidate stands, recorded so future work has a baseline.
 from __future__ import annotations
 
 from repro.algorithms.base import ilog2
-from repro.algorithms.multi.rlnc_broadcast import (
-    rlnc_decay_broadcast,
-    rlnc_dense_wave_broadcast,
-    rlnc_robust_fastbc_broadcast,
-)
 from repro.core.faults import FaultConfig, FaultModel
 from repro.experiments.common import register
-from repro.topologies.registry import make_topology
+from repro.runner import Scenario, run_batch
 from repro.util.rng import RandomSource
 from repro.util.stats import mean
 from repro.util.tables import Table
@@ -63,29 +58,34 @@ def run(scale: str, seed: int) -> Table:
         ],
         title=f"X1: dense-wave RLNC vs the paper's algorithms (p={p})",
     )
+    arms = ("rlnc_dense_wave", "rlnc_robust_fastbc", "rlnc_decay")
     for family, n in cases:
-        network = make_topology(family, n, seed=seed)
         for model in models:
             faults = FaultConfig(model, p)
             for k in ks:
-                dense, robust, decay = [], [], []
-                for _ in range(trials):
-                    dw = rlnc_dense_wave_broadcast(
-                        network, k=k, faults=faults, rng=rng.spawn()
+                # per trial, the three arms in order
+                scenarios = [
+                    Scenario(
+                        algorithm,
+                        topology=family,
+                        topology_params={"n": n, "seed": seed},
+                        params={"k": k},
+                        faults=faults,
+                        seed=rng.spawn().seed,
                     )
-                    rb = rlnc_robust_fastbc_broadcast(
-                        network, k=k, faults=faults, rng=rng.spawn()
+                    for _ in range(trials)
+                    for algorithm in arms
+                ]
+                network = scenarios[0].build_network()
+                reports = run_batch(scenarios)
+                if not all(report.success for report in reports):
+                    raise AssertionError(
+                        f"timeout on {network.name} {model} k={k}"
                     )
-                    dc = rlnc_decay_broadcast(
-                        network, k=k, faults=faults, rng=rng.spawn()
-                    )
-                    if not (dw.success and rb.success and dc.success):
-                        raise AssertionError(
-                            f"timeout on {network.name} {model} k={k}"
-                        )
-                    dense.append(dw.rounds)
-                    robust.append(rb.rounds)
-                    decay.append(dc.rounds)
+                dense, robust, decay = (
+                    [report.rounds for report in reports[arm :: len(arms)]]
+                    for arm in range(len(arms))
+                )
                 depth = network.source_eccentricity
                 log_n = ilog2(network.n) + 1
                 shape = depth + k * log_n

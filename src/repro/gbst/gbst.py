@@ -16,7 +16,7 @@ shipped with the library the loop converges (tests assert this); on a
 hypothetical adversarial input where it does not, FASTBC still broadcasts
 correctly — the Decay half of the schedule alone suffices — but loses its
 diameter-linearity guarantee, matching how the paper's analysis decomposes
-into slow and fast rounds. This substitution is documented in DESIGN.md.
+into slow and fast rounds.
 """
 
 from __future__ import annotations

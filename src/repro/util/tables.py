@@ -2,7 +2,7 @@
 
 Every experiment driver produces a :class:`Table`: an ordered list of rows
 with a fixed column schema. Tables render to aligned monospace text (for the
-CLI and EXPERIMENTS.md) and to CSV (for downstream plotting).
+CLI) and to CSV (for downstream plotting).
 """
 
 from __future__ import annotations

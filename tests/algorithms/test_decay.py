@@ -39,7 +39,6 @@ class TestProtocolMechanics:
         assert not p.is_done()
         p.on_receive(3, MessagePacket(0), sender=5)
         assert p.is_done()
-        assert p.informed_round == 3
         assert p.active
 
     def test_broadcast_rate_halves_per_round_of_phase(self):

@@ -97,7 +97,7 @@ class TestTheorem11Shape:
     per-hop cost of Robust FASTBC is (near-)constant in n, while plain
     FASTBC pays Θ(log n) per hop (Lemma 10). At laptop scales the
     asymptotic regime shows up as a slope difference in n, not as an
-    absolute winner — see EXPERIMENTS.md (E5)."""
+    absolute winner — see experiment E5's wave-only columns."""
 
     @staticmethod
     def _per_hop(broadcast, n, p, seeds=range(2)):

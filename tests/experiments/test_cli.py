@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.cli import main
+from repro.experiments import all_experiments
 
 
 class TestList:
@@ -223,6 +224,29 @@ class TestAdversaryFlags:
     def test_run_classic_experiment_rejects_adversary(self, capsys):
         assert main(["run", "E2", "--adversary", "edge_churn"]) == 2
         assert "does not accept an adversary" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags, accepting",
+        [
+            (["--adversary", "gilbert_elliott"], ["E20", "E22", "E23"]),
+            (["--channel", "contention"], ["E23"]),
+        ],
+    )
+    def test_run_all_runs_the_experiments_accepting_the_override(
+        self, capsys, flags, accepting
+    ):
+        argv = ["run", "all", "--scale", "smoke", "--format", "json"]
+        assert main(argv + flags) == 0
+        captured = capsys.readouterr()
+        docs = [doc for doc in captured.out.split("\n\n") if doc.strip()]
+        titles = [json.loads(doc)["title"] for doc in docs]
+        assert [title.split(":")[0] for title in titles] == accepting
+        # one "skipping <ID>: ..." line per experiment left out
+        lines = captured.err.splitlines()
+        skipped = [line.split()[1].rstrip(":") for line in lines]
+        assert sorted(skipped + accepting) == sorted(
+            e.id for e in all_experiments()
+        )
 
     def test_run_unknown_adversary_fails_cleanly(self, capsys):
         assert main(["run", "E20", "--adversary", "emp_blast"]) == 2
