@@ -171,6 +171,30 @@ SCENARIOS = {
         "rlnc_dense_wave", "path", 12, 38, _RECEIVER,
         params={"k": 2, "payload_length": 4},
     ),
+    # RLNC at realistic k: weight draws span several 32-bit words and
+    # emitters below full rank combine fewer rows than the basis holds
+    "rlnc_decay-grid-k16": _channel_scenario(
+        "rlnc_decay", "grid", 64, 40, _RECEIVER, params={"k": 16}
+    ),
+    "rlnc_decay-gnp-k13-payload": _channel_scenario(
+        "rlnc_decay", "gnp", 48, 41, _SENDER,
+        params={"k": 13, "payload_length": 5},
+    ),
+    "rlnc_robust_fastbc-path-k8-gilbert": _channel_scenario(
+        "rlnc_robust_fastbc", "path", 32, 42, _GILBERT, params={"k": 8}
+    ),
+    # k=1: every weight draw is one byte, so ~1 in 256 is all zero and is
+    # redrawn; this seed redraws 3 of its 360 draws
+    "rlnc_decay-star-k1": _channel_scenario(
+        "rlnc_decay", "star", 64, 43, _RECEIVER, params={"k": 1}
+    ),
+    "rlnc_dense_wave-grid-k16-capture": _channel_scenario(
+        "rlnc_dense_wave", "grid", 64, 44, _RECEIVER, _CAPTURE,
+        params={"k": 16},
+    ),
+    "rlnc_decay-path-k6-churn": _channel_scenario(
+        "rlnc_decay", "path", 24, 45, _CHURN, params={"k": 6}
+    ),
     "star_routing-receiver": _schedule_scenario(
         "star_routing", "star", 25, FaultConfig.receiver(_P), n=16
     ),
