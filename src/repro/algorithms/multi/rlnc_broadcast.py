@@ -12,8 +12,8 @@ after k innovative receptions.
 The pattern *is* the single-message protocol: each node runs one built
 with ``informed=True`` on its own :class:`~repro.util.rng.RandomSource`
 and broadcasts a coded packet in the rounds where that protocol would
-send the message (:class:`RLNCGossipProtocol`). So each schedule is
-written once, in the protocol's ``act``:
+send the message. So each schedule is written once, in the protocol's
+``act``:
 
 * **RLNC-Decay** (Lemma 12): :class:`~repro.algorithms.decay.DecayProtocol`
   — `O(D log n + k log n + log^2 n)` rounds, i.e. throughput
@@ -28,12 +28,20 @@ An informed protocol's schedule is *static* (a function of round number,
 node identity and private coins only), satisfying the paper's "node
 cannot change its behavior based on whether it receives a message"
 requirement.
+
+Runs on more than :data:`PER_NODE_MAX_N` nodes go through
+:class:`RLNCGossipLayer`, which keeps every node's coded knowledge in one
+:class:`~repro.coding.rlnc.RLNCBank`. Smaller runs drive one
+:class:`RLNCGossipProtocol` per node, which is also the reference the
+layer is tested against, draw for draw.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Callable, Optional
+
+import numpy as np
 
 from repro.algorithms.base import (
     MESSAGE,
@@ -48,8 +56,13 @@ from repro.algorithms.robust_fastbc import (
     RobustFastBCProtocol,
     block_size,
 )
-from repro.coding.rlnc import CodedPacket, RLNCEncoder
-from repro.core.engine import Simulator
+from repro.coding.rlnc import (
+    CodedPacket,
+    RLNCBank,
+    RLNCEncoder,
+    random_coefficients,
+)
+from repro.core.engine import NodeLayer, RoundResult, Simulator
 from repro.core.faults import FaultConfig
 from repro.core.network import RadioNetwork
 from repro.core.packets import Packet
@@ -64,6 +77,7 @@ from repro.util.validation import check_positive
 __all__ = [
     "DenseWaveProtocol",
     "MultiMessageOutcome",
+    "RLNCGossipLayer",
     "RLNCGossipProtocol",
     "rlnc_decay_broadcast",
     "rlnc_dense_wave_broadcast",
@@ -89,6 +103,9 @@ class MultiMessageOutcome:
 
 class RLNCGossipProtocol(NodeProtocol):
     """A node that gossips RLNC combinations on a single-message schedule.
+
+    Runs small networks, and is the per-node reference for
+    :class:`RLNCGossipLayer`.
 
     Parameters
     ----------
@@ -131,6 +148,72 @@ class RLNCGossipProtocol(NodeProtocol):
         return self.encoder.is_complete()
 
 
+class RLNCGossipLayer:
+    """Every node's RLNC gossip as one protocol layer over an :class:`RLNCBank`.
+
+    Each round the layer polls ``patterns[v].act`` for every node ``v``
+    with rank > 0, in ascending order (the nodes whose
+    :class:`RLNCGossipProtocol` is active). Each node that fires draws its
+    weights from its pattern's stream, as the protocol does right after
+    the round's coins. One bank emit builds every coded row; each
+    emitter's packet is the index of its row, which the channel hands
+    back in the deliveries. One bank receive absorbs them all. Outcomes,
+    counters, timelines and final bases equal those of a simulator over
+    :class:`RLNCGossipProtocol` nodes built with the same streams.
+    """
+
+    def __init__(self, patterns: list[MessageProtocol], bank: RLNCBank) -> None:
+        self.patterns = patterns
+        self.bank = bank
+        # _run_gossip swaps in the channel's recorder when a timeline
+        # capture is armed
+        self.timeline = NULL_TIMELINE
+        self._rows = None
+
+    def act(self, round_index: int) -> dict[int, int]:
+        bank = self.bank
+        patterns = self.patterns
+        emitters = [
+            v
+            for v in np.flatnonzero(bank.rank).tolist()
+            if patterns[v].act(round_index) is not None
+        ]
+        if not emitters:
+            return {}
+        nodes = np.array(emitters)
+        ranks = bank.rank[nodes]
+        weights = np.zeros((len(emitters), int(ranks.max())), dtype=np.uint8)
+        weights[np.arange(weights.shape[1]) < ranks[:, None]] = np.concatenate(
+            [
+                random_coefficients(rank, patterns[v].rng)
+                for v, rank in zip(emitters, ranks.tolist())
+            ]
+        )
+        self._rows = bank.emit(nodes, weights)
+        return dict(zip(emitters, range(len(emitters))))
+
+    def deliver(self, result: RoundResult) -> None:
+        deliveries = result.deliveries
+        if not deliveries:
+            return
+        receivers = np.fromiter(
+            (d.receiver for d in deliveries), dtype=np.int64, count=len(deliveries)
+        )
+        rows = self._rows[[d.packet for d in deliveries]]
+        innovative = self.bank.receive(receivers, rows)
+        if innovative and self.timeline.enabled:
+            self.timeline.note_innovative(innovative)
+
+    def all_done(self) -> bool:
+        return bool((self.bank.rank == self.bank.k).all())
+
+    def done_count(self) -> int:
+        return int(np.count_nonzero(self.bank.rank == self.bank.k))
+
+    def active_nodes(self) -> list[int]:
+        return np.flatnonzero(self.bank.rank).tolist()
+
+
 class DenseWaveProtocol(FastBCProtocol):
     """Exploratory schedule for the paper's open problem (Section 4.2).
 
@@ -163,6 +246,15 @@ class DenseWaveProtocol(FastBCProtocol):
         return MESSAGE
 
 
+#: networks up to this size gossip through per-node
+#: :class:`RLNCGossipProtocol` objects: there the bank's fixed numpy cost
+#: per round matches what it saves (within noise at n = 16, per-node
+#: ahead at n <= 12), and from n = 24 on the bank is clearly faster.
+#: perfbench's traced test also times ``RLNCEncoder`` through an n = 16
+#: run, so this stays until its tracer wraps the bank.
+PER_NODE_MAX_N = 16
+
+
 def _run_gossip(
     network: RadioNetwork,
     make_pattern: Callable[[int, RandomSource], MessageProtocol],
@@ -175,7 +267,11 @@ def _run_gossip(
     adversary=None,
     channel=None,
 ) -> MultiMessageOutcome:
-    """Gossip with node ``v`` on ``make_pattern(v, its RandomSource)``."""
+    """Gossip with node ``v`` on ``make_pattern(v, its RandomSource)``.
+
+    Stream order: the payload messages from ``rng``, then one child
+    stream per node in node order, then the channel's child.
+    """
     if messages is None:
         if payload_length:
             messages = [
@@ -186,23 +282,36 @@ def _run_gossip(
             # rank-only mode: messages are empty, the coefficient vectors
             # carry all the information the experiment measures
             messages = [b""] * k
-    protocols = []
-    for v in network.nodes():
-        if v == network.source:
-            encoder = RLNCEncoder(k, payload_length, messages=messages)
-        else:
-            encoder = RLNCEncoder(k, payload_length)
-        protocols.append(RLNCGossipProtocol(make_pattern(v, rng.spawn()), encoder))
+    if network.n <= PER_NODE_MAX_N:
+        layer = NodeLayer(
+            RLNCGossipProtocol(
+                make_pattern(v, rng.spawn()),
+                RLNCEncoder(
+                    k,
+                    payload_length,
+                    messages=messages if v == network.source else None,
+                ),
+            )
+            for v in network.nodes()
+        )
+        rank_holders = layer.protocols
+    else:
+        bank = RLNCBank(network.n, k, payload_length)
+        bank.load(network.source, messages)
+        layer = RLNCGossipLayer(
+            [make_pattern(v, rng.spawn()) for v in network.nodes()], bank
+        )
+        rank_holders = [layer]
     sim = Simulator(
-        network, protocols, faults, rng.spawn(), adversary=adversary, channel=channel
+        network, layer, faults, rng.spawn(), adversary=adversary, channel=channel
     )
     for observer in sim.channel.observers:
         if isinstance(observer, TimelineRecorder):
             # rank progress rides the same recorder the channel feeds; the
             # open bucket absorbs innovative receptions of the round just
             # resolved (deliveries dispatch after the channel epilogue)
-            for protocol in protocols:
-                protocol.timeline = observer
+            for holder in rank_holders:
+                holder.timeline = observer
     executed = sim.run(max_rounds)
     return MultiMessageOutcome(
         success=sim.all_done(),

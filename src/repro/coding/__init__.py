@@ -16,13 +16,20 @@ Both are implemented here from scratch over GF(2^8).
 from repro.coding.gf256 import GF256
 from repro.coding.matrix import GFMatrix
 from repro.coding.reed_solomon import ReedSolomonCode
-from repro.coding.rlnc import CodedPacket, RLNCDecoder, RLNCEncoder, random_coefficients
+from repro.coding.rlnc import (
+    CodedPacket,
+    RLNCBank,
+    RLNCDecoder,
+    RLNCEncoder,
+    random_coefficients,
+)
 
 __all__ = [
     "GF256",
     "GFMatrix",
     "ReedSolomonCode",
     "CodedPacket",
+    "RLNCBank",
     "RLNCDecoder",
     "RLNCEncoder",
     "random_coefficients",

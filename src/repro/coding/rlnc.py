@@ -6,14 +6,17 @@ GF-linear combination of the k original messages. A node's knowledge is the
 subspace spanned by the coefficient vectors it has received; it decodes once
 that subspace has full dimension k.
 
-Two objects implement this:
+Three objects implement this:
 
-* :class:`RLNCEncoder` — held by each node; accumulates received coded
+* :class:`RLNCEncoder` — one node's state; accumulates received coded
   packets and emits fresh *random* combinations of everything it knows.
 * :class:`RLNCDecoder` — incremental Gaussian elimination that tracks the
   dimension of the known subspace and recovers the original messages at full
   rank. (Encoder embeds a decoder; the split exists so lower-bound
   experiments can count rank evolution without paying for re-encoding.)
+* :class:`RLNCBank` — every node's state in one tensor, so that a gossip
+  round emits all its coded rows with one combine and absorbs all its
+  receptions with one elimination. :class:`RLNCDecoder` is its reference.
 
 The innovation probability argument of the paper's Lemmas 12-13 needs a
 field large enough that a random combination from a strictly-more-knowing
@@ -32,7 +35,13 @@ from repro.coding.gf256 import GF256
 from repro.telemetry.metrics import METRICS as _METRICS
 from repro.util.rng import RandomSource
 
-__all__ = ["CodedPacket", "RLNCDecoder", "RLNCEncoder", "random_coefficients"]
+__all__ = [
+    "CodedPacket",
+    "RLNCBank",
+    "RLNCDecoder",
+    "RLNCEncoder",
+    "random_coefficients",
+]
 
 _M_RECEIVES = _METRICS.counter(
     "repro_rlnc_receives_total", "coded packets absorbed by decoders"
@@ -76,7 +85,7 @@ def random_coefficients(k: int, rng: RandomSource) -> np.ndarray:
     """A uniformly random non-zero coefficient vector of length k."""
     while True:
         coeffs = rng.bytes_array(k)
-        if np.any(coeffs):
+        if coeffs.any():
             return coeffs
 
 
@@ -327,37 +336,153 @@ class RLNCEncoder:
         if not self.can_transmit():
             raise ValueError("node has no coded information to transmit")
         basis = self.decoder._basis[: self.decoder.rank]
-        while True:
-            weights = rng.bytes_array(self.decoder.rank)
-            if not weights.any():
-                continue
-            # one broadcasted table lookup + XOR reduction over the basis
-            row = GF256.combine(weights, basis)
-            if row[: self.k].any():
-                return CodedPacket(
-                    coefficients=row[: self.k].tobytes(),
-                    payload=row[self.k :].tobytes(),
-                )
+        # the basis rows are independent, so non-zero weights give a
+        # non-zero coefficient part
+        row = GF256.combine(random_coefficients(self.decoder.rank, rng), basis)
+        return CodedPacket(
+            coefficients=row[: self.k].tobytes(), payload=row[self.k :].tobytes()
+        )
 
     def emit_reference(self, rng: RandomSource) -> CodedPacket:
         """Original per-row combination loop; `repro bench` baseline."""
         if not self.can_transmit():
             raise ValueError("node has no coded information to transmit")
         basis = self.decoder._basis[: self.decoder.rank]
-        while True:
-            weights = rng.bytes_array(self.decoder.rank)
-            if not np.any(weights):
-                continue
-            row = np.zeros(basis.shape[1], dtype=np.uint8)
-            for i, w in enumerate(weights):
-                if w:
-                    row ^= GF256.scale_vec(int(w), basis[i])
-            if np.any(row[: self.k]):
-                return CodedPacket(
-                    coefficients=row[: self.k].tobytes(),
-                    payload=row[self.k :].tobytes(),
-                )
+        row = np.zeros(basis.shape[1], dtype=np.uint8)
+        for i, w in enumerate(random_coefficients(self.decoder.rank, rng)):
+            if w:
+                row ^= GF256.scale_vec(int(w), basis[i])
+        return CodedPacket(
+            coefficients=row[: self.k].tobytes(), payload=row[self.k :].tobytes()
+        )
 
     def decode_messages(self) -> list[bytes]:
         """Recover the original k messages (requires full rank)."""
         return self.decoder.decode_messages()
+
+
+class RLNCBank:
+    """Every node's RLNC state in one (n, k, k + payload_length) tensor.
+
+    Node ``v`` holds ``rank[v]`` basis rows, ``basis[v, :rank[v]]``, in
+    insertion order, with pivot columns ``pivot_col[v, :rank[v]]``. They
+    are in the reduced row echelon form :class:`RLNCDecoder` keeps: each
+    row has 1 at its own pivot column and 0 at every other one. Rows past
+    a node's rank stay zero, so arithmetic over all k rows of a node adds
+    nothing from them.
+
+    :meth:`emit` builds every emitter's coded row with one combine, and
+    :meth:`receive` absorbs one row per receiver with one elimination.
+    :class:`RLNCDecoder` is the reference: fed the same rows, each
+    decoder ends with the same basis, pivots and rank as its bank node.
+    """
+
+    def __init__(self, n: int, k: int, payload_length: int = 0) -> None:
+        if k <= 0:
+            raise ValueError(f"k must be positive, got {k}")
+        if payload_length < 0:
+            raise ValueError("payload_length must be non-negative")
+        self.k = k
+        self.payload_length = payload_length
+        self.basis = np.zeros((n, k, k + payload_length), dtype=np.uint8)
+        self.pivot_col = np.zeros((n, k), dtype=np.int32)
+        self.rank = np.zeros(n, dtype=np.int64)
+
+    def load(self, node: int, messages: Sequence[bytes]) -> None:
+        """Give an empty ``node`` the k messages, as k unit receptions would."""
+        k = self.k
+        if len(messages) != k:
+            raise ValueError(f"expected {k} messages, got {len(messages)}")
+        for index, message in enumerate(messages):
+            if len(message) != self.payload_length:
+                raise ValueError(
+                    f"message {index} has length {len(message)}, "
+                    f"expected {self.payload_length}"
+                )
+        self.basis[node, :, :k] = np.eye(k, dtype=np.uint8)
+        if self.payload_length:
+            self.basis[node, :, k:] = np.frombuffer(
+                b"".join(messages), dtype=np.uint8
+            ).reshape(k, self.payload_length)
+        self.pivot_col[node] = np.arange(k)
+        self.rank[node] = k
+        if _METRICS.enabled:
+            _M_RECEIVES.inc(k)
+            _M_INNOVATIVE.inc(k)
+
+    def emit(self, nodes: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        """Coded rows ``weights[i] @ basis[nodes[i]]``, one per emitter.
+
+        ``weights`` is (len(nodes), r) with r at least every emitter's
+        rank, each row zero-padded past its emitter's rank.
+        """
+        return GF256.combine(weights, self.basis[nodes, : weights.shape[1]])
+
+    def receive(self, nodes: np.ndarray, rows: np.ndarray) -> int:
+        """Absorb ``rows[i]`` at ``nodes[i]``; return the innovative count.
+
+        The nodes must be distinct: a listener hears at most one packet
+        per round. Full-rank nodes are skipped, as
+        :meth:`RLNCDecoder.receive` skips them.
+        """
+        received = len(nodes)
+        open_rank = self.rank[nodes] < self.k
+        if not open_rank.all():
+            nodes, rows = nodes[open_rank], rows[open_rank]
+        innovative = self._reduce_and_insert(nodes, rows) if len(nodes) else 0
+        if _METRICS.enabled:
+            _M_RECEIVES.inc(received)
+            if innovative:
+                _M_INNOVATIVE.inc(innovative)
+        return innovative
+
+    def _reduce_and_insert(self, nodes: np.ndarray, rows: np.ndarray) -> int:
+        """:meth:`RLNCDecoder._reduce_and_insert` over every receiver at once.
+
+        Eliminate each row against every pivot of its node, keep the rows
+        with a non-zero coefficient left, normalize each on its first one,
+        back-substitute it into its node's stored rows and insert it.
+        """
+        k = self.k
+        ranks = self.rank[nodes]
+        r = int(ranks.max())
+        if r:
+            pivots = self.pivot_col[nodes, :r]
+            rows = rows ^ GF256.combine(
+                np.take_along_axis(rows, pivots, axis=1), self.basis[nodes, :r]
+            )
+        nonzero = rows[:, :k] != 0
+        fresh = nonzero.any(axis=1)
+        if not fresh.all():
+            nodes, rows = nodes[fresh], rows[fresh]
+            ranks, nonzero = ranks[fresh], nonzero[fresh]
+        count = len(nodes)
+        if not count:
+            return 0
+        cols = nonzero.argmax(axis=1)
+        rows = GF256.scale_rows(
+            GF256.inv_vec(rows[np.arange(count), cols]), rows
+        )
+        r = int(ranks.max())
+        if r:
+            above = self.basis[nodes, :r, cols]
+            self.basis[nodes, :r] ^= GF256.scale_rows(above, rows[:, None, :])
+        self.basis[nodes, ranks] = rows
+        self.pivot_col[nodes, ranks] = cols
+        self.rank[nodes] = ranks + 1
+        return count
+
+    def decode_messages(self, node: int) -> list[bytes]:
+        """Recover ``node``'s k messages (requires full rank).
+
+        At full rank a reduced basis sorted by pivot column has the
+        identity as its coefficient part, so its payloads are the messages.
+        """
+        if self.rank[node] < self.k:
+            raise ValueError(
+                f"cannot decode at rank {int(self.rank[node])} < k = {self.k}"
+            )
+        order = np.argsort(self.pivot_col[node])
+        if _METRICS.enabled:
+            _M_DECODES.inc()
+        return [row[self.k :].tobytes() for row in self.basis[node, order]]

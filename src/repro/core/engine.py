@@ -8,9 +8,11 @@ Two layers:
   :mod:`repro.core` are implemented; both the distributed simulator and
   the centralized schedule executors (:mod:`repro.schedules`) are built
   on it.
-* :class:`Simulator` — drives per-node :class:`~repro.core.protocol.NodeProtocol`
-  instances against a channel until a stop predicate fires or a round budget
-  is exhausted.
+* :class:`Simulator` — drives one protocol layer against a channel until
+  a stop predicate fires or a round budget is exhausted. The layer is
+  usually a :class:`NodeLayer` over per-node
+  :class:`~repro.core.protocol.NodeProtocol` instances; a
+  :class:`ProtocolLayer` may instead keep every node's state in arrays.
 """
 
 from __future__ import annotations
@@ -30,7 +32,15 @@ from repro.telemetry.metrics import METRICS as _METRICS
 from repro.timeline.capture import maybe_bind_simulator
 from repro.util.rng import RandomSource, spawn_rng
 
-__all__ = ["Channel", "Delivery", "RoundObserver", "RoundResult", "Simulator"]
+__all__ = [
+    "Channel",
+    "Delivery",
+    "NodeLayer",
+    "ProtocolLayer",
+    "RoundObserver",
+    "RoundResult",
+    "Simulator",
+]
 
 # channel hot-seam metrics: registered once at import, bulk-incremented
 # per round behind the single _METRICS.enabled attribute read
@@ -472,15 +482,75 @@ class Channel:
                 result.deliveries.append(Delivery(v, sender, actions[sender]))
 
 
+class ProtocolLayer(Protocol):
+    """Every node's protocol state, as one :class:`Simulator` drives it.
+
+    Each round the simulator asks the layer to :meth:`act`, resolves the
+    returned ``{broadcaster: packet}`` actions on the channel, and hands
+    the :class:`RoundResult` to :meth:`deliver`. The channel never reads
+    a packet, so a layer may pass any token and map deliveries back
+    itself.
+    """
+
+    def act(self, round_index: int) -> dict[int, Packet]:
+        """The round's broadcasts: ``{node: packet}``."""
+
+    def deliver(self, result: RoundResult) -> None:
+        """Hand every delivery of the resolved round to its receiver."""
+
+    def all_done(self) -> bool:
+        """True iff every node has completed its task."""
+
+    def done_count(self) -> int:
+        """Number of nodes that have completed their task."""
+
+    def active_nodes(self) -> list[int]:
+        """The nodes that may broadcast before hearing anything."""
+
+
+class NodeLayer:
+    """The per-node layer: one :class:`NodeProtocol` object per node."""
+
+    def __init__(self, protocols: Sequence[NodeProtocol]) -> None:
+        self.protocols = list(protocols)
+
+    def act(self, round_index: int) -> dict[int, Packet]:
+        actions: dict[int, Packet] = {}
+        for node, protocol in enumerate(self.protocols):
+            if not protocol.active:
+                continue
+            packet = protocol.act(round_index)
+            if packet is not None:
+                actions[node] = packet
+        return actions
+
+    def deliver(self, result: RoundResult) -> None:
+        for delivery in result.deliveries:
+            self.protocols[delivery.receiver].on_receive(
+                result.round_index, delivery.packet, delivery.sender
+            )
+
+    def all_done(self) -> bool:
+        return all(p.is_done() for p in self.protocols)
+
+    def done_count(self) -> int:
+        return sum(1 for p in self.protocols if p.is_done())
+
+    def active_nodes(self) -> list[int]:
+        return [node for node, p in enumerate(self.protocols) if p.active]
+
+
 class Simulator:
-    """Drives per-node protocols over a :class:`Channel`.
+    """Drives one protocol layer over a :class:`Channel`.
 
     Parameters
     ----------
     network:
         Topology.
     protocols:
-        One :class:`NodeProtocol` per node, in internal index order.
+        One :class:`NodeProtocol` per node, in internal index order
+        (driven through a :class:`NodeLayer`), or a
+        :class:`ProtocolLayer` holding every node's state itself.
     faults:
         Fault configuration.
     rng:
@@ -502,7 +572,7 @@ class Simulator:
     def __init__(
         self,
         network: RadioNetwork,
-        protocols: Sequence[NodeProtocol],
+        protocols: "Sequence[NodeProtocol] | ProtocolLayer",
         faults: FaultConfig = FaultConfig.faultless(),
         rng: "int | RandomSource | None" = None,
         observers: Sequence[RoundObserver] = (),
@@ -510,12 +580,14 @@ class Simulator:
         adversary: "Adversary | AdversaryConfig | None" = None,
         channel: "MacConfig | None" = None,
     ) -> None:
-        if len(protocols) != network.n:
-            raise SimulationError(
-                f"got {len(protocols)} protocols for {network.n} nodes"
-            )
+        if isinstance(protocols, Sequence):
+            if len(protocols) != network.n:
+                raise SimulationError(
+                    f"got {len(protocols)} protocols for {network.n} nodes"
+                )
+            protocols = NodeLayer(protocols)
         self.network = network
-        self.protocols = list(protocols)
+        self.layer = protocols
         if channel is None:
             self.channel = Channel(
                 network, faults, rng, observers, kernel=kernel, adversary=adversary
@@ -547,19 +619,9 @@ class Simulator:
         return self.channel.round_index
 
     def step(self) -> RoundResult:
-        """Run one round: poll active protocols, transmit, deliver."""
-        actions: dict[int, Packet] = {}
-        for node, protocol in enumerate(self.protocols):
-            if not protocol.active:
-                continue
-            packet = protocol.act(self.channel.round_index)
-            if packet is not None:
-                actions[node] = packet
-        result = self.channel.transmit(actions)
-        for delivery in result.deliveries:
-            self.protocols[delivery.receiver].on_receive(
-                result.round_index, delivery.packet, delivery.sender
-            )
+        """Run one round: the layer acts, the channel resolves, the layer hears."""
+        result = self.channel.transmit(self.layer.act(self.channel.round_index))
+        self.layer.deliver(result)
         return result
 
     def run(
@@ -570,12 +632,12 @@ class Simulator:
         """Run until ``stop(self)`` is True or ``max_rounds`` elapse.
 
         Returns the number of rounds executed in this call. The default
-        stop predicate is "every protocol reports is_done()".
+        stop predicate is "every node is done" (:meth:`all_done`).
         """
         if max_rounds < 0:
             raise ValueError(f"max_rounds must be >= 0, got {max_rounds}")
         if stop is None:
-            stop = lambda sim: all(p.is_done() for p in sim.protocols)
+            stop = Simulator.all_done
         executed = 0
         while executed < max_rounds:
             if stop(self):
@@ -585,9 +647,9 @@ class Simulator:
         return executed
 
     def all_done(self) -> bool:
-        """True iff every protocol reports completion."""
-        return all(p.is_done() for p in self.protocols)
+        """True iff every node reports completion."""
+        return self.layer.all_done()
 
     def done_count(self) -> int:
-        """Number of protocols reporting completion."""
-        return sum(1 for p in self.protocols if p.is_done())
+        """Number of nodes reporting completion."""
+        return self.layer.done_count()

@@ -7,9 +7,9 @@ algorithm's entry point). They meet here: :func:`capture_timeline`
 parks a :class:`TimelineCapture` slot in a :class:`contextvars.ContextVar`
 for the duration of ``algorithm.run``, and the first Simulator
 constructed inside the context appends a fresh recorder to its channel's
-observers (and seeds the informed set from the initially-active
-protocols — every broadcast protocol in this repo starts ``active`` iff
-it holds the message).
+observers (and seeds the informed set from the protocol layer's
+initially-active nodes — every broadcast protocol in this repo starts
+``active`` iff it holds the message).
 
 First-Simulator-only is deliberate: every channel-based algorithm in the
 registry drives exactly one Simulator per run, while helper channels
@@ -79,8 +79,7 @@ def maybe_bind_simulator(simulator: "Simulator") -> None:
     if slot is None or slot.recorder is not None:
         return
     recorder = TimelineRecorder(simulator.network.n, slot.config)
-    for node, protocol in enumerate(simulator.protocols):
-        if protocol.active:
-            recorder.mark_informed(node)
+    for node in simulator.layer.active_nodes():
+        recorder.mark_informed(node)
     slot.recorder = recorder
     simulator.channel.observers.append(recorder)

@@ -1,14 +1,80 @@
 """Tests for RLNC multi-message broadcast (Lemmas 12-13)."""
 
-import pytest
+import contextlib
+from unittest import mock
 
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro.algorithms.multi import rlnc_broadcast
 from repro.algorithms.multi.rlnc_broadcast import (
+    RLNCGossipLayer,
     rlnc_decay_broadcast,
+    rlnc_dense_wave_broadcast,
     rlnc_robust_fastbc_broadcast,
 )
-from repro.core.faults import FaultConfig
+from repro.core.engine import NodeLayer, Simulator
+from repro.core.faults import AdversaryConfig, FaultConfig
+from repro.mac.config import MacConfig
+from repro.telemetry.metrics import METRICS
+from repro.timeline import Timeline, TimelineConfig
+from repro.timeline.capture import capture_timeline
 from repro.topologies.basic import grid, path, star
 from repro.topologies.random_graphs import gnp
+from repro.util.rng import RandomSource
+
+
+@contextlib.contextmanager
+def simulators():
+    """Yield a list that collects every simulator gossip builds."""
+    built = []
+
+    class Recording(Simulator):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    with mock.patch.object(rlnc_broadcast, "Simulator", Recording):
+        yield built
+
+
+@contextlib.contextmanager
+def gossip_layer(per_node: bool):
+    """Run gossip on one layer at any size; yields its simulators.
+
+    ``per_node`` selects the :class:`RLNCGossipProtocol` nodes, else the
+    batched :class:`RLNCGossipLayer`.
+    """
+    limit = 1 << 30 if per_node else 0
+    with mock.patch.object(rlnc_broadcast, "PER_NODE_MAX_N", limit), \
+            simulators() as built:
+        yield built
+
+
+def node_states(layer):
+    """Per node: (rank, basis rows, pivot columns) as plain lists."""
+    if isinstance(layer, RLNCGossipLayer):
+        bank = layer.bank
+        return [
+            (int(r), bank.basis[v, :r].tolist(), bank.pivot_col[v, :r].tolist())
+            for v, r in enumerate(bank.rank.tolist())
+        ]
+    states = []
+    for protocol in layer.protocols:
+        decoder = protocol.encoder.decoder
+        r = decoder.rank
+        states.append(
+            (r, decoder._basis[:r].tolist(), decoder._pivot_col[:r].tolist())
+        )
+    return states
+
+
+def decoded(layer, node):
+    if isinstance(layer, RLNCGossipLayer):
+        return layer.bank.decode_messages(node)
+    assert isinstance(layer, NodeLayer)
+    return layer.protocols[node].encoder.decode_messages()
 
 
 class TestRLNCDecay:
@@ -34,19 +100,19 @@ class TestRLNCDecay:
 
     def test_end_to_end_payload_integrity(self):
         """With payloads on, every node must decode the exact messages."""
-        from repro.algorithms.multi.rlnc_broadcast import RLNCGossipProtocol
-        from repro.coding.rlnc import RLNCEncoder
-        from repro.core.engine import Simulator
-        from repro.util.rng import RandomSource
-
         net = star(5)
         k, length = 3, 8
         rng = RandomSource(7)
         messages = [bytes(rng.bytes_array(length).tobytes()) for _ in range(k)]
-        outcome = rlnc_decay_broadcast(
-            net, k=k, rng=8, payload_length=length, messages=messages
-        )
-        assert outcome.success
+        for per_node in (False, True):
+            with gossip_layer(per_node) as built:
+                outcome = rlnc_decay_broadcast(
+                    net, k=k, rng=8, payload_length=length, messages=messages
+                )
+            assert outcome.success
+            layer = built[0].layer
+            for v in net.nodes():
+                assert decoded(layer, v) == messages, (per_node, v)
 
     def test_rejects_bad_k(self):
         with pytest.raises(ValueError):
@@ -98,3 +164,107 @@ class TestRLNCRobustFastBC:
     def test_rejects_bad_k(self):
         with pytest.raises(ValueError):
             rlnc_robust_fastbc_broadcast(path(4), k=-1)
+
+
+class TestSmallNetworksRunPerNode:
+    def test_layer_choice_follows_network_size(self):
+        limit = rlnc_broadcast.PER_NODE_MAX_N
+        with simulators() as built:
+            rlnc_decay_broadcast(path(limit), k=2, rng=1)
+            rlnc_decay_broadcast(path(limit + 1), k=2, rng=1)
+        assert isinstance(built[0].layer, NodeLayer)
+        assert isinstance(built[1].layer, RLNCGossipLayer)
+
+
+_ALGORITHMS = {
+    "rlnc_decay": rlnc_decay_broadcast,
+    "rlnc_robust_fastbc": rlnc_robust_fastbc_broadcast,
+    "rlnc_dense_wave": rlnc_dense_wave_broadcast,
+}
+_NOISE = {
+    "sender": {"faults": FaultConfig.sender(0.3)},
+    "receiver": {"faults": FaultConfig.receiver(0.3)},
+    "gilbert_elliott": {"adversary": AdversaryConfig("gilbert_elliott", {})},
+    "edge_churn": {"adversary": AdversaryConfig("edge_churn", {"p_down": 0.2})},
+}
+_RLNC_COUNTERS = (
+    "repro_rlnc_receives_total",
+    "repro_rlnc_innovative_total",
+    "repro_rlnc_decodes_total",
+)
+
+
+def _network(topology, n, seed):
+    if topology == "path":
+        return path(n)
+    if topology == "grid":
+        return grid(2, n // 2)
+    if topology == "star":
+        return star(n - 1)
+    return gnp(n, 0.3, rng=seed)
+
+
+def _gossip(per_node, algorithm, network, k, payload_length, noise, channel,
+            timeline, seed, max_rounds):
+    """One run on one layer: outcome, timeline dict, counter deltas, states."""
+    counters = [METRICS.counter(name) for name in _RLNC_COUNTERS]
+    before = [counter.value for counter in counters]
+    capture = (
+        capture_timeline(TimelineConfig()) if timeline else contextlib.nullcontext()
+    )
+    with gossip_layer(per_node) as built, capture as slot:
+        outcome = _ALGORITHMS[algorithm](
+            network, k, rng=seed, payload_length=payload_length,
+            max_rounds=max_rounds, channel=channel, **_NOISE[noise],
+        )
+    recorded = (
+        Timeline.from_recorder(slot.recorder).to_dict() if timeline else None
+    )
+    deltas = [counter.value - was for counter, was in zip(counters, before)]
+    return outcome, recorded, deltas, node_states(built[0].layer)
+
+
+class TestBatchedLayerMatchesPerNodeReference:
+    """The bank layer against per-node RLNCGossipProtocols, same streams."""
+
+    @settings(
+        max_examples=80,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        algorithm=st.sampled_from(sorted(_ALGORITHMS)),
+        topology=st.sampled_from(["path", "grid", "gnp", "star"]),
+        n=st.integers(4, 14),
+        k=st.integers(1, 20),
+        payload_length=st.sampled_from([0, 1, 5]),
+        noise=st.sampled_from(sorted(_NOISE)),
+        contention=st.booleans(),
+        timeline=st.booleans(),
+        seed=st.integers(0, 2**16),
+        max_rounds=st.integers(1, 600),
+    )
+    def test_outcome_counters_timeline_and_bases_match(
+        self, algorithm, topology, n, k, payload_length, noise, contention,
+        timeline, seed, max_rounds,
+    ):
+        network = _network(topology, n, seed)
+        channel = MacConfig() if contention else None
+        was = METRICS.enabled
+        METRICS.enable()
+        try:
+            runs = [
+                _gossip(per_node, algorithm, network, k, payload_length, noise,
+                        channel, timeline, seed, max_rounds)
+                for per_node in (False, True)
+            ]
+        finally:
+            METRICS.enabled = was
+        (outcome, recorded, deltas, states), reference = runs
+        assert outcome == reference[0]
+        assert recorded == reference[1]
+        assert deltas == reference[2]
+        assert states == reference[3]
+        # every delivery and each of the source's k loads is one reception
+        assert deltas[0] == outcome.counters.deliveries + k
+        assert deltas[1] == sum(state[0] for state in states)

@@ -4,14 +4,24 @@ The vectorized decoder keeps its basis in reduced row echelon form and
 eliminates against every pivot in one batched pass; the reference decoder
 is the original per-column loop over an echelon-only basis. Both must
 agree on every innovation verdict, on the rank trajectory, on the spanned
-subspace, and on the decoded messages.
+subspace, and on the decoded messages. The bank, which holds many nodes'
+reduced bases in one tensor, must match one vectorized decoder per node
+basis for basis.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.coding.gf256 import GF256
-from repro.coding.rlnc import CodedPacket, RLNCDecoder, RLNCEncoder
+from repro.coding.rlnc import (
+    CodedPacket,
+    RLNCBank,
+    RLNCDecoder,
+    RLNCEncoder,
+    random_coefficients,
+)
 from repro.util.rng import RandomSource
 
 
@@ -156,3 +166,112 @@ class TestGF256Batched:
             assert np.array_equal(
                 batched[i], GF256.scale_vec(int(scalars[i]), rows[i])
             )
+
+
+def _draw_row(draw, width, seen):
+    """One incoming row: random, all-zero, or dependent on ``seen``."""
+    kind = draw(st.sampled_from(["random", "zero", "dependent"]))
+    if kind == "zero" or (kind == "dependent" and not seen):
+        return np.zeros(width, dtype=np.uint8)
+    if kind == "dependent":
+        weights = np.array(
+            draw(st.lists(st.integers(0, 255), min_size=len(seen),
+                          max_size=len(seen))),
+            dtype=np.uint8,
+        )
+        return GF256.combine(weights, np.stack(seen))
+    return np.array(
+        draw(st.lists(st.integers(0, 255), min_size=width, max_size=width)),
+        dtype=np.uint8,
+    )
+
+
+class TestBankEquivalence:
+    """RLNCBank against one reference RLNCDecoder per node."""
+
+    @staticmethod
+    def _assert_same(bank, decoders):
+        for v, decoder in enumerate(decoders):
+            r = decoder.rank
+            assert bank.rank[v] == r
+            assert np.array_equal(bank.basis[v, :r], decoder._basis[:r])
+            assert np.array_equal(bank.pivot_col[v, :r], decoder._pivot_col[:r])
+            assert not bank.basis[v, r:].any()
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_receive_and_emit_match_decoders(self, data):
+        n = data.draw(st.integers(1, 5), label="n")
+        k = data.draw(st.integers(1, 12), label="k")
+        payload_length = data.draw(st.sampled_from([0, 1, 5]), label="L")
+        width = k + payload_length
+        bank = RLNCBank(n, k, payload_length)
+        decoders = [RLNCDecoder(k, payload_length) for _ in range(n)]
+        seen = [[] for _ in range(n)]
+        for _ in range(data.draw(st.integers(1, 3 * k + 2), label="rounds")):
+            nodes = sorted(
+                data.draw(st.sets(st.integers(0, n - 1), min_size=1), label="nodes")
+            )
+            rows = np.stack([_draw_row(data.draw, width, seen[v]) for v in nodes])
+            verdicts = 0
+            for v, row in zip(nodes, rows):
+                seen[v].append(row.copy())
+                verdicts += decoders[v].receive_raw(row[:k].copy(), row[k:].copy())
+            assert bank.receive(np.array(nodes), rows.copy()) == verdicts
+            self._assert_same(bank, decoders)
+        emitters = [v for v in range(n) if bank.rank[v]]
+        if emitters:
+            ranks = bank.rank[emitters]
+            weights = np.zeros((len(emitters), k), dtype=np.uint8)
+            for i, v in enumerate(emitters):
+                weights[i, : ranks[i]] = random_coefficients(
+                    int(ranks[i]), RandomSource(v)
+                )
+            emitted = bank.emit(emitters, weights)
+            for i, v in enumerate(emitters):
+                r = int(ranks[i])
+                want = GF256.combine(weights[i, :r], decoders[v]._basis[:r])
+                assert np.array_equal(emitted[i], want)
+
+    def test_load_matches_unit_receptions(self):
+        k, length = 5, 3
+        rng = RandomSource(9)
+        messages = [bytes(rng.bytes_array(length).tobytes()) for _ in range(k)]
+        bank = RLNCBank(3, k, length)
+        bank.load(1, messages)
+        encoder = RLNCEncoder(k, length, messages=messages)
+        assert bank.rank.tolist() == [0, k, 0]
+        assert np.array_equal(bank.basis[1], encoder.decoder._basis)
+        assert np.array_equal(bank.pivot_col[1], encoder.decoder._pivot_col)
+        assert bank.decode_messages(1) == messages
+
+    def test_load_rejects_what_the_encoder_rejects(self):
+        bank = RLNCBank(2, k=2, payload_length=2)
+        for messages in ([b"aa"], [b"aa", b"b"]):
+            with pytest.raises(ValueError) as bank_error:
+                bank.load(0, messages)
+            with pytest.raises(ValueError) as encoder_error:
+                RLNCEncoder(2, 2, messages=messages)
+            assert str(bank_error.value) == str(encoder_error.value)
+
+    def test_decode_needs_full_rank(self):
+        with pytest.raises(ValueError):
+            RLNCBank(1, k=2).decode_messages(0)
+
+
+class TestBatchedGF256:
+    def test_batched_combine_and_scale_rows_match_per_row(self):
+        rng = RandomSource(12)
+        for batch, rank, width in ((3, 4, 7), (70, 16, 20), (2, 1, 1)):
+            weights = rng.bytes_array(batch * rank).reshape(batch, rank)
+            rows = rng.bytes_array(batch * rank * width).reshape(batch, rank, width)
+            combined = GF256.combine(weights, rows)
+            scaled = GF256.scale_rows(weights, rows)
+            for b in range(batch):
+                assert np.array_equal(combined[b], GF256.combine(weights[b], rows[b]))
+                assert np.array_equal(scaled[b], GF256.scale_rows(weights[b], rows[b]))
+
+    def test_batched_combine_over_empty_rank(self):
+        empty = np.zeros((4, 0, 6), dtype=np.uint8)
+        out = GF256.combine(np.zeros((4, 0), dtype=np.uint8), empty)
+        assert out.shape == (4, 6) and not out.any()
