@@ -247,11 +247,11 @@ class DenseWaveProtocol(FastBCProtocol):
 
 
 #: networks up to this size gossip through per-node
-#: :class:`RLNCGossipProtocol` objects: there the bank's fixed numpy cost
-#: per round matches what it saves (within noise at n = 16, per-node
-#: ahead at n <= 12), and from n = 24 on the bank is clearly faster.
-#: perfbench's traced test also times ``RLNCEncoder`` through an n = 16
-#: run, so this stays until its tracer wraps the bank.
+#: :class:`RLNCGossipProtocol` objects. The branch exists for one caller:
+#: perfbench's traced test asserts ``RLNCEncoder.emit`` calls on a
+#: 16-node ``rlnc_decay`` run, and its tracer does not wrap the bank yet.
+#: Delete it once the tracer does; no benchmark workload gossips on so
+#: few nodes (timings at these sizes: PERFORMANCE.md, "Batched gossip").
 PER_NODE_MAX_N = 16
 
 

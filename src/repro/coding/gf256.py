@@ -210,26 +210,23 @@ class GF256:
         index = rows + (scalars.astype(np.int32) << 8)[..., None]
         return _MUL_FLAT.take(index)
 
-    #: above this many row elements a batched :meth:`combine` loops over
-    #: the rank axis instead of building one broadcast index tensor
-    COMBINE_BROADCAST_LIMIT = 1 << 14
-
     @staticmethod
     def combine(weights: np.ndarray, rows: np.ndarray) -> np.ndarray:
         """Weighted sum ``sum_i weights[..., i] * rows[..., i, :]`` over GF(2^8).
 
-        The RLNC hot-path primitive. One (rank, width) basis takes one
+        The RLNC hot-path primitive: one (rank, width) basis takes one
         broadcasted table lookup and an XOR reduction, instead of a
         per-row Python loop. Leading axes are batch axes. A (B, rank,
-        width) stack larger than :attr:`COMBINE_BROADCAST_LIMIT` loops
-        over the rank axis, so no temporary outgrows (B, width).
+        width) stack is summed one rank column at a time, as in
+        :meth:`matmul_reference`, so its int32 lookup index stays
+        (B, width) instead of growing to (B, rank, width).
         """
         if rows.shape[-2] == 0:
             return np.zeros(rows.shape[:-2] + rows.shape[-1:], dtype=np.uint8)
         shifted = weights.astype(np.int32) << 8
-        if rows.ndim == 2 or rows.size <= GF256.COMBINE_BROADCAST_LIMIT:
-            index = rows + shifted[..., None]
-            return np.bitwise_xor.reduce(_MUL_FLAT.take(index), axis=-2)
+        if rows.ndim == 2:
+            index = rows + shifted[:, None]
+            return np.bitwise_xor.reduce(_MUL_FLAT.take(index), axis=0)
         out = _MUL_FLAT.take(rows[..., 0, :] + shifted[..., 0, None])
         for i in range(1, rows.shape[-2]):
             out ^= _MUL_FLAT.take(rows[..., i, :] + shifted[..., i, None])

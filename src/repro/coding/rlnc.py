@@ -375,6 +375,12 @@ class RLNCBank:
     :meth:`receive` absorbs one row per receiver with one elimination.
     :class:`RLNCDecoder` is the reference: fed the same rows, each
     decoder ends with the same basis, pivots and rank as its bank node.
+
+    Both gather the rows of the B nodes they touch, a (B, r, k + L)
+    uint8 copy for r the largest rank among them. The combines over
+    that stack keep their int32 lookup index at (B, k + L); the
+    back-substitution scales the stacks of the innovative receivers with
+    one (B, r, k + L) int32 lookup.
     """
 
     def __init__(self, n: int, k: int, payload_length: int = 0) -> None:

@@ -9,25 +9,32 @@ from hypothesis import strategies as st
 
 from repro.algorithms.multi import rlnc_broadcast
 from repro.algorithms.multi.rlnc_broadcast import (
+    MultiMessageOutcome,
     RLNCGossipLayer,
+    RLNCGossipProtocol,
     rlnc_decay_broadcast,
     rlnc_dense_wave_broadcast,
     rlnc_robust_fastbc_broadcast,
 )
+from repro.coding.rlnc import RLNCEncoder
 from repro.core.engine import NodeLayer, Simulator
 from repro.core.faults import AdversaryConfig, FaultConfig
 from repro.mac.config import MacConfig
 from repro.telemetry.metrics import METRICS
 from repro.timeline import Timeline, TimelineConfig
 from repro.timeline.capture import capture_timeline
+from repro.timeline.recorder import TimelineRecorder
 from repro.topologies.basic import grid, path, star
 from repro.topologies.random_graphs import gnp
 from repro.util.rng import RandomSource
 
 
 @contextlib.contextmanager
-def simulators():
-    """Yield a list that collects every simulator gossip builds."""
+def batched_gossip():
+    """Run gossip as the algorithms do; yields the simulators they build.
+
+    On more than 16 nodes that is the batched :class:`RLNCGossipLayer`.
+    """
     built = []
 
     class Recording(Simulator):
@@ -40,15 +47,54 @@ def simulators():
 
 
 @contextlib.contextmanager
-def gossip_layer(per_node: bool):
-    """Run gossip on one layer at any size; yields its simulators.
+def per_node_gossip():
+    """Run gossip on the per-node reference; yields its simulators.
 
-    ``per_node`` selects the :class:`RLNCGossipProtocol` nodes, else the
-    batched :class:`RLNCGossipLayer`.
+    Replaces ``_run_gossip`` with one :class:`RLNCGossipProtocol` per node
+    over the same streams: the payload messages, one child per node in
+    node order, then the channel's child.
     """
-    limit = 1 << 30 if per_node else 0
-    with mock.patch.object(rlnc_broadcast, "PER_NODE_MAX_N", limit), \
-            simulators() as built:
+    built = []
+
+    def gossip(network, make_pattern, k, payload_length, messages, faults,
+               rng, max_rounds, adversary=None, channel=None):
+        if messages is None:
+            messages = [
+                rng.bytes_array(payload_length).tobytes() if payload_length
+                else b""
+                for _ in range(k)
+            ]
+        protocols = [
+            RLNCGossipProtocol(
+                make_pattern(v, rng.spawn()),
+                RLNCEncoder(
+                    k,
+                    payload_length,
+                    messages=messages if v == network.source else None,
+                ),
+            )
+            for v in network.nodes()
+        ]
+        sim = Simulator(
+            network, protocols, faults, rng.spawn(),
+            adversary=adversary, channel=channel,
+        )
+        built.append(sim)
+        for observer in sim.channel.observers:
+            if isinstance(observer, TimelineRecorder):
+                for protocol in protocols:
+                    protocol.timeline = observer
+        executed = sim.run(max_rounds)
+        return MultiMessageOutcome(
+            success=sim.all_done(),
+            rounds=executed,
+            k=k,
+            completed_nodes=sim.done_count(),
+            total_nodes=network.n,
+            counters=sim.counters,
+        )
+
+    with mock.patch.object(rlnc_broadcast, "_run_gossip", gossip):
         yield built
 
 
@@ -100,19 +146,19 @@ class TestRLNCDecay:
 
     def test_end_to_end_payload_integrity(self):
         """With payloads on, every node must decode the exact messages."""
-        net = star(5)
+        net = star(20)
         k, length = 3, 8
         rng = RandomSource(7)
         messages = [bytes(rng.bytes_array(length).tobytes()) for _ in range(k)]
-        for per_node in (False, True):
-            with gossip_layer(per_node) as built:
+        for gossip in (batched_gossip, per_node_gossip):
+            with gossip() as built:
                 outcome = rlnc_decay_broadcast(
                     net, k=k, rng=8, payload_length=length, messages=messages
                 )
             assert outcome.success
             layer = built[0].layer
             for v in net.nodes():
-                assert decoded(layer, v) == messages, (per_node, v)
+                assert decoded(layer, v) == messages, (gossip.__name__, v)
 
     def test_rejects_bad_k(self):
         with pytest.raises(ValueError):
@@ -166,16 +212,6 @@ class TestRLNCRobustFastBC:
             rlnc_robust_fastbc_broadcast(path(4), k=-1)
 
 
-class TestSmallNetworksRunPerNode:
-    def test_layer_choice_follows_network_size(self):
-        limit = rlnc_broadcast.PER_NODE_MAX_N
-        with simulators() as built:
-            rlnc_decay_broadcast(path(limit), k=2, rng=1)
-            rlnc_decay_broadcast(path(limit + 1), k=2, rng=1)
-        assert isinstance(built[0].layer, NodeLayer)
-        assert isinstance(built[1].layer, RLNCGossipLayer)
-
-
 _ALGORITHMS = {
     "rlnc_decay": rlnc_decay_broadcast,
     "rlnc_robust_fastbc": rlnc_robust_fastbc_broadcast,
@@ -198,7 +234,7 @@ def _network(topology, n, seed):
     if topology == "path":
         return path(n)
     if topology == "grid":
-        return grid(2, n // 2)
+        return grid(2, (n + 1) // 2)
     if topology == "star":
         return star(n - 1)
     return gnp(n, 0.3, rng=seed)
@@ -212,11 +248,13 @@ def _gossip(per_node, algorithm, network, k, payload_length, noise, channel,
     capture = (
         capture_timeline(TimelineConfig()) if timeline else contextlib.nullcontext()
     )
-    with gossip_layer(per_node) as built, capture as slot:
+    gossip = per_node_gossip if per_node else batched_gossip
+    with gossip() as built, capture as slot:
         outcome = _ALGORITHMS[algorithm](
             network, k, rng=seed, payload_length=payload_length,
             max_rounds=max_rounds, channel=channel, **_NOISE[noise],
         )
+    assert isinstance(built[0].layer, NodeLayer if per_node else RLNCGossipLayer)
     recorded = (
         Timeline.from_recorder(slot.recorder).to_dict() if timeline else None
     )
@@ -235,7 +273,8 @@ class TestBatchedLayerMatchesPerNodeReference:
     @given(
         algorithm=st.sampled_from(sorted(_ALGORITHMS)),
         topology=st.sampled_from(["path", "grid", "gnp", "star"]),
-        n=st.integers(4, 14),
+        # more than 16 nodes, where the algorithms gossip through the bank
+        n=st.integers(17, 24),
         k=st.integers(1, 20),
         payload_length=st.sampled_from([0, 1, 5]),
         noise=st.sampled_from(sorted(_NOISE)),

@@ -156,6 +156,21 @@ class TestGF256Batched:
             GF256.combine(np.zeros(0, dtype=np.uint8), empty),
             np.zeros(7, dtype=np.uint8),
         )
+        stack = GF256.combine(
+            np.zeros((4, 0), dtype=np.uint8), np.zeros((4, 0, 7), dtype=np.uint8)
+        )
+        assert stack.shape == (4, 7) and not stack.any()
+
+    def test_batch_axes_match_one_basis_at_a_time(self):
+        rng = RandomSource(12)
+        for batch, rank, width in ((3, 4, 7), (70, 16, 20), (2, 1, 1)):
+            weights = rng.bytes_array(batch * rank).reshape(batch, rank)
+            rows = rng.bytes_array(batch * rank * width).reshape(batch, rank, width)
+            combined = GF256.combine(weights, rows)
+            scaled = GF256.scale_rows(weights, rows)
+            for b in range(batch):
+                assert np.array_equal(combined[b], GF256.combine(weights[b], rows[b]))
+                assert np.array_equal(scaled[b], GF256.scale_rows(weights[b], rows[b]))
 
     def test_scale_rows_matches_scale_vec(self):
         rng = RandomSource(6)
@@ -257,21 +272,3 @@ class TestBankEquivalence:
     def test_decode_needs_full_rank(self):
         with pytest.raises(ValueError):
             RLNCBank(1, k=2).decode_messages(0)
-
-
-class TestBatchedGF256:
-    def test_batched_combine_and_scale_rows_match_per_row(self):
-        rng = RandomSource(12)
-        for batch, rank, width in ((3, 4, 7), (70, 16, 20), (2, 1, 1)):
-            weights = rng.bytes_array(batch * rank).reshape(batch, rank)
-            rows = rng.bytes_array(batch * rank * width).reshape(batch, rank, width)
-            combined = GF256.combine(weights, rows)
-            scaled = GF256.scale_rows(weights, rows)
-            for b in range(batch):
-                assert np.array_equal(combined[b], GF256.combine(weights[b], rows[b]))
-                assert np.array_equal(scaled[b], GF256.scale_rows(weights[b], rows[b]))
-
-    def test_batched_combine_over_empty_rank(self):
-        empty = np.zeros((4, 0, 6), dtype=np.uint8)
-        out = GF256.combine(np.zeros((4, 0), dtype=np.uint8), empty)
-        assert out.shape == (4, 6) and not out.any()
