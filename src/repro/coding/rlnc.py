@@ -89,6 +89,18 @@ def random_coefficients(k: int, rng: RandomSource) -> np.ndarray:
             return coeffs
 
 
+def _check_messages(messages: Sequence[bytes], k: int, payload_length: int) -> None:
+    """Raise unless there are k messages, each ``payload_length`` bytes."""
+    if len(messages) != k:
+        raise ValueError(f"expected {k} messages, got {len(messages)}")
+    for index, message in enumerate(messages):
+        if len(message) != payload_length:
+            raise ValueError(
+                f"message {index} has length {len(message)}, "
+                f"expected {payload_length}"
+            )
+
+
 class RLNCDecoder:
     """Incremental Gaussian elimination over received coded packets.
 
@@ -297,14 +309,8 @@ class RLNCEncoder:
         self.payload_length = payload_length
         self.decoder = RLNCDecoder(k, payload_length, reference=reference)
         if messages is not None:
-            if len(messages) != k:
-                raise ValueError(f"expected {k} messages, got {len(messages)}")
+            _check_messages(messages, k, payload_length)
             for index, message in enumerate(messages):
-                if len(message) != payload_length:
-                    raise ValueError(
-                        f"message {index} has length {len(message)}, "
-                        f"expected {payload_length}"
-                    )
                 unit = np.zeros(k, dtype=np.uint8)
                 unit[index] = 1
                 self.decoder.receive_raw(
@@ -397,14 +403,7 @@ class RLNCBank:
     def load(self, node: int, messages: Sequence[bytes]) -> None:
         """Give an empty ``node`` the k messages, as k unit receptions would."""
         k = self.k
-        if len(messages) != k:
-            raise ValueError(f"expected {k} messages, got {len(messages)}")
-        for index, message in enumerate(messages):
-            if len(message) != self.payload_length:
-                raise ValueError(
-                    f"message {index} has length {len(message)}, "
-                    f"expected {self.payload_length}"
-                )
+        _check_messages(messages, k, self.payload_length)
         self.basis[node, :, :k] = np.eye(k, dtype=np.uint8)
         if self.payload_length:
             self.basis[node, :, k:] = np.frombuffer(
