@@ -2,12 +2,14 @@
 
 ``golden_outcomes.json`` pins SHA-256 digests of
 
-* the canonical report bytes of ~40 registry scenarios covering every
+* the canonical report bytes of ~50 registry scenarios covering every
   registry algorithm, the default and contention channels (capture on
   and off), i.i.d. sender/receiver, ``gilbert_elliott``,
-  ``budgeted_jammer`` and ``edge_churn`` noise, and every declared
+  ``budgeted_jammer`` and ``edge_churn`` noise, every declared
   parameter of the channel-based algorithms away from its default (one
-  of them, pure-wave FASTBC on ``gnp``, runs out its round budget);
+  of them, pure-wave FASTBC on ``gnp``, runs out its round budget), and
+  the FASTBC family on 1024-node grids and gnps, where the GBST waves
+  are large;
 * the :meth:`~repro.timeline.Timeline.cache_key` of every channel-based
   scenario's timeline;
 * the :class:`~repro.core.trace.TraceRecorder` event stream of a few
@@ -194,6 +196,34 @@ SCENARIOS = {
     ),
     "rlnc_decay-path-k6-churn": _channel_scenario(
         "rlnc_decay", "path", 24, 45, _CHURN, params={"k": 6}
+    ),
+    # large waves: GBST ranks reach 3 (grid) and 4 (gnp), and hundreds of
+    # fast nodes spread over many wave buckets
+    "fastbc-grid1024-receiver": _channel_scenario(
+        "fastbc", "grid", 1024, 51, _RECEIVER
+    ),
+    "fastbc-gnp1024-sender": _channel_scenario(
+        "fastbc", "gnp", 1024, 52, _SENDER
+    ),
+    "repeated_fastbc-grid1024-receiver": _channel_scenario(
+        "repeated_fastbc", "grid", 1024, 53, _RECEIVER
+    ),
+    "repeated_fastbc-gnp1024-gilbert": _channel_scenario(
+        "repeated_fastbc", "gnp", 1024, 54, _GILBERT
+    ),
+    "robust_fastbc-grid1024-receiver": _channel_scenario(
+        "robust_fastbc", "grid", 1024, 55, _RECEIVER
+    ),
+    "robust_fastbc-gnp1024-sender": _channel_scenario(
+        "robust_fastbc", "gnp", 1024, 56, _SENDER
+    ),
+    "robust_fastbc-grid1024-block2": _channel_scenario(
+        "robust_fastbc", "grid", 1024, 57, _RECEIVER,
+        params={"block": 2, "round_multiplier": 4},
+    ),
+    "robust_fastbc-gnp1024-block2-churn": _channel_scenario(
+        "robust_fastbc", "gnp", 1024, 58, _CHURN,
+        params={"block": 2, "round_multiplier": 4},
     ),
     "star_routing-receiver": _schedule_scenario(
         "star_routing", "star", 25, FaultConfig.receiver(_P), n=16
