@@ -1,11 +1,13 @@
 """Broadcast algorithms: Decay, FASTBC, Robust FASTBC, and baselines.
 
-Single-message algorithms (Section 4.1) are per-node
-:class:`~repro.algorithms.base.MessageProtocol` subclasses driven by the
-distributed simulator; each writes its broadcast schedule once, in
-``act``. Multi-message algorithms (Section 4.2, Section 5) live in
-:mod:`repro.algorithms.multi`; its RLNC gossip runs the single-message
-protocols' schedules, sending a coded packet where they send the message.
+Each single-message algorithm (Section 4.1) is written twice: as a
+schedule, which one :class:`~repro.algorithms.schedule.ScheduleLayer`
+runs for every node, and as a per-node
+:class:`~repro.algorithms.base.MessageProtocol` subclass, the scalar
+reference the layer is tested against draw for draw. Multi-message
+algorithms (Section 4.2, Section 5) live in :mod:`repro.algorithms.multi`;
+its RLNC gossip runs the single-message schedules, sending a coded packet
+where they send the message.
 """
 
 from repro.algorithms.base import (

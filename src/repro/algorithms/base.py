@@ -1,9 +1,11 @@
 """Shared scaffolding for single-message broadcast algorithms.
 
 Every single-message algorithm in this package is packaged the same way: a
-:class:`MessageProtocol` subclass that writes only ``act``, plus a
+:class:`MessageProtocol` subclass that writes only ``act`` (the per-node
+reference), the same schedule for a
+:class:`~repro.algorithms.schedule.ScheduleLayer`, and a
 ``<name>_broadcast`` convenience function that sizes a default round
-budget from :func:`budget_terms`, builds protocols for every node, runs
+budget from :func:`budget_terms`, builds the layer over every node, runs
 the simulator until all nodes are informed (or the budget runs out), and
 returns a :class:`BroadcastOutcome`.
 """
@@ -16,7 +18,7 @@ from typing import Sequence
 
 from repro.adversary.base import Adversary, effective_loss_rate
 from repro.adversary.registry import as_adversary
-from repro.core.engine import Simulator
+from repro.core.engine import ProtocolLayer, Simulator
 from repro.core.errors import ProtocolError
 from repro.core.faults import AdversaryConfig, FaultConfig
 from repro.core.network import RadioNetwork
@@ -125,14 +127,19 @@ def budget_terms(
 
 def run_broadcast(
     network: RadioNetwork,
-    protocols: Sequence[NodeProtocol],
+    protocols: "Sequence[NodeProtocol] | ProtocolLayer",
     faults: FaultConfig,
     rng: "int | RandomSource | None",
     max_rounds: int,
     adversary: "Adversary | AdversaryConfig | None" = None,
     channel=None,
 ) -> BroadcastOutcome:
-    """Drive ``protocols`` until every node is done or the budget expires."""
+    """Drive ``protocols`` until every node is done or the budget expires.
+
+    ``protocols`` is one :class:`NodeProtocol` per node or a
+    :class:`~repro.core.engine.ProtocolLayer` over all of them, as
+    :class:`~repro.core.engine.Simulator` takes.
+    """
     sim = Simulator(network, protocols, faults, rng, adversary=adversary, channel=channel)
     executed = sim.run(max_rounds)
     success = sim.all_done()

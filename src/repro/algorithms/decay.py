@@ -23,12 +23,13 @@ from repro.algorithms.base import (
     ilog2,
     run_broadcast,
 )
+from repro.algorithms.schedule import Schedule, ScheduleLayer, decay_probabilities
 from repro.core.faults import FaultConfig
 from repro.core.network import RadioNetwork
 from repro.core.packets import Packet
 from repro.util.rng import RandomSource, spawn_rng
 
-__all__ = ["DecayProtocol", "decay_broadcast"]
+__all__ = ["DecayProtocol", "decay_broadcast", "decay_schedule"]
 
 
 class DecayProtocol(MessageProtocol):
@@ -57,6 +58,13 @@ class DecayProtocol(MessageProtocol):
         return None
 
 
+def decay_schedule(n: int) -> Schedule:
+    """:class:`DecayProtocol`'s schedule: the coin ``2^-(r mod phase)``."""
+    decay = decay_probabilities(n)
+    phase = len(decay)
+    return lambda round_index: decay[round_index % phase]
+
+
 def decay_broadcast(
     network: RadioNetwork,
     faults: FaultConfig = FaultConfig.faultless(),
@@ -80,13 +88,10 @@ def decay_broadcast(
     if max_rounds is None:
         log_n, depth, slowdown = budget_terms(network, faults, adversary, channel)
         max_rounds = int(40 * slowdown * log_n * (depth + log_n)) + 100
-    protocols = [
-        DecayProtocol(n, source.spawn(), informed=(v == network.source))
-        for v in network.nodes()
-    ]
+    layer = ScheduleLayer(decay_schedule(n), source.spawn_many(n), network.source)
     return run_broadcast(
         network,
-        protocols,
+        layer,
         faults,
         source.spawn(),
         max_rounds,

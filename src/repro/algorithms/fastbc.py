@@ -26,6 +26,7 @@ from repro.algorithms.base import (
     ilog2,
     run_broadcast,
 )
+from repro.algorithms.schedule import Schedule, ScheduleLayer, wave_schedule
 from repro.core.faults import FaultConfig
 from repro.core.network import RadioNetwork
 from repro.core.packets import Packet
@@ -33,7 +34,12 @@ from repro.gbst.gbst import build_gbst
 from repro.gbst.ranked_bfs import RankedBFSTree
 from repro.util.rng import RandomSource, spawn_rng
 
-__all__ = ["FastBCProtocol", "fastbc_broadcast", "make_fastbc_protocols"]
+__all__ = [
+    "FastBCProtocol",
+    "fastbc_broadcast",
+    "fastbc_schedule",
+    "make_fastbc_protocols",
+]
 
 
 class FastBCProtocol(MessageProtocol):
@@ -98,6 +104,20 @@ class FastBCProtocol(MessageProtocol):
         return None
 
 
+def fastbc_schedule(tree: RankedBFSTree, decay_interleave: bool = True) -> Schedule:
+    """:class:`FastBCProtocol`'s schedule over a shared GBST.
+
+    Even round 2t fires the bucket of fast nodes with
+    ``(level - 6·rank) mod 6·r_max = t mod 6·r_max``.
+    """
+    n = tree.network.n
+    modulus = 6 * max(1, ilog2(n))
+    buckets: list[list[int]] = [[] for _ in range(modulus)]
+    for v in tree.fast_nodes():
+        buckets[(tree.level[v] - 6 * tree.rank[v]) % modulus].append(v)
+    return wave_schedule(n, decay_interleave, lambda t: buckets[t % modulus])
+
+
 def make_fastbc_protocols(
     network: RadioNetwork,
     rng: RandomSource,
@@ -144,12 +164,16 @@ def fastbc_broadcast(
             # pure-wave mode pays the full Theta(log n) wave period per
             # failure with no Decay assist
             max_rounds *= 4
-    protocols = make_fastbc_protocols(
-        network, source, tree=tree, decay_interleave=decay_interleave
+    if tree is None:
+        tree = build_gbst(network).tree
+    layer = ScheduleLayer(
+        fastbc_schedule(tree, decay_interleave),
+        source.spawn_many(network.n),
+        network.source,
     )
     return run_broadcast(
         network,
-        protocols,
+        layer,
         faults,
         source.spawn(),
         max_rounds,

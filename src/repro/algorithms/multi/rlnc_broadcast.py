@@ -9,31 +9,35 @@ knowledge subspace is contained in the receiver's, which over GF(2^8)
 happens with probability at most 1/256 per reception; each node decodes
 after k innovative receptions.
 
-The pattern *is* the single-message protocol: each node runs one built
-with ``informed=True`` on its own :class:`~repro.util.rng.RandomSource`
-and broadcasts a coded packet in the rounds where that protocol would
-send the message. So each schedule is written once, in the protocol's
-``act``:
+The pattern *is* the single-message schedule: a node that holds a coded
+packet broadcasts a fresh combination in the rounds where the
+single-message algorithm would have it send the message, drawing the
+coins on its own :class:`~repro.util.rng.RandomSource`:
 
-* **RLNC-Decay** (Lemma 12): :class:`~repro.algorithms.decay.DecayProtocol`
-  — `O(D log n + k log n + log^2 n)` rounds, i.e. throughput
+* **RLNC-Decay** (Lemma 12): Decay's schedule
+  (:func:`~repro.algorithms.decay.decay_schedule`) —
+  `O(D log n + k log n + log^2 n)` rounds, i.e. throughput
   `Ω(1/log n)`.
-* **RLNC-Robust-FASTBC** (Lemma 13):
-  :class:`~repro.algorithms.robust_fastbc.RobustFastBCProtocol`'s fixed
-  slow/fast schedule — `O(D + k log n log log n + log^2 n log log n)`
-  rounds, i.e. throughput `Ω(1/(log n log log n))`.
-* **RLNC dense wave** (open problem): :class:`DenseWaveProtocol`.
+* **RLNC-Robust-FASTBC** (Lemma 13): Robust FASTBC's fixed slow/fast
+  schedule (:func:`~repro.algorithms.robust_fastbc.robust_fastbc_schedule`)
+  — `O(D + k log n log log n + log^2 n log log n)` rounds, i.e.
+  throughput `Ω(1/(log n log log n))`.
+* **RLNC dense wave** (open problem): :func:`dense_wave_schedule`.
 
-An informed protocol's schedule is *static* (a function of round number,
-node identity and private coins only), satisfying the paper's "node
-cannot change its behavior based on whether it receives a message"
-requirement.
+The schedule is *static* (a function of round number, node identity and
+private coins only), satisfying the paper's "node cannot change its
+behavior based on whether it receives a message" requirement.
 
 Runs on more than :data:`PER_NODE_MAX_N` nodes go through
-:class:`RLNCGossipLayer`, which keeps every node's coded knowledge in one
+:class:`RLNCGossipLayer`: the schedule's firing step from
+:class:`~repro.algorithms.schedule.ScheduleLayer` over the nodes that
+hold something, and every node's coded knowledge in one
 :class:`~repro.coding.rlnc.RLNCBank`. Smaller runs drive one
-:class:`RLNCGossipProtocol` per node, which is also the reference the
-layer is tested against, draw for draw.
+:class:`RLNCGossipProtocol` per node over the per-node protocol of the
+same schedule (:class:`~repro.algorithms.decay.DecayProtocol`,
+:class:`~repro.algorithms.robust_fastbc.RobustFastBCProtocol`,
+:class:`DenseWaveProtocol`, built with ``informed=True``), which is also
+the reference the layer is tested against, draw for draw.
 """
 
 from __future__ import annotations
@@ -49,13 +53,15 @@ from repro.algorithms.base import (
     as_adversary,
     budget_terms,
 )
-from repro.algorithms.decay import DecayProtocol
+from repro.algorithms.decay import DecayProtocol, decay_schedule
 from repro.algorithms.fastbc import FastBCProtocol
 from repro.algorithms.robust_fastbc import (
     DEFAULT_ROUND_MULTIPLIER,
     RobustFastBCProtocol,
     block_size,
+    robust_fastbc_schedule,
 )
+from repro.algorithms.schedule import Schedule, ScheduleLayer, wave_schedule
 from repro.coding.rlnc import (
     CodedPacket,
     RLNCBank,
@@ -79,6 +85,7 @@ __all__ = [
     "MultiMessageOutcome",
     "RLNCGossipLayer",
     "RLNCGossipProtocol",
+    "dense_wave_schedule",
     "rlnc_decay_broadcast",
     "rlnc_dense_wave_broadcast",
     "rlnc_robust_fastbc_broadcast",
@@ -151,19 +158,20 @@ class RLNCGossipProtocol(NodeProtocol):
 class RLNCGossipLayer:
     """Every node's RLNC gossip as one protocol layer over an :class:`RLNCBank`.
 
-    Each round the layer polls ``patterns[v].act`` for every node ``v``
-    with rank > 0, in ascending order (the nodes whose
-    :class:`RLNCGossipProtocol` is active). Each node that fires draws its
-    weights from its pattern's stream, as the protocol does right after
-    the round's coins. One bank emit builds every coded row; each
-    emitter's packet is the index of its row, which the channel hands
-    back in the deliveries. One bank receive absorbs them all. Outcomes,
-    counters, timelines and final bases equal those of a simulator over
-    :class:`RLNCGossipProtocol` nodes built with the same streams.
+    ``pattern`` is a :class:`~repro.algorithms.schedule.ScheduleLayer`
+    whose informed nodes are the nodes with rank > 0 (the nodes whose
+    :class:`RLNCGossipProtocol` is active). Each round its firing step
+    picks the emitters, drawing their coins; each emitter then draws its
+    weights from the same stream, as the protocol does right after the
+    round's coins. One bank emit builds every coded row; each emitter's
+    packet is the index of its row, which the channel hands back in the
+    deliveries. One bank receive absorbs them all. Outcomes, counters,
+    timelines, final bases and final streams equal those of a simulator
+    over :class:`RLNCGossipProtocol` nodes built with the same streams.
     """
 
-    def __init__(self, patterns: list[MessageProtocol], bank: RLNCBank) -> None:
-        self.patterns = patterns
+    def __init__(self, pattern: ScheduleLayer, bank: RLNCBank) -> None:
+        self.pattern = pattern
         self.bank = bank
         # _run_gossip swaps in the channel's recorder when a timeline
         # capture is armed
@@ -171,21 +179,17 @@ class RLNCGossipLayer:
         self._rows = None
 
     def act(self, round_index: int) -> dict[int, int]:
-        bank = self.bank
-        patterns = self.patterns
-        emitters = [
-            v
-            for v in np.flatnonzero(bank.rank).tolist()
-            if patterns[v].act(round_index) is not None
-        ]
+        emitters = self.pattern.fire(round_index)
         if not emitters:
             return {}
+        bank = self.bank
+        rngs = self.pattern.rngs
         nodes = np.array(emitters)
         ranks = bank.rank[nodes]
         weights = np.zeros((len(emitters), int(ranks.max())), dtype=np.uint8)
         weights[np.arange(weights.shape[1]) < ranks[:, None]] = np.concatenate(
             [
-                random_coefficients(rank, patterns[v].rng)
+                random_coefficients(rank, rngs[v])
                 for v, rank in zip(emitters, ranks.tolist())
             ]
         )
@@ -203,6 +207,11 @@ class RLNCGossipLayer:
         innovative = self.bank.receive(receivers, rows)
         if innovative and self.timeline.enabled:
             self.timeline.note_innovative(innovative)
+        pattern = self.pattern
+        informed = pattern.informed
+        for v in receivers[self.bank.rank[receivers] > 0].tolist():
+            if not informed[v]:
+                pattern.inform(v)
 
     def all_done(self) -> bool:
         return bool((self.bank.rank == self.bank.k).all())
@@ -246,6 +255,15 @@ class DenseWaveProtocol(FastBCProtocol):
         return MESSAGE
 
 
+def dense_wave_schedule(tree: RankedBFSTree) -> Schedule:
+    """:class:`DenseWaveProtocol`'s schedule: even round 2t fires the fast
+    nodes with ``level ≡ t (mod 3)``."""
+    buckets: list[list[int]] = [[], [], []]
+    for v in tree.fast_nodes():
+        buckets[tree.level[v] % 3].append(v)
+    return wave_schedule(tree.network.n, True, lambda t: buckets[t % 3])
+
+
 #: networks up to this size gossip through per-node
 #: :class:`RLNCGossipProtocol` objects. The branch exists for one caller:
 #: perfbench's traced test asserts ``RLNCEncoder.emit`` calls on a
@@ -257,6 +275,7 @@ PER_NODE_MAX_N = 16
 
 def _run_gossip(
     network: RadioNetwork,
+    schedule: Schedule,
     make_pattern: Callable[[int, RandomSource], MessageProtocol],
     k: int,
     payload_length: int,
@@ -267,10 +286,13 @@ def _run_gossip(
     adversary=None,
     channel=None,
 ) -> MultiMessageOutcome:
-    """Gossip with node ``v`` on ``make_pattern(v, its RandomSource)``.
+    """Gossip with every node on ``schedule``.
 
-    Stream order: the payload messages from ``rng``, then one child
-    stream per node in node order, then the channel's child.
+    Above :data:`PER_NODE_MAX_N` nodes the bank layer runs the schedule
+    itself; smaller networks run node ``v`` on its per-node protocol,
+    ``make_pattern(v, its RandomSource)``. Stream order: the payload
+    messages from ``rng``, then one child stream per node in node order,
+    then the channel's child.
     """
     if messages is None:
         if payload_length:
@@ -299,7 +321,8 @@ def _run_gossip(
         bank = RLNCBank(network.n, k, payload_length)
         bank.load(network.source, messages)
         layer = RLNCGossipLayer(
-            [make_pattern(v, rng.spawn()) for v in network.nodes()], bank
+            ScheduleLayer(schedule, rng.spawn_many(network.n), network.source),
+            bank,
         )
         rank_holders = [layer]
     sim = Simulator(
@@ -346,6 +369,7 @@ def rlnc_decay_broadcast(
         ) + 200
     return _run_gossip(
         network,
+        decay_schedule(n),
         lambda v, node_rng: DecayProtocol(n, node_rng, informed=True),
         k, payload_length, messages, faults, source,
         max_rounds, adversary=adversary, channel=channel,
@@ -385,6 +409,7 @@ def rlnc_robust_fastbc_broadcast(
         ) + 200
     return _run_gossip(
         network,
+        robust_fastbc_schedule(tree, block, round_multiplier),
         lambda v, node_rng: RobustFastBCProtocol(
             v, tree, node_rng, informed=True,
             block=block, round_multiplier=round_multiplier,
@@ -424,6 +449,7 @@ def rlnc_dense_wave_broadcast(
         ) + 400
     return _run_gossip(
         network,
+        dense_wave_schedule(tree),
         lambda v, node_rng: DenseWaveProtocol(v, tree, node_rng, informed=True),
         k, payload_length, messages, faults, source,
         max_rounds, adversary=adversary, channel=channel,

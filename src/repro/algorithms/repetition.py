@@ -25,8 +25,9 @@ from repro.algorithms.base import (
     ilog2,
     run_broadcast,
 )
-from repro.algorithms.fastbc import FastBCProtocol
+from repro.algorithms.fastbc import FastBCProtocol, fastbc_schedule
 from repro.algorithms.robust_fastbc import block_size
+from repro.algorithms.schedule import Schedule, ScheduleLayer
 from repro.core.faults import FaultConfig
 from repro.core.network import RadioNetwork
 from repro.core.packets import Packet
@@ -37,6 +38,7 @@ from repro.util.rng import RandomSource, spawn_rng
 __all__ = [
     "RepeatedFastBCProtocol",
     "repeated_fastbc_broadcast",
+    "repeated_fastbc_schedule",
     "repeat_factor_log",
     "repeat_factor_loglog",
 ]
@@ -72,6 +74,14 @@ class RepeatedFastBCProtocol(FastBCProtocol):
         return super().act(round_index // self.repeat)
 
 
+def repeated_fastbc_schedule(tree: RankedBFSTree, repeat: int) -> Schedule:
+    """:class:`RepeatedFastBCProtocol`'s schedule: FASTBC's at ``r // repeat``."""
+    if repeat < 1:
+        raise ValueError(f"repeat must be >= 1, got {repeat}")
+    fastbc = fastbc_schedule(tree)
+    return lambda round_index: fastbc(round_index // repeat)
+
+
 def repeated_fastbc_broadcast(
     network: RadioNetwork,
     repeat: int,
@@ -90,15 +100,14 @@ def repeated_fastbc_broadcast(
     if max_rounds is None:
         log_n, depth, slowdown = budget_terms(network, faults, adversary, channel)
         max_rounds = int(60 * repeat * slowdown * (depth + log_n * log_n)) + 200
-    protocols = [
-        RepeatedFastBCProtocol(
-            v, tree, source.spawn(), repeat, informed=(v == network.source)
-        )
-        for v in network.nodes()
-    ]
+    layer = ScheduleLayer(
+        repeated_fastbc_schedule(tree, repeat),
+        source.spawn_many(network.n),
+        network.source,
+    )
     return run_broadcast(
         network,
-        protocols,
+        layer,
         faults,
         source.spawn(),
         max_rounds,

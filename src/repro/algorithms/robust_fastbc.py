@@ -32,9 +32,11 @@ from repro.algorithms.base import (
     BroadcastOutcome,
     as_adversary,
     budget_terms,
+    ilog2,
     run_broadcast,
 )
 from repro.algorithms.fastbc import FastBCProtocol
+from repro.algorithms.schedule import Schedule, ScheduleLayer, wave_schedule
 from repro.core.faults import FaultConfig
 from repro.core.network import RadioNetwork
 from repro.core.packets import Packet
@@ -45,6 +47,7 @@ from repro.util.rng import RandomSource, spawn_rng
 __all__ = [
     "RobustFastBCProtocol",
     "robust_fastbc_broadcast",
+    "robust_fastbc_schedule",
     "block_size",
     "make_robust_fastbc_protocols",
 ]
@@ -133,6 +136,40 @@ class RobustFastBCProtocol(FastBCProtocol):
         return MESSAGE
 
 
+def robust_fastbc_schedule(
+    tree: RankedBFSTree,
+    block: Optional[int] = None,
+    round_multiplier: int = DEFAULT_ROUND_MULTIPLIER,
+    decay_interleave: bool = True,
+) -> Schedule:
+    """:class:`RobustFastBCProtocol`'s schedule over a shared GBST.
+
+    Even round 2t fires the bucket keyed by the active superround
+    ``(t // c·S) mod 6·r_max`` and ``t mod 3``: the fast nodes with
+    ``(level // S - 6·rank) mod 6·r_max`` and ``level mod 3`` equal to
+    those. Rejects ``block`` and ``round_multiplier`` as the protocol
+    does, before any bucket is built.
+    """
+    if round_multiplier < 1:
+        raise ValueError(f"round_multiplier must be >= 1, got {round_multiplier}")
+    n = tree.network.n
+    s = block if block is not None else block_size(n)
+    if s < 1:
+        raise ValueError(f"block size must be >= 1, got {s}")
+    superround_length = round_multiplier * s
+    modulus = 6 * max(1, ilog2(n))
+    buckets: list[list[int]] = [[] for _ in range(3 * modulus)]
+    for v in tree.fast_nodes():
+        level = tree.level[v]
+        target = (level // s - 6 * tree.rank[v]) % modulus
+        buckets[3 * target + level % 3].append(v)
+    return wave_schedule(
+        n,
+        decay_interleave,
+        lambda t: buckets[3 * ((t // superround_length) % modulus) + t % 3],
+    )
+
+
 def make_robust_fastbc_protocols(
     network: RadioNetwork,
     rng: RandomSource,
@@ -188,17 +225,16 @@ def robust_fastbc_broadcast(
         )
         if not decay_interleave:
             max_rounds *= 4
-    protocols = make_robust_fastbc_protocols(
-        network,
-        source,
-        tree=tree,
-        block=block,
-        round_multiplier=round_multiplier,
-        decay_interleave=decay_interleave,
+    if tree is None:
+        tree = build_gbst(network).tree
+    layer = ScheduleLayer(
+        robust_fastbc_schedule(tree, block, round_multiplier, decay_interleave),
+        source.spawn_many(network.n),
+        network.source,
     )
     return run_broadcast(
         network,
-        protocols,
+        layer,
         faults,
         source.spawn(),
         max_rounds,

@@ -1,0 +1,144 @@
+"""One protocol layer for every single-message broadcast schedule.
+
+Who broadcasts in a round of Decay (Lemmas 6 and 9), FASTBC's wave
+(Lemma 8) or Robust FASTBC's block wave (Theorem 11) depends only on the
+round, the node's GBST level and rank, and one private coin. A
+*schedule* says who: it maps a round index to a *step*, which is either
+
+* a coin probability ``p > 0``: every informed node broadcasts with
+  probability ``p``, drawing one coin from its own stream, or with
+  certainty and without a draw when ``p >= 1`` (Decay's ``i = 0``
+  round); or
+* a *bucket*: an ascending sequence of candidates, whose informed
+  members broadcast without a draw. :data:`SILENT` is the empty bucket.
+
+Each algorithm module writes its schedule next to its per-node
+protocol, which stays the scalar reference: a :class:`ScheduleLayer`
+over a schedule draws exactly the coins that the per-node protocols
+built from the same streams draw, so every outcome is the same.
+"""
+
+from __future__ import annotations
+
+from itertools import compress
+from typing import Callable, Sequence, Union
+
+from repro.algorithms.base import MESSAGE, ilog2
+from repro.core.engine import RoundResult
+from repro.core.packets import Packet
+from repro.util.rng import RandomSource
+
+__all__ = [
+    "SILENT",
+    "Schedule",
+    "ScheduleLayer",
+    "decay_probabilities",
+    "wave_schedule",
+]
+
+#: a round's step: a coin probability, or an ascending bucket of candidates
+Step = Union[float, Sequence[int]]
+#: round index -> step
+Schedule = Callable[[int], Step]
+
+#: the step of a round in which nobody broadcasts
+SILENT: tuple[int, ...] = ()
+
+
+def decay_probabilities(n: int) -> list[float]:
+    """Decay's coin in round ``i`` of a phase: ``2^-i``, i = 0..ilog2(n)."""
+    return [2.0 ** (-i) for i in range(ilog2(n) + 1)]
+
+
+def wave_schedule(
+    n: int, decay_interleave: bool, wave: Callable[[int], Sequence[int]]
+) -> Schedule:
+    """FASTBC's alternation: a Decay step in odd rounds, ``wave(t)`` in round 2t.
+
+    Odd rounds are silent when ``decay_interleave`` is False.
+    """
+    decay = decay_probabilities(n)
+    phase = len(decay)
+
+    def schedule(round_index: int) -> Step:
+        if round_index % 2:
+            if not decay_interleave:
+                return SILENT
+            return decay[(round_index // 2) % phase]
+        return wave(round_index // 2)
+
+    return schedule
+
+
+class ScheduleLayer:
+    """Every node of a single-message broadcast, following one schedule.
+
+    Node ``v`` draws its coins from ``rngs[v]``: one ``random()`` in each
+    coin round with ``p < 1`` while it is informed, as the per-node
+    protocol's ``bernoulli(p)`` does. The layer keeps the informed nodes
+    in a bytearray and a list, with each one's bound ``random`` method,
+    so a coin round is one pass over that list and the stop check reads
+    its length.
+
+    Parameters
+    ----------
+    schedule:
+        Round index -> step (see the module docstring).
+    rngs:
+        One private stream per node, in node order.
+    source:
+        The node informed at the start.
+    """
+
+    def __init__(
+        self, schedule: Schedule, rngs: Sequence[RandomSource], source: int
+    ) -> None:
+        self.schedule = schedule
+        self.rngs = rngs
+        #: 1 at the informed nodes
+        self.informed = bytearray(len(rngs))
+        #: the informed nodes, in the order they were informed
+        self.nodes: list[int] = []
+        #: ``rngs[v].bound_random`` for each ``v`` in :attr:`nodes`
+        self.coins: list[Callable[[], float]] = []
+        self.inform(source)
+
+    def inform(self, node: int) -> None:
+        """Mark a node that is not yet informed as informed."""
+        self.informed[node] = 1
+        self.nodes.append(node)
+        self.coins.append(self.rngs[node].bound_random)
+
+    def fire(self, round_index: int) -> list[int]:
+        """The informed nodes that broadcast in ``round_index``.
+
+        Draws the round's coins. On a coin round the nodes come in the
+        order they were informed, on a bucket round in ascending order.
+        """
+        step = self.schedule(round_index)
+        if isinstance(step, float):
+            if step >= 1.0:
+                return self.nodes[:]
+            return list(compress(self.nodes, [coin() < step for coin in self.coins]))
+        informed = self.informed
+        return [v for v in step if informed[v]]
+
+    # -- ProtocolLayer -------------------------------------------------------
+
+    def act(self, round_index: int) -> dict[int, Packet]:
+        return dict.fromkeys(self.fire(round_index), MESSAGE)
+
+    def deliver(self, result: RoundResult) -> None:
+        informed = self.informed
+        for delivery in result.deliveries:
+            if not informed[delivery.receiver]:
+                self.inform(delivery.receiver)
+
+    def all_done(self) -> bool:
+        return len(self.nodes) == len(self.informed)
+
+    def done_count(self) -> int:
+        return len(self.nodes)
+
+    def active_nodes(self) -> list[int]:
+        return sorted(self.nodes)

@@ -9,10 +9,15 @@ Two layers:
   the centralized schedule executors (:mod:`repro.schedules`) are built
   on it.
 * :class:`Simulator` — drives one protocol layer against a channel until
-  a stop predicate fires or a round budget is exhausted. The layer is
-  usually a :class:`NodeLayer` over per-node
-  :class:`~repro.core.protocol.NodeProtocol` instances; a
-  :class:`ProtocolLayer` may instead keep every node's state in arrays.
+  a stop predicate fires or a round budget is exhausted. A
+  :class:`ProtocolLayer` holds every node's state: the broadcast
+  algorithms run on array layers
+  (:class:`~repro.algorithms.schedule.ScheduleLayer` for single-message
+  schedules, :class:`~repro.algorithms.multi.rlnc_broadcast.RLNCGossipLayer`
+  for RLNC gossip), and a :class:`NodeLayer` drives per-node
+  :class:`~repro.core.protocol.NodeProtocol` instances: the RLNC path on
+  at most 16 nodes, and the per-node references the array layers are
+  tested against.
 """
 
 from __future__ import annotations
@@ -273,10 +278,10 @@ class Channel:
         """The un-observed round: validate, resolve, count, advance."""
         n = self.network.n
         for b in actions:
-            if not isinstance(b, int) or not 0 <= b < n:
-                raise SimulationError(
-                    f"broadcast action for invalid node {b!r} (n={n})"
-                )
+            # an exact type test: it also rejects bool (an int subclass)
+            # and numpy integers, and costs no more than isinstance
+            if type(b) is not int or not 0 <= b < n:
+                raise self._invalid_node(b, n)
         result = RoundResult(self.round_index, sorted(actions))
         if actions:
             resolver(actions, result)
@@ -289,6 +294,14 @@ class Channel:
         counters.sender_faults += len(result.faulty_senders)
         counters.receiver_faults += len(result.corrupted_receivers)
         return result
+
+    @staticmethod
+    def _invalid_node(node, n: int) -> SimulationError:
+        """The error for an action key that is not an int node id below n."""
+        return SimulationError(
+            f"broadcast action for invalid node {node!r} of type "
+            f"{type(node).__name__}: node ids are ints in [0, {n})"
+        )
 
     def _resolve_auto(self, actions: dict[int, Packet], result: RoundResult) -> None:
         """Kernel dispatch: honor ``self.kernel``, else pick by gather work."""

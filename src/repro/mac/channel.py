@@ -43,7 +43,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.core.engine import Channel, RoundObserver, RoundResult
-from repro.core.errors import SimulationError
 from repro.core.faults import AdversaryConfig, FaultConfig
 from repro.core.network import RadioNetwork
 from repro.core.trace import ChannelCounters
@@ -171,10 +170,8 @@ class ContentionChannel(Channel):
     def _mac_round(self, actions, resolver, scalar: bool) -> RoundResult:
         n = self.network.n
         for b in actions:
-            if not isinstance(b, int) or not 0 <= b < n:
-                raise SimulationError(
-                    f"broadcast action for invalid node {b!r} (n={n})"
-                )
+            if type(b) is not int or not 0 <= b < n:
+                raise self._invalid_node(b, n)
         counters = self.counters
         metrics_on = _METRICS.enabled
         captures_before = counters.mac_captures

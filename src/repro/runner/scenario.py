@@ -70,7 +70,8 @@ class Scenario:
         equivalent ``Scenario(faults=FaultConfig(...))`` are the *same*
         scenario and produce byte-identical reports.
     seed:
-        Top-level RNG seed; the whole run reproduces from it.
+        Top-level RNG seed (a non-negative int); the whole run reproduces
+        from it.
     max_rounds:
         Round budget override (``None``: the algorithm's own bound).
     timeline:
@@ -165,6 +166,8 @@ class Scenario:
                 )
         if not isinstance(self.seed, int) or isinstance(self.seed, bool):
             raise TypeError(f"seed must be an int, got {type(self.seed).__name__}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.max_rounds is not None and self.max_rounds < 1:
             raise ValueError(f"max_rounds must be >= 1, got {self.max_rounds}")
 

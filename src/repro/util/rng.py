@@ -15,7 +15,7 @@ overhead. Bulk draws delegate to numpy when profitable.
 from __future__ import annotations
 
 import random
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -41,6 +41,9 @@ class RandomSource:
     def __init__(self, seed: int = 0) -> None:
         if not isinstance(seed, int):
             raise TypeError(f"seed must be an int, got {type(seed).__name__}")
+        if seed < 0:
+            # random.Random seeds from abs(seed): -s would alias s
+            raise ValueError(f"seed must be non-negative, got {seed}")
         self.seed = seed
         self._rng = random.Random(seed)
         self._spawn_count = 0
@@ -74,6 +77,16 @@ class RandomSource:
     def random(self) -> float:
         """Uniform float in [0, 1)."""
         return self._rng.random()
+
+    @property
+    def bound_random(self) -> Callable[[], float]:
+        """The stream's own ``random`` method, bound.
+
+        Each call draws exactly what :meth:`random` draws, so
+        ``bound_random() < p`` is ``bernoulli(p)`` for ``0 < p < 1``. Hot
+        loops bind it once per source and skip the wrapper's call.
+        """
+        return self._rng.random
 
     def randint(self, low: int, high: int) -> int:
         """Uniform integer in the inclusive range [low, high]."""

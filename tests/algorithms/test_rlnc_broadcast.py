@@ -24,7 +24,7 @@ from repro.telemetry.metrics import METRICS
 from repro.timeline import Timeline, TimelineConfig
 from repro.timeline.capture import capture_timeline
 from repro.timeline.recorder import TimelineRecorder
-from repro.topologies.basic import grid, path, star
+from repro.topologies.basic import caterpillar, grid, path, star
 from repro.topologies.random_graphs import gnp
 from repro.util.rng import RandomSource
 
@@ -52,12 +52,13 @@ def per_node_gossip():
 
     Replaces ``_run_gossip`` with one :class:`RLNCGossipProtocol` per node
     over the same streams: the payload messages, one child per node in
-    node order, then the channel's child.
+    node order, then the channel's child. It ignores the schedule and
+    runs each node's per-node protocol, ``make_pattern``.
     """
     built = []
 
-    def gossip(network, make_pattern, k, payload_length, messages, faults,
-               rng, max_rounds, adversary=None, channel=None):
+    def gossip(network, schedule, make_pattern, k, payload_length, messages,
+               faults, rng, max_rounds, adversary=None, channel=None):
         if messages is None:
             messages = [
                 rng.bytes_array(payload_length).tobytes() if payload_length
@@ -99,19 +100,22 @@ def per_node_gossip():
 
 
 def node_states(layer):
-    """Per node: (rank, basis rows, pivot columns) as plain lists."""
+    """Per node: (rank, basis rows, pivot columns, stream state)."""
     if isinstance(layer, RLNCGossipLayer):
         bank = layer.bank
         return [
-            (int(r), bank.basis[v, :r].tolist(), bank.pivot_col[v, :r].tolist())
-            for v, r in enumerate(bank.rank.tolist())
+            (int(r), bank.basis[v, :r].tolist(), bank.pivot_col[v, :r].tolist(),
+             rng._rng.getstate())
+            for (v, r), rng in zip(enumerate(bank.rank.tolist()),
+                                   layer.pattern.rngs)
         ]
     states = []
     for protocol in layer.protocols:
         decoder = protocol.encoder.decoder
         r = decoder.rank
         states.append(
-            (r, decoder._basis[:r].tolist(), decoder._pivot_col[:r].tolist())
+            (r, decoder._basis[:r].tolist(), decoder._pivot_col[:r].tolist(),
+             protocol.rng._rng.getstate())
         )
     return states
 
@@ -237,6 +241,8 @@ def _network(topology, n, seed):
         return grid(2, (n + 1) // 2)
     if topology == "star":
         return star(n - 1)
+    if topology == "caterpillar":
+        return caterpillar((n + 1) // 2, 1)
     return gnp(n, 0.3, rng=seed)
 
 
@@ -263,7 +269,11 @@ def _gossip(per_node, algorithm, network, k, payload_length, noise, channel,
 
 
 class TestBatchedLayerMatchesPerNodeReference:
-    """The bank layer against per-node RLNCGossipProtocols, same streams."""
+    """The bank layer against per-node RLNCGossipProtocols, same streams.
+
+    Equal final streams show that the layer's firing step drew the
+    coins, and the weights, that the per-node protocols draw.
+    """
 
     @settings(
         max_examples=80,
@@ -272,7 +282,7 @@ class TestBatchedLayerMatchesPerNodeReference:
     )
     @given(
         algorithm=st.sampled_from(sorted(_ALGORITHMS)),
-        topology=st.sampled_from(["path", "grid", "gnp", "star"]),
+        topology=st.sampled_from(["path", "grid", "gnp", "star", "caterpillar"]),
         # more than 16 nodes, where the algorithms gossip through the bank
         n=st.integers(17, 24),
         k=st.integers(1, 20),

@@ -38,6 +38,11 @@ class TestValidation:
         with pytest.raises(ValueError, match="max_rounds"):
             Scenario(algorithm="decay", max_rounds=0)
 
+    def test_negative_seed_rejected(self):
+        # random.Random seeds from abs(seed), so seed -7 would replay seed 7
+        with pytest.raises(ValueError, match="non-negative, got -7"):
+            Scenario(algorithm="rlnc_decay", seed=-7)
+
 
 class TestTopologyBuild:
     def test_named_family_uses_size_and_default(self):

@@ -36,6 +36,26 @@ class TestChannelValidation:
         with pytest.raises(SimulationError):
             channel.transmit({"a": MessagePacket(0)})  # type: ignore[dict-item]
 
+    @pytest.mark.parametrize("contention", [False, True], ids=["default", "mac"])
+    def test_node_ids_must_be_plain_ints(self, contention):
+        """A bool is an int subclass, and numpy ints come out of arrays: a
+        layer that keys actions by either is named, not resolved."""
+        import numpy as np
+
+        from repro import Channel, FaultConfig, path
+        from repro.core.errors import SimulationError
+        from repro.core.packets import MessagePacket
+        from repro.mac.channel import ContentionChannel
+
+        make = ContentionChannel if contention else Channel
+        channel = make(path(3), FaultConfig.faultless(), rng=0)
+        for node, type_name in ((True, "bool"), (np.int64(1), "int64")):
+            with pytest.raises(SimulationError, match=f"of type {type_name}"):
+                channel.transmit({node: MessagePacket(0)})
+        assert channel.round_index == 0
+        channel.transmit({1: MessagePacket(0)})
+        assert channel.round_index == 1
+
 
 class TestProtocolContract:
     def test_single_message_protocols_reject_foreign_packets(self):

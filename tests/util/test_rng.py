@@ -127,6 +127,21 @@ class TestSpawnRng:
         with pytest.raises(TypeError):
             RandomSource(1.5)  # type: ignore[arg-type]
 
+    def test_rejects_negative_seed(self):
+        # random.Random(-5) draws the stream of random.Random(5)
+        with pytest.raises(ValueError, match="non-negative, got -5"):
+            RandomSource(-5)
+        with pytest.raises(ValueError):
+            spawn_rng(-5)
+
+
+class TestBoundRandom:
+    def test_draws_the_stream_of_random(self):
+        a, b = RandomSource(13), RandomSource(13)
+        coin = a.bound_random
+        assert [coin() for _ in range(5)] == [b.random() for _ in range(5)]
+        assert a.random() == b.random()
+
 
 class TestMiscDraws:
     def test_randint_bounds(self):
