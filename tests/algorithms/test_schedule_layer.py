@@ -52,7 +52,7 @@ def _repeated(network, source, tree):
     ]
 
 
-#: name -> (the algorithm, its parameters, the per-node reference builder)
+#: name -> (the algorithm, its parameters, what makes its per-node reference)
 _SCHEDULES = {
     "decay": (decay_broadcast, {}, _decay),
     "fastbc": (
