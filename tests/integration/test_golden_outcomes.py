@@ -15,7 +15,11 @@
 * the :class:`~repro.core.trace.TraceRecorder` event stream of a few
   direct :class:`~repro.core.engine.Channel` /
   :class:`~repro.mac.channel.ContentionChannel` runs, one of them
-  sampled.
+  sampled;
+* the :func:`~repro.gbst.gbst.build_gbst` result (parent vector, ranks,
+  validity, repair iterations, remaining violations) on grids that
+  repair for up to 30 iterations, gnps whose ranks reach 4, families
+  that need no repair, and two grids whose repair budget runs out.
 
 A digest changes only when a run's outcome does. A deliberate outcome
 change regenerates the file::
@@ -35,11 +39,13 @@ from repro.core.engine import Channel
 from repro.core.faults import AdversaryConfig, FaultConfig
 from repro.core.packets import MessagePacket
 from repro.core.trace import TraceRecorder
+from repro.gbst.gbst import build_gbst
 from repro.mac.channel import ContentionChannel
 from repro.mac.config import MacConfig
 from repro.runner import Scenario, run
 from repro.timeline import Timeline, TimelineConfig
 from repro.topologies import basic, random_graphs
+from repro.topologies.registry import make_topology
 
 GOLDEN = Path(__file__).with_name("golden_outcomes.json")
 
@@ -318,6 +324,29 @@ TRACES = {
 }
 
 
+def _registry(family, n, seed=0):
+    return lambda: make_topology(family, n, seed)
+
+
+#: name -> (zero-argument network builder, repair budget)
+GBSTS = {
+    # wave-grid's network: 30 repair iterations
+    "grid-4096": (_registry("grid", 4096), 200),
+    "grid-1024": (_registry("grid", 1024), 200),
+    "grid-32x128": (lambda: basic.grid(32, 128), 200),
+    # ranks reach 4
+    "gnp-1024-seed1": (_registry("gnp", 1024, 1), 200),
+    "gnp-1024-seed2": (_registry("gnp", 1024, 2), 200),
+    # the initial tree is already a GBST
+    "bramble-1024": (_registry("bramble", 1024), 200),
+    "layered-1024": (_registry("layered", 1024), 200),
+    "caterpillar-1024": (_registry("caterpillar", 1024), 200),
+    # the budget runs out with violations left
+    "grid-1024-budget1": (_registry("grid", 1024), 1),
+    "grid-1024-budget5": (_registry("grid", 1024), 5),
+}
+
+
 def _sha(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
@@ -328,6 +357,19 @@ def _trace_digest(recorder) -> str:
     ]
     body = {"events": events, "sampled_out": recorder.sampled_out}
     return _sha(json.dumps(body, separators=(",", ":")))
+
+
+def _gbst_digest(name) -> str:
+    make_network, budget = GBSTS[name]
+    result = build_gbst(make_network(), max_repair_iterations=budget)
+    body = {
+        "parent": result.tree.parent,
+        "rank": result.tree.rank,
+        "valid": result.valid,
+        "repair_iterations": result.repair_iterations,
+        "remaining_violations": result.remaining_violations,
+    }
+    return _sha(json.dumps(body, sort_keys=True, separators=(",", ":")))
 
 
 def _scenario_digests(name):
@@ -347,7 +389,13 @@ def compute_golden() -> dict:
         if "timeline" in digests:
             timelines[name] = digests["timeline"]
     traces = {name: _trace_digest(make()) for name, make in TRACES.items()}
-    return {"reports": reports, "timelines": timelines, "traces": traces}
+    gbsts = {name: _gbst_digest(name) for name in GBSTS}
+    return {
+        "reports": reports,
+        "timelines": timelines,
+        "traces": traces,
+        "gbsts": gbsts,
+    }
 
 
 @pytest.fixture(scope="module")
@@ -365,6 +413,7 @@ def test_corpus_covers_every_registry_algorithm():
 def test_golden_file_lists_exactly_the_corpus(golden):
     assert sorted(golden["reports"]) == sorted(SCENARIOS)
     assert sorted(golden["traces"]) == sorted(TRACES)
+    assert sorted(golden["gbsts"]) == sorted(GBSTS)
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
@@ -377,6 +426,11 @@ def test_scenario_outcome_is_pinned(name, golden):
 @pytest.mark.parametrize("name", sorted(TRACES))
 def test_trace_stream_is_pinned(name, golden):
     assert _trace_digest(TRACES[name]()) == golden["traces"][name], name
+
+
+@pytest.mark.parametrize("name", sorted(GBSTS))
+def test_gbst_is_pinned(name, golden):
+    assert _gbst_digest(name) == golden["gbsts"][name], name
 
 
 if __name__ == "__main__":
