@@ -1,4 +1,4 @@
-"""GBST construction: ranked BFS + verified repair loop.
+"""GBST construction: ranked BFS + verified incremental repair loop.
 
 Gąsieniec et al. [22] prove every graph admits a gathering-broadcasting
 spanning tree. Their construction is intricate; this module implements a
@@ -6,10 +6,20 @@ pragmatic constructor with a verified output:
 
 1. build a ranked BFS tree with a parent-choice heuristic that concentrates
    children on high-degree parents (fewer parallel fast stretches);
-2. while violations exist (see :mod:`repro.gbst.validity`), re-parent the
-   violating fast child onto its rival fast node — this merges the two
-   competing waves into one stretch — and recompute ranks;
-3. stop when valid or when the iteration budget is exhausted.
+2. while violations exist (see :mod:`repro.gbst.validity`), re-parent every
+   violating fast child onto its first rival fast node in neighbor order —
+   this merges the two competing waves into one stretch. A re-parent
+   changes ranks only on the root paths of the old and new parent, so the
+   loop re-ranks those paths, deepest level first, up to where a rank
+   holds, and re-checks only the children whose parent, fast edge or
+   rivals could have changed;
+3. stop when valid, when the iteration budget is exhausted, or when the
+   re-parenting would repeat an earlier parent vector.
+
+The repaired tree is the one a full re-rank and re-scan per iteration
+would give: parent, children, ranks and fast children persist across
+iterations and are updated exactly where an input of the rank rule or the
+rival scan changed.
 
 The returned tree carries a ``valid`` flag. On every topology family
 shipped with the library the loop converges (tests assert this); on a
@@ -21,11 +31,12 @@ into slow and fast rounds.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 
 from repro.core.network import RadioNetwork
-from repro.gbst.ranked_bfs import RankedBFSTree, build_ranked_bfs_tree
-from repro.gbst.validity import gbst_violations
+from repro.gbst.ranked_bfs import RankedBFSTree, build_ranked_bfs_tree, rank_rule
+from repro.gbst.validity import GBSTViolation, fast_rivals, gbst_violations
 
 __all__ = ["GBSTResult", "build_gbst"]
 
@@ -50,39 +61,102 @@ def build_gbst(
     network:
         The network to span.
     max_repair_iterations:
-        Budget for the repair loop; each iteration fixes every currently
-        known violation once and recomputes ranks.
+        Budget for the repair loop. Each iteration re-parents every
+        currently violating child once; one whose parent vector would
+        repeat an earlier one ends the loop, keeps the previous tree and
+        still counts.
     """
     tree = build_ranked_bfs_tree(network)
-    iterations = 0
     violations = gbst_violations(tree)
-    seen_parent_vectors = {tuple(tree.parent)}
+    if not violations or max_repair_iterations < 1:
+        return GBSTResult(
+            tree=tree,
+            valid=not violations,
+            repair_iterations=0,
+            remaining_violations=len(violations),
+        )
+    return _repair(tree, violations, max_repair_iterations)
 
-    while violations and iterations < max_repair_iterations:
+
+def _repair(
+    tree: RankedBFSTree, violations: list[GBSTViolation], budget: int
+) -> GBSTResult:
+    """Run the repair loop from ``tree`` and its ``violations``."""
+    network = tree.network
+    level = tree.level
+    parent = list(tree.parent)
+    children = [list(kids) for kids in tree.children]
+    rank = list(tree.rank)
+    fast_child = [tree.fast_child(v) for v in range(network.n)]
+    # node -> its next-level neighbors, filled as nodes change
+    below: dict[int, list[int]] = {}
+    # violating child -> its rivals, in neighbor order
+    rivals: dict[int, list[int]] = {}
+    for violation in violations:
+        rivals.setdefault(violation.child, []).append(violation.rival)
+    seen_parent_vectors = {tuple(parent)}
+    iterations = 0
+
+    while rivals and iterations < budget:
         iterations += 1
-        parent = list(tree.parent)
-        changed = False
-        handled_children: set[int] = set()
-        for violation in violations:
-            if violation.child in handled_children:
-                continue
-            # Merge the rival wave: make the child ride the rival's stretch.
-            parent[violation.child] = violation.rival
-            handled_children.add(violation.child)
-            changed = True
-        if not changed:
-            break
-        key = tuple(parent)
+        # Merge the rival wave: each child rides its first rival's stretch.
+        candidate = list(parent)
+        for child, found in rivals.items():
+            candidate[child] = found[0]
+        key = tuple(candidate)
         if key in seen_parent_vectors:
             # re-parenting cycled; stop rather than loop forever
             break
         seen_parent_vectors.add(key)
-        tree = RankedBFSTree(network, parent)
-        violations = gbst_violations(tree)
+
+        # level -> nodes whose rank rule must be re-run
+        pending: defaultdict[int, set[int]] = defaultdict(set)
+        for child in rivals:
+            old, new = parent[child], candidate[child]
+            children[old].remove(child)
+            children[new].append(child)
+            pending[level[old]].update((old, new))
+        parent = candidate
+
+        # Re-rank deepest level first: a node's inputs are its children's
+        # ranks, so the walk up a root path stops where a rank holds.
+        recheck: set[int] = set()
+        while pending:
+            depth = max(pending)
+            for v in pending.pop(depth):
+                r, fast = rank_rule(children[v], rank)
+                if r != rank[v]:
+                    rank[v] = r
+                    if parent[v] != -1:
+                        pending[depth - 1].add(parent[v])
+                elif fast == fast_child[v]:
+                    continue
+                fast_child[v] = fast
+                # Re-check v's next-level neighbors: v may have become or
+                # stopped being a rival there. They include v's old and
+                # new fast child, and so every moved child, which was the
+                # fast child of the parent it left.
+                if v not in below:
+                    below[v] = [
+                        c for c in network.neighbors[v] if level[c] == depth + 1
+                    ]
+                recheck.update(below[v])
+
+        for child in recheck:
+            p = parent[child]
+            found = (
+                fast_rivals(network, level, rank, fast_child, child, p)
+                if fast_child[p] == child
+                else None
+            )
+            if found:
+                rivals[child] = found
+            else:
+                rivals.pop(child, None)
 
     return GBSTResult(
-        tree=tree,
-        valid=not violations,
+        tree=RankedBFSTree(network, parent),
+        valid=not rivals,
         repair_iterations=iterations,
-        remaining_violations=len(violations),
+        remaining_violations=sum(len(found) for found in rivals.values()),
     )

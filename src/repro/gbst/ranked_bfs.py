@@ -17,7 +17,7 @@ from typing import Callable, Optional, Sequence
 
 from repro.core.network import RadioNetwork
 
-__all__ = ["RankedBFSTree", "build_ranked_bfs_tree", "compute_ranks"]
+__all__ = ["RankedBFSTree", "build_ranked_bfs_tree", "compute_ranks", "rank_rule"]
 
 
 class RankedBFSTree:
@@ -105,6 +105,23 @@ class RankedBFSTree:
         return path
 
 
+def rank_rule(
+    kids: list[int], rank: Sequence[int]
+) -> tuple[int, Optional[int]]:
+    """The rank rule at one node whose children ``kids`` are ranked.
+
+    Returns the node's rank and its fast child: the one child attaining
+    the maximum child rank when exactly one does, else None.
+    """
+    if not kids:
+        return 1, None
+    ranks = [rank[c] for c in kids]
+    best = max(ranks)
+    if ranks.count(best) == 1:
+        return best, kids[ranks.index(best)]
+    return best + 1, None
+
+
 def compute_ranks(
     parent: Sequence[int],
     children: Sequence[Sequence[int]],
@@ -116,13 +133,7 @@ def compute_ranks(
     order = sorted(range(n), key=lambda v: -levels[v])
     rank = [0] * n
     for v in order:
-        kids = children[v]
-        if not kids:
-            rank[v] = 1
-            continue
-        best = max(rank[c] for c in kids)
-        at_best = sum(1 for c in kids if rank[c] == best)
-        rank[v] = best if at_best == 1 else best + 1
+        rank[v] = rank_rule(children[v], rank)[0]
     return rank
 
 

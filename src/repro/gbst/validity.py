@@ -27,10 +27,12 @@ a single graph edge flips validity.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional, Sequence
 
+from repro.core.network import RadioNetwork
 from repro.gbst.ranked_bfs import RankedBFSTree
 
-__all__ = ["GBSTViolation", "gbst_violations", "is_gbst"]
+__all__ = ["GBSTViolation", "fast_rivals", "gbst_violations", "is_gbst"]
 
 
 @dataclass(frozen=True)
@@ -50,37 +52,50 @@ class GBSTViolation:
     level: int
 
 
+def fast_rivals(
+    network: RadioNetwork,
+    level: Sequence[int],
+    rank: Sequence[int],
+    fast_child: Sequence[Optional[int]],
+    child: int,
+    parent: int,
+) -> list[int]:
+    """The rivals of ``parent`` at its fast child ``child``.
+
+    A rival is a G-neighbor of ``child``, other than ``parent``, that is a
+    fast node at the parent's level and of the parent's rank. They come in
+    ``network.neighbors[child]`` order. ``fast_child[v]`` is v's fast
+    child, None when v is not fast.
+    """
+    parent_level = level[parent]
+    r = rank[parent]
+    return [
+        q
+        for q in network.neighbors[child]
+        if q != parent
+        and level[q] == parent_level
+        and rank[q] == r
+        and fast_child[q] is not None
+    ]
+
+
 def gbst_violations(tree: RankedBFSTree) -> list[GBSTViolation]:
-    """All interference violations of the GBST property (empty iff GBST)."""
+    """All interference violations of the GBST property (empty iff GBST).
+
+    Listed by ascending parent, each child's rivals in neighbor order.
+    """
     network = tree.network
     level = tree.level
     rank = tree.rank
-
-    # fast nodes indexed by (level, rank) for O(1) rival lookups
-    fast_at: dict[tuple[int, int], set[int]] = {}
-    for v in tree.fast_nodes():
-        fast_at.setdefault((level[v], rank[v]), set()).add(v)
-
-    violations: list[GBSTViolation] = []
-    for key, fast_set in fast_at.items():
-        parent_level, r = key
-        for p in fast_set:
-            child = tree.fast_child(p)
-            assert child is not None  # p is fast
-            for q in network.neighbors[child]:
-                if q == p:
-                    continue
-                if level[q] == parent_level and q in fast_set:
-                    violations.append(
-                        GBSTViolation(
-                            child=child,
-                            parent=p,
-                            rival=q,
-                            rank=r,
-                            level=parent_level,
-                        )
-                    )
-    return violations
+    fast_child = [tree.fast_child(v) for v in range(network.n)]
+    return [
+        GBSTViolation(
+            child=child, parent=p, rival=q, rank=rank[p], level=level[p]
+        )
+        for p, child in enumerate(fast_child)
+        if child is not None
+        for q in fast_rivals(network, level, rank, fast_child, child, p)
+    ]
 
 
 def is_gbst(tree: RankedBFSTree) -> bool:
