@@ -59,6 +59,7 @@ from repro.algorithms.robust_fastbc import (
     DEFAULT_ROUND_MULTIPLIER,
     RobustFastBCProtocol,
     block_size,
+    check_block_wave,
     robust_fastbc_schedule,
 )
 from repro.algorithms.schedule import Schedule, ScheduleLayer, wave_schedule
@@ -392,6 +393,7 @@ def rlnc_robust_fastbc_broadcast(
 ) -> MultiMessageOutcome:
     """Broadcast k messages with RLNC over Robust FASTBC (Lemma 13)."""
     check_positive(k, "k")
+    check_block_wave(network.n, block, round_multiplier)
     adversary = as_adversary(adversary)
     source = spawn_rng(rng)
     if tree is None:

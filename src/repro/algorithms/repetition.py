@@ -54,6 +54,11 @@ def repeat_factor_loglog(n: int) -> int:
     return block_size(n) + 1
 
 
+def _check_repeat(repeat: int) -> None:
+    if repeat < 1:
+        raise ValueError(f"repeat must be >= 1, got {repeat}")
+
+
 class RepeatedFastBCProtocol(FastBCProtocol):
     """FASTBC with every round repeated ``repeat`` times."""
 
@@ -65,8 +70,7 @@ class RepeatedFastBCProtocol(FastBCProtocol):
         repeat: int,
         informed: bool = False,
     ) -> None:
-        if repeat < 1:
-            raise ValueError(f"repeat must be >= 1, got {repeat}")
+        _check_repeat(repeat)
         super().__init__(node, tree, rng, informed=informed)
         self.repeat = repeat
 
@@ -76,8 +80,7 @@ class RepeatedFastBCProtocol(FastBCProtocol):
 
 def repeated_fastbc_schedule(tree: RankedBFSTree, repeat: int) -> Schedule:
     """:class:`RepeatedFastBCProtocol`'s schedule: FASTBC's at ``r // repeat``."""
-    if repeat < 1:
-        raise ValueError(f"repeat must be >= 1, got {repeat}")
+    _check_repeat(repeat)
     fastbc = fastbc_schedule(tree)
     return lambda round_index: fastbc(round_index // repeat)
 
@@ -93,6 +96,7 @@ def repeated_fastbc_broadcast(
     channel=None,
 ) -> BroadcastOutcome:
     """Broadcast with the repetition baseline (factor ``repeat``)."""
+    _check_repeat(repeat)
     adversary = as_adversary(adversary)
     source = spawn_rng(rng)
     if tree is None:

@@ -49,6 +49,7 @@ __all__ = [
     "robust_fastbc_broadcast",
     "robust_fastbc_schedule",
     "block_size",
+    "check_block_wave",
     "make_robust_fastbc_protocols",
 ]
 
@@ -61,6 +62,19 @@ def block_size(n: int) -> int:
     """The paper's S = Θ(log log n) block size (>= 1)."""
     log_n = max(2.0, math.log2(max(2, n)))
     return max(1, math.ceil(math.log2(log_n)))
+
+
+def check_block_wave(
+    n: int, block: Optional[int], round_multiplier: int
+) -> int:
+    """The block size S on ``n`` nodes, after rejecting a
+    ``round_multiplier`` or a ``block`` below 1."""
+    if round_multiplier < 1:
+        raise ValueError(f"round_multiplier must be >= 1, got {round_multiplier}")
+    s = block if block is not None else block_size(n)
+    if s < 1:
+        raise ValueError(f"block size must be >= 1, got {s}")
+    return s
 
 
 class RobustFastBCProtocol(FastBCProtocol):
@@ -150,12 +164,8 @@ def robust_fastbc_schedule(
     those. Rejects ``block`` and ``round_multiplier`` as the protocol
     does, before any bucket is built.
     """
-    if round_multiplier < 1:
-        raise ValueError(f"round_multiplier must be >= 1, got {round_multiplier}")
     n = tree.network.n
-    s = block if block is not None else block_size(n)
-    if s < 1:
-        raise ValueError(f"block size must be >= 1, got {s}")
+    s = check_block_wave(n, block, round_multiplier)
     superround_length = round_multiplier * s
     modulus = 6 * max(1, ilog2(n))
     buckets: list[list[int]] = [[] for _ in range(3 * modulus)]
@@ -208,6 +218,7 @@ def robust_fastbc_broadcast(
     channel=None,
 ) -> BroadcastOutcome:
     """Broadcast one message from the source with Robust FASTBC."""
+    check_block_wave(network.n, block, round_multiplier)
     adversary = as_adversary(adversary)
     source = spawn_rng(rng)
     if max_rounds is None:

@@ -1,8 +1,12 @@
 """The algorithm registry: every entry is discoverable and runnable."""
 
+from unittest import mock
+
 import pytest
 
 import repro
+from repro.algorithms import repetition, robust_fastbc
+from repro.algorithms.multi import rlnc_broadcast
 from repro.core.faults import FaultConfig
 from repro.runner import (
     Scenario,
@@ -87,8 +91,28 @@ class TestEveryAlgorithmRuns:
         assert report.rounds == 3
 
 
+#: registry name -> the module whose ``build_gbst`` its broadcast calls
+GBST_CALLERS = {
+    "robust_fastbc": robust_fastbc,
+    "rlnc_robust_fastbc": rlnc_broadcast,
+    "repeated_fastbc": repetition,
+}
+
+
+def _assert_rejected_before_gbst(name, params, message):
+    scenario = Scenario(
+        algorithm=name, topology="path", topology_params={"n": 8},
+        params=params, seed=1,
+    )
+    with mock.patch.object(GBST_CALLERS[name], "build_gbst") as build_gbst:
+        with pytest.raises(ValueError, match=message):
+            run(scenario)
+    build_gbst.assert_not_called()
+
+
 class TestBlockWaveParameterChecks:
-    """Robust FASTBC and its RLNC variant reject the same bad block waves."""
+    """Robust FASTBC, its RLNC variant and repeated FASTBC reject bad
+    parameters before they build a GBST."""
 
     @pytest.mark.parametrize("name", ["robust_fastbc", "rlnc_robust_fastbc"])
     @pytest.mark.parametrize(
@@ -101,9 +125,9 @@ class TestBlockWaveParameterChecks:
         ids=["multiplier-0", "multiplier-negative", "block-0"],
     )
     def test_rejects(self, name, params, message):
-        scenario = Scenario(
-            algorithm=name, topology="path", topology_params={"n": 8},
-            params=params, seed=1,
+        _assert_rejected_before_gbst(name, params, message)
+
+    def test_repeated_fastbc_rejects_repeat_0(self):
+        _assert_rejected_before_gbst(
+            "repeated_fastbc", {"repeat": 0}, "repeat must be >= 1"
         )
-        with pytest.raises(ValueError, match=message):
-            run(scenario)
