@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.network import RadioNetwork
 from repro.gbst.figure1 import (
     figure1_network,
     figure1_tree_invalid,
@@ -112,7 +113,22 @@ class TestBuildGBST:
         assert result.remaining_violations == 0
 
     def test_figure1_needs_repair(self):
-        # the default parent heuristic may or may not trigger the conflict;
-        # build from the known-bad tree shape by checking repair works at all
-        result = build_gbst(figure1_network())
+        # A level-1 node x joined to s and a1 ties a1's degree with b1's,
+        # so the degree heuristic parents a2 under a1 (the lower index)
+        # and leaves Figure 1's violation for the repair loop.
+        graph = figure1_network().graph.copy()
+        graph.add_edge("s", "x")
+        graph.add_edge("x", "a1")
+        network = RadioNetwork(graph, source="s", name="figure1-plus-x")
+        label = network.label_of
+        initial = build_ranked_bfs_tree(network)
+        assert [
+            (label(v.child), label(v.parent), label(v.rival))
+            for v in gbst_violations(initial)
+        ] == [("a2", "a1", "b1")]
+
+        result = build_gbst(network)
+        assert result.repair_iterations == 1
         assert result.valid
+        assert result.remaining_violations == 0
+        assert label(result.tree.parent[network.index_of("a2")]) == "b1"
