@@ -121,3 +121,12 @@ def test_remaining_violations_count_rival_pairs():
         random_graphs.gnp(70, 0.15, rng=26), max_repair_iterations=1
     )
     assert reference.remaining_violations == 3
+
+
+def test_cycle_stop_matches_full_rebuild():
+    # the third iteration would repeat an earlier parent vector: the loop
+    # stops, counts it and keeps the previous tree's two violations
+    reference = assert_same_as_reference(make_topology("gnp", 38, 964751))
+    assert reference.repair_iterations == 3
+    assert not reference.valid
+    assert reference.remaining_violations == 2
