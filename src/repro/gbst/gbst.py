@@ -21,12 +21,13 @@ would give: parent, children, ranks and fast children persist across
 iterations and are updated exactly where an input of the rank rule or the
 rival scan changed.
 
-The returned tree carries a ``valid`` flag. On every topology family
-shipped with the library the loop converges (tests assert this); on a
-hypothetical adversarial input where it does not, FASTBC still broadcasts
-correctly — the Decay half of the schedule alone suffices — but loses its
-diameter-linearity guarantee, matching how the paper's analysis decomposes
-into slow and fast rounds.
+The returned tree carries a ``valid`` flag. On the deterministic topology
+families shipped with the library the loop converges (tests assert this).
+On about one registry gnp in a thousand the re-parenting cycles and the
+tree stays invalid; FASTBC still broadcasts correctly there — the Decay
+half of the schedule alone suffices — but loses its diameter-linearity
+guarantee, matching how the paper's analysis decomposes into slow and fast
+rounds.
 """
 
 from __future__ import annotations

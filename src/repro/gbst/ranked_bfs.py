@@ -106,7 +106,7 @@ class RankedBFSTree:
 
 
 def rank_rule(
-    kids: list[int], rank: Sequence[int]
+    kids: Sequence[int], rank: Sequence[int]
 ) -> tuple[int, Optional[int]]:
     """The rank rule at one node whose children ``kids`` are ranked.
 
