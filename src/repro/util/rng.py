@@ -39,7 +39,7 @@ class RandomSource:
     __slots__ = ("seed", "_rng", "_spawn_count", "_np_rng")
 
     def __init__(self, seed: int = 0) -> None:
-        if not isinstance(seed, int):
+        if not isinstance(seed, int) or isinstance(seed, bool):
             raise TypeError(f"seed must be an int, got {type(seed).__name__}")
         if seed < 0:
             # random.Random seeds from abs(seed): -s would alias s

@@ -134,6 +134,13 @@ class TestSpawnRng:
         with pytest.raises(ValueError):
             spawn_rng(-5)
 
+    def test_rejects_bool_seed(self):
+        # bool is an int subclass: True would run seed 1's stream
+        with pytest.raises(TypeError, match="got bool"):
+            RandomSource(True)
+        with pytest.raises(TypeError, match="got bool"):
+            spawn_rng(False)
+
 
 class TestBoundRandom:
     def test_draws_the_stream_of_random(self):
