@@ -1,8 +1,8 @@
 """Observer overhead benchmark: one harness for every round-observer bar.
 
 ``python benchmarks/bench_overhead.py [--scale smoke|full] [--output PATH]``
-emits ``BENCH_overhead.json`` with the channel-round workload from
-``bench_hotpaths`` timed four ways:
+emits ``BENCH_overhead.json`` with one channel-round workload (a sparse
+G(n, p) with n/8 senders per round) timed four ways:
 
 * ``bare``     — ``Channel._resolve_round``, the engine's own un-observed
   round (validate, resolve, count, advance): no metrics read, no
@@ -75,7 +75,7 @@ _MEMORY_MODEL_N = 100_000
 
 
 def _workload(rounds, n, seed=7):
-    """The bench_hotpaths channel workload: sparse G(n, p), n/8 senders."""
+    """The channel-round workload: sparse G(n, p), n/8 senders per round."""
     network = random_graphs.gnp(n, 16.0 / n, rng=seed)
     pick = RandomSource(seed)
     packet = MessagePacket(0)

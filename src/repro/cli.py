@@ -36,7 +36,6 @@ Usage::
     repro timeline show results.db --key CACHE_KEY
     repro timeline curve timeline.json --format markdown
     repro timeline diff results.db --key-a KEY_A --key-b KEY_B
-    repro bench --scale smoke --output BENCH_hotpaths.json
 """
 
 from __future__ import annotations
@@ -598,27 +597,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="worker processes per batch (1: serial)",
     )
     _add_analysis_arguments(ada, filters=False)
-
-    bench = sub.add_parser(
-        "bench",
-        help="microbenchmark the simulation hot paths (vectorized vs reference)",
-    )
-    bench.add_argument(
-        "--scale",
-        choices=("smoke", "full"),
-        default="smoke",
-        help="iteration counts: smoke (CI-sized) or full (stable timings)",
-    )
-    bench.add_argument(
-        "--output",
-        default="BENCH_hotpaths.json",
-        help="report path (default: BENCH_hotpaths.json)",
-    )
-    bench.add_argument(
-        "--skip-check",
-        action="store_true",
-        help="skip the kernel/reference consistency cross-check",
-    )
     return parser
 
 
@@ -1540,31 +1518,6 @@ def _command_timeline(args: argparse.Namespace) -> int:
     return 0
 
 
-def _command_bench(args: argparse.Namespace) -> int:
-    from repro.perf import consistency_check, run_hotpath_benchmarks, write_report
-
-    if not args.skip_check:
-        failures = consistency_check()
-        if failures:
-            for failure in failures:
-                print(f"MISMATCH: {failure}", file=sys.stderr)
-            print(
-                f"{len(failures)} kernel/reference mismatches; not benchmarking",
-                file=sys.stderr,
-            )
-            return 1
-        print("consistency: vectorized kernels match references")
-
-    report = run_hotpath_benchmarks(scale=args.scale)
-    write_report(report, args.output)
-    for result in report["results"]:
-        speedup = result["speedup"]
-        suffix = f"  ({speedup}x vs reference)" if speedup is not None else ""
-        print(f"{result['name']:<24} {result['ops_per_sec']:>12.2f} ops/s{suffix}")
-    print(f"wrote {args.output}")
-    return 0
-
-
 def _experiments_accepting(adversary, channel) -> list:
     """The experiments ``run all`` runs: those accepting the overrides.
 
@@ -1615,9 +1568,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     if args.command == "analyze":
         return _command_analyze(args)
-
-    if args.command == "bench":
-        return _command_bench(args)
 
     try:
         adversary = _parse_adversary(args)

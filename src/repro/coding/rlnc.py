@@ -113,7 +113,7 @@ class RLNCDecoder:
     pivot in a single batched table-lookup pass.  Constructing with
     ``reference=True`` selects the original per-column scalar loop
     (echelon-only basis) — the executable specification the vectorized
-    kernel is cross-checked against and the `repro bench` baseline.
+    kernel is cross-checked against.
     """
 
     def __init__(
@@ -303,11 +303,10 @@ class RLNCEncoder:
         k: int,
         payload_length: int = 0,
         messages: Optional[Sequence[bytes]] = None,
-        reference: bool = False,
     ) -> None:
         self.k = k
         self.payload_length = payload_length
-        self.decoder = RLNCDecoder(k, payload_length, reference=reference)
+        self.decoder = RLNCDecoder(k, payload_length)
         if messages is not None:
             _check_messages(messages, k, payload_length)
             for index, message in enumerate(messages):
@@ -345,19 +344,6 @@ class RLNCEncoder:
         # the basis rows are independent, so non-zero weights give a
         # non-zero coefficient part
         row = GF256.combine(random_coefficients(self.decoder.rank, rng), basis)
-        return CodedPacket(
-            coefficients=row[: self.k].tobytes(), payload=row[self.k :].tobytes()
-        )
-
-    def emit_reference(self, rng: RandomSource) -> CodedPacket:
-        """Original per-row combination loop; `repro bench` baseline."""
-        if not self.can_transmit():
-            raise ValueError("node has no coded information to transmit")
-        basis = self.decoder._basis[: self.decoder.rank]
-        row = np.zeros(basis.shape[1], dtype=np.uint8)
-        for i, w in enumerate(random_coefficients(self.decoder.rank, rng)):
-            if w:
-                row ^= GF256.scale_vec(int(w), basis[i])
         return CodedPacket(
             coefficients=row[: self.k].tobytes(), payload=row[self.k :].tobytes()
         )

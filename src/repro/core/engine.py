@@ -244,8 +244,7 @@ class Channel:
 
         Produces a :class:`RoundResult` identical to :meth:`transmit` for
         the same channel state; exists as the executable specification the
-        vectorized kernel is property-checked against, and as the
-        baseline for `repro bench`.
+        vectorized kernel is property-checked against.
         """
         return self._run_round(actions, self._resolve_scalar)
 

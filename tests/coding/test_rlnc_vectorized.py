@@ -29,8 +29,8 @@ class TestDecoderEquivalence:
     def test_verdicts_rank_and_decode_match_reference(self):
         rng = RandomSource(0xD0C)
         for trial in range(60):
-            k = rng.randint(1, 16)
-            payload_length = rng.randint(0, 16)
+            k = rng.randint(1, 24)
+            payload_length = rng.randint(0, 24)
             vectorized = RLNCDecoder(k, payload_length)
             reference = RLNCDecoder(k, payload_length, reference=True)
             for _ in range(3 * k):
@@ -100,21 +100,21 @@ class TestDecoderEquivalence:
 
 class TestEncoderEquivalence:
     def test_emit_spans_same_subspace_as_reference(self):
-        """Both emitters produce vectors inside the known subspace and cover
-        it (a long emission run reconstructs full rank at a fresh decoder)."""
+        """The emitter covers the source's subspace: a long emission run
+        reconstructs full rank at a fresh decoder, which decodes the
+        source messages."""
         rng = RandomSource(21)
         k = 6
         messages = [bytes(rng.bytes_array(8).tobytes()) for _ in range(k)]
         encoder = RLNCEncoder(k, 8, messages=messages)
-        for emit in (encoder.emit, encoder.emit_reference):
-            sink = RLNCDecoder(k, 8)
-            emit_rng = RandomSource(33)
-            for _ in range(20 * k):
-                sink.receive(emit(emit_rng))
-                if sink.is_complete():
-                    break
-            assert sink.is_complete()
-            assert sink.decode_messages() == messages
+        sink = RLNCDecoder(k, 8)
+        emit_rng = RandomSource(33)
+        for _ in range(20 * k):
+            sink.receive(encoder.emit(emit_rng))
+            if sink.is_complete():
+                break
+        assert sink.is_complete()
+        assert sink.decode_messages() == messages
 
     def test_emit_partial_knowledge_stays_in_subspace(self):
         encoder = RLNCEncoder(k=5)
@@ -131,10 +131,6 @@ class TestEncoderEquivalence:
             assert coefficients[2] == 0
             assert coefficients[4] == 0
             assert coefficients[0] != 0 or coefficients[3] != 0
-
-    def test_reference_encoder_uses_reference_decoder(self):
-        encoder = RLNCEncoder(k=2, payload_length=0, reference=True)
-        assert encoder.decoder._reference
 
 
 class TestGF256Batched:

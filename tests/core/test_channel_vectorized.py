@@ -25,7 +25,7 @@ PACKET = MessagePacket(0)
 
 def _sample_network(sampler: random.Random, config_index: int) -> RadioNetwork:
     kind = sampler.choice(["gnp", "star", "path", "cycle", "grid", "caterpillar"])
-    n = sampler.randint(2, 64)
+    n = sampler.randint(2, 80)
     if kind == "gnp":
         return random_graphs.gnp(
             max(n, 4), min(1.0, 8.0 / max(n, 4)), rng=config_index
@@ -43,7 +43,7 @@ def _sample_network(sampler: random.Random, config_index: int) -> RadioNetwork:
 
 
 def _sample_faults(sampler: random.Random) -> FaultConfig:
-    p = sampler.uniform(0.01, 0.9)
+    p = sampler.uniform(0.0, 0.9)
     return sampler.choice(
         [FaultConfig.faultless(), FaultConfig.sender(p), FaultConfig.receiver(p)]
     )
