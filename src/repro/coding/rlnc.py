@@ -163,31 +163,16 @@ class RLNCDecoder:
             raise ValueError(
                 f"payload length {payload.size} != {self.payload_length}"
             )
-        self.received_count += 1
-        if self._rank == self.k and not self._reference:
-            if _METRICS.enabled:
-                _M_RECEIVES.inc()
-            return False  # full rank: nothing can be innovative
-        row = self._row_scratch
-        row[: self.k] = packet.coefficient_array()
-        row[self.k :] = payload
-        innovative = self._eliminate(row)
-        if innovative:
-            self.innovative_count += 1
-        if _METRICS.enabled:
-            _M_RECEIVES.inc()
-            if innovative:
-                _M_INNOVATIVE.inc()
-        return innovative
+        return self.receive_raw(packet.coefficient_array(), payload)
 
     def receive_raw(self, coefficients: np.ndarray, payload: np.ndarray) -> bool:
         """Copy-free variant of :meth:`receive` for simulator hot paths.
 
-        Fills a preallocated scratch row instead of concatenating (the old
-        path allocated twice: once for the concatenation, once for the
-        uint8 cast). A full-rank decoder short-circuits: no reception can
-        be innovative, so the elimination is skipped entirely — the regime
-        that dominates long RLNC gossip runs.
+        It skips :meth:`receive`'s length checks and fills a preallocated
+        scratch row instead of concatenating. A full-rank decoder
+        short-circuits: no reception can be innovative, so the elimination
+        is skipped entirely — the regime that dominates long RLNC gossip
+        runs.
         """
         self.received_count += 1
         if self._rank == self.k and not self._reference:
