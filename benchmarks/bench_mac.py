@@ -28,7 +28,8 @@ import platform
 import sys
 import time
 
-from repro.core.packets import MessagePacket
+import numpy as np
+
 from repro.mac import MacConfig, ContentionChannel, bianchi_fixed_point
 from repro.mac.saturation import saturation_sim
 from repro.telemetry.metrics import METRICS
@@ -48,12 +49,12 @@ _SCALES = {
 _CONFIG = MacConfig(cw_min=8, cw_max=64)
 
 
-def _saturated_actions(network):
-    packet = MessagePacket(0)
-    return {v: packet for v in network.nodes()}
+def _saturated_offers(network):
+    """Every node offers every slot: the ascending array of all ids."""
+    return np.arange(network.n, dtype=np.int64)
 
 
-def _leg_run(network, actions, slots, kernel, seed=7):
+def _leg_run(network, offers, slots, kernel, seed=7):
     channel = ContentionChannel(
         network, rng=seed, kernel="vectorized", config=_CONFIG
     )
@@ -61,13 +62,13 @@ def _leg_run(network, actions, slots, kernel, seed=7):
         channel.transmit_reference
     )
     for _ in range(slots):
-        step(actions)
+        step(offers)
     return channel
 
 
-def _time_leg(network, actions, slots, kernel):
+def _time_leg(network, offers, slots, kernel):
     start = time.perf_counter()
-    _leg_run(network, actions, slots, kernel)
+    _leg_run(network, offers, slots, kernel)
     return time.perf_counter() - start
 
 
@@ -82,11 +83,11 @@ def bench_mac_kernel(slots, repeats, dense_n, sparse_n, seed=7):
     results = {}
     try:
         for name, network in domains.items():
-            actions = _saturated_actions(network)
+            offers = _saturated_offers(network)
             # outcome parity before timing: both kernels must simulate
             # the exact same slots or the speedup compares different work
-            vec = _leg_run(network, actions, 24, "vectorized", seed=seed)
-            ref = _leg_run(network, actions, 24, "scalar", seed=seed)
+            vec = _leg_run(network, offers, 24, "vectorized", seed=seed)
+            ref = _leg_run(network, offers, 24, "scalar", seed=seed)
             assert vec.counters.as_dict() == ref.counters.as_dict(), (
                 f"kernel parity broke on the {name} domain"
             )
@@ -96,7 +97,7 @@ def bench_mac_kernel(slots, repeats, dense_n, sparse_n, seed=7):
                 for kernel in best:
                     best[kernel] = min(
                         best[kernel],
-                        _time_leg(network, actions, slots, kernel),
+                        _time_leg(network, offers, slots, kernel),
                     )
             node_slots = network.n * slots
             results[name] = {

@@ -4,9 +4,9 @@
 emits ``BENCH_overhead.json`` with one channel-round workload (a sparse
 G(n, p) with n/8 senders per round) timed four ways:
 
-* ``bare``     — ``Channel._resolve_round``, the engine's own un-observed
-  round (validate, resolve, count, advance): no metrics read, no
-  observer loop;
+* ``bare``     — ``Channel._checked`` then ``Channel._resolve_round``,
+  the engine's own un-observed round (validate, resolve, count,
+  advance): no metrics read, no observer loop;
 * ``disabled`` — ``Channel.transmit`` with metrics off and no observers,
   i.e. what every run that asks for nothing pays;
 * ``metrics``  — ``Channel.transmit`` with ``METRICS.enabled``, the
@@ -47,7 +47,6 @@ import numpy as np
 
 from repro.core.engine import Channel
 from repro.core.faults import FaultConfig
-from repro.core.packets import MessagePacket
 from repro.runner import Scenario, expand_grid, run_batch
 from repro.telemetry.metrics import METRICS
 from repro.telemetry.tracing import TRACER, TraceSink
@@ -78,20 +77,22 @@ def _workload(rounds, n, seed=7):
     """The channel-round workload: sparse G(n, p), n/8 senders per round."""
     network = random_graphs.gnp(n, 16.0 / n, rng=seed)
     pick = RandomSource(seed)
-    packet = MessagePacket(0)
-    action_sets = [
-        {v: packet for v in pick.sample(range(network.n), network.n // 8)}
+    rounds_broadcasters = [
+        np.array(
+            sorted(pick.sample(range(network.n), network.n // 8)), dtype=np.int64
+        )
         for _ in range(rounds)
     ]
-    return network, action_sets
+    return network, rounds_broadcasters
 
 
 def _leg_channel(leg, network, seed):
     """A fresh channel for ``leg`` and the call that resolves one round."""
     channel = Channel(network, FaultConfig.receiver(0.1), rng=seed)
     if leg == "bare":
-        resolve, auto = channel._resolve_round, channel._resolve_auto
-        return channel, lambda actions: resolve(actions, auto)
+        check, resolve = channel._checked, channel._resolve_round
+        auto = channel._resolve_auto
+        return channel, lambda broadcasters: resolve(check(broadcasters), auto)
     if leg == "timeline":
         channel.observers.append(
             TimelineRecorder(network.n, TimelineConfig(every=1))
@@ -101,20 +102,20 @@ def _leg_channel(leg, network, seed):
 
 def bench_channel_overhead(rounds, repeats, n, seed=7):
     """Best-of-``repeats`` seconds per leg, with overhead over bare."""
-    network, action_sets = _workload(rounds, n, seed=seed)
+    network, rounds_broadcasters = _workload(rounds, n, seed=seed)
     samples = {leg: np.empty((repeats, rounds)) for leg in LEGS}
     clock = time.perf_counter
     was_enabled = METRICS.enabled
     try:
         for repeat in range(repeats):
             legs = {leg: _leg_channel(leg, network, seed) for leg in LEGS}
-            for index, actions in enumerate(action_sets):
+            for index, broadcasters in enumerate(rounds_broadcasters):
                 shift = (index + repeat) % len(LEGS)
                 for leg in LEGS[shift:] + LEGS[:shift]:
                     step = legs[leg][1]
                     METRICS.enabled = leg == "metrics"
                     start = clock()
-                    step(actions)
+                    step(broadcasters)
                     samples[leg][repeat, index] = clock() - start
             # every leg must simulate the same rounds, or the baseline
             # is measuring a different simulation

@@ -20,10 +20,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.algorithms.base import ilog2
-from repro.core.engine import Channel
+from repro.core.engine import Channel, node_array
 from repro.core.faults import FaultConfig
 from repro.core.network import RadioNetwork
-from repro.core.packets import MessagePacket
 from repro.util.rng import RandomSource, spawn_rng
 from repro.util.validation import check_positive
 
@@ -83,24 +82,19 @@ def bipartite_routing_broadcast(
     holders = list(left)
     completed: dict[int, set[int]] = {v: set() for v in right}
     for message_index in range(k):
-        packet = MessagePacket(message_index)
         missing = set(right)
         step = 0
         while missing and rounds < max_rounds:
             i = step % phase_length
             probability = 2.0 ** (-i)
-            actions = {
-                u: packet
-                for u in holders
-                if source.bernoulli(probability)
-            }
-            result = channel.transmit(actions)
+            fired = sorted(u for u in holders if source.bernoulli(probability))
+            result = channel.transmit(node_array(fired))
             rounds += 1
             step += 1
-            for delivery in result.deliveries:
-                if delivery.receiver in missing:
-                    completed[delivery.receiver].add(message_index)
-                    missing.discard(delivery.receiver)
+            for v in result.receivers.tolist():
+                if v in missing:
+                    completed[v].add(message_index)
+                    missing.discard(v)
         if missing:
             break
 
@@ -183,18 +177,17 @@ def pipelined_routing_broadcast(
                 if all(message in knowledge[v] for v in receivers):
                     progress[l] = ptr + 1
                     continue
-                packet = MessagePacket(message)
                 for u in layers[l]:
                     if message in knowledge[u] and source.bernoulli(probability):
-                        actions[u] = packet
+                        actions[u] = message
             if all(
                 progress[l] >= len(batch) for l, batch in active
             ):
                 break
-            result = channel.transmit(actions)
+            result = channel.transmit(node_array(sorted(actions)))
             rounds += 1
-            for delivery in result.deliveries:
-                knowledge[delivery.receiver].add(delivery.packet.index)
+            for v, s in zip(result.receivers.tolist(), result.senders.tolist()):
+                knowledge[v].add(actions[s])
 
     done = sum(1 for v in range(n) if len(knowledge[v]) == k)
     return PipelinedOutcome(

@@ -164,11 +164,12 @@ class RLNCGossipLayer:
     :class:`RLNCGossipProtocol` is active). Each round its firing step
     picks the emitters, drawing their coins; each emitter then draws its
     weights from the same stream, as the protocol does right after the
-    round's coins. One bank emit builds every coded row; each emitter's
-    packet is the index of its row, which the channel hands back in the
-    deliveries. One bank receive absorbs them all. Outcomes, counters,
-    timelines, final bases and final streams equal those of a simulator
-    over :class:`RLNCGossipProtocol` nodes built with the same streams.
+    round's coins. One bank emit builds every coded row, one per emitter
+    in ascending order, so each reception's row is found by looking its
+    sender up among the emitters. One bank receive absorbs them all.
+    Outcomes, counters, timelines, final bases and final streams equal
+    those of a simulator over :class:`RLNCGossipProtocol` nodes built
+    with the same streams.
     """
 
     def __init__(self, pattern: ScheduleLayer, bank: RLNCBank) -> None:
@@ -177,34 +178,33 @@ class RLNCGossipLayer:
         # _run_gossip swaps in the channel's recorder when a timeline
         # capture is armed
         self.timeline = NULL_TIMELINE
+        # the last round's emitters (ascending) and their coded rows
+        self._emitters = None
         self._rows = None
 
-    def act(self, round_index: int) -> dict[int, int]:
+    def act(self, round_index: int) -> np.ndarray:
         emitters = self.pattern.fire(round_index)
-        if not emitters:
-            return {}
+        self._emitters = emitters
+        if not len(emitters):
+            return emitters
         bank = self.bank
         rngs = self.pattern.rngs
-        nodes = np.array(emitters)
-        ranks = bank.rank[nodes]
+        ranks = bank.rank[emitters]
         weights = np.zeros((len(emitters), int(ranks.max())), dtype=np.uint8)
         weights[np.arange(weights.shape[1]) < ranks[:, None]] = np.concatenate(
             [
                 random_coefficients(rank, rngs[v])
-                for v, rank in zip(emitters, ranks.tolist())
+                for v, rank in zip(emitters.tolist(), ranks.tolist())
             ]
         )
-        self._rows = bank.emit(nodes, weights)
-        return dict(zip(emitters, range(len(emitters))))
+        self._rows = bank.emit(emitters, weights)
+        return emitters
 
     def deliver(self, result: RoundResult) -> None:
-        deliveries = result.deliveries
-        if not deliveries:
+        receivers = result.receivers
+        if not len(receivers):
             return
-        receivers = np.fromiter(
-            (d.receiver for d in deliveries), dtype=np.int64, count=len(deliveries)
-        )
-        rows = self._rows[[d.packet for d in deliveries]]
+        rows = self._rows[np.searchsorted(self._emitters, result.senders)]
         innovative = self.bank.receive(receivers, rows)
         if innovative and self.timeline.enabled:
             self.timeline.note_innovative(innovative)

@@ -22,9 +22,9 @@ from typing import Optional
 
 from repro.algorithms.base import ilog2
 from repro.coding.reed_solomon import ReedSolomonCode
-from repro.core.engine import Channel
+from repro.core.engine import Channel, node_array
 from repro.core.faults import FaultConfig, FaultModel
-from repro.core.packets import MessagePacket, RSPacket
+from repro.core.packets import RSPacket
 from repro.topologies.basic import star
 from repro.util.rng import RandomSource, spawn_rng
 from repro.util.validation import check_positive, check_probability
@@ -72,17 +72,17 @@ def star_adaptive_routing(
     if max_rounds is None:
         max_rounds = int(60 * k * (ilog2(n_leaves) + 1) / (1.0 - p)) + 200
 
+    hub_only = node_array([hub])
     receptions = {v: 0 for v in leaves}
     rounds = 0
-    for message_index in range(k):
+    for _ in range(k):
         missing = set(leaves)
-        packet = MessagePacket(message_index)
         while missing and rounds < max_rounds:
-            result = channel.transmit({hub: packet})
+            result = channel.transmit(hub_only)
             rounds += 1
-            for delivery in result.deliveries:
-                receptions[delivery.receiver] += 1
-                missing.discard(delivery.receiver)
+            for v in result.receivers.tolist():
+                receptions[v] += 1
+                missing.discard(v)
         if missing:
             return StarOutcome(
                 success=False,
@@ -149,19 +149,18 @@ def star_rs_coding(
         ]
         coded_payloads = code.encode(original)
 
+    hub_only = node_array([hub])
     receptions = {v: 0 for v in leaves}
     rounds = 0
     while min(receptions.values()) < k and rounds < max_rounds:
         payload = coded_payloads[rounds] if validate_decode else b""
         packet = RSPacket(coded_index=rounds, payload=payload)
-        result = channel.transmit({hub: packet})
+        result = channel.transmit(hub_only)
         rounds += 1
-        for delivery in result.deliveries:
-            receptions[delivery.receiver] += 1
+        for v in result.receivers.tolist():
+            receptions[v] += 1
             if validate_decode:
-                received_packets[delivery.receiver].append(
-                    (packet.coded_index, packet.payload)
-                )
+                received_packets[v].append((packet.coded_index, packet.payload))
 
     success = min(receptions.values()) >= k
     if success and validate_decode:

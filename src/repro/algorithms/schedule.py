@@ -23,9 +23,10 @@ from __future__ import annotations
 from itertools import compress
 from typing import Callable, Sequence, Union
 
-from repro.algorithms.base import MESSAGE, ilog2
-from repro.core.engine import RoundResult
-from repro.core.packets import Packet
+import numpy as np
+
+from repro.algorithms.base import ilog2
+from repro.core.engine import RoundResult, node_array
 from repro.util.rng import RandomSource
 
 __all__ = [
@@ -78,7 +79,9 @@ class ScheduleLayer:
     protocol's ``bernoulli(p)`` does. The layer keeps the informed nodes
     in a bytearray and a list, with each one's bound ``random`` method,
     so a coin round is one pass over that list and the stop check reads
-    its length.
+    its length. A round's broadcasters go to the channel as an ascending
+    int64 array, and its receivers come back as one; one mask over a
+    numpy view of the bytearray picks out those not yet informed.
 
     Parameters
     ----------
@@ -97,6 +100,8 @@ class ScheduleLayer:
         self.rngs = rngs
         #: 1 at the informed nodes
         self.informed = bytearray(len(rngs))
+        # the same bytes as a numpy array, for the array-valued rounds
+        self._informed_view = np.frombuffer(self.informed, dtype=np.uint8)
         #: the informed nodes, in the order they were informed
         self.nodes: list[int] = []
         #: ``rngs[v].bound_random`` for each ``v`` in :attr:`nodes`
@@ -109,30 +114,33 @@ class ScheduleLayer:
         self.nodes.append(node)
         self.coins.append(self.rngs[node].bound_random)
 
-    def fire(self, round_index: int) -> list[int]:
-        """The informed nodes that broadcast in ``round_index``.
+    def fire(self, round_index: int) -> np.ndarray:
+        """The informed nodes that broadcast in ``round_index``, ascending.
 
-        Draws the round's coins. On a coin round the nodes come in the
-        order they were informed, on a bucket round in ascending order.
+        Draws the round's coins: on a coin round with ``p < 1``, one per
+        informed node, in the order the nodes were informed.
         """
         step = self.schedule(round_index)
         if isinstance(step, float):
             if step >= 1.0:
-                return self.nodes[:]
-            return list(compress(self.nodes, [coin() < step for coin in self.coins]))
+                return np.flatnonzero(self._informed_view)
+            fired = compress(self.nodes, [coin() < step for coin in self.coins])
+            ascending = np.array(list(fired), dtype=np.int64)
+            ascending.sort()
+            return ascending
         informed = self.informed
-        return [v for v in step if informed[v]]
+        return node_array([v for v in step if informed[v]])
 
     # -- ProtocolLayer -------------------------------------------------------
 
-    def act(self, round_index: int) -> dict[int, Packet]:
-        return dict.fromkeys(self.fire(round_index), MESSAGE)
+    def act(self, round_index: int) -> np.ndarray:
+        return self.fire(round_index)
 
     def deliver(self, result: RoundResult) -> None:
-        informed = self.informed
-        for delivery in result.deliveries:
-            if not informed[delivery.receiver]:
-                self.inform(delivery.receiver)
+        receivers = result.receivers
+        if len(receivers):
+            for v in receivers[self._informed_view[receivers] == 0].tolist():
+                self.inform(v)
 
     def all_done(self) -> bool:
         return len(self.nodes) == len(self.informed)

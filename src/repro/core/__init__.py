@@ -24,7 +24,7 @@ from repro.core.faults import AdversaryConfig, FaultConfig, FaultModel
 from repro.core.network import RadioNetwork
 from repro.core.packets import NOISE, MessagePacket, Packet, RSPacket
 from repro.core.protocol import NodeProtocol
-from repro.core.engine import Channel, Delivery, RoundObserver, RoundResult, Simulator
+from repro.core.engine import Channel, RoundObserver, RoundResult, Simulator
 from repro.core.trace import ChannelCounters, TraceRecorder
 
 __all__ = [
@@ -32,7 +32,6 @@ __all__ = [
     "BroadcastTimeout",
     "Channel",
     "ChannelCounters",
-    "Delivery",
     "FaultConfig",
     "FaultModel",
     "MessagePacket",

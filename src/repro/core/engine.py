@@ -2,12 +2,14 @@
 
 Two layers:
 
-* :class:`Channel` — the physical layer. Given the set of broadcasts for one
-  round it resolves collisions and faults and reports who received what.
-  This is the single place where the model semantics listed in
-  :mod:`repro.core` are implemented; both the distributed simulator and
-  the centralized schedule executors (:mod:`repro.schedules`) are built
-  on it.
+* :class:`Channel` — the physical layer. Given one round's broadcasters,
+  an ascending int64 array of node ids, it resolves collisions and
+  faults and reports who heard whom as arrays. This is the single place
+  where the model semantics listed in :mod:`repro.core` are implemented;
+  both the distributed simulator and the centralized schedule executors
+  (:mod:`repro.schedules`) are built on it. The channel never sees a
+  packet: a caller that sends packets keeps them and looks each
+  reception's packet up by its sender.
 * :class:`Simulator` — drives one protocol layer against a channel until
   a stop predicate fires or a round budget is exhausted. A
   :class:`ProtocolLayer` holds every node's state: the broadcast
@@ -22,8 +24,8 @@ Two layers:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Optional, Protocol, Sequence
+from itertools import compress
+from typing import Callable, Optional, Protocol, Sequence
 
 import numpy as np
 
@@ -39,8 +41,8 @@ from repro.util.rng import RandomSource, spawn_rng
 
 __all__ = [
     "Channel",
-    "Delivery",
     "NodeLayer",
+    "node_array",
     "ProtocolLayer",
     "RoundObserver",
     "RoundResult",
@@ -69,49 +71,105 @@ _M_RECEIVER_FAULTS = _METRICS.counter(
     "unique receptions replaced by noise at the receiver",
 )
 
+_INT64 = np.dtype(np.int64)
 
-class Delivery(NamedTuple):
-    """A successful reception: ``receiver`` got ``packet`` from ``sender``.
+#: the one empty node array that every empty :class:`RoundResult` field
+#: shares; read-only, so no holder can change what the others see
+_EMPTY = np.empty(0, dtype=np.int64)
+_EMPTY.flags.writeable = False
 
-    A NamedTuple rather than a frozen dataclass: one is constructed per
-    reception, and tuple construction is several times cheaper than
-    ``object.__setattr__``-based frozen-dataclass init.
+
+def node_array(ids: Sequence[int]) -> np.ndarray:
+    """Node ids as the channel takes and returns them: an int64 array.
+
+    The ids keep their order. None at all give the one shared read-only
+    empty array, which saves an allocation on every empty round.
     """
-
-    receiver: int
-    sender: int
-    packet: Packet
+    return np.array(ids, dtype=np.int64) if ids else _EMPTY
 
 
-@dataclass
+def _node_pairs(receivers: list[int], senders: list[int]):
+    """Parallel receiver and sender lists as two arrays, converted at once.
+
+    The two halves of one int64 array: a round's numpy calls, not its
+    ids, are what a small round pays for.
+    """
+    if not receivers:
+        return _EMPTY, _EMPTY
+    both = np.array(receivers + senders, dtype=np.int64)
+    return both[: len(receivers)], both[len(receivers) :]
+
+
 class RoundResult:
     """Everything that happened on the channel in one round.
 
-    The kernels only fill it; :meth:`Channel._run_round` then derives the
-    counters, the ``repro_channel_*`` metrics and every observer's view
-    from it. Node lists are ascending; each ``*_senders`` list is
-    parallel to the receiver list before it.
+    Every node set is a 1-D int64 array in ascending node order, and each
+    ``*senders`` array is parallel to the receiver array before it:
+    ``receivers[i]`` heard ``senders[i]``. Empty fields share one
+    read-only empty array. The kernels only fill it;
+    :meth:`Channel._run_round` then derives the counters, the
+    ``repro_channel_*`` metrics and every observer's view from it.
+    Results compare equal when every field holds the same ids.
+
+    A plain class with ``__slots__`` rather than a dataclass: one is
+    built per round, and array defaults need no factory calls.
     """
 
-    round_index: int
-    #: nodes that broadcast this round
-    broadcasters: list[int] = field(default_factory=list)
-    deliveries: list[Delivery] = field(default_factory=list)
-    #: listeners that heard >= 2 broadcasters
-    collision_receivers: list[int] = field(default_factory=list)
-    #: broadcasters whose transmission was noise (sender faults)
-    faulty_senders: list[int] = field(default_factory=list)
-    #: listeners whose unique reception came from a faulty sender
-    silenced_receivers: list[int] = field(default_factory=list)
-    silenced_senders: list[int] = field(default_factory=list)
-    #: listeners whose unique reception a receiver fault replaced by noise
-    corrupted_receivers: list[int] = field(default_factory=list)
-    corrupted_senders: list[int] = field(default_factory=list)
+    __slots__ = (
+        "round_index",
+        "broadcasters",  # nodes that broadcast this round
+        "receivers",  # listeners that received a packet ...
+        "senders",  # ... and the broadcaster each one heard
+        "collision_receivers",  # listeners that heard >= 2 broadcasters
+        "faulty_senders",  # broadcasters that sent noise (sender faults)
+        "silenced_receivers",  # unique receptions from a faulty sender
+        "silenced_senders",
+        "corrupted_receivers",  # unique receptions a receiver fault hit
+        "corrupted_senders",
+    )
+
+    def __init__(
+        self,
+        round_index: int,
+        broadcasters: np.ndarray = _EMPTY,
+        receivers: np.ndarray = _EMPTY,
+        senders: np.ndarray = _EMPTY,
+        collision_receivers: np.ndarray = _EMPTY,
+        faulty_senders: np.ndarray = _EMPTY,
+        silenced_receivers: np.ndarray = _EMPTY,
+        silenced_senders: np.ndarray = _EMPTY,
+        corrupted_receivers: np.ndarray = _EMPTY,
+        corrupted_senders: np.ndarray = _EMPTY,
+    ) -> None:
+        self.round_index = round_index
+        self.broadcasters = broadcasters
+        self.receivers = receivers
+        self.senders = senders
+        self.collision_receivers = collision_receivers
+        self.faulty_senders = faulty_senders
+        self.silenced_receivers = silenced_receivers
+        self.silenced_senders = silenced_senders
+        self.corrupted_receivers = corrupted_receivers
+        self.corrupted_senders = corrupted_senders
 
     @property
-    def noise_receivers(self) -> list[int]:
+    def noise_receivers(self) -> np.ndarray:
         """Listeners that heard only noise: sender-silenced, then corrupted."""
-        return self.silenced_receivers + self.corrupted_receivers
+        return np.concatenate((self.silenced_receivers, self.corrupted_receivers))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, RoundResult):
+            return NotImplemented
+        return self.round_index == other.round_index and all(
+            np.array_equal(getattr(self, name), getattr(other, name))
+            for name in self.__slots__[1:]
+        )
+
+    def __repr__(self) -> str:
+        fields = ", ".join(
+            f"{name}={getattr(self, name).tolist()}" for name in self.__slots__[1:]
+        )
+        return f"RoundResult(round_index={self.round_index}, {fields})"
 
 
 class RoundObserver(Protocol):
@@ -123,6 +181,12 @@ class RoundObserver(Protocol):
 class Channel:
     """The noisy radio channel over a fixed network.
 
+    A round's input is one array: the broadcasting nodes, 1-D int64,
+    strictly ascending, every id in ``[0, n)``. :meth:`transmit` checks
+    that once, in numpy, and a bad array raises
+    :class:`~repro.core.errors.SimulationError` before the round
+    advances. Its output is a :class:`RoundResult` of node arrays.
+
     Round resolution has two interchangeable kernels:
 
     * a **vectorized** numpy kernel (the default) that gathers every
@@ -132,8 +196,8 @@ class Channel:
       per-node loop, kept as the executable specification. Both kernels
       consume the channel RNG identically (one bulk Bernoulli draw per
       fault stage, in ascending node order — bulk-stream v2, see
-      PERFORMANCE.md), so for the same seed they agree delivery for
-      delivery; the test suite cross-checks this property.
+      PERFORMANCE.md), so for the same seed they agree reception for
+      reception; the test suite cross-checks this property.
 
     Because the kernels are outcome-identical, ``kernel="auto"`` (the
     default) picks per round by the total neighbor-gather work: tiny
@@ -226,101 +290,128 @@ class Channel:
         self._hear_count = [0] * network.n
         self._hear_from = [0] * network.n
         self._touched: list[int] = []
-        self._degree = [len(adj) for adj in network.neighbors]
+        # every node's degree, read from the CSR row pointers: a round's
+        # gather work is the sum over its broadcasters
+        self._degree = np.diff(network.indptr)
+        self._max_degree = int(self._degree.max(initial=0))
 
-    def transmit(self, actions: dict[int, Packet]) -> RoundResult:
-        """Resolve one round given ``{broadcaster: packet}`` actions.
+    def transmit(self, broadcasters: np.ndarray) -> RoundResult:
+        """Resolve one round given its ascending int64 broadcaster array.
 
         Implements the model: a listener receives iff exactly one neighbor
         broadcasts; sender faults silence a broadcaster toward *all* its
         neighbors; receiver faults independently silence each unique
-        reception. Returns the full :class:`RoundResult` and advances the
-        round counter.
+        reception. Returns the full :class:`RoundResult`, which keeps
+        ``broadcasters`` as its own field, and advances the round counter.
         """
-        return self._run_round(actions, self._resolve_auto)
+        return self._run_round(self._checked(broadcasters), self._resolve_auto)
 
-    def transmit_reference(self, actions: dict[int, Packet]) -> RoundResult:
+    def transmit_reference(self, broadcasters: np.ndarray) -> RoundResult:
         """Scalar reference kernel: same semantics, same RNG stream.
 
         Produces a :class:`RoundResult` identical to :meth:`transmit` for
         the same channel state; exists as the executable specification the
         vectorized kernel is property-checked against.
         """
-        return self._run_round(actions, self._resolve_scalar)
+        return self._run_round(self._checked(broadcasters), self._resolve_scalar)
 
     # -- kernel internals ---------------------------------------------------
 
-    def _run_round(self, actions: dict[int, Packet], resolver) -> RoundResult:
+    def _checked(self, broadcasters: np.ndarray) -> np.ndarray:
+        """``broadcasters`` if it is a valid round, else SimulationError."""
+        if type(broadcasters) is not np.ndarray:
+            raise self._invalid(
+                f"got a {type(broadcasters).__name__}, not a numpy array"
+            )
+        if broadcasters.dtype != _INT64:
+            raise self._invalid(f"got dtype {broadcasters.dtype}, not int64")
+        if broadcasters.ndim != 1:
+            raise self._invalid(f"got a {broadcasters.ndim}-D array, not 1-D")
+        size = broadcasters.size
+        if size:
+            if size > 1:
+                # count_nonzero: the cheapest numpy reduction on a small round
+                unordered = broadcasters[1:] <= broadcasters[:-1]
+                if np.count_nonzero(unordered):
+                    at = int(np.argmax(unordered))
+                    a, b = broadcasters[at : at + 2].tolist()
+                    problem = "duplicate node id" if a == b else "descending ids"
+                    raise self._invalid(
+                        f"{problem} {a}, {b} at position {at}: "
+                        "ids must be strictly ascending"
+                    )
+            n = self.network.n
+            if broadcasters[0] < 0 or broadcasters[-1] >= n:
+                node = int(broadcasters[0] if broadcasters[0] < 0 else broadcasters[-1])
+                raise self._invalid(f"node id {node} is outside [0, {n})")
+        return broadcasters
+
+    @staticmethod
+    def _invalid(problem: str) -> SimulationError:
+        """The error for a broadcaster array the channel cannot resolve."""
+        return SimulationError(
+            f"invalid broadcasters: {problem}; a round's broadcasters are "
+            "a strictly ascending 1-D int64 array of node ids"
+        )
+
+    def _run_round(self, broadcasters: np.ndarray, resolver) -> RoundResult:
         """The one place a resolved round is observed.
 
-        Resolves the round, then feeds the result to the metrics (behind
-        one ``METRICS.enabled`` read) and to every observer.
+        Resolves the round (``broadcasters`` already checked), then feeds
+        the result to the metrics (behind one ``METRICS.enabled`` read)
+        and to every observer.
         """
-        result = self._resolve_round(actions, resolver)
+        result = self._resolve_round(broadcasters, resolver)
         if _METRICS.enabled:
             _M_ROUNDS.inc()
-            if result.broadcasters:
+            if len(result.broadcasters):
                 _M_BROADCASTS.inc(len(result.broadcasters))
-                if result.deliveries:
-                    _M_DELIVERIES.inc(len(result.deliveries))
-                if result.collision_receivers:
+                if len(result.receivers):
+                    _M_DELIVERIES.inc(len(result.receivers))
+                if len(result.collision_receivers):
                     _M_COLLISIONS.inc(len(result.collision_receivers))
-                if result.faulty_senders:
+                if len(result.faulty_senders):
                     _M_SENDER_FAULTS.inc(len(result.faulty_senders))
-                if result.corrupted_receivers:
+                if len(result.corrupted_receivers):
                     _M_RECEIVER_FAULTS.inc(len(result.corrupted_receivers))
         for observer in self.observers:
             observer.on_round(result)
         return result
 
-    def _resolve_round(self, actions: dict[int, Packet], resolver) -> RoundResult:
-        """The un-observed round: validate, resolve, count, advance."""
-        n = self.network.n
-        for b in actions:
-            # an exact type test: it also rejects bool (an int subclass)
-            # and numpy integers, and costs no more than isinstance
-            if type(b) is not int or not 0 <= b < n:
-                raise self._invalid_node(b, n)
-        result = RoundResult(self.round_index, sorted(actions))
-        if actions:
-            resolver(actions, result)
+    def _resolve_round(self, broadcasters: np.ndarray, resolver) -> RoundResult:
+        """The un-observed round of checked broadcasters: resolve, count, advance."""
+        result = RoundResult(self.round_index, broadcasters)
+        if len(broadcasters):
+            resolver(result)
         self.round_index += 1
         counters = self.counters
         counters.rounds += 1
-        counters.broadcasts += len(result.broadcasters)
-        counters.deliveries += len(result.deliveries)
+        counters.broadcasts += len(broadcasters)
+        counters.deliveries += len(result.receivers)
         counters.collisions += len(result.collision_receivers)
         counters.sender_faults += len(result.faulty_senders)
         counters.receiver_faults += len(result.corrupted_receivers)
         return result
 
-    @staticmethod
-    def _invalid_node(node, n: int) -> SimulationError:
-        """The error for an action key that is not an int node id below n."""
-        return SimulationError(
-            f"broadcast action for invalid node {node!r} of type "
-            f"{type(node).__name__}: node ids are ints in [0, {n})"
-        )
-
-    def _resolve_auto(self, actions: dict[int, Packet], result: RoundResult) -> None:
+    def _resolve_auto(self, result: RoundResult) -> None:
         """Kernel dispatch: honor ``self.kernel``, else pick by gather work."""
         if self.kernel == "scalar":
             resolver = self._resolve_scalar
         elif self.kernel == "vectorized":
             resolver = self._resolve_vectorized
         else:
-            degree = self._degree
-            work = sum(degree[b] for b in actions)
-            resolver = (
-                self._resolve_vectorized
-                if work >= self.VECTORIZE_MIN_WORK
-                else self._resolve_scalar
-            )
-        resolver(actions, result)
+            bs = result.broadcasters
+            threshold = self.VECTORIZE_MIN_WORK
+            # no degree sum when even max-degree broadcasters stay below
+            # the threshold: the common tiny round skips two numpy calls
+            small = len(bs) * self._max_degree < threshold
+            if small or self._degree[bs].sum() < threshold:
+                resolver = self._resolve_scalar
+            else:
+                resolver = self._resolve_vectorized
+        resolver(result)
 
-    def _resolve_vectorized(
-        self, actions: dict[int, Packet], result: RoundResult
-    ) -> None:
+    def _resolve_vectorized(self, result: RoundResult) -> None:
         """Array kernel over the network's CSR adjacency.
 
         Adversary hooks fire in the fixed order ``begin_round`` ->
@@ -332,13 +423,14 @@ class Channel:
         network = self.network
         n = network.n
         adversary = self.adversary
-        bs = np.fromiter(result.broadcasters, dtype=np.int64, count=len(actions))
+        bs = result.broadcasters
 
         if adversary.needs_begin_round:
             adversary.begin_round(self.round_index, bs)
         smask = adversary.sender_mask(bs)
-        faulty = bs[smask] if smask is not None else bs[:0]
-        result.faulty_senders = faulty.tolist()
+        faulty = _EMPTY
+        if smask is not None:
+            faulty = result.faulty_senders = bs[smask]
 
         # gather all broadcasters' neighbor slices in one shot
         flat, lens = network.csr_slots(bs)
@@ -360,14 +452,12 @@ class Channel:
         listening = np.ones(n, dtype=bool)
         listening[bs] = False  # a broadcasting node cannot receive
 
-        result.collision_receivers = np.nonzero(
-            listening & (hear_count >= 2)
-        )[0].tolist()
-        unique = np.nonzero(listening & (hear_count == 1))[0]
-        self._fill_vectorized(actions, result, faulty, unique, sender_of[unique])
+        result.collision_receivers = np.flatnonzero(listening & (hear_count >= 2))
+        unique = np.flatnonzero(listening & (hear_count == 1))
+        self._fill_vectorized(result, faulty, unique, sender_of[unique])
 
     def _fill_vectorized(
-        self, actions, result: RoundResult, faulty, unique, unique_senders
+        self, result: RoundResult, faulty, unique, unique_senders
     ) -> None:
         """Array tail shared by the vectorized kernels.
 
@@ -379,58 +469,48 @@ class Channel:
             faulty_lookup = np.zeros(self.network.n, dtype=bool)
             faulty_lookup[faulty] = True
             silenced = faulty_lookup[unique_senders]
-            result.silenced_receivers = unique[silenced].tolist()
-            result.silenced_senders = unique_senders[silenced].tolist()
+            result.silenced_receivers = unique[silenced]
+            result.silenced_senders = unique_senders[silenced]
             unique = unique[~silenced]
             unique_senders = unique_senders[~silenced]
 
         rmask = self.adversary.receiver_mask(unique, unique_senders)
         if rmask is not None and rmask.any():
-            result.corrupted_receivers = unique[rmask].tolist()
-            result.corrupted_senders = unique_senders[rmask].tolist()
+            result.corrupted_receivers = unique[rmask]
+            result.corrupted_senders = unique_senders[rmask]
             unique = unique[~rmask]
             unique_senders = unique_senders[~rmask]
 
-        result.deliveries = [
-            Delivery(v, s, actions[s])
-            for v, s in zip(unique.tolist(), unique_senders.tolist())
-        ]
+        result.receivers = unique
+        result.senders = unique_senders
 
-    def _resolve_scalar(
-        self, actions: dict[int, Packet], result: RoundResult
-    ) -> None:
+    def _resolve_scalar(self, result: RoundResult) -> None:
         """Per-node reference kernel.
 
         Calls the adversary hooks at the same points, in the same order,
         with the same ascending-id values as the vectorized kernel (see
         :meth:`_resolve_vectorized`), so both kernels consume one RNG
-        stream and agree delivery for delivery.
+        stream and agree reception for reception.
         """
         adversary = self.adversary
-        broadcasters = result.broadcasters
+        bs = result.broadcasters
+        broadcasters = bs.tolist()
 
         if adversary.needs_begin_round:
-            adversary.begin_round(
-                self.round_index, np.asarray(broadcasters, dtype=np.int64)
-            )
+            adversary.begin_round(self.round_index, bs)
 
         faulty: set[int] = set()
         smask = adversary.sender_mask(broadcasters)
         if smask is not None:
-            result.faulty_senders = [
-                b for b, hit in zip(broadcasters, smask) if hit
-            ]
-            faulty = set(result.faulty_senders)
+            faulty_senders = [b for b, hit in zip(broadcasters, smask) if hit]
+            result.faulty_senders = node_array(faulty_senders)
+            faulty = set(faulty_senders)
 
         hear_count = self._hear_count
         hear_from = self._hear_from
         touched = self._touched
         neighbors = self.network.neighbors
-        alive = (
-            adversary.edge_alive(np.asarray(broadcasters, dtype=np.int64))
-            if adversary.has_edge_dynamics
-            else None
-        )
+        alive = adversary.edge_alive(bs) if adversary.has_edge_dynamics else None
         if alive is None:
             for b in broadcasters:
                 for v in neighbors[b]:
@@ -456,28 +536,34 @@ class Channel:
         # non-silenced) receivers so the stream matches the vectorized
         # kernel
         touched.sort()
+        sending = set(broadcasters)
+        collisions: list[int] = []
+        silenced: list[int] = []
+        silenced_senders: list[int] = []
         eligible: list[int] = []
         eligible_senders: list[int] = []
         for v in touched:
             count = hear_count[v]
             hear_count[v] = 0  # reset scratch as we go
-            if v in actions:
+            if v in sending:
                 continue  # a broadcasting node cannot receive
             if count >= 2:
-                result.collision_receivers.append(v)
+                collisions.append(v)
                 continue
             if hear_from[v] in faulty:
-                result.silenced_receivers.append(v)
-                result.silenced_senders.append(hear_from[v])
+                silenced.append(v)
+                silenced_senders.append(hear_from[v])
                 continue
             eligible.append(v)
             eligible_senders.append(hear_from[v])
         touched.clear()
-        self._fill_scalar(actions, result, eligible, eligible_senders)
+        result.collision_receivers = node_array(collisions)
+        result.silenced_receivers, result.silenced_senders = _node_pairs(
+            silenced, silenced_senders
+        )
+        self._fill_scalar(result, eligible, eligible_senders)
 
-    def _fill_scalar(
-        self, actions, result: RoundResult, eligible, eligible_senders
-    ) -> None:
+    def _fill_scalar(self, result: RoundResult, eligible, eligible_senders) -> None:
         """Per-node tail shared by the scalar kernels.
 
         ``eligible`` are the ascending listeners whose one sender sent
@@ -485,30 +571,33 @@ class Channel:
         kernels' stream) splits them into corrupted and delivered.
         """
         rmask = self.adversary.receiver_mask(eligible, eligible_senders)
-        for i, v in enumerate(eligible):
-            sender = eligible_senders[i]
-            if rmask is not None and rmask[i]:
-                result.corrupted_receivers.append(v)
-                result.corrupted_senders.append(sender)
-            else:
-                result.deliveries.append(Delivery(v, sender, actions[sender]))
+        hits = rmask.tolist() if rmask is not None else ()
+        if True in hits:
+            kept = [not hit for hit in hits]
+            result.corrupted_receivers, result.corrupted_senders = _node_pairs(
+                list(compress(eligible, hits)), list(compress(eligible_senders, hits))
+            )
+            eligible = list(compress(eligible, kept))
+            eligible_senders = list(compress(eligible_senders, kept))
+        result.receivers, result.senders = _node_pairs(eligible, eligible_senders)
 
 
 class ProtocolLayer(Protocol):
     """Every node's protocol state, as one :class:`Simulator` drives it.
 
     Each round the simulator asks the layer to :meth:`act`, resolves the
-    returned ``{broadcaster: packet}`` actions on the channel, and hands
-    the :class:`RoundResult` to :meth:`deliver`. The channel never reads
-    a packet, so a layer may pass any token and map deliveries back
-    itself.
+    returned broadcaster array on the channel, and hands the
+    :class:`RoundResult` to :meth:`deliver`, which reads its parallel
+    ``receivers``/``senders`` arrays. The channel never reads a packet:
+    a layer keeps what its broadcasters sent and looks each reception
+    up by its sender.
     """
 
-    def act(self, round_index: int) -> dict[int, Packet]:
-        """The round's broadcasts: ``{node: packet}``."""
+    def act(self, round_index: int) -> np.ndarray:
+        """The round's broadcasters: an ascending int64 array."""
 
     def deliver(self, result: RoundResult) -> None:
-        """Hand every delivery of the resolved round to its receiver."""
+        """Hand every reception of the resolved round to its receiver."""
 
     def all_done(self) -> bool:
         """True iff every node has completed its task."""
@@ -521,26 +610,33 @@ class ProtocolLayer(Protocol):
 
 
 class NodeLayer:
-    """The per-node layer: one :class:`NodeProtocol` object per node."""
+    """The per-node layer: one :class:`NodeProtocol` object per node.
+
+    :meth:`act` keeps the round's ``{node: packet}``; :meth:`deliver`
+    hands each receiver the packet of the sender it heard.
+    """
 
     def __init__(self, protocols: Sequence[NodeProtocol]) -> None:
         self.protocols = list(protocols)
+        self._packets: dict[int, Packet] = {}
 
-    def act(self, round_index: int) -> dict[int, Packet]:
-        actions: dict[int, Packet] = {}
+    def act(self, round_index: int) -> np.ndarray:
+        packets: dict[int, Packet] = {}
         for node, protocol in enumerate(self.protocols):
             if not protocol.active:
                 continue
             packet = protocol.act(round_index)
             if packet is not None:
-                actions[node] = packet
-        return actions
+                packets[node] = packet
+        self._packets = packets
+        return node_array(list(packets))
 
     def deliver(self, result: RoundResult) -> None:
-        for delivery in result.deliveries:
-            self.protocols[delivery.receiver].on_receive(
-                result.round_index, delivery.packet, delivery.sender
-            )
+        packets = self._packets
+        protocols = self.protocols
+        r = result.round_index
+        for v, s in zip(result.receivers.tolist(), result.senders.tolist()):
+            protocols[v].on_receive(r, packets[s], s)
 
     def all_done(self) -> bool:
         return all(p.is_done() for p in self.protocols)
@@ -550,6 +646,7 @@ class NodeLayer:
 
     def active_nodes(self) -> list[int]:
         return [node for node, p in enumerate(self.protocols) if p.active]
+
 
 
 class Simulator:

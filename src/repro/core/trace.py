@@ -172,15 +172,19 @@ class TraceRecorder:
             return
         r = result.round_index
         record = self.record
-        for b in result.broadcasters:
+        # .tolist(): events hold plain ints, never numpy scalars
+        for b in result.broadcasters.tolist():
             record(r, "broadcast", b)
-        for b in result.faulty_senders:
+        for b in result.faulty_senders.tolist():
             record(r, "sender_fault", b)
-        for v in result.collision_receivers:
+        for v in result.collision_receivers.tolist():
             record(r, "collision", v)
-        corrupted = zip(result.corrupted_receivers, result.corrupted_senders)
+        corrupted = zip(
+            result.corrupted_receivers.tolist(), result.corrupted_senders.tolist()
+        )
+        delivered = zip(result.receivers.tolist(), result.senders.tolist())
         receptions = [(v, "receiver_fault", s) for v, s in corrupted]
-        receptions += [(d.receiver, "deliver", d.sender) for d in result.deliveries]
+        receptions += [(v, "deliver", s) for v, s in delivered]
         for v, kind, s in sorted(receptions):
             record(r, kind, v, s)
 

@@ -12,9 +12,8 @@ from __future__ import annotations
 
 import math
 
-from repro.core.engine import Channel
+from repro.core.engine import Channel, node_array
 from repro.core.faults import FaultConfig
-from repro.core.packets import RSPacket
 from repro.experiments.common import register
 from repro.topologies.basic import star
 from repro.util.rng import RandomSource
@@ -27,12 +26,12 @@ def _fixed_length_star_coding(
     """Run a fixed-length coded broadcast; True iff every leaf got >= k."""
     network = star(n_leaves)
     channel = Channel(network, FaultConfig.receiver(p), rng)
-    hub = network.source
-    receptions = {v: 0 for v in network.nodes() if v != hub}
-    for j in range(length):
-        result = channel.transmit({hub: RSPacket(coded_index=j)})
-        for delivery in result.deliveries:
-            receptions[delivery.receiver] += 1
+    hub_only = node_array([network.source])
+    receptions = {v: 0 for v in network.nodes() if v != network.source}
+    for _ in range(length):
+        # the hub streams one coded packet a round; any k of them decode
+        for v in channel.transmit(hub_only).receivers.tolist():
+            receptions[v] += 1
     return min(receptions.values()) >= k
 
 

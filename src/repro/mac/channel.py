@@ -17,8 +17,9 @@ slot:
    top of* contention. With a capture threshold set, a receiver hearing
    several transmitters still captures the strongest one when its
    per-slot power exceeds ``capture`` times the runner-up's.
-3. **Feedback.** A transmission *succeeded* iff at least one delivery
-   names it. Success resets the node's backoff stage; failure doubles
+3. **Feedback.** A transmission *succeeded* iff its node appears in
+   the round's ``senders``, the parallel array of who each receiver
+   heard. Success resets the node's backoff stage; failure doubles
    its contention window (clamped at ``cw_max``); either way the node
    redraws its counter from the new window. Finally the slot's energy
    map becomes the next slot's carrier-sense input.
@@ -42,7 +43,14 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.core.engine import Channel, RoundObserver, RoundResult
+from repro.core.engine import (
+    _EMPTY,
+    Channel,
+    RoundObserver,
+    RoundResult,
+    _node_pairs,
+    node_array,
+)
 from repro.core.faults import AdversaryConfig, FaultConfig
 from repro.core.network import RadioNetwork
 from repro.core.trace import ChannelCounters
@@ -157,42 +165,40 @@ class ContentionChannel(Channel):
 
     # -- public entry points -------------------------------------------------
 
-    def transmit(self, actions) -> RoundResult:
-        """Resolve one MAC slot given ``{offerer: packet}`` offers."""
-        return self._mac_round(actions, self._resolve_auto, scalar=False)
+    def transmit(self, broadcasters: np.ndarray) -> RoundResult:
+        """Resolve one MAC slot given its ascending int64 array of offerers."""
+        return self._mac_round(broadcasters, self._resolve_auto, scalar=False)
 
-    def transmit_reference(self, actions) -> RoundResult:
+    def transmit_reference(self, broadcasters: np.ndarray) -> RoundResult:
         """Scalar reference: same slot semantics, same RNG stream."""
-        return self._mac_round(actions, self._resolve_scalar, scalar=True)
+        return self._mac_round(broadcasters, self._resolve_scalar, scalar=True)
 
     # -- slot pipeline -------------------------------------------------------
 
-    def _mac_round(self, actions, resolver, scalar: bool) -> RoundResult:
-        n = self.network.n
-        for b in actions:
-            if type(b) is not int or not 0 <= b < n:
-                raise self._invalid_node(b, n)
+    def _mac_round(self, offers: np.ndarray, resolver, scalar: bool) -> RoundResult:
+        # the one check of the slot: the transmitters the gate picks are
+        # a subset of the offers, so they pass to the channel as they are
+        offers = self._checked(offers)
         counters = self.counters
         metrics_on = _METRICS.enabled
         captures_before = counters.mac_captures
         if scalar:
-            tx_nodes, defers = self._gate_scalar(actions)
+            tx, defers = self._gate_scalar(offers)
         else:
-            tx_nodes, defers = self._gate_vectorized(actions)
-        counters.mac_offers += len(actions)
+            tx, defers = self._gate_vectorized(offers)
+        counters.mac_offers += len(offers)
         counters.mac_defers += defers
-        counters.mac_transmissions += len(tx_nodes)
-        tx_actions = {b: actions[b] for b in tx_nodes}
-        result = self._run_round(tx_actions, resolver)
-        successes = self._feedback(tx_nodes, result, scalar)
+        counters.mac_transmissions += len(tx)
+        result = self._run_round(tx, resolver)
+        successes = self._feedback(tx, result, scalar)
         if metrics_on:
-            if actions:
-                _M_OFFERS.inc(len(actions))
+            if len(offers):
+                _M_OFFERS.inc(len(offers))
             if defers:
                 _M_DEFERS.inc(defers)
-            if tx_nodes:
-                _M_TRANSMISSIONS.inc(len(tx_nodes))
-                failed = len(tx_nodes) - successes
+            if len(tx):
+                _M_TRANSMISSIONS.inc(len(tx))
+                failed = len(tx) - successes
                 if failed:
                     _M_MAC_COLLISIONS.inc(failed)
                 if successes:
@@ -202,15 +208,12 @@ class ContentionChannel(Channel):
                 _M_CAPTURES.inc(captures)
         return result
 
-    def _gate_vectorized(self, actions) -> tuple[list[int], int]:
+    def _gate_vectorized(self, contenders: np.ndarray) -> tuple[np.ndarray, int]:
         """Numpy MAC gate: draw, sense, fire, count down — in bulk."""
         config = self.config
         backoff = self._backoff
-        contenders = np.fromiter(
-            sorted(actions), dtype=np.int64, count=len(actions)
-        )
         if contenders.size == 0:
-            return [], 0
+            return contenders, 0
         fresh = contenders[backoff[contenders] < 0]
         if fresh.size:
             draws = self._mac_rng.uniform_array(int(fresh.size))
@@ -228,15 +231,15 @@ class ContentionChannel(Channel):
         backoff[active[~firing]] -= 1
         if config.capture and tx.size:
             self._power[tx] = self._mac_rng.uniform_array(int(tx.size))
-        return tx.tolist(), defers
+        return tx, defers
 
-    def _gate_scalar(self, actions) -> tuple[list[int], int]:
+    def _gate_scalar(self, offers: np.ndarray) -> tuple[np.ndarray, int]:
         """Reference MAC gate: per-node loop over the same bulk draws."""
         config = self.config
         backoff = self._backoff
-        contenders = sorted(actions)
+        contenders = offers.tolist()
         if not contenders:
-            return [], 0
+            return offers, 0
         fresh = [b for b in contenders if backoff[b] < 0]
         if fresh:
             draws = self._mac_rng.uniform_array(len(fresh))
@@ -257,28 +260,30 @@ class ContentionChannel(Channel):
             powers = self._mac_rng.uniform_array(len(tx))
             for i, b in enumerate(tx):
                 self._power[b] = powers[i]
-        return tx, defers
+        return node_array(tx), defers
 
-    def _feedback(self, tx_nodes: list[int], result: RoundResult, scalar: bool) -> int:
+    def _feedback(self, tx: np.ndarray, result: RoundResult, scalar: bool) -> int:
         """Post-slot bookkeeping: energy map, backoff evolution, redraws.
 
-        Returns the number of successful transmissions. Every transmitter
-        redraws its counter from one bulk uniform draw in ascending node
-        order, so the RNG stream is outcome-independent and identical
-        across kernels.
+        A transmission succeeded iff its node appears in
+        ``result.senders``. Returns the number of successful
+        transmissions. Every transmitter redraws its counter from one
+        bulk uniform draw in ascending node order, so the RNG stream is
+        outcome-independent and identical across kernels.
         """
         busy = self._busy_prev
         busy[:] = False
-        if not tx_nodes:
+        if not tx.size:
             return 0
         counters = self.counters
         config = self.config
         stage = self._stage
         max_stage = config.max_stage
         network = self.network
-        succeeded = {delivery.sender for delivery in result.deliveries}
-        draws = self._mac_rng.uniform_array(len(tx_nodes))
+        draws = self._mac_rng.uniform_array(len(tx))
         if scalar:
+            succeeded = set(result.senders.tolist())
+            tx_nodes = tx.tolist()
             successes = 0
             for b in tx_nodes:
                 busy[b] = True
@@ -294,12 +299,11 @@ class ContentionChannel(Channel):
             counters.mac_tx_success += successes
             counters.mac_tx_collisions += len(tx_nodes) - successes
             return successes
-        tx = np.asarray(tx_nodes, dtype=np.int64)
         busy[tx] = True
         busy[network.indices[network.csr_slots(tx)[0]]] = True
-        succ = np.fromiter(
-            (b in succeeded for b in tx_nodes), dtype=bool, count=len(tx_nodes)
-        )
+        succeeded = np.zeros(network.n, dtype=bool)
+        succeeded[result.senders] = True
+        succ = succeeded[tx]
         stage[tx[succ]] = 0
         failed = tx[~succ]
         stage[failed] = np.minimum(stage[failed] + 1, max_stage)
@@ -309,7 +313,7 @@ class ContentionChannel(Channel):
         self._backoff[tx] = (draws * windows).astype(np.int64)
         successes = int(succ.sum())
         counters.mac_tx_success += successes
-        counters.mac_tx_collisions += len(tx_nodes) - successes
+        counters.mac_tx_collisions += len(tx) - successes
         return successes
 
     # -- capture-aware resolution -------------------------------------------
@@ -319,20 +323,21 @@ class ContentionChannel(Channel):
     # transmitters can still win a receiver, which needs per-receiver
     # transmitter groups rather than the base kernel's hear-counts.
 
-    def _resolve_vectorized(self, actions, result: RoundResult) -> None:
+    def _resolve_vectorized(self, result: RoundResult) -> None:
         if not self.config.capture:
-            super()._resolve_vectorized(actions, result)
+            super()._resolve_vectorized(result)
             return
         network = self.network
         n = network.n
         adversary = self.adversary
-        bs = np.fromiter(result.broadcasters, dtype=np.int64, count=len(actions))
+        bs = result.broadcasters
 
         if adversary.needs_begin_round:
             adversary.begin_round(self.round_index, bs)
         smask = adversary.sender_mask(bs)
-        faulty = bs[smask] if smask is not None else bs[:0]
-        result.faulty_senders = faulty.tolist()
+        faulty = _EMPTY
+        if smask is not None:
+            faulty = result.faulty_senders = bs[smask]
 
         flat, lens = network.csr_slots(bs)
         heard = network.indices[flat]
@@ -351,8 +356,7 @@ class ContentionChannel(Channel):
         senders = senders[keep]
 
         if heard.size == 0:
-            unique = heard
-            unique_senders = senders
+            unique = unique_senders = _EMPTY
         else:
             powers = self._power[senders]
             # stable sort by (receiver, power): the last slot of each
@@ -365,7 +369,7 @@ class ContentionChannel(Channel):
             p = powers[order]
             ends = np.nonzero(np.r_[h[1:] != h[:-1], True])[0]
             sizes = np.diff(np.r_[np.int64(-1), ends])
-            receivers = h[ends]  # ascending receiver ids
+            receivers = h[ends].astype(np.int64)  # ascending receiver ids
             strongest = s[ends]
             multi = sizes >= 2
             p_top = p[ends]
@@ -373,48 +377,46 @@ class ContentionChannel(Channel):
             captured = multi & (p_top >= self.config.capture * p_second)
             self.counters.mac_captures += int(captured.sum())
             lost = multi & ~captured
-            result.collision_receivers = receivers[lost].tolist()
+            result.collision_receivers = receivers[lost]
             unique = receivers[~lost]
             unique_senders = strongest[~lost]
 
-        self._fill_vectorized(actions, result, faulty, unique, unique_senders)
+        self._fill_vectorized(result, faulty, unique, unique_senders)
 
-    def _resolve_scalar(self, actions, result: RoundResult) -> None:
+    def _resolve_scalar(self, result: RoundResult) -> None:
         if not self.config.capture:
-            super()._resolve_scalar(actions, result)
+            super()._resolve_scalar(result)
             return
         adversary = self.adversary
-        broadcasters = result.broadcasters
+        bs = result.broadcasters
+        broadcasters = bs.tolist()
 
         if adversary.needs_begin_round:
-            adversary.begin_round(
-                self.round_index, np.asarray(broadcasters, dtype=np.int64)
-            )
+            adversary.begin_round(self.round_index, bs)
 
         faulty: set[int] = set()
         smask = adversary.sender_mask(broadcasters)
         if smask is not None:
-            result.faulty_senders = [
-                b for b, hit in zip(broadcasters, smask) if hit
-            ]
-            faulty = set(result.faulty_senders)
+            faulty_senders = [b for b, hit in zip(broadcasters, smask) if hit]
+            result.faulty_senders = node_array(faulty_senders)
+            faulty = set(faulty_senders)
 
         neighbors = self.network.neighbors
-        alive = (
-            adversary.edge_alive(np.asarray(broadcasters, dtype=np.int64))
-            if adversary.has_edge_dynamics
-            else None
-        )
+        alive = adversary.edge_alive(bs) if adversary.has_edge_dynamics else None
+        sending = set(broadcasters)
         heard_by: dict[int, list[int]] = {}
         slot = 0
         for b in broadcasters:
             for v in neighbors[b]:
-                if (alive is None or alive[slot]) and v not in actions:
+                if (alive is None or alive[slot]) and v not in sending:
                     heard_by.setdefault(v, []).append(b)
                 slot += 1
 
         power = self._power
         ratio = self.config.capture
+        collisions: list[int] = []
+        silenced: list[int] = []
+        silenced_senders: list[int] = []
         eligible: list[int] = []
         eligible_senders: list[int] = []
         for v in sorted(heard_by):
@@ -435,12 +437,16 @@ class ContentionChannel(Channel):
                     winner = txs[best]
                     self.counters.mac_captures += 1
                 else:
-                    result.collision_receivers.append(v)
+                    collisions.append(v)
                     continue
             if winner in faulty:
-                result.silenced_receivers.append(v)
-                result.silenced_senders.append(winner)
+                silenced.append(v)
+                silenced_senders.append(winner)
                 continue
             eligible.append(v)
             eligible_senders.append(winner)
-        self._fill_scalar(actions, result, eligible, eligible_senders)
+        result.collision_receivers = node_array(collisions)
+        result.silenced_receivers, result.silenced_senders = _node_pairs(
+            silenced, silenced_senders
+        )
+        self._fill_scalar(result, eligible, eligible_senders)

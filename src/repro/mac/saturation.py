@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.packets import MessagePacket
+import numpy as np
+
 from repro.mac.channel import ContentionChannel
 from repro.mac.config import MacConfig
 from repro.topologies.basic import complete
@@ -63,10 +64,9 @@ def saturation_sim(
         raise ValueError(f"slots must be >= 1, got {slots}")
     network = complete(n)
     channel = ContentionChannel(network, rng=rng, kernel=kernel, config=config)
-    packet = MessagePacket(0)
-    actions = {v: packet for v in network.nodes()}
+    everyone = np.arange(network.n, dtype=np.int64)
     for _ in range(slots):
-        channel.transmit(actions)
+        channel.transmit(everyone)
     counters = channel.counters
     return SaturationResult(
         n=n,

@@ -24,10 +24,9 @@ import abc
 from dataclasses import dataclass
 
 from repro.algorithms.base import ilog2
-from repro.core.engine import Channel
+from repro.core.engine import Channel, node_array
 from repro.core.faults import FaultConfig
 from repro.core.network import RadioNetwork
-from repro.core.packets import MessagePacket
 from repro.core.trace import ChannelCounters
 from repro.util.rng import RandomSource, spawn_rng
 from repro.util.validation import check_positive
@@ -173,14 +172,14 @@ def run_adaptive_schedule(
             break
         wanted = scheduler.decide(rounds, knowledge, decide_rng)
         actions = {
-            node: MessagePacket(message)
+            node: message
             for node, message in wanted.items()
             if message in knowledge[node]
         }
-        result = channel.transmit(actions)
+        result = channel.transmit(node_array(sorted(actions)))
         rounds += 1
-        for delivery in result.deliveries:
-            knowledge[delivery.receiver].add(delivery.packet.index)
+        for v, s in zip(result.receivers.tolist(), result.senders.tolist()):
+            knowledge[v].add(actions[s])
 
     completed = sum(1 for have in knowledge if len(have) == k)
     return AdaptiveOutcome(

@@ -19,10 +19,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.engine import Channel
+from repro.core.engine import Channel, node_array
 from repro.core.faults import FaultConfig
 from repro.core.network import RadioNetwork
-from repro.core.packets import MessagePacket
 from repro.topologies.basic import path, star
 from repro.util.validation import check_positive
 
@@ -93,15 +92,15 @@ def execute_reference(schedule: StaticRoutingSchedule) -> ReferenceExecution:
     deliveries: list[list[tuple[int, int, int]]] = []
     for actions in schedule.rounds:
         live = {
-            node: MessagePacket(message)
+            node: message
             for node, message in actions.items()
             if message in known[node]
         }
-        result = channel.transmit(live)
+        result = channel.transmit(node_array(sorted(live)))
         this_round = []
-        for d in result.deliveries:
-            known[d.receiver].add(d.packet.index)
-            this_round.append((d.receiver, d.sender, d.packet.index))
+        for v, s in zip(result.receivers.tolist(), result.senders.tolist()):
+            known[v].add(live[s])
+            this_round.append((v, s, live[s]))
         deliveries.append(this_round)
     return ReferenceExecution(deliveries=deliveries, known=known)
 

@@ -24,9 +24,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from repro.core.engine import Channel
+from repro.core.engine import Channel, node_array
 from repro.core.faults import FaultConfig, FaultModel
-from repro.core.packets import MessagePacket, RSPacket
 from repro.schedules.schedule import (
     ReferenceExecution,
     StaticRoutingSchedule,
@@ -140,21 +139,18 @@ def transform_routing_schedule(
             for receiver, sender, _ in reference.deliveries[r]
         }
         for _ in range(length):
-            live = {
-                node: MessagePacket(message)
-                for node, message in live_broadcasters.items()
-                if sent_count[node] < x
-            }
+            live = sorted(
+                node for node in live_broadcasters if sent_count[node] < x
+            )
             if not live:
                 break
-            result = channel.transmit(live)
-            faulty = set(result.faulty_senders)
+            result = channel.transmit(node_array(live))
+            faulty = set(result.faulty_senders.tolist())
             # adaptive senders advance on every clean transmission
             for node in live:
                 if node not in faulty:
                     sent_count[node] += 1
-            for d in result.deliveries:
-                key = (d.receiver, d.sender)
+            for key in zip(result.receivers.tolist(), result.senders.tolist()):
                 if key in got_count:
                     got_count[key] += 1
         for (receiver, sender), count in got_count.items():
@@ -228,15 +224,12 @@ def transform_coding_schedule(
             (receiver, sender): 0
             for receiver, sender, _ in reference.deliveries[r]
         }
-        for j in range(length):
-            live = {
-                node: RSPacket(coded_index=j)
-                for node in actions
-                if decoded_ok[node]
-            }
+        live = node_array(sorted(node for node in actions if decoded_ok[node]))
+        for _ in range(length):
+            # broadcaster i streams coded packet j of its meta-round in
+            # sub-round j; reception counts stand in for the packets
             result = channel.transmit(live)
-            for d in result.deliveries:
-                key = (d.receiver, d.sender)
+            for key in zip(result.receivers.tolist(), result.senders.tolist()):
                 if key in got_count:
                     got_count[key] += 1
         for (receiver, sender), count in got_count.items():

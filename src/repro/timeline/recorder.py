@@ -138,19 +138,14 @@ class TimelineRecorder:
             self._b_index = bucket
         self.rounds += 1
 
-        deliveries = result.deliveries
+        receivers = result.receivers
         self._b_broadcasts += len(result.broadcasters)
-        self._b_deliveries += len(deliveries)
+        self._b_deliveries += len(receivers)
         self._b_collisions += len(result.collision_receivers)
         self._b_sender_faults += len(result.faulty_senders)
         self._b_receiver_faults += len(result.corrupted_receivers)
 
-        if deliveries and (self._first_pending or self.informed < self.n):
-            receivers = np.fromiter(
-                (d.receiver for d in deliveries),
-                dtype=np.int64,
-                count=len(deliveries),
-            )
+        if len(receivers) and (self._first_pending or self.informed < self.n):
             fresh = receivers[self.first_delivery[receivers] < 0]
             if fresh.size:
                 self.first_delivery[fresh] = round_index

@@ -11,16 +11,14 @@ runner level (canonical RunReport JSON).
 
 import random
 
+import numpy as np
 import pytest
 
 from repro.adversary import all_adversaries
 from repro.core.engine import Channel
 from repro.core.faults import AdversaryConfig
-from repro.core.packets import MessagePacket
 from repro.runner import Scenario, run
 from repro.topologies import basic, random_graphs
-
-PACKET = MessagePacket(0)
 
 ADVERSARY_KINDS = tuple(kind.name for kind in all_adversaries())
 
@@ -75,17 +73,9 @@ def _sample_params(kind: str, sampler: random.Random) -> dict:
     raise AssertionError(f"no sampler for adversary kind {kind!r}")
 
 
-def _sample_actions(sampler: random.Random, n: int) -> dict:
+def _sample_broadcasters(sampler: random.Random, n: int) -> np.ndarray:
     count = sampler.randint(0, n)
-    return {v: PACKET for v in sampler.sample(range(n), count)}
-
-
-def _assert_rounds_equal(a, b, context: str) -> None:
-    assert a.round_index == b.round_index, context
-    assert a.deliveries == b.deliveries, context
-    assert a.noise_receivers == b.noise_receivers, context
-    assert a.collision_receivers == b.collision_receivers, context
-    assert a.faulty_senders == b.faulty_senders, context
+    return np.array(sorted(sampler.sample(range(n), count)), dtype=np.int64)
 
 
 class TestKernelEquivalence:
@@ -108,10 +98,10 @@ class TestKernelEquivalence:
                 f"adversary={config} seed={seed}"
             )
             for _ in range(8):
-                actions = _sample_actions(sampler, network.n)
-                got = vectorized.transmit(dict(actions))
-                want = scalar.transmit(dict(actions))
-                _assert_rounds_equal(got, want, context)
+                broadcasters = _sample_broadcasters(sampler, network.n)
+                got = vectorized.transmit(broadcasters)
+                want = scalar.transmit(broadcasters)
+                assert got == want, context
             assert (
                 vectorized.counters.as_dict() == scalar.counters.as_dict()
             ), context
@@ -130,13 +120,13 @@ class TestKernelEquivalence:
                 channel = Channel(network, rng=seed, adversary=config)
                 actions_rng = random.Random(action_seed)
                 rounds = [
-                    channel.transmit(_sample_actions(actions_rng, network.n))
+                    channel.transmit(_sample_broadcasters(actions_rng, network.n))
                     for _ in range(6)
                 ]
                 streams.append((rounds, channel.counters.as_dict()))
             (rounds_a, counters_a), (rounds_b, counters_b) = streams
             for got, want in zip(rounds_a, rounds_b):
-                _assert_rounds_equal(got, want, f"{config} replay")
+                assert got == want, f"{config} replay"
             assert counters_a == counters_b
 
 

@@ -18,11 +18,13 @@ from repro.adversary import (
 )
 from repro.core.engine import Channel, Simulator
 from repro.core.faults import AdversaryConfig, FaultConfig, FaultModel
-from repro.core.packets import MessagePacket
 from repro.runner import Scenario, run
 from repro.topologies import basic, random_graphs
 
-PACKET = MessagePacket(0)
+
+def nodes(*ids: int) -> np.ndarray:
+    """One round's broadcasters, as the channel takes them."""
+    return np.array(ids, dtype=np.int64)
 
 
 def _drive(channel: Channel, rounds: int, action_seed: int = 0) -> list:
@@ -30,8 +32,8 @@ def _drive(channel: Channel, rounds: int, action_seed: int = 0) -> list:
     results = []
     for _ in range(rounds):
         n = channel.network.n
-        actions = {v: PACKET for v in sampler.sample(range(n), sampler.randint(0, n))}
-        results.append(channel.transmit(actions))
+        chosen = sampler.sample(range(n), sampler.randint(0, n))
+        results.append(channel.transmit(nodes(*sorted(chosen))))
     return results
 
 
@@ -120,9 +122,7 @@ class TestIIDFaultsSubsumesFaultConfig:
             adversary=AdversaryConfig("iid", {"model": model, "p": 0.35}),
         )
         for got, want in zip(_drive(adversarial, 10), _drive(legacy, 10)):
-            assert got.deliveries == want.deliveries
-            assert got.noise_receivers == want.noise_receivers
-            assert got.faulty_senders == want.faulty_senders
+            assert got == want
         assert adversarial.counters.as_dict() == legacy.counters.as_dict()
 
     @pytest.mark.parametrize(
@@ -197,17 +197,17 @@ class TestGilbertElliott:
             ),
         )
         for _ in range(5):
-            result = channel.transmit({0: PACKET})
-            assert result.deliveries == []
-            assert result.noise_receivers == list(range(1, 11))
+            result = channel.transmit(nodes(0))
+            assert result.receivers.size == 0
+            assert result.noise_receivers.tolist() == list(range(1, 11))
 
     def test_never_bad_is_clean(self):
         network = basic.star(10)
         channel = Channel(
             network, rng=1, adversary=GilbertElliott(p_bad=0.9, p_enter=0.0)
         )
-        result = channel.transmit({0: PACKET})
-        assert len(result.deliveries) == 10
+        result = channel.transmit(nodes(0))
+        assert len(result.receivers) == 10
 
     def test_nominal_p_is_stationary_loss(self):
         ge = GilbertElliott(p_bad=0.8, p_good=0.0, p_enter=0.1, p_exit=0.3)
@@ -226,8 +226,8 @@ class TestGilbertElliott:
         )
         outcomes = []
         for _ in range(4000):
-            result = channel.transmit({0: PACKET})
-            outcomes.append(0 if result.deliveries else 1)
+            result = channel.transmit(nodes(0))
+            outcomes.append(0 if result.receivers.size else 1)
         lost = np.asarray(outcomes)
         rate = lost.mean()
         assert 0.05 < rate < 0.4  # near the stationary 1/6
@@ -253,8 +253,8 @@ class TestBudgetedJammer:
             network, rng=1, adversary=BudgetedJammer(per_round=10)
         )
         for _ in range(4):
-            result = channel.transmit({0: PACKET})
-            assert result.deliveries == []
+            result = channel.transmit(nodes(0))
+            assert result.receivers.size == 0
             assert len(result.noise_receivers) == 6
 
     def test_max_degree_policy_targets_hubs(self):
@@ -265,20 +265,20 @@ class TestBudgetedJammer:
         channel = Channel(
             network, rng=1, adversary=BudgetedJammer(per_round=1, policy="max_degree")
         )
-        result = channel.transmit({0: PACKET, 3: PACKET})
-        assert result.noise_receivers == [1]
-        assert [d.receiver for d in result.deliveries] == [2]
+        result = channel.transmit(nodes(0, 3))
+        assert result.noise_receivers.tolist() == [1]
+        assert result.receivers.tolist() == [2]
 
     def test_frontier_policy_prefers_first_receptions(self):
         network = basic.star(4)  # hub 0, leaves 1..4
         jammer = BudgetedJammer(per_round=1, policy="frontier")
         channel = Channel(network, rng=1, adversary=jammer)
-        first = channel.transmit({0: PACKET})
+        first = channel.transmit(nodes(0))
         jammed_first = first.noise_receivers[0]
         # the three delivered leaves are now "informed"; the jammer keeps
         # chasing the one leaf that has never received
-        second = channel.transmit({0: PACKET})
-        assert second.noise_receivers == [jammed_first]
+        second = channel.transmit(nodes(0))
+        assert second.noise_receivers.tolist() == [jammed_first]
 
     def test_bad_policy_rejected(self):
         with pytest.raises(ValueError, match="policy"):
@@ -297,8 +297,7 @@ class TestEdgeChurn:
         for got, want in zip(
             _drive(churned, 8, action_seed=1), _drive(plain, 8, action_seed=1)
         ):
-            assert got.deliveries == want.deliveries
-            assert got.collision_receivers == want.collision_receivers
+            assert got == want
 
     def test_all_down_delivers_nothing(self):
         network = basic.star(8)
@@ -308,10 +307,10 @@ class TestEdgeChurn:
             adversary=EdgeChurn(p_down=1.0, p_up=0.0, start_down=True),
         )
         for _ in range(3):
-            result = channel.transmit({0: PACKET})
-            assert result.deliveries == []
-            assert result.collision_receivers == []
-            assert result.noise_receivers == []
+            result = channel.transmit(nodes(0))
+            assert result.receivers.size == 0
+            assert result.collision_receivers.size == 0
+            assert result.noise_receivers.size == 0
 
     def test_down_edge_removes_collision_contribution(self):
         """A listener whose other neighbor's edge is down receives cleanly
@@ -322,8 +321,8 @@ class TestEdgeChurn:
             channel = Channel(
                 network, rng=seed, adversary=EdgeChurn(p_down=0.5, p_up=0.2)
             )
-            result = channel.transmit({0: PACKET, 2: PACKET})
-            if [d.receiver for d in result.deliveries] == [1]:
+            result = channel.transmit(nodes(0, 2))
+            if result.receivers.tolist() == [1]:
                 seen_clean_delivery = True
                 break
         assert seen_clean_delivery

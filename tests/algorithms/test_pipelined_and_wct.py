@@ -11,7 +11,6 @@ from repro.algorithms.multi.pipelined import (
 from repro.algorithms.multi.wct_sim import WCTBroadcastSimulator
 from repro.core.engine import Channel
 from repro.core.faults import FaultConfig
-from repro.core.packets import MessagePacket
 from repro.topologies.basic import path
 from repro.topologies.layered import bipartite_network, layered_network
 from repro.topologies.wct import worst_case_topology
@@ -111,13 +110,11 @@ class TestWCTSimulatorEquivalence:
             )
             mask[chosen] = True
             hearing = sim.hearing_clusters(mask)
-            actions = {
-                wct.senders[i]: MessagePacket(0)
-                for i in range(wct.num_senders)
-                if mask[i]
-            }
-            result = channel.transmit(actions)
-            received_nodes = {d.receiver for d in result.deliveries}
+            fired = sorted(
+                wct.senders[i] for i in range(wct.num_senders) if mask[i]
+            )
+            result = channel.transmit(np.array(fired, dtype=np.int64))
+            received_nodes = set(result.receivers.tolist())
             for j, members in enumerate(wct.clusters):
                 if hearing[j]:
                     assert set(members) <= received_nodes

@@ -12,19 +12,18 @@ vectorized kernel.
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.engine import Channel
 from repro.core.faults import AdversaryConfig, FaultConfig
-from repro.core.packets import MessagePacket
 from repro.core.trace import TraceRecorder
 from repro.mac import ContentionChannel, MacConfig
 from repro.topologies import basic
 from repro.topologies.registry import make_topology
 
-PACKET = MessagePacket(0)
 _ROUNDS = 12
 
 
@@ -73,7 +72,8 @@ def _traces(channel_cls, network, faults, adversary, seed, reference, **extra):
     pick = random.Random(seed)
     for _ in range(_ROUNDS):
         count = pick.randint(0, network.n)
-        transmit({v: PACKET for v in pick.sample(range(network.n), count)})
+        chosen = sorted(pick.sample(range(network.n), count))
+        transmit(np.array(chosen, dtype=np.int64))
     return full, sampled
 
 
@@ -118,9 +118,9 @@ def test_tracing_keeps_the_vectorized_kernel():
     trace = TraceRecorder()
     channel = Channel(basic.star(800), observers=[trace])
 
-    def scalar(actions, result):
+    def scalar(result):
         pytest.fail("a traced round fell back to the scalar kernel")
 
     channel._resolve_scalar = scalar
-    channel.transmit({0: PACKET})
+    channel.transmit(np.array([0], dtype=np.int64))
     assert len(trace.events_of_kind("deliver")) == 800

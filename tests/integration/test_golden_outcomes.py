@@ -33,11 +33,11 @@ import random
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.core.engine import Channel
 from repro.core.faults import AdversaryConfig, FaultConfig
-from repro.core.packets import MessagePacket
 from repro.core.trace import TraceRecorder
 from repro.gbst.gbst import build_gbst
 from repro.mac.channel import ContentionChannel
@@ -254,7 +254,6 @@ SCENARIOS = {
     ),
 }
 
-_PACKET = MessagePacket(0)
 _TRACE_ROUNDS = 40
 
 
@@ -265,9 +264,8 @@ def _trace(make_channel, network, seed, sample=1.0):
     pick = random.Random(seed)
     for _ in range(_TRACE_ROUNDS):
         count = pick.randint(0, max(1, network.n // 3))
-        channel.transmit(
-            {v: _PACKET for v in pick.sample(range(network.n), count)}
-        )
+        chosen = sorted(pick.sample(range(network.n), count))
+        channel.transmit(np.array(chosen, dtype=np.int64))
     return recorder
 
 

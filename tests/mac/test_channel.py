@@ -1,15 +1,18 @@
 """Contention-channel slot semantics: sensing, backoff, hidden terminals,
 capture — checked on small hand-analyzable topologies."""
 
+import numpy as np
 import pytest
 
 from repro.core.errors import SimulationError
-from repro.core.packets import MessagePacket
 from repro.mac import ContentionChannel, MacConfig
 from repro.mac.channel import MacCounters
 from repro.topologies.basic import complete, path, star
 
-PACKET = MessagePacket(0)
+
+def nodes(*ids: int) -> np.ndarray:
+    """One slot's offerers, as the channel takes them."""
+    return np.array(ids, dtype=np.int64)
 
 
 def _channel(network, seed=0, **knobs):
@@ -21,8 +24,8 @@ class TestGate:
         # cw_min=1 means every counter draw is 0: a lone offerer reaches
         # the air on its first contending slot
         channel = _channel(path(2), cw_min=1, cw_max=1)
-        result = channel.transmit({0: PACKET})
-        assert [d.receiver for d in result.deliveries] == [1]
+        result = channel.transmit(nodes(0))
+        assert result.receivers.tolist() == [1]
         assert channel.counters.mac_transmissions == 1
         assert channel.counters.mac_tx_success == 1
 
@@ -32,7 +35,7 @@ class TestGate:
         channel = _channel(path(2), seed=3, cw_min=8, cw_max=8)
         slots = 0
         while channel.counters.mac_transmissions == 0:
-            channel.transmit({0: PACKET})
+            channel.transmit(nodes(0))
             slots += 1
             assert slots <= 8, "counter must fire within cw_min slots"
         assert channel.counters.mac_defers == 0
@@ -41,22 +44,22 @@ class TestGate:
         # slot 1: node 0 transmits (cw_min=1). Slot 2: both 0 and its
         # neighbor 1 heard that energy, so with sensing on both defer.
         channel = _channel(path(3), cw_min=1, cw_max=1)
-        channel.transmit({0: PACKET})
+        channel.transmit(nodes(0))
         assert channel.counters.mac_transmissions == 1
-        channel.transmit({0: PACKET, 1: PACKET})
+        channel.transmit(nodes(0, 1))
         assert channel.counters.mac_defers == 2
         assert channel.counters.mac_transmissions == 1  # unchanged
 
     def test_sense_off_never_defers(self):
         channel = _channel(path(3), cw_min=1, cw_max=1, sense=False)
-        channel.transmit({0: PACKET})
-        channel.transmit({0: PACKET, 1: PACKET})
+        channel.transmit(nodes(0))
+        channel.transmit(nodes(0, 1))
         assert channel.counters.mac_defers == 0
 
     def test_invalid_offerer_raises(self):
         channel = _channel(path(3))
-        with pytest.raises(SimulationError, match="invalid node"):
-            channel.transmit({7: PACKET})
+        with pytest.raises(SimulationError, match="outside"):
+            channel.transmit(nodes(7))
 
 
 class TestHiddenTerminal:
@@ -65,9 +68,9 @@ class TestHiddenTerminal:
         # endpoints transmit every slot and receiver 1 loses every slot
         channel = _channel(path(3), cw_min=1, cw_max=1, sense=False)
         for _ in range(6):
-            result = channel.transmit({0: PACKET, 2: PACKET})
-            assert result.deliveries == []
-            assert result.collision_receivers == [1]
+            result = channel.transmit(nodes(0, 2))
+            assert result.receivers.size == 0
+            assert result.collision_receivers.tolist() == [1]
         assert channel.counters.mac_defers == 0
         assert channel.counters.mac_tx_collisions == 12
         assert channel.counters.mac_tx_success == 0
@@ -79,8 +82,8 @@ class TestHiddenTerminal:
         # that is exactly the hidden-terminal blind spot
         channel = _channel(path(3), cw_min=1, cw_max=1)
         for _ in range(10):
-            result = channel.transmit({0: PACKET, 2: PACKET})
-            assert result.deliveries == []
+            result = channel.transmit(nodes(0, 2))
+            assert result.receivers.size == 0
         assert channel.counters.mac_tx_collisions > 0
         assert channel.counters.mac_tx_success == 0
         # self-energy deferral shows up, confirming sensing was active
@@ -96,7 +99,7 @@ class TestBackoff:
         max_stage = channel.config.max_stage
         assert max_stage == 2
         for _ in range(40):
-            channel.transmit({0: PACKET})
+            channel.transmit(nodes(0))
         assert channel._stage[0] == max_stage
         assert channel.counters.mac_tx_success == 0
         assert channel.counters.mac_tx_collisions > max_stage
@@ -106,16 +109,16 @@ class TestBackoff:
         # pretend prior failures drove node 0 to the window ceiling
         channel._stage[0] = channel.config.max_stage
         channel._backoff[0] = 0
-        result = channel.transmit({0: PACKET})
-        assert [d.receiver for d in result.deliveries] == [1]
+        result = channel.transmit(nodes(0))
+        assert result.receivers.tolist() == [1]
         assert channel.counters.mac_tx_success == 1
         assert channel._stage[0] == 0
 
     def test_backoff_counter_stays_within_window(self):
         channel = _channel(complete(6), seed=9, cw_min=4, cw_max=16)
-        actions = {v: PACKET for v in range(6)}
+        offers = nodes(*range(6))
         for _ in range(60):
-            channel.transmit(actions)
+            channel.transmit(offers)
             drawn = channel._backoff[channel._backoff >= 0]
             assert (drawn < channel.config.cw_max).all()
 
@@ -125,25 +128,24 @@ class TestCapture:
         # threshold 1.0: the strongest transmitter always wins, so the
         # hidden-terminal slot delivers instead of collides
         channel = _channel(path(3), cw_min=1, cw_max=1, capture=1.0)
-        result = channel.transmit({0: PACKET, 2: PACKET})
-        assert len(result.deliveries) == 1
-        assert result.deliveries[0].receiver == 1
-        assert result.deliveries[0].sender in (0, 2)
+        result = channel.transmit(nodes(0, 2))
+        assert result.receivers.tolist() == [1]
+        assert result.senders.tolist() in ([0], [2])
         assert channel.counters.mac_captures == 1
         assert channel.counters.collisions == 0
 
     def test_huge_threshold_behaves_like_no_capture(self):
         channel = _channel(path(3), cw_min=1, cw_max=1, capture=1e9)
-        result = channel.transmit({0: PACKET, 2: PACKET})
-        assert result.deliveries == []
-        assert result.collision_receivers == [1]
+        result = channel.transmit(nodes(0, 2))
+        assert result.receivers.size == 0
+        assert result.collision_receivers.tolist() == [1]
         assert channel.counters.mac_captures == 0
 
     def test_capture_still_counts_winner_success(self):
         channel = _channel(star(4), cw_min=1, cw_max=1, capture=1.0)
-        result = channel.transmit({1: PACKET, 2: PACKET})
+        result = channel.transmit(nodes(1, 2))
         # leaves 1 and 2 collide at the hub; capture rescues one of them
-        assert len(result.deliveries) == 1
+        assert len(result.receivers) == 1
         assert channel.counters.mac_tx_success == 1
         assert channel.counters.mac_tx_collisions == 1
 
@@ -151,9 +153,9 @@ class TestCapture:
 class TestCounters:
     def test_offers_split_into_transmissions_defers_and_countdowns(self):
         channel = _channel(complete(8), seed=2, cw_min=4, cw_max=32)
-        actions = {v: PACKET for v in range(8)}
+        offers = nodes(*range(8))
         for _ in range(50):
-            channel.transmit(actions)
+            channel.transmit(offers)
         c = channel.counters
         assert isinstance(c, MacCounters)
         assert c.mac_offers == 8 * 50

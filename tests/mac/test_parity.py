@@ -3,19 +3,25 @@
 Mirrors ``tests/core/test_channel_vectorized.py`` for the contention
 channel: random topologies, MAC configs, fault models, adversaries, and
 offer sets; :meth:`ContentionChannel.transmit` and
-:meth:`ContentionChannel.transmit_reference` must agree delivery-for-
-delivery and counter-for-counter, because both kernels consume one
-identical RNG stream (bulk draws, ascending node order).
+:meth:`ContentionChannel.transmit_reference` must return equal
+:class:`~repro.core.engine.RoundResult` objects, every field, and equal
+counters, because both kernels consume one identical RNG stream (bulk
+draws, ascending node order).
 """
 
 import random
 
+import numpy as np
+
 from repro.core.faults import AdversaryConfig, FaultConfig
-from repro.core.packets import MessagePacket
 from repro.mac import ContentionChannel, MacConfig
 from repro.topologies import basic, random_graphs
 
-PACKET = MessagePacket(0)
+
+def _offers(sampler, n):
+    """A random ascending offer array over ``range(n)``."""
+    count = sampler.randint(0, n)
+    return np.array(sorted(sampler.sample(range(n), count)), dtype=np.int64)
 
 
 def _sample_network(sampler, config_index):
@@ -67,14 +73,6 @@ def _sample_noise(sampler):
     return FaultConfig.faultless(), None
 
 
-def _assert_rounds_equal(a, b, context):
-    assert a.round_index == b.round_index, context
-    assert a.deliveries == b.deliveries, context
-    assert a.noise_receivers == b.noise_receivers, context
-    assert a.collision_receivers == b.collision_receivers, context
-    assert a.faulty_senders == b.faulty_senders, context
-
-
 class TestMacKernelEquivalence:
     def test_vectorized_matches_reference_across_sampled_configs(self):
         sampler = random.Random(0xAC0FF)
@@ -105,15 +103,10 @@ class TestMacKernelEquivalence:
                 f"seed={seed}"
             )
             for _ in range(10):
-                count = sampler.randint(0, network.n)
-                actions = {
-                    v: PACKET for v in sampler.sample(range(network.n), count)
-                }
-                _assert_rounds_equal(
-                    vectorized.transmit(actions),
-                    reference.transmit_reference(actions),
-                    context,
-                )
+                offers = _offers(sampler, network.n)
+                got = vectorized.transmit(offers)
+                want = reference.transmit_reference(offers)
+                assert got == want, context
             assert (
                 vectorized.counters.as_dict() == reference.counters.as_dict()
             ), context
@@ -131,17 +124,7 @@ class TestMacKernelEquivalence:
             )
             transcript = []
             for _ in range(30):
-                count = sampler.randint(0, 25)
-                actions = {v: PACKET for v in sampler.sample(range(25), count)}
-                result = channel.transmit(actions)
-                transcript.append(
-                    (
-                        tuple(result.deliveries),
-                        tuple(result.collision_receivers),
-                        tuple(result.noise_receivers),
-                        tuple(result.faulty_senders),
-                    )
-                )
+                transcript.append(channel.transmit(_offers(sampler, 25)))
             return transcript, channel.counters.as_dict()
 
         assert one_run() == one_run()

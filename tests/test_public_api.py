@@ -26,34 +26,46 @@ class TestExports:
 
 class TestChannelValidation:
     def test_invalid_broadcaster_rejected(self):
-        from repro import Channel, FaultConfig, path
-        from repro.core.errors import SimulationError
-        from repro.core.packets import MessagePacket
-
-        channel = Channel(path(3), FaultConfig.faultless(), rng=0)
-        with pytest.raises(SimulationError):
-            channel.transmit({99: MessagePacket(0)})
-        with pytest.raises(SimulationError):
-            channel.transmit({"a": MessagePacket(0)})  # type: ignore[dict-item]
-
-    @pytest.mark.parametrize("contention", [False, True], ids=["default", "mac"])
-    def test_node_ids_must_be_plain_ints(self, contention):
-        """A bool is an int subclass, and numpy ints come out of arrays: a
-        layer that keys actions by either is named, not resolved."""
         import numpy as np
 
         from repro import Channel, FaultConfig, path
         from repro.core.errors import SimulationError
-        from repro.core.packets import MessagePacket
+
+        channel = Channel(path(3), FaultConfig.faultless(), rng=0)
+        with pytest.raises(SimulationError):
+            channel.transmit(np.array([99], dtype=np.int64))
+        with pytest.raises(SimulationError):
+            channel.transmit(np.array(["a"]))
+
+    @pytest.mark.parametrize("contention", [False, True], ids=["default", "mac"])
+    def test_broadcaster_array_is_validated(self, contention):
+        """A round's broadcasters are one strictly ascending 1-D int64
+        array of ids in [0, n): anything else is named, not resolved, and
+        the round does not advance."""
+        import numpy as np
+
+        from repro import Channel, FaultConfig, path
+        from repro.core.errors import SimulationError
         from repro.mac.channel import ContentionChannel
 
         make = ContentionChannel if contention else Channel
         channel = make(path(3), FaultConfig.faultless(), rng=0)
-        for node, type_name in ((True, "bool"), (np.int64(1), "int64")):
-            with pytest.raises(SimulationError, match=f"of type {type_name}"):
-                channel.transmit({node: MessagePacket(0)})
-        assert channel.round_index == 0
-        channel.transmit({1: MessagePacket(0)})
+        bad = [
+            (np.array([True, False]), "dtype bool"),
+            (np.array([1.0]), "dtype float64"),
+            (np.array([[0, 1]], dtype=np.int64), "2-D array"),
+            (np.array([2, 0], dtype=np.int64), "descending ids 2, 0"),
+            (np.array([1, 1], dtype=np.int64), "duplicate node id 1, 1"),
+            (np.array([-1], dtype=np.int64), "node id -1 is outside"),
+            (np.array([0, 3], dtype=np.int64), r"node id 3 is outside \[0, 3\)"),
+            ([0, 1], "got a list"),
+            ({1: None}, "got a dict"),
+        ]
+        for broadcasters, problem in bad:
+            with pytest.raises(SimulationError, match=problem):
+                channel.transmit(broadcasters)
+            assert channel.round_index == 0
+        channel.transmit(np.array([0, 2], dtype=np.int64))
         assert channel.round_index == 1
 
 

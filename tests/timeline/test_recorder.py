@@ -3,18 +3,25 @@
 import numpy as np
 import pytest
 
-from repro.core.engine import Delivery, RoundResult
-from repro.core.packets import MessagePacket
+from repro.core.engine import RoundResult
 from repro.timeline import NULL_TIMELINE, TimelineConfig, TimelineRecorder
 from repro.timeline.recorder import DATA_COLUMNS
 
-PACKET = MessagePacket(0)
+
+def _nodes(ids):
+    return np.array(ids, dtype=np.int64)
 
 
 def _round(round_index, receivers=(), **lists):
     """A resolved round: node 0 broadcasts and reaches ``receivers``."""
-    deliveries = [Delivery(v, 0, PACKET) for v in receivers]
-    return RoundResult(round_index, [0], deliveries, **lists)
+    fields = {name: _nodes(ids) for name, ids in lists.items()}
+    return RoundResult(
+        round_index,
+        broadcasters=_nodes([0]),
+        receivers=_nodes(receivers),
+        senders=_nodes([0] * len(receivers)),
+        **fields,
+    )
 
 
 def _drive(recorder, rounds, deliveries_per_round=0, n=8):
