@@ -1,7 +1,8 @@
 """Analysis throughput benchmarks: streamed aggregation over the store.
 
 ``python benchmarks/bench_analysis.py [--scale smoke|full] [--output PATH]``
-emits ``BENCH_analysis.json`` with three measurements:
+emits ``BENCH_analysis.json`` (see ``bars.py``) with the size of the
+fabricated store (``build_store``) and three measurements:
 
 * ``aggregate_stream``  — group-by aggregation throughput (rows/sec)
   streamed straight from SQLite via ``ResultStore.iter_rows`` (no
@@ -10,16 +11,9 @@ emits ``BENCH_analysis.json`` with three measurements:
 * ``bootstrap_groups``  — per-group seeded-bootstrap cost included, i.e.
   the full ``repro analyze aggregate`` path;
 * ``compare_paired``    — paired two-arm comparison over the same store.
-
-``pytest benchmarks/bench_analysis.py --benchmark-only -o python_files='bench_*.py'``
-runs the same measurements under pytest-benchmark and asserts the bar.
 """
 
-import argparse
-import json
-import platform
 import sys
-import tempfile
 import time
 from pathlib import Path
 
@@ -28,12 +22,9 @@ from repro.core.faults import FaultConfig
 from repro.runner import RunReport, Scenario
 from repro.store import ResultStore
 
-SCHEMA = "repro.bench_analysis/1"
+from bars import Bar, main
 
-#: >= this many rows/s of streamed aggregation on the full-scale store
-AGGREGATE_BAR_ROWS_PER_SEC = 50_000.0
-
-_SCALES = {
+SCALES = {
     "smoke": {"rows": 20_000},
     "full": {"rows": 100_000},
 }
@@ -133,6 +124,7 @@ def bench_compare_paired(store, rows):
         resamples=1000,
     )
     elapsed = time.perf_counter() - start
+    assert report.summary["pairs"] > 0
     return {
         "name": "compare_paired",
         "rows": rows,
@@ -142,80 +134,19 @@ def bench_compare_paired(store, rows):
     }
 
 
-def run_analysis_benchmarks(scale="smoke"):
-    if scale not in _SCALES:
-        raise ValueError(f"scale must be one of {sorted(_SCALES)}, got {scale!r}")
-    rows = _SCALES[scale]["rows"]
-    with tempfile.TemporaryDirectory(prefix="repro-bench-analysis-") as tmp_dir:
-        store, written = build_store(str(Path(tmp_dir) / "bench.db"), rows)
-        with store:
-            results = [
-                bench_aggregate_stream(store, written),
-                bench_bootstrap_groups(store, written),
-                bench_compare_paired(store, written),
-            ]
-    return {
-        "schema": SCHEMA,
-        "scale": scale,
-        "store_rows": written,
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
-        "python": platform.python_version(),
-        "results": results,
-    }
-
-
-def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--scale", choices=sorted(_SCALES), default="smoke")
-    parser.add_argument("--output", default="BENCH_analysis.json")
-    args = parser.parse_args(argv)
-
-    report = run_analysis_benchmarks(scale=args.scale)
-    with open(args.output, "w", encoding="utf-8") as handle:
-        json.dump(report, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    for result in report["results"]:
-        print(f"{result['name']:<18} {result['rows_per_sec']:>12.2f} rows/s")
-    streamed = report["results"][0]["rows_per_sec"]
-    if streamed < AGGREGATE_BAR_ROWS_PER_SEC:
-        print(
-            f"FAIL: streamed aggregation {streamed} rows/s is below the "
-            f"{AGGREGATE_BAR_ROWS_PER_SEC:.0f} rows/s bar"
-        )
-        return 1
-    print(f"wrote {args.output}")
-    return 0
-
-
-# -- pytest-benchmark wrappers ----------------------------------------------
-
-
-def test_aggregate_stream_throughput(benchmark, repro_scale, tmp_path):
-    rows = _SCALES[repro_scale]["rows"]
-    store, written = build_store(str(tmp_path / "bench.db"), rows)
+def measure(sizes, tmp_dir):
+    store, written = build_store(str(Path(tmp_dir) / "bench.db"), sizes["rows"])
     with store:
-        result = benchmark.pedantic(
-            lambda: bench_aggregate_stream(store, written),
-            rounds=1,
-            iterations=1,
-        )
-    benchmark.extra_info["result"] = result
-    # the ISSUE-5 acceptance bar: >= 50k rows/s streamed from SQLite
-    assert result["rows_per_sec"] >= AGGREGATE_BAR_ROWS_PER_SEC
+        return [
+            {"name": "build_store", "store_rows": written},
+            bench_aggregate_stream(store, written),
+            bench_bootstrap_groups(store, written),
+            bench_compare_paired(store, written),
+        ]
 
 
-def test_compare_throughput(benchmark, repro_scale, tmp_path):
-    rows = _SCALES[repro_scale]["rows"]
-    store, written = build_store(str(tmp_path / "bench.db"), rows)
-    with store:
-        result = benchmark.pedantic(
-            lambda: bench_compare_paired(store, written),
-            rounds=1,
-            iterations=1,
-        )
-    benchmark.extra_info["result"] = result
-    assert result["pairs"] > 0
+BARS = (Bar("aggregate_stream.rows_per_sec", ">=", 50_000.0),)
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main("bench_analysis", SCALES, measure, BARS))

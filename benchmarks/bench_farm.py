@@ -1,38 +1,28 @@
 """Farm throughput benchmarks: scaling, recovery, and journal cost.
 
 ``python benchmarks/bench_farm.py [--scale smoke|full] [--output PATH]``
-emits ``BENCH_farm.json`` with four measurements over real processes
-(one ``repro serve --workers remote`` coordinator, N ``repro worker``
-subprocesses):
+emits ``BENCH_farm.json`` (see ``bars.py``) with four measurements over
+real processes (one ``repro serve --workers remote`` coordinator, N
+``repro worker`` subprocesses):
 
 * ``farm_scaling``   — scenarios/sec for the same sweep at 1 worker vs
-  4 workers, with the ISSUE-6 acceptance bar (>= 2.5x, enforced when
-  the machine has >= 4 CPUs — worker processes scale with cores);
+  4 workers (bar: >= 2.5x, which applies when the machine has >= 4
+  CPUs — worker processes scale with cores);
 * ``lease_recovery`` — SIGKILL a worker holding a lease and measure how
   long the farm takes to finish the sweep anyway (the expiry-requeue
-  path, dominated by the lease timeout);
+  path, dominated by the lease timeout; bar: lease timeout + 60 s);
 * ``journal_overhead`` — the same sweep with and without the durable
-  coordinator journal (``--no-journal``), with the ISSUE-7 acceptance
-  bar (journaling costs <= 10% of scenarios/s);
+  coordinator journal (``--no-journal``) (bar: journaling costs <= 10%
+  of scenarios/s);
 * ``coordinator_recovery`` — SIGKILL the *coordinator* mid-sweep,
   restart it with ``--recover`` on the same port, and measure restart-
-  to-healthy (``recovery_seconds``) plus kill-to-sweep-done.
-
-``--only NAME[,NAME...]`` runs a subset (bars are only enforced for
-measurements that ran).
-
-``pytest benchmarks/bench_farm.py --benchmark-only -o python_files='bench_*.py'``
-runs the same measurements under pytest-benchmark.
+  to-healthy (``recovery_seconds``, bar: 30 s) plus kill-to-sweep-done.
 """
 
-import argparse
-import json
 import os
-import platform
 import signal
 import subprocess
 import sys
-import tempfile
 import time
 from pathlib import Path
 
@@ -46,15 +36,9 @@ from repro.farm.smoke import (
 from repro.runner import Scenario, expand_grid
 from repro.service.client import ServiceClient
 
-SCHEMA = "repro.bench_farm/1"
+from bars import Bar, main
 
-#: the ISSUE-6 acceptance bar: 4 workers >= 2.5x the 1-worker throughput
-SCALING_BAR = 2.5
-
-#: the bar is only meaningful when worker processes can use real cores
-MIN_CPUS_FOR_BAR = 4
-
-_SCALES = {
+SCALES = {
     "smoke": {"scenarios": 64, "n": 48, "chunk": 4},
     "full": {"scenarios": 240, "n": 64, "chunk": 8},
 }
@@ -62,9 +46,6 @@ _SCALES = {
 #: recovery measurement: small sweep, short leases, a double-size victim
 RECOVERY = {"scenarios": 40, "n": 32, "chunk": 4, "lease_timeout": 2.0,
             "victim_chunk": 12}
-
-#: the ISSUE-7 acceptance bar: journaling costs <= 10% of scenarios/s
-JOURNAL_OVERHEAD_BAR = 0.10
 
 
 def _sweep(count, n):
@@ -196,6 +177,7 @@ def bench_lease_recovery(tmp_dir):
     queue = snapshot["queue"]
     assert queue["leases_expired"] >= 1, queue
     assert queue["scenarios_completed"] == len(scenarios), queue
+    assert queue["duplicates"] == 0, queue
     return {
         "name": "lease_recovery",
         "scenarios": sizes["scenarios"],
@@ -291,175 +273,27 @@ def bench_coordinator_recovery(tmp_dir):
     }
 
 
-_BENCHES = ("farm_scaling", "lease_recovery", "journal_overhead",
-            "coordinator_recovery")
+def measure(sizes, tmp_dir):
+    sweep = (sizes["scenarios"], sizes["n"], sizes["chunk"])
+    return [
+        bench_farm_scaling(tmp_dir, *sweep),
+        bench_lease_recovery(tmp_dir),
+        bench_journal_overhead(tmp_dir, *sweep),
+        bench_coordinator_recovery(tmp_dir),
+    ]
 
 
-def run_farm_benchmarks(scale="smoke", only=None):
-    if scale not in _SCALES:
-        raise ValueError(f"scale must be one of {sorted(_SCALES)}, got {scale!r}")
-    selected = tuple(only) if only else _BENCHES
-    unknown = set(selected) - set(_BENCHES)
-    if unknown:
-        raise ValueError(f"unknown benchmarks: {sorted(unknown)}")
-    sizes = _SCALES[scale]
-    results = []
-    with tempfile.TemporaryDirectory(prefix="repro-bench-farm-") as tmp_dir:
-        if "farm_scaling" in selected:
-            results.append(bench_farm_scaling(
-                tmp_dir, sizes["scenarios"], sizes["n"], sizes["chunk"]
-            ))
-        if "lease_recovery" in selected:
-            results.append(bench_lease_recovery(tmp_dir))
-        if "journal_overhead" in selected:
-            results.append(bench_journal_overhead(
-                tmp_dir, sizes["scenarios"], sizes["n"], sizes["chunk"]
-            ))
-        if "coordinator_recovery" in selected:
-            results.append(bench_coordinator_recovery(tmp_dir))
-    return {
-        "schema": SCHEMA,
-        "scale": scale,
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
-        "python": platform.python_version(),
-        "cpu_count": os.cpu_count(),
-        "results": results,
-    }
-
-
-def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--scale", choices=sorted(_SCALES), default="smoke")
-    parser.add_argument("--output", default="BENCH_farm.json")
-    parser.add_argument(
-        "--only", default=None, metavar="NAME[,NAME...]",
-        help=f"run a subset of {', '.join(_BENCHES)}",
-    )
-    args = parser.parse_args(argv)
-
-    only = args.only.split(",") if args.only else None
-    report = run_farm_benchmarks(scale=args.scale, only=only)
-    with open(args.output, "w", encoding="utf-8") as handle:
-        json.dump(report, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-
-    by_name = {result["name"]: result for result in report["results"]}
-    scaling = by_name.get("farm_scaling")
-    if scaling:
-        for count in ("1", "4"):
-            run = scaling["workers"][count]
-            print(
-                f"farm_scaling         {count} worker(s): "
-                f"{run['scenarios_per_sec']:>8.2f} scenarios/s "
-                f"({run['seconds']:.3f}s)"
-            )
-        print(f"farm_scaling         speedup {scaling['speedup']}x at 4 workers")
-    recovery = by_name.get("lease_recovery")
-    if recovery:
-        print(
-            f"lease_recovery       {recovery['recovery_seconds']:.3f}s from "
-            f"kill to done ({recovery['lease_timeout_s']}s lease timeout, "
-            f"{recovery['leases_expired']} expired)"
-        )
-    journal = by_name.get("journal_overhead")
-    if journal:
-        print(
-            f"journal_overhead     "
-            f"{journal['runs']['with']['scenarios_per_sec']:.2f} scenarios/s "
-            f"journaled vs "
-            f"{journal['runs']['without']['scenarios_per_sec']:.2f} without "
-            f"({journal['overhead_fraction'] * 100:.1f}% overhead)"
-        )
-    coordinator = by_name.get("coordinator_recovery")
-    if coordinator:
-        print(
-            f"coordinator_recovery {coordinator['recovery_seconds']:.3f}s "
-            f"restart-to-healthy, {coordinator['kill_to_done_seconds']:.3f}s "
-            f"kill-to-done ({coordinator['recovered_jobs']} job(s), "
-            f"{coordinator['recovered_leases']} lease(s) replayed)"
-        )
-    print(f"wrote {args.output}")
-
-    failed = False
-    cpus = os.cpu_count() or 1
-    if scaling and scaling["speedup"] < SCALING_BAR:
-        if cpus >= MIN_CPUS_FOR_BAR:
-            print(
-                f"FAIL: {scaling['speedup']}x at 4 workers is below the "
-                f"{SCALING_BAR}x bar"
-            )
-            failed = True
-        else:
-            print(
-                f"NOTE: {scaling['speedup']}x at 4 workers on {cpus} CPU(s); "
-                f"the {SCALING_BAR}x bar needs >= {MIN_CPUS_FOR_BAR} cores"
-            )
-    if journal and journal["overhead_fraction"] > JOURNAL_OVERHEAD_BAR:
-        print(
-            f"FAIL: journal overhead "
-            f"{journal['overhead_fraction'] * 100:.1f}% is above the "
-            f"{JOURNAL_OVERHEAD_BAR * 100:.0f}% bar"
-        )
-        failed = True
-    return 1 if failed else 0
-
-
-# -- pytest-benchmark wrappers ----------------------------------------------
-
-
-def test_farm_scaling(benchmark, repro_scale, tmp_path):
-    sizes = _SCALES[repro_scale]
-    result = benchmark.pedantic(
-        lambda: bench_farm_scaling(
-            str(tmp_path), sizes["scenarios"], sizes["n"], sizes["chunk"]
-        ),
-        rounds=1,
-        iterations=1,
-    )
-    benchmark.extra_info["result"] = result
-    assert result["workers"]["1"]["scenarios_per_sec"] > 0
-    if (os.cpu_count() or 1) >= MIN_CPUS_FOR_BAR:
-        # the ISSUE-6 acceptance bar, on hardware that can express it
-        assert result["speedup"] >= SCALING_BAR
-
-
-def test_lease_recovery(benchmark, tmp_path):
-    result = benchmark.pedantic(
-        lambda: bench_lease_recovery(str(tmp_path)),
-        rounds=1,
-        iterations=1,
-    )
-    benchmark.extra_info["result"] = result
-    assert result["leases_expired"] >= 1
-    assert result["duplicates"] == 0
+BARS = (
+    # 4 workers >= 2.5x the 1-worker throughput, where worker processes
+    # can use real cores
+    Bar("farm_scaling.speedup", ">=", 2.5, min_cpus=4),
     # recovery is bounded by the lease timeout plus the redone chunk
-    assert result["recovery_seconds"] < result["lease_timeout_s"] + 60.0
-
-
-def test_journal_overhead(benchmark, repro_scale, tmp_path):
-    sizes = _SCALES[repro_scale]
-    result = benchmark.pedantic(
-        lambda: bench_journal_overhead(
-            str(tmp_path), sizes["scenarios"], sizes["n"], sizes["chunk"]
-        ),
-        rounds=1,
-        iterations=1,
-    )
-    benchmark.extra_info["result"] = result
-    # the ISSUE-7 acceptance bar: durability costs <= 10% throughput
-    assert result["overhead_fraction"] <= JOURNAL_OVERHEAD_BAR
-
-
-def test_coordinator_recovery(benchmark, tmp_path):
-    result = benchmark.pedantic(
-        lambda: bench_coordinator_recovery(str(tmp_path)),
-        rounds=1,
-        iterations=1,
-    )
-    benchmark.extra_info["result"] = result
-    assert result["recovered_jobs"] >= 1
-    assert result["recovery_seconds"] < 30.0
+    Bar("lease_recovery.recovery_seconds", "<=", RECOVERY["lease_timeout"] + 60.0),
+    # journaling every coordinator transition costs <= 10% of scenarios/s
+    Bar("journal_overhead.overhead_fraction", "<=", 0.10),
+    Bar("coordinator_recovery.recovery_seconds", "<=", 30.0),
+)
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main("bench_farm", SCALES, measure, BARS))

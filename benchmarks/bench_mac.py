@@ -1,30 +1,20 @@
 """Contention-MAC kernel benchmark: vectorized slots must beat scalar.
 
 ``python benchmarks/bench_mac.py [--scale smoke|full] [--output PATH]``
-emits ``BENCH_mac.json`` with three measurements:
+emits ``BENCH_mac.json`` (see ``bars.py``) with two measurements:
 
 * ``mac_kernel`` — saturated ContentionChannel slots timed through the
   vectorized ``transmit`` and the scalar ``transmit_reference`` on a
   dense (complete) and a sparse (G(n, p)) collision domain, reported as
   node-slots/s with the vectorized/scalar speedup. Outcome parity
   (byte-identical counters) is asserted before any timing, so the two
-  legs provably run the same simulation.
+  legs provably run the same simulation. Bar: vectorized must not be
+  slower than scalar on the dense domain.
 * ``bianchi_agreement`` — measured saturation collision probability and
   throughput against the :mod:`repro.mac.analytic` fixed point, with
-  relative errors (the functional test enforces the 5% bar; the bench
-  records the actual numbers for PERFORMANCE.md).
-* the gate: vectorized must not be slower than scalar on the dense
-  domain (exit 1 otherwise).
-
-``pytest benchmarks/bench_mac.py --benchmark-only
--o python_files='bench_*.py'`` runs the same measurement under
-pytest-benchmark.
+  relative errors. Bars: each within 5%, at every configuration.
 """
 
-import argparse
-import json
-import os
-import platform
 import sys
 import time
 
@@ -36,15 +26,15 @@ from repro.telemetry.metrics import METRICS
 from repro.topologies import random_graphs
 from repro.topologies.basic import complete
 
-SCHEMA = "repro.bench_mac/1"
+from bars import Bar, main
 
-#: vectorized must at least match the scalar reference on the dense domain
-SPEEDUP_BAR = 1.0
-
-_SCALES = {
+SCALES = {
     "smoke": {"slots": 400, "repeats": 5, "dense_n": 256, "sparse_n": 1024},
     "full": {"slots": 1500, "repeats": 9, "dense_n": 512, "sparse_n": 4096},
 }
+
+#: the Bianchi cross-check's (n, cw_min) saturation configurations
+BIANCHI_CONFIGS = ((5, 8), (10, 16), (20, 32))
 
 _CONFIG = MacConfig(cw_min=8, cw_max=64)
 
@@ -122,14 +112,13 @@ def bench_mac_kernel(slots, repeats, dense_n, sparse_n, seed=7):
         "repeats": repeats,
         "config": _CONFIG.to_dict(),
         "domains": results,
-        "speedup_bar": SPEEDUP_BAR,
     }
 
 
 def bench_bianchi_agreement(slots=20_000):
     """Measured saturation stats vs the analytic fixed point."""
     rows = []
-    for n, cw_min in ((5, 8), (10, 16), (20, 32)):
+    for n, cw_min in BIANCHI_CONFIGS:
         config = MacConfig(cw_min=cw_min, cw_max=8 * cw_min)
         predicted = bianchi_fixed_point(n, cw_min=cw_min, cw_max=8 * cw_min)
         measured = saturation_sim(n, config, slots, rng=1)
@@ -164,94 +153,26 @@ def bench_bianchi_agreement(slots=20_000):
     return {"name": "bianchi_agreement", "slots": slots, "rows": rows}
 
 
-def run_mac_benchmarks(scale="smoke"):
-    if scale not in _SCALES:
-        raise ValueError(f"scale must be one of {sorted(_SCALES)}, got {scale!r}")
-    sizes = _SCALES[scale]
-    kernel = bench_mac_kernel(
-        sizes["slots"], sizes["repeats"], sizes["dense_n"], sizes["sparse_n"]
-    )
-    agreement = bench_bianchi_agreement()
-    return {
-        "schema": SCHEMA,
-        "scale": scale,
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
-        "python": platform.python_version(),
-        "cpu_count": os.cpu_count(),
-        "results": [kernel, agreement],
-    }
-
-
-def _gate(report):
-    """Print the verdicts; return the exit status."""
-    kernel = report["results"][0]
-    for name, domain in kernel["domains"].items():
-        legs = domain["legs"]
-        print(
-            f"mac_kernel {name:>7} (n={domain['n']}): "
-            f"vectorized {legs['vectorized']['node_slots_per_sec']:>12.1f} "
-            f"node-slots/s, scalar "
-            f"{legs['scalar']['node_slots_per_sec']:>12.1f}, "
-            f"speedup {domain['speedup']:.2f}x"
-        )
-    agreement = report["results"][1]
-    for row in agreement["rows"]:
-        print(
-            f"bianchi n={row['n']:<3} W={row['cw_min']:<3} "
-            f"collision_p err {row['collision_p_rel_err'] * 100:.2f}%  "
-            f"throughput err {row['throughput_rel_err'] * 100:.2f}%"
-        )
-    dense = kernel["domains"]["dense"]
-    if dense["speedup"] < SPEEDUP_BAR:
-        print(
-            f"FAIL: vectorized kernel is {dense['speedup']:.2f}x scalar on "
-            f"the dense domain, below the {SPEEDUP_BAR:.1f}x bar"
-        )
-        return 1
-    return 0
-
-
-def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--scale", choices=sorted(_SCALES), default="smoke")
-    parser.add_argument("--output", default="BENCH_mac.json")
-    args = parser.parse_args(argv)
-
-    report = run_mac_benchmarks(scale=args.scale)
-    with open(args.output, "w", encoding="utf-8") as handle:
-        json.dump(report, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    status = _gate(report)
-    print(f"wrote {args.output}")
-    return status
-
-
-# -- pytest-benchmark wrappers ----------------------------------------------
-
-
-def test_mac_kernel(benchmark, repro_scale):
-    sizes = _SCALES[repro_scale]
-    result = benchmark.pedantic(
-        lambda: bench_mac_kernel(
-            sizes["slots"], sizes["repeats"], sizes["dense_n"],
-            sizes["sparse_n"],
+def measure(sizes, tmp_dir):
+    return [
+        bench_mac_kernel(
+            sizes["slots"], sizes["repeats"], sizes["dense_n"], sizes["sparse_n"]
         ),
-        rounds=1,
-        iterations=1,
-    )
-    benchmark.extra_info["result"] = result
-    assert result["domains"]["dense"]["speedup"] >= SPEEDUP_BAR
+        bench_bianchi_agreement(),
+    ]
 
 
-def test_bianchi_agreement(benchmark):
-    result = benchmark.pedantic(
-        bench_bianchi_agreement, rounds=1, iterations=1
-    )
-    benchmark.extra_info["result"] = result
-    for row in result["rows"]:
-        assert row["collision_p_rel_err"] <= 0.05
-        assert row["throughput_rel_err"] <= 0.05
+BARS = (
+    # vectorized must at least match the scalar reference on the dense domain
+    Bar("mac_kernel.domains.dense.speedup", ">=", 1.0),
+    # measured saturation within 5% of the Bianchi fixed point
+    *(
+        Bar(f"bianchi_agreement.rows.{row}.{error}", "<=", 0.05)
+        for row in range(len(BIANCHI_CONFIGS))
+        for error in ("collision_p_rel_err", "throughput_rel_err")
+    ),
+)
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main("bench_mac", SCALES, measure, BARS))

@@ -1,8 +1,8 @@
 """Observer overhead benchmark: one harness for every round-observer bar.
 
 ``python benchmarks/bench_overhead.py [--scale smoke|full] [--output PATH]``
-emits ``BENCH_overhead.json`` with one channel-round workload (a sparse
-G(n, p) with n/8 senders per round) timed four ways:
+emits ``BENCH_overhead.json`` (see ``bars.py``) with one channel-round
+workload (a sparse G(n, p) with n/8 senders per round) timed four ways:
 
 * ``bare``     — ``Channel._checked`` then ``Channel._resolve_round``,
   the engine's own un-observed round (validate, resolve, count,
@@ -14,8 +14,8 @@ G(n, p) with n/8 senders per round) timed four ways:
 * ``timeline`` — ``Channel.transmit`` with a ``TimelineRecorder``
   (``every=1``) observer appending one bucket per round, metrics off.
 
-Three acceptance bars are enforced (exit 1 on violation): disabled
-<= 1% over bare, metrics <= 5%, timeline <= 5%.
+Three bars hold the legs' overhead over bare: disabled <= 1%,
+metrics <= 5%, timeline <= 5%.
 
 Two byte-identity checks guard the invariant the bars exist to protect:
 canonical report bytes from ``run_batch`` are identical with telemetry
@@ -28,18 +28,10 @@ The legs run in lockstep — every round is resolved by all four
 channels back to back, in a rotating order — and each leg's time is the
 sum over rounds of its best-of-N round time. Drift in machine load thus
 lands on every leg equally, and a burst only spoils the repeats it hits.
-
-``pytest benchmarks/bench_overhead.py --benchmark-only
--o python_files='bench_*.py'`` runs the same measurement under
-pytest-benchmark.
 """
 
-import argparse
 import json
-import os
-import platform
 import sys
-import tempfile
 import time
 from pathlib import Path
 
@@ -54,14 +46,11 @@ from repro.timeline import TimelineConfig, TimelineRecorder
 from repro.topologies import random_graphs
 from repro.util.rng import RandomSource
 
-SCHEMA = "repro.bench_overhead/1"
+from bars import Bar, main
 
 LEGS = ("bare", "disabled", "metrics", "timeline")
 
-#: allowed overhead over the bare leg, per observed leg
-BARS = {"disabled": 0.01, "metrics": 0.05, "timeline": 0.05}
-
-_SCALES = {
+SCALES = {
     "smoke": {"rounds": 600, "repeats": 9, "n": 1024},
     "full": {"rounds": 2000, "repeats": 15, "n": 1024},
 }
@@ -147,7 +136,6 @@ def bench_channel_overhead(rounds, repeats, n, seed=7):
         "m": network.edge_count,
         "broadcasters": network.n // 8,
         "legs": {leg: leg_entry(leg) for leg in LEGS},
-        "bars": dict(BARS),
     }
 
 
@@ -204,6 +192,8 @@ def check_byte_identity(tmp_dir):
         assert a == b, (
             f"recording changed canonical report bytes for seed {scenario.seed}"
         )
+    assert spans_written >= 1, "span tracing wrote nothing"
+    assert buckets >= 1, "the timeline recorded no bucket"
     return {
         "name": "byte_identity",
         "scenarios": len(plain),
@@ -229,99 +219,20 @@ def measure_memory_model(n=_MEMORY_MODEL_N):
     }
 
 
-def run_overhead_benchmarks(scale="smoke"):
-    if scale not in _SCALES:
-        raise ValueError(f"scale must be one of {sorted(_SCALES)}, got {scale!r}")
-    sizes = _SCALES[scale]
-    overhead = bench_channel_overhead(
-        sizes["rounds"], sizes["repeats"], sizes["n"]
-    )
-    with tempfile.TemporaryDirectory(prefix="repro-bench-overhead-") as tmp:
-        identity = check_byte_identity(tmp)
-    return {
-        "schema": SCHEMA,
-        "scale": scale,
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
-        "python": platform.python_version(),
-        "cpu_count": os.cpu_count(),
-        "results": [overhead, identity, measure_memory_model()],
-    }
+def measure(sizes, tmp_dir):
+    return [
+        bench_channel_overhead(sizes["rounds"], sizes["repeats"], sizes["n"]),
+        check_byte_identity(tmp_dir),
+        measure_memory_model(),
+    ]
 
 
-def _gate(report):
-    """Print the verdicts; return the exit status."""
-    overhead, identity, memory = report["results"]
-    legs = overhead["legs"]
-    for leg in LEGS:
-        entry = legs[leg]
-        print(
-            f"channel_rounds {leg:>8}: {entry['rounds_per_sec']:>10.2f} "
-            f"rounds/s ({entry['overhead_fraction'] * 100:.2f}% overhead)"
-        )
-    print(
-        f"byte_identity: {identity['scenarios']} scenarios identical with "
-        f"telemetry and the recorder on/off ({identity['spans_written']} "
-        f"spans written, {identity['buckets_recorded']} buckets recorded)"
-    )
-    print(
-        f"memory_model: n={memory['n']} costs {memory['per_node_bytes']} "
-        f"per-node bytes + {memory['bucket_row_bytes']} B/bucket"
-    )
-    failed = False
-    for leg, bar in BARS.items():
-        fraction = legs[leg]["overhead_fraction"]
-        if fraction > bar:
-            print(
-                f"FAIL: the {leg} leg costs {fraction * 100:.2f}%, above "
-                f"the {bar * 100:.0f}% bar"
-            )
-            failed = True
-    return 1 if failed else 0
-
-
-def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--scale", choices=sorted(_SCALES), default="smoke")
-    parser.add_argument("--output", default="BENCH_overhead.json")
-    args = parser.parse_args(argv)
-
-    report = run_overhead_benchmarks(scale=args.scale)
-    with open(args.output, "w", encoding="utf-8") as handle:
-        json.dump(report, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    status = _gate(report)
-    print(f"wrote {args.output}")
-    return status
-
-
-# -- pytest-benchmark wrappers ----------------------------------------------
-
-
-def test_observer_overhead(benchmark, repro_scale):
-    sizes = _SCALES[repro_scale]
-    result = benchmark.pedantic(
-        lambda: bench_channel_overhead(
-            sizes["rounds"], sizes["repeats"], sizes["n"]
-        ),
-        rounds=1,
-        iterations=1,
-    )
-    benchmark.extra_info["result"] = result
-    for leg, bar in BARS.items():
-        assert result["legs"][leg]["overhead_fraction"] <= bar, leg
-
-
-def test_byte_identity(benchmark, tmp_path):
-    result = benchmark.pedantic(
-        lambda: check_byte_identity(str(tmp_path)),
-        rounds=1,
-        iterations=1,
-    )
-    benchmark.extra_info["result"] = result
-    assert result["identical"]
-    assert result["spans_written"] >= 1
-    assert result["buckets_recorded"] >= 1
+#: allowed overhead over the bare leg, per observed leg
+BARS = tuple(
+    Bar(f"channel_round_overhead.legs.{leg}.overhead_fraction", "<=", limit)
+    for leg, limit in (("disabled", 0.01), ("metrics", 0.05), ("timeline", 0.05))
+)
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main("bench_overhead", SCALES, measure, BARS))

@@ -1,22 +1,17 @@
 """Store throughput benchmarks: inserts, queries, cache-hit speedup.
 
 ``python benchmarks/bench_store.py [--scale smoke|full] [--output PATH]``
-emits ``BENCH_store.json`` with three measurements:
+emits ``BENCH_store.json`` (see ``bars.py``) with three measurements:
 
-* ``store_insert``     — batched ``put_many`` throughput (reports/sec);
-* ``store_query``      — filtered ``query`` throughput (queries/sec);
+* ``store_insert``     — batched ``put_many`` throughput (reports/sec),
+  bar >= 1,000;
+* ``store_query``      — filtered ``query`` throughput (queries/sec),
+  bar >= 50;
 * ``cache_hit_sweep``  — a repeated 100-scenario sweep served from the
   store vs. recomputed, with the ISSUE-4 acceptance bar (>= 10x).
-
-``pytest benchmarks/bench_store.py --benchmark-only -o python_files='bench_*.py'``
-runs the same measurements under pytest-benchmark and asserts the bar.
 """
 
-import argparse
-import json
-import platform
 import sys
-import tempfile
 import time
 from pathlib import Path
 
@@ -24,9 +19,9 @@ from repro.core.faults import FaultConfig
 from repro.runner import RunReport, Scenario, expand_grid, run_batch
 from repro.store import ResultStore
 
-SCHEMA = "repro.bench_store/1"
+from bars import Bar, main
 
-_SCALES = {
+SCALES = {
     "smoke": {"inserts": 2000, "queries": 200, "sweep_seeds": 100},
     "full": {"inserts": 20000, "queries": 2000, "sweep_seeds": 100},
 }
@@ -120,88 +115,22 @@ def bench_cache_hit_sweep(tmp_dir, seeds):
     }
 
 
-def run_store_benchmarks(scale="smoke"):
-    if scale not in _SCALES:
-        raise ValueError(f"scale must be one of {sorted(_SCALES)}, got {scale!r}")
-    sizes = _SCALES[scale]
-    with tempfile.TemporaryDirectory(prefix="repro-bench-store-") as tmp_dir:
-        results = [
-            bench_insert(tmp_dir, sizes["inserts"]),
-            bench_query(tmp_dir, sizes["queries"]),
-            bench_cache_hit_sweep(tmp_dir, sizes["sweep_seeds"]),
-        ]
-    return {
-        "schema": SCHEMA,
-        "scale": scale,
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime()),
-        "python": platform.python_version(),
-        "results": results,
-    }
+def measure(sizes, tmp_dir):
+    return [
+        bench_insert(tmp_dir, sizes["inserts"]),
+        bench_query(tmp_dir, sizes["queries"]),
+        bench_cache_hit_sweep(tmp_dir, sizes["sweep_seeds"]),
+    ]
 
 
-def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--scale", choices=sorted(_SCALES), default="smoke")
-    parser.add_argument("--output", default="BENCH_store.json")
-    args = parser.parse_args(argv)
-
-    report = run_store_benchmarks(scale=args.scale)
-    with open(args.output, "w", encoding="utf-8") as handle:
-        json.dump(report, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    for result in report["results"]:
-        if "ops_per_sec" in result:
-            print(f"{result['name']:<18} {result['ops_per_sec']:>12.2f} ops/s")
-        else:
-            print(
-                f"{result['name']:<18} {result['speedup']:>11.2f}x "
-                f"({result['cold_seconds']:.3f}s cold, "
-                f"{result['warm_seconds']:.3f}s warm)"
-            )
-    speedup = report["results"][-1]["speedup"]
-    if speedup < 10.0:
-        print(f"FAIL: cache-hit speedup {speedup}x is below the 10x bar")
-        return 1
-    print(f"wrote {args.output}")
-    return 0
-
-
-# -- pytest-benchmark wrappers ----------------------------------------------
-
-
-def test_insert_throughput(benchmark, repro_scale, tmp_path):
-    result = benchmark.pedantic(
-        lambda: bench_insert(str(tmp_path), _SCALES[repro_scale]["inserts"]),
-        rounds=1,
-        iterations=1,
-    )
-    benchmark.extra_info["result"] = result
-    assert result["ops_per_sec"] > 1000
-
-
-def test_query_throughput(benchmark, repro_scale, tmp_path):
-    result = benchmark.pedantic(
-        lambda: bench_query(str(tmp_path), _SCALES[repro_scale]["queries"]),
-        rounds=1,
-        iterations=1,
-    )
-    benchmark.extra_info["result"] = result
-    assert result["ops_per_sec"] > 50
-
-
-def test_cache_hit_speedup(benchmark, repro_scale, tmp_path):
-    result = benchmark.pedantic(
-        lambda: bench_cache_hit_sweep(
-            str(tmp_path), _SCALES[repro_scale]["sweep_seeds"]
-        ),
-        rounds=1,
-        iterations=1,
-    )
-    benchmark.extra_info["result"] = result
-    # the ISSUE-4 acceptance bar: a fully cached 100-scenario sweep
-    # replays at least 10x faster than recomputation
-    assert result["speedup"] >= 10.0
+BARS = (
+    Bar("store_insert.ops_per_sec", ">=", 1000.0),
+    Bar("store_query.ops_per_sec", ">=", 50.0),
+    # a fully cached 100-scenario sweep replays >= 10x faster than
+    # recomputation
+    Bar("cache_hit_sweep.speedup", ">=", 10.0),
+)
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main("bench_store", SCALES, measure, BARS))

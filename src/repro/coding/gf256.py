@@ -140,54 +140,20 @@ class GF256:
         products = _MUL_TABLE[a, b]
         return int(np.bitwise_xor.reduce(products)) if products.size else 0
 
-    #: above this many elements the 3-D broadcast in :meth:`matmul` would
-    #: materialize a >16 MiB index tensor; fall back to the per-term loop
-    MATMUL_BROADCAST_LIMIT = 1 << 24
-
     @staticmethod
     def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Matrix product of uint8 matrices over GF(2^8).
 
-        Small products go through a single broadcast table lookup over the
-        full (rows, inner, cols) tensor with one XOR reduction; products
-        whose intermediate would exceed :attr:`MATMUL_BROADCAST_LIMIT`
-        elements fall back to the per-inner-term loop of
-        :meth:`matmul_reference`, which peaks at one (rows, cols) slab.
+        Loops over the inner dimension: each term is one table lookup of
+        a (rows, cols) slab, XOR-accumulated, so memory stays
+        O(rows * cols) and the Python work O(inner).
         """
         if a.ndim != 2 or b.ndim != 2:
             raise ValueError("matmul requires 2-D arrays")
         if a.shape[1] != b.shape[0]:
             raise ValueError(f"inner dimensions differ: {a.shape} x {b.shape}")
         rows, inner = a.shape
-        cols = b.shape[1]
-        if inner == 0:
-            # bitwise_xor.reduce over an empty axis has no identity for the
-            # broadcast path; the empty sum is the zero matrix
-            return np.zeros((rows, cols), dtype=np.uint8)
-        if rows * inner * cols > GF256.MATMUL_BROADCAST_LIMIT:
-            return GF256.matmul_reference(a, b)
-        shifted = a.astype(np.int32) << 8
-        index = b[np.newaxis, :, :] + shifted[:, :, np.newaxis]
-        return np.bitwise_xor.reduce(_MUL_FLAT.take(index), axis=1)
-
-    @staticmethod
-    def matmul_reference(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Loop-over-inner-dimension matrix product; memory stays O(rows*cols).
-
-        The property suite checks :meth:`matmul` against this term-by-term
-        form; ``matmul`` also dispatches here when the broadcast tensor
-        would be too large.
-        """
-        if a.ndim != 2 or b.ndim != 2:
-            raise ValueError("matmul requires 2-D arrays")
-        if a.shape[1] != b.shape[0]:
-            raise ValueError(f"inner dimensions differ: {a.shape} x {b.shape}")
-        rows, inner = a.shape
-        cols = b.shape[1]
-        out = np.zeros((rows, cols), dtype=np.uint8)
-        # Iterate over the inner dimension: each term is an outer-product-free
-        # table lookup, XOR-accumulated. O(inner) numpy ops instead of
-        # O(rows*cols*inner) Python ops.
+        out = np.zeros((rows, b.shape[1]), dtype=np.uint8)
         shifted = a.astype(np.int32) << 8
         for t in range(inner):
             out ^= _MUL_FLAT.take(b[t, :] + shifted[:, t][:, None])
@@ -218,8 +184,8 @@ class GF256:
         broadcasted table lookup and an XOR reduction, instead of a
         per-row Python loop. Leading axes are batch axes. A (B, rank,
         width) stack is summed one rank column at a time, as in
-        :meth:`matmul_reference`, so its int32 lookup index stays
-        (B, width) instead of growing to (B, rank, width).
+        :meth:`matmul`, so its int32 lookup index stays (B, width)
+        instead of growing to (B, rank, width).
         """
         if rows.shape[-2] == 0:
             return np.zeros(rows.shape[:-2] + rows.shape[-1:], dtype=np.uint8)

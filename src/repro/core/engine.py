@@ -411,17 +411,21 @@ class Channel:
                 resolver = self._resolve_vectorized
         resolver(result)
 
-    def _resolve_vectorized(self, result: RoundResult) -> None:
-        """Array kernel over the network's CSR adjacency.
+    def _prologue_vectorized(
+        self, result: RoundResult
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The adversary's round prologue for the array kernels.
 
-        Adversary hooks fire in the fixed order ``begin_round`` ->
-        ``sender_mask`` -> ``edge_alive`` -> ``receiver_mask`` — the same
-        order, with the same ascending-id inputs, as the scalar kernel,
-        so any adversary that draws randomness only inside its hooks is
-        kernel-independent.
+        Fires ``begin_round`` -> ``sender_mask`` -> ``edge_alive`` over
+        the ascending broadcasters (``receiver_mask`` follows in
+        :meth:`_fill_vectorized`) — the same order, with the same
+        ascending-id inputs, as :meth:`_prologue_scalar`, so any
+        adversary that draws randomness only inside its hooks is
+        kernel-independent. Sets ``faulty_senders`` and returns
+        ``(faulty, heard, senders)``: the faulty broadcasters and the
+        parallel receiver/sender arrays of every live CSR gather slot.
         """
         network = self.network
-        n = network.n
         adversary = self.adversary
         bs = result.broadcasters
 
@@ -444,6 +448,13 @@ class Channel:
             if alive is not None:
                 heard = heard[alive]
                 senders = senders[alive]
+        return faulty, heard, senders
+
+    def _resolve_vectorized(self, result: RoundResult) -> None:
+        """Array kernel over the network's CSR adjacency."""
+        n = self.network.n
+        bs = result.broadcasters
+        faulty, heard, senders = self._prologue_vectorized(result)
 
         hear_count = np.bincount(heard, minlength=n)
         sender_of = np.zeros(n, dtype=np.int64)
@@ -484,13 +495,18 @@ class Channel:
         result.receivers = unique
         result.senders = unique_senders
 
-    def _resolve_scalar(self, result: RoundResult) -> None:
-        """Per-node reference kernel.
+    def _prologue_scalar(
+        self, result: RoundResult
+    ) -> tuple[list[int], set[int], Optional[np.ndarray]]:
+        """The adversary's round prologue for the per-node kernels.
 
-        Calls the adversary hooks at the same points, in the same order,
-        with the same ascending-id values as the vectorized kernel (see
-        :meth:`_resolve_vectorized`), so both kernels consume one RNG
-        stream and agree reception for reception.
+        Calls the hooks of :meth:`_prologue_vectorized` at the same
+        points, in the same order, with the same ascending-id values, so
+        both kernel styles consume one RNG stream and agree reception for
+        reception. Sets ``faulty_senders`` and returns ``(broadcasters,
+        faulty, alive)``: the broadcasters as a list, the faulty ones as
+        a set, and the ``edge_alive`` mask over the CSR gather slots (or
+        None when every edge is up).
         """
         adversary = self.adversary
         bs = result.broadcasters
@@ -506,11 +522,17 @@ class Channel:
             result.faulty_senders = node_array(faulty_senders)
             faulty = set(faulty_senders)
 
+        alive = adversary.edge_alive(bs) if adversary.has_edge_dynamics else None
+        return broadcasters, faulty, alive
+
+    def _resolve_scalar(self, result: RoundResult) -> None:
+        """Per-node reference kernel."""
+        broadcasters, faulty, alive = self._prologue_scalar(result)
+
         hear_count = self._hear_count
         hear_from = self._hear_from
         touched = self._touched
         neighbors = self.network.neighbors
-        alive = adversary.edge_alive(bs) if adversary.has_edge_dynamics else None
         if alive is None:
             for b in broadcasters:
                 for v in neighbors[b]:

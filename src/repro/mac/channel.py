@@ -327,27 +327,9 @@ class ContentionChannel(Channel):
         if not self.config.capture:
             super()._resolve_vectorized(result)
             return
-        network = self.network
-        n = network.n
-        adversary = self.adversary
+        n = self.network.n
         bs = result.broadcasters
-
-        if adversary.needs_begin_round:
-            adversary.begin_round(self.round_index, bs)
-        smask = adversary.sender_mask(bs)
-        faulty = _EMPTY
-        if smask is not None:
-            faulty = result.faulty_senders = bs[smask]
-
-        flat, lens = network.csr_slots(bs)
-        heard = network.indices[flat]
-        senders = np.repeat(bs, lens)
-
-        if adversary.has_edge_dynamics:
-            alive = adversary.edge_alive(bs, flat)
-            if alive is not None:
-                heard = heard[alive]
-                senders = senders[alive]
+        faulty, heard, senders = self._prologue_vectorized(result)
 
         listening = np.ones(n, dtype=bool)
         listening[bs] = False  # a transmitting node cannot receive
@@ -387,22 +369,9 @@ class ContentionChannel(Channel):
         if not self.config.capture:
             super()._resolve_scalar(result)
             return
-        adversary = self.adversary
-        bs = result.broadcasters
-        broadcasters = bs.tolist()
-
-        if adversary.needs_begin_round:
-            adversary.begin_round(self.round_index, bs)
-
-        faulty: set[int] = set()
-        smask = adversary.sender_mask(broadcasters)
-        if smask is not None:
-            faulty_senders = [b for b, hit in zip(broadcasters, smask) if hit]
-            result.faulty_senders = node_array(faulty_senders)
-            faulty = set(faulty_senders)
+        broadcasters, faulty, alive = self._prologue_scalar(result)
 
         neighbors = self.network.neighbors
-        alive = adversary.edge_alive(bs) if adversary.has_edge_dynamics else None
         sending = set(broadcasters)
         heard_by: dict[int, list[int]] = {}
         slot = 0

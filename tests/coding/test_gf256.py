@@ -192,8 +192,8 @@ class TestMatmul:
         b = np.zeros((0, 4), dtype=np.uint8)
         out = GF256.matmul(a, b)
         assert out.shape == (3, 4)
+        assert out.dtype == np.uint8
         assert not out.any()
-        assert np.array_equal(out, GF256.matmul_reference(a, b))
 
     @given(
         st.integers(min_value=1, max_value=12),
@@ -202,23 +202,21 @@ class TestMatmul:
         st.integers(min_value=0, max_value=2**32 - 1),
     )
     def test_broadcast_matches_reference(self, rows, inner, cols, seed):
+        # the reference is the entry-by-entry definition of the product
         rng = np.random.default_rng(seed)
         a = rng.integers(0, 256, size=(rows, inner), dtype=np.uint8)
         b = rng.integers(0, 256, size=(inner, cols), dtype=np.uint8)
-        fast = GF256.matmul(a, b)
-        ref = GF256.matmul_reference(a, b)
-        assert fast.dtype == ref.dtype == np.uint8
-        assert np.array_equal(fast, ref)
-
-    def test_large_product_falls_back_to_reference(self, monkeypatch):
-        # shrink the gate so a small product exercises the fallback branch
-        monkeypatch.setattr(GF256, "MATMUL_BROADCAST_LIMIT", 8)
-        rng = np.random.default_rng(3)
-        a = rng.integers(0, 256, size=(5, 7), dtype=np.uint8)
-        b = rng.integers(0, 256, size=(7, 6), dtype=np.uint8)
-        assert np.array_equal(
-            GF256.matmul(a, b), GF256.matmul_reference(a, b)
-        )
+        out = GF256.matmul(a, b)
+        assert out.dtype == np.uint8
+        assert out.shape == (rows, cols)
+        for i in range(rows):
+            for j in range(cols):
+                expected = 0
+                for t in range(inner):
+                    expected = GF256.add(
+                        expected, GF256.mul(int(a[i, t]), int(b[t, j]))
+                    )
+                assert out[i, j] == expected, (i, j)
 
 
 class TestTables:
