@@ -11,9 +11,9 @@ real processes (one ``repro serve --workers remote`` coordinator, N
 * ``lease_recovery`` — SIGKILL a worker holding a lease and measure how
   long the farm takes to finish the sweep anyway (the expiry-requeue
   path, dominated by the lease timeout; bar: lease timeout + 60 s);
-* ``journal_overhead`` — the same sweep with and without the durable
-  coordinator journal (``--no-journal``) (bar: journaling costs <= 10%
-  of scenarios/s);
+* ``journal_overhead`` — the seconds an in-process coordinator spends
+  appending to its durable journal during a single-worker sweep, timed
+  directly (bar: <= 10% of the sweep's other time);
 * ``coordinator_recovery`` — SIGKILL the *coordinator* mid-sweep,
   restart it with ``--recover`` on the same port, and measure restart-
   to-healthy (``recovery_seconds``, bar: 30 s) plus kill-to-sweep-done.
@@ -34,6 +34,7 @@ from repro.farm.smoke import (
     _wait_for_health,
 )
 from repro.runner import Scenario, expand_grid
+from repro.service import ReproService
 from repro.service.client import ServiceClient
 
 from bars import Bar, main
@@ -85,7 +86,7 @@ def _wait_registered(client, count, deadline_s=60.0):
         time.sleep(0.02)
 
 
-def _stop_all(server, workers):
+def _stop_workers(workers):
     for process in workers:
         if process.poll() is None:
             process.send_signal(signal.SIGTERM)
@@ -94,6 +95,10 @@ def _stop_all(server, workers):
             process.wait(timeout=10.0)
         except subprocess.TimeoutExpired:
             process.kill()
+
+
+def _stop_all(server, workers=()):
+    _stop_workers(workers)
     server.terminate()
     try:
         server.wait(timeout=10.0)
@@ -101,17 +106,14 @@ def _stop_all(server, workers):
         server.kill()
 
 
-def _timed_farm_run(tmp_dir, tag, worker_count, scenarios, chunk, extra=()):
+def _timed_sweep(client, tag, worker_count, scenarios):
     """Seconds for ``worker_count`` workers to drain ``scenarios``.
 
     Workers register *before* the clock starts, so subprocess startup
     is excluded and the measurement is pure sweep throughput.
     """
-    store_path = str(Path(tmp_dir) / tag)
-    server, client = _start_coordinator(store_path, chunk, extra=extra)
-    url = client.base_url
     workers = [
-        _spawn_worker(url, f"{tag}-w{i}", until_idle=False)
+        _spawn_worker(client.base_url, f"{tag}-w{i}", until_idle=False)
         for i in range(worker_count)
     ]
     try:
@@ -122,7 +124,7 @@ def _timed_farm_run(tmp_dir, tag, worker_count, scenarios, chunk, extra=()):
         elapsed = time.perf_counter() - start
         snapshot = client.workers()
     finally:
-        _stop_all(server, workers)
+        _stop_workers(workers)
     queue = snapshot["queue"]
     assert queue["scenarios_completed"] == len(scenarios), queue
     return elapsed
@@ -132,9 +134,12 @@ def bench_farm_scaling(tmp_dir, scenario_count, n, chunk):
     scenarios = _sweep(scenario_count, n)
     runs = {}
     for count in (1, 4):
-        elapsed = _timed_farm_run(
-            tmp_dir, f"scaling-{count}", count, scenarios, chunk
-        )
+        tag = f"scaling-{count}"
+        server, client = _start_coordinator(str(Path(tmp_dir) / tag), chunk)
+        try:
+            elapsed = _timed_sweep(client, tag, count, scenarios)
+        finally:
+            _stop_all(server)
         runs[str(count)] = {
             "seconds": round(elapsed, 6),
             "scenarios_per_sec": round(scenario_count / elapsed, 2),
@@ -190,31 +195,49 @@ def bench_lease_recovery(tmp_dir):
 
 
 def bench_journal_overhead(tmp_dir, scenario_count, n, chunk):
-    """The same single-worker sweep with and without the journal.
+    """Seconds the coordinator spends journaling one single-worker sweep.
 
-    Every lease grant, heartbeat, and release writes the coordinator
-    journal (``farm_journal`` on shard 0); this prices that durability
-    in scenarios/s against ``repro serve --no-journal``.
+    Every job intake, lease grant, heartbeat and release appends to the
+    coordinator journal (``farm_journal`` on shard 0) under the
+    coordinator lock. The sweep runs once against an in-process
+    coordinator whose ``_append`` is timed, compactions it triggers
+    included, and the journal's seconds are priced against the rest of
+    the sweep. Differencing two timed sweeps instead buries a few
+    milliseconds of journal writes under run-to-run spread hundreds of
+    times larger.
     """
     scenarios = _sweep(scenario_count, n)
-    runs = {}
-    for tag, extra in (("without", ("--no-journal",)), ("with", ())):
-        elapsed = _timed_farm_run(
-            tmp_dir, f"journal-{tag}", 1, scenarios, chunk, extra=extra
-        )
-        runs[tag] = {
-            "seconds": round(elapsed, 6),
-            "scenarios_per_sec": round(scenario_count / elapsed, 2),
-        }
-    overhead = (
-        runs["with"]["seconds"] - runs["without"]["seconds"]
-    ) / runs["without"]["seconds"]
+    service = ReproService(
+        str(Path(tmp_dir) / "journal"),
+        port=0,
+        remote_workers=True,
+        lease_scenarios=chunk,
+    )
+    append = service.coordinator._append
+    spent = {"seconds": 0.0, "calls": 0}
+
+    def timed_append(kind, payload):
+        # called with the coordinator lock held, so never concurrently
+        start = time.perf_counter()
+        try:
+            append(kind, payload)
+        finally:
+            spent["seconds"] += time.perf_counter() - start
+            spent["calls"] += 1
+
+    service.coordinator._append = timed_append
+    with service:
+        client = ServiceClient(service.url, timeout=10.0)
+        elapsed = _timed_sweep(client, "journal", 1, scenarios)
+    journal = spent["seconds"]
     return {
         "name": "journal_overhead",
         "scenarios": scenario_count,
         "lease_scenarios": chunk,
-        "runs": runs,
-        "overhead_fraction": round(max(0.0, overhead), 4),
+        "sweep_seconds": round(elapsed, 6),
+        "journal_seconds": round(journal, 6),
+        "journal_calls": spent["calls"],
+        "overhead_fraction": round(journal / (elapsed - journal), 4),
     }
 
 
@@ -289,7 +312,7 @@ BARS = (
     Bar("farm_scaling.speedup", ">=", 2.5, min_cpus=4),
     # recovery is bounded by the lease timeout plus the redone chunk
     Bar("lease_recovery.recovery_seconds", "<=", RECOVERY["lease_timeout"] + 60.0),
-    # journaling every coordinator transition costs <= 10% of scenarios/s
+    # journal appends take <= 10% of a sweep's non-journal time
     Bar("journal_overhead.overhead_fraction", "<=", 0.10),
     Bar("coordinator_recovery.recovery_seconds", "<=", 30.0),
 )

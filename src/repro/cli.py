@@ -243,15 +243,6 @@ def _build_parser() -> argparse.ArgumentParser:
             "resume under their original ids (--workers remote only)"
         ),
     )
-    srv.add_argument(
-        "--no-journal",
-        action="store_true",
-        help=(
-            "disable write-ahead journaling of coordinator state "
-            "(a crash then orphans running sweeps; exists to measure "
-            "the journal's overhead)"
-        ),
-    )
 
     wrk = sub.add_parser(
         "worker",
@@ -1117,7 +1108,6 @@ def _command_serve(args: argparse.Namespace) -> int:
         lease_timeout=args.lease_timeout,
         shards=args.shards,
         recover=args.recover,
-        journal=not args.no_journal,
     )
 
 

@@ -201,13 +201,12 @@ class Coordinator:
         Wall-clock source for journaled deadlines (injectable for
         tests); wall time is what lets a restarted coordinator charge
         its own downtime against in-flight leases.
-    journal:
-        Write-ahead journal every state transition (default). A fresh
-        coordinator *discards* any stale journal left by a previous
-        process — resuming one is an explicit :meth:`recover` call, not
-        an accident.
     compact_every:
         Journal appends between in-place compactions.
+
+    Every state transition is write-ahead journaled. A fresh coordinator
+    *discards* any stale journal left by a previous process — resuming
+    one is an explicit :meth:`recover` call, not an accident.
     """
 
     def __init__(
@@ -217,9 +216,27 @@ class Coordinator:
         lease_timeout: float = DEFAULT_LEASE_TIMEOUT,
         clock: Callable[[], float] = time.monotonic,
         wall: Callable[[], float] = time.time,
-        journal: bool = True,
         compact_every: int = DEFAULT_COMPACT_EVERY,
     ) -> None:
+        self._init_state(
+            store, lease_scenarios, lease_timeout, clock, wall, compact_every
+        )
+        if store.journal_size():
+            # a fresh coordinator on a store with a leftover journal:
+            # starting clean is the contract (recovery is recover())
+            store.journal_replace([])
+
+    def _init_state(
+        self,
+        store: ResultStore,
+        lease_scenarios: int,
+        lease_timeout: float,
+        clock: Callable[[], float],
+        wall: Callable[[], float],
+        compact_every: int,
+    ) -> None:
+        """Validate the knobs and set up an empty queue; touches no
+        journal (shared by :meth:`__init__` and :meth:`recover`)."""
         if lease_scenarios < 1:
             raise ValueError(
                 f"lease_scenarios must be >= 1, got {lease_scenarios}"
@@ -240,7 +257,6 @@ class Coordinator:
         self._key_map: dict[str, list[tuple[str, int]]] = {}
         self._worker_ids = itertools.count(1)
         self._lease_ids = itertools.count(1)
-        self._journal_enabled = bool(journal)
         self.compact_every = int(compact_every)
         self._appends_since_compact = 0
         #: set by :meth:`recover`: what the journal replay rebuilt
@@ -254,10 +270,6 @@ class Coordinator:
         self._started = clock()
         #: recent completion stamps backing the snapshot's rate window
         self._completions: deque[float] = deque(maxlen=_RATE_SAMPLES)
-        if self._journal_enabled and store.journal_size():
-            # a fresh coordinator on a store with a leftover journal:
-            # starting clean is the contract (recovery is recover())
-            store.journal_replace([])
 
     # -- crash recovery ------------------------------------------------------
 
@@ -291,14 +303,11 @@ class Coordinator:
         """
         from repro.service.jobs import Job
 
-        coordinator = cls(
-            store,
-            lease_scenarios=lease_scenarios,
-            lease_timeout=lease_timeout,
-            clock=clock,
-            wall=wall,
-            journal=False,  # nothing to write while replaying
-            compact_every=compact_every,
+        # the journal is the replay's input: keep it until the
+        # compaction below replaces it with the rebuilt live state
+        coordinator = cls.__new__(cls)
+        coordinator._init_state(
+            store, lease_scenarios, lease_timeout, clock, wall, compact_every
         )
         job_specs: list[dict[str, Any]] = []
         grants: dict[str, dict[str, Any]] = {}
@@ -401,7 +410,6 @@ class Coordinator:
                 len(state.pending) for state in coordinator._jobs.values()
             ),
         }
-        coordinator._journal_enabled = True
         with coordinator._lock:
             coordinator._compact()
         return coordinator
@@ -668,9 +676,7 @@ class Coordinator:
                 },
                 "quarantined": quarantined,
                 "recovered": self.recovered,
-                "journal_records": (
-                    self.store.journal_size() if self._journal_enabled else 0
-                ),
+                "journal_records": self.store.journal_size(),
                 "lease_timeout_s": self.lease_timeout,
                 "lease_scenarios": self.lease_scenarios,
             }
@@ -698,8 +704,6 @@ class Coordinator:
         compaction triggered by this very append (which snapshots live
         state, replacing history) can never drop the transition.
         """
-        if not self._journal_enabled:
-            return
         self.store.journal_append([(kind, json.dumps(payload, sort_keys=True))])
         self._appends_since_compact += 1
         if self._appends_since_compact >= self.compact_every:

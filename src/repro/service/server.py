@@ -418,6 +418,9 @@ class _Handler(BaseHTTPRequestHandler):
                     filters[name] = int(query[name][0])
                 except ValueError:
                     raise _BadRequest(f"{name} must be an integer")
+        for name in ("limit", "offset"):
+            if filters.get(name, 0) < 0:
+                raise _BadRequest(f"{name} must be >= 0, got {filters[name]}")
         if "success" in query:
             value = query["success"][0].lower()
             if value not in ("true", "false", "0", "1"):
@@ -637,8 +640,9 @@ class ReproService:
 
     ``remote_workers=True`` swaps the local worker threads for a farm
     :class:`~repro.farm.Coordinator`: jobs become leases that external
-    ``repro worker`` processes pull over HTTP. ``shards`` opens (or
-    creates) a sharded store backend.
+    ``repro worker`` processes pull over HTTP, and every coordinator
+    transition is journaled into the store. ``shards`` opens (or
+    creates) the store as a directory of that many SQLite shards.
 
     ``recover=True`` (``repro serve --recover``) rebuilds the
     coordinator from the store's farm journal instead of starting
@@ -646,9 +650,7 @@ class ReproService:
     original ids, in-flight leases keep their remaining deadline time,
     and the holders of those leases can heartbeat/complete as if the
     restart never happened. Without ``--recover`` a leftover journal is
-    discarded — resuming is explicit, never an accident. ``journal=
-    False`` (``--no-journal``) turns write-ahead journaling off
-    entirely, which exists so the journal's overhead can be measured.
+    discarded — resuming is explicit, never an accident.
     """
 
     def __init__(
@@ -665,7 +667,6 @@ class ReproService:
         shards: Optional[int] = None,
         http_threads: int = DEFAULT_HTTP_THREADS,
         recover: bool = False,
-        journal: bool = True,
     ) -> None:
         if recover and not remote_workers:
             raise ValueError(
@@ -697,7 +698,6 @@ class ReproService:
                     self.store,
                     lease_scenarios=lease_scenarios or DEFAULT_LEASE_SCENARIOS,
                     lease_timeout=lease_timeout or DEFAULT_LEASE_TIMEOUT,
-                    journal=journal,
                 )
         self.jobs = JobManager(
             self.store,
@@ -761,7 +761,6 @@ def serve(
     lease_timeout: Optional[float] = None,
     shards: Optional[int] = None,
     recover: bool = False,
-    journal: bool = True,
 ) -> int:
     """Run the service until interrupted (the ``repro serve`` command)."""
     service = ReproService(
@@ -776,7 +775,6 @@ def serve(
         lease_timeout=lease_timeout,
         shards=shards,
         recover=recover,
-        journal=journal,
     )
     mode = (
         "coordinating remote workers (repro worker --connect "

@@ -19,14 +19,13 @@ Exit status 0 on success; any mismatch or timeout is fatal.
 
 from __future__ import annotations
 
-import socket
 import subprocess
 import sys
 import tempfile
-import time
 from pathlib import Path
 
 from repro.core.faults import AdversaryConfig
+from repro.farm.smoke import _free_port, _wait_for_health
 from repro.runner import Scenario, expand_grid, run_batch
 from repro.service.client import ServiceClient
 
@@ -38,12 +37,6 @@ ADVERSARY_AXIS = [
 ]
 
 
-def _free_port() -> int:
-    with socket.socket() as sock:
-        sock.bind(("127.0.0.1", 0))
-        return sock.getsockname()[1]
-
-
 def _smoke_scenarios() -> list[Scenario]:
     base = Scenario(
         algorithm="decay", topology="path", topology_params={"n": 24}
@@ -51,18 +44,6 @@ def _smoke_scenarios() -> list[Scenario]:
     return expand_grid(
         base, seeds=[0, 1], grid={"adversary": ADVERSARY_AXIS}
     )
-
-
-def _wait_for_health(client: ServiceClient, deadline_s: float = 30.0) -> None:
-    deadline = time.monotonic() + deadline_s
-    while True:
-        try:
-            client.health()
-            return
-        except Exception:
-            if time.monotonic() >= deadline:
-                raise
-            time.sleep(0.1)
 
 
 def main() -> int:

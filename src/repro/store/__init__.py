@@ -22,18 +22,12 @@ Thread it through the runner (``run_batch(..., store=store)``), the CLI
         decay = store.query(algorithm="decay", topology="path")
 """
 
-from repro.store.backend import (
-    ShardedSQLiteBackend,
-    SQLiteBackend,
-    StoreBackend,
-    open_backend,
-    shard_index,
-)
 from repro.store.store import (
     ORDERABLE_COLUMNS,
     STORE_SCHEMA_VERSION,
     ResultStore,
     StoreRow,
+    shard_index,
 )
 
 __all__ = [
@@ -41,9 +35,5 @@ __all__ = [
     "StoreRow",
     "ORDERABLE_COLUMNS",
     "STORE_SCHEMA_VERSION",
-    "StoreBackend",
-    "SQLiteBackend",
-    "ShardedSQLiteBackend",
-    "open_backend",
     "shard_index",
 ]

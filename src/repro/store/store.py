@@ -1,4 +1,4 @@
-"""Content-addressed store for canonical run reports, over any backend.
+"""Content-addressed store for canonical run reports, over SQLite shards.
 
 One row per scenario cache key (:meth:`Scenario.cache_key
 <repro.runner.scenario.Scenario.cache_key>`): the canonical report JSON
@@ -7,13 +7,23 @@ model, seed, size, outcome). Because the runner's determinism contract
 makes the canonical report a pure function of the scenario, the key is a
 valid content address — two writers can only ever race to insert the
 same bytes, so concurrent ``put_many`` from multiple processes needs
-nothing beyond the engine's own locking.
+nothing beyond SQLite's own locking.
 
-:class:`ResultStore` is the report-shaped API; the actual storage engine
-is a pluggable :class:`~repro.store.backend.StoreBackend` — one SQLite
-file by default, or a sharded directory of them (``shards=N``, or any
-path that already is a shard directory). Every engine produces the same
-deterministic orderings, so the choice changes throughput, never bytes.
+A store is a list of SQLite shards with one schema:
+
+* a file path (or ``":memory:"``) is one shard at that path;
+* a directory — existing, or requested with ``shards > 1`` — holds
+  ``shard-NN.db`` files. Writes route by :func:`shard_index` of the
+  cache key, so shards never contend on one file's write lock; ordered
+  reads run the same query on every shard and lazily merge the sorted
+  streams, so queries, pagination and exports are byte-identical to a
+  single file. Because cache keys are content addresses, routing is also
+  a *placement* function: any process that knows the shard count knows
+  where a report lives without asking anyone.
+
+A one-shard store neither routes nor merges. Timeline sidecars route
+with their report; the farm journal is coordinator state, not
+content-addressed data, so it never routes and lives on shard 0.
 
 The store is safe to share across the service's handler and worker
 threads and across processes (each process opens its own
@@ -23,16 +33,70 @@ threads and across processes (each process opens its own
 from __future__ import annotations
 
 import dataclasses
+import heapq
+import itertools
 import json
+import re
+import sqlite3
+import threading
 import time
-from typing import Any, Iterable, Iterator, NamedTuple, Optional
+import zlib
+from pathlib import Path
+from typing import Any, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from repro.runner.report import RunReport
-from repro.store.backend import STORE_SCHEMA_VERSION, StoreBackend, open_backend
 from repro.telemetry.metrics import METRICS as _METRICS
 from repro.timeline.artifact import Timeline
 
-__all__ = ["ResultStore", "StoreRow", "ORDERABLE_COLUMNS", "STORE_SCHEMA_VERSION"]
+__all__ = [
+    "ResultStore",
+    "StoreRow",
+    "ORDERABLE_COLUMNS",
+    "STORE_SCHEMA_VERSION",
+    "shard_index",
+]
+
+#: bump on incompatible table changes; opening a mismatched store raises
+STORE_SCHEMA_VERSION = 1
+
+_SCHEMA = """
+CREATE TABLE IF NOT EXISTS reports (
+    cache_key      TEXT PRIMARY KEY,
+    algorithm      TEXT NOT NULL,
+    topology       TEXT NOT NULL,
+    adversary      TEXT NOT NULL,
+    fault_model    TEXT NOT NULL,
+    fault_p        REAL NOT NULL,
+    seed           INTEGER NOT NULL,
+    network_n      INTEGER NOT NULL,
+    success        INTEGER NOT NULL,
+    rounds         INTEGER NOT NULL,
+    wall_time_s    REAL NOT NULL,
+    canonical_json TEXT NOT NULL,
+    created_at     REAL NOT NULL
+);
+CREATE INDEX IF NOT EXISTS idx_reports_algorithm ON reports (algorithm);
+CREATE INDEX IF NOT EXISTS idx_reports_topology  ON reports (topology);
+CREATE INDEX IF NOT EXISTS idx_reports_adversary ON reports (adversary);
+CREATE INDEX IF NOT EXISTS idx_reports_seed      ON reports (seed);
+CREATE TABLE IF NOT EXISTS store_meta (
+    key   TEXT PRIMARY KEY,
+    value TEXT NOT NULL
+);
+CREATE TABLE IF NOT EXISTS farm_journal (
+    seq     INTEGER PRIMARY KEY,
+    kind    TEXT NOT NULL,
+    payload TEXT NOT NULL
+);
+CREATE TABLE IF NOT EXISTS timelines (
+    cache_key      TEXT PRIMARY KEY,
+    timeline_key   TEXT NOT NULL,
+    canonical_json TEXT NOT NULL,
+    created_at     REAL NOT NULL
+);
+"""
+
+_SHARD_PATTERN = re.compile(r"^shard-(\d{2,})\.db$")
 
 _M_PUT_SECONDS = _METRICS.histogram(
     "repro_store_put_seconds", "put_many backend-insert latency"
@@ -71,6 +135,15 @@ ORDERABLE_COLUMNS = (
 )
 
 
+def shard_index(cache_key: str, shards: int) -> int:
+    """Which shard a cache key routes to (stable across processes).
+
+    CRC32 over the key text rather than ``int(key[:8], 16)`` so the
+    routing works for any key string, not just hex digests.
+    """
+    return zlib.crc32(cache_key.encode("utf-8")) % shards
+
+
 class StoreRow(NamedTuple):
     """One denormalized store row, as streamed by :meth:`ResultStore.iter_rows`.
 
@@ -92,8 +165,230 @@ class StoreRow(NamedTuple):
     wall_time_s: float
 
 
+class _Shard:
+    """One SQLite file of a store: its connection, lock and statements.
+
+    ``where`` strings and ``values`` use SQLite ``?`` placeholders;
+    ``order`` is a sequence of ascending column names, which is what
+    lets :class:`ResultStore` merge sorted shard streams lazily instead
+    of parsing SQL.
+    """
+
+    def __init__(self, path: str, timeout: float) -> None:
+        self.path = path
+        self._lock = threading.RLock()
+        self._connection = sqlite3.connect(
+            path, timeout=timeout, check_same_thread=False
+        )
+        try:
+            with self._lock, self._connection as connection:
+                connection.execute("PRAGMA journal_mode=WAL")
+                connection.execute("PRAGMA synchronous=NORMAL")
+                connection.executescript(_SCHEMA)
+                row = connection.execute(
+                    "SELECT value FROM store_meta WHERE key = 'schema_version'"
+                ).fetchone()
+                if row is None:
+                    connection.execute(
+                        "INSERT INTO store_meta (key, value) VALUES (?, ?)",
+                        ("schema_version", str(STORE_SCHEMA_VERSION)),
+                    )
+                elif int(row[0]) != STORE_SCHEMA_VERSION:
+                    raise ValueError(
+                        f"store {path!r} has schema version {row[0]}, "
+                        f"this library writes version {STORE_SCHEMA_VERSION}"
+                    )
+        except Exception:
+            self._connection.close()
+            raise
+
+    def _one(self, sql: str, values: Sequence[Any] = ()) -> Optional[tuple]:
+        with self._lock:
+            return self._connection.execute(sql, values).fetchone()
+
+    def close(self) -> None:
+        with self._lock:
+            self._connection.close()
+
+    # -- reports ------------------------------------------------------------
+
+    def insert(self, rows: Sequence[tuple], replace: bool) -> int:
+        """Insert report rows (schema column order); returns rows written.
+
+        Every offered row also counts toward ``puts_attempted``:
+        ``attempted - stored`` is how many duplicate puts the content
+        addressing absorbed.
+        """
+        conflict = "REPLACE" if replace else "IGNORE"
+        placeholders = ", ".join("?" * len(rows[0]))
+        with self._lock, self._connection as connection:
+            before = connection.total_changes
+            connection.executemany(
+                f"INSERT OR {conflict} INTO reports VALUES ({placeholders})",
+                rows,
+            )
+            written = connection.total_changes - before
+            connection.execute(
+                "INSERT INTO store_meta (key, value) VALUES ('puts_attempted', ?) "
+                "ON CONFLICT(key) DO UPDATE SET value = "
+                "CAST(CAST(value AS INTEGER) + CAST(excluded.value AS INTEGER) "
+                "AS TEXT)",
+                (str(len(rows)),),
+            )
+            return written
+
+    def fetch(self, cache_key: str, columns: Sequence[str]) -> Optional[tuple]:
+        return self._one(
+            f"SELECT {', '.join(columns)} FROM reports WHERE cache_key = ?",
+            (cache_key,),
+        )
+
+    def select(
+        self,
+        columns: Sequence[str],
+        where: str,
+        values: Sequence[Any],
+        order: Sequence[str],
+        limit: Optional[int] = None,
+        offset: Optional[int] = None,
+        batch_size: int = 4096,
+    ) -> Iterator[tuple]:
+        """Stream rows of ``columns`` sorted ascending by ``order``."""
+        if batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {batch_size}")
+        sql = (
+            f"SELECT {', '.join(columns)} FROM reports {where} "
+            f"ORDER BY {', '.join(order)}"
+        )
+        values = list(values)
+        if limit is not None:
+            sql += " LIMIT ?"
+            values.append(int(limit))
+        elif offset is not None:
+            # SQLite requires a LIMIT clause before OFFSET; -1 = unbounded
+            sql += " LIMIT -1"
+        if offset is not None:
+            sql += " OFFSET ?"
+            values.append(int(offset))
+        with self._lock:
+            cursor = self._connection.execute(sql, values)
+        try:
+            while True:
+                with self._lock:
+                    batch = cursor.fetchmany(batch_size)
+                if not batch:
+                    return
+                yield from batch
+        finally:
+            cursor.close()
+
+    def count(self, where: str, values: Sequence[Any]) -> int:
+        return self._one(f"SELECT COUNT(*) FROM reports {where}", values)[0]
+
+    def group_counts(self, column: str) -> list[tuple[str, int]]:
+        with self._lock:
+            return self._connection.execute(
+                f"SELECT {column}, COUNT(*) FROM reports GROUP BY {column}"
+            ).fetchall()
+
+    def wall_time_sum(self) -> float:
+        return self._one("SELECT COALESCE(SUM(wall_time_s), 0.0) FROM reports")[0]
+
+    def attempted(self) -> int:
+        row = self._one(
+            "SELECT value FROM store_meta WHERE key = 'puts_attempted'"
+        )
+        return 0 if row is None else int(row[0])
+
+    # -- timeline sidecars --------------------------------------------------
+
+    def timeline_put(self, rows: Sequence[tuple[str, str, str, float]]) -> None:
+        with self._lock, self._connection as connection:
+            connection.executemany(
+                "INSERT OR IGNORE INTO timelines "
+                "(cache_key, timeline_key, canonical_json, created_at) "
+                "VALUES (?, ?, ?, ?)",
+                rows,
+            )
+
+    def timeline_fetch(self, cache_key: str) -> Optional[tuple[str, str]]:
+        return self._one(
+            "SELECT timeline_key, canonical_json FROM timelines "
+            "WHERE cache_key = ?",
+            (cache_key,),
+        )
+
+    def timeline_count(self) -> int:
+        return self._one("SELECT COUNT(*) FROM timelines")[0]
+
+    # -- the farm journal ---------------------------------------------------
+
+    def journal_append(self, records: Sequence[tuple[str, str]]) -> None:
+        if not records:
+            return
+        with self._lock, self._connection as connection:
+            connection.executemany(
+                "INSERT INTO farm_journal (kind, payload) VALUES (?, ?)",
+                records,
+            )
+
+    def journal_records(self) -> list[tuple[int, str, str]]:
+        with self._lock:
+            return self._connection.execute(
+                "SELECT seq, kind, payload FROM farm_journal ORDER BY seq"
+            ).fetchall()
+
+    def journal_replace(self, records: Sequence[tuple[str, str]]) -> None:
+        with self._lock, self._connection as connection:
+            connection.execute("DELETE FROM farm_journal")
+            connection.executemany(
+                "INSERT INTO farm_journal (kind, payload) VALUES (?, ?)",
+                records,
+            )
+
+    def journal_size(self) -> int:
+        return self._one("SELECT COUNT(*) FROM farm_journal")[0]
+
+
+def _shard_paths(path: str, shards: Optional[int]) -> tuple[list[str], str]:
+    """The shard files of the store at ``path``, and its layout's name.
+
+    A directory — existing, or requested with ``shards > 1`` — holds
+    ``shard-NN.db`` files. An existing directory's shard count is
+    discovered from its files and must match ``shards`` when both are
+    given: the routing function is part of the store's identity, so a
+    count mismatch is a hard error, never a silent re-route. Anything
+    else, ``":memory:"`` included, is one file.
+    """
+    directory = Path(path)
+    if not directory.is_dir() and (shards is None or int(shards) == 1):
+        return [path], "sqlite"
+    existing = [
+        entry
+        for entry in (directory.glob("shard-*.db") if directory.is_dir() else ())
+        if _SHARD_PATTERN.match(entry.name)
+    ]
+    if existing:
+        if shards is not None and int(shards) != len(existing):
+            raise ValueError(
+                f"store {path!r} has {len(existing)} shards, "
+                f"but shards={shards} was requested"
+            )
+        shards = len(existing)
+    elif shards is None:
+        raise ValueError(
+            f"{path!r} is not a sharded store and no shard count was given"
+        )
+    if int(shards) < 1:
+        raise ValueError(f"shards must be >= 1, got {shards}")
+    directory.mkdir(parents=True, exist_ok=True)
+    return [
+        str(directory / f"shard-{index:02d}.db") for index in range(int(shards))
+    ], "sharded-sqlite"
+
+
 class ResultStore:
-    """A content-addressed result store over a pluggable backend.
+    """A content-addressed result store over one or more SQLite shards.
 
     Parameters
     ----------
@@ -115,14 +410,20 @@ class ResultStore:
         shards: Optional[int] = None,
     ) -> None:
         self.path = str(path)
-        self.backend: StoreBackend = open_backend(
-            self.path, timeout=timeout, shards=shards
-        )
+        paths, self._layout = _shard_paths(self.path, shards)
+        self._shards: list[_Shard] = []
+        try:
+            for shard_path in paths:
+                self._shards.append(_Shard(shard_path, timeout))
+        except Exception:
+            self.close()
+            raise
 
     # -- lifecycle ----------------------------------------------------------
 
     def close(self) -> None:
-        self.backend.close()
+        for shard in self._shards:
+            shard.close()
 
     def __enter__(self) -> "ResultStore":
         return self
@@ -139,7 +440,8 @@ class ResultStore:
     def put_many(
         self, reports: Iterable[RunReport], replace: bool = False
     ) -> int:
-        """Batch-insert reports in one transaction; returns rows written.
+        """Batch-insert reports, one transaction per shard; returns rows
+        written.
 
         Every report must carry a non-empty ``cache_key`` (reports of
         explicit-network scenarios are not content-addressable). Existing
@@ -192,19 +494,18 @@ class ResultStore:
                 )
         if not rows:
             return 0
-        if not _METRICS.enabled:
-            written = self.backend.insert_rows(rows, replace)
-            if timeline_rows:
-                self.backend.timeline_put(timeline_rows)
-            return written
-        _M_PUT_OFFERED.inc(len(rows))
         start = time.perf_counter()
-        written = self.backend.insert_rows(rows, replace)
+        written = sum(
+            shard.insert(part, replace) for shard, part in self._partition(rows)
+        )
         if timeline_rows:
-            self.backend.timeline_put(timeline_rows)
-        _M_PUT_SECONDS.observe(time.perf_counter() - start)
-        if written:
-            _M_PUT_ROWS.inc(written)
+            for shard, part in self._partition(timeline_rows):
+                shard.timeline_put(part)
+        if _METRICS.enabled:
+            _M_PUT_OFFERED.inc(len(rows))
+            _M_PUT_SECONDS.observe(time.perf_counter() - start)
+            if written:
+                _M_PUT_ROWS.inc(written)
         return written
 
     # -- reads --------------------------------------------------------------
@@ -219,9 +520,8 @@ class ResultStore:
         sidecar is re-attached as ``report.timeline``, so a cache hit
         returns exactly what the original run produced.
         """
-        row = self.backend.fetch_payload(
-            cache_key, ("canonical_json", "wall_time_s")
-        )
+        shard = self._shard(cache_key)
+        row = shard.fetch(cache_key, ("canonical_json", "wall_time_s"))
         if _METRICS.enabled:
             _M_GETS.inc()
             if row is not None:
@@ -229,7 +529,7 @@ class ResultStore:
         if row is None:
             return None
         report = self._report_from_row(row[0], row[1])
-        sidecar = self.backend.timeline_fetch(cache_key)
+        sidecar = shard.timeline_fetch(cache_key)
         if sidecar is not None:
             report = dataclasses.replace(
                 report, timeline=json.loads(sidecar[1])
@@ -238,41 +538,45 @@ class ResultStore:
 
     def get_json(self, cache_key: str) -> Optional[str]:
         """The stored canonical JSON text itself (None when absent)."""
-        row = self.backend.fetch_payload(cache_key, ("canonical_json",))
+        row = self._shard(cache_key).fetch(cache_key, ("canonical_json",))
         return None if row is None else row[0]
 
     # -- timeline sidecars ---------------------------------------------------
+    #
+    # Flight-recorder payloads (repro.timeline) ride next to the reports
+    # table, keyed by the same scenario cache key — a sidecar, not a row
+    # column, because timelines are orders of magnitude larger than the
+    # canonical report and most stored runs never record one. The table
+    # is created via ``IF NOT EXISTS``, so pre-timeline stores gain it on
+    # open without a schema-version bump.
 
     def get_timeline(self, cache_key: str) -> Optional[Timeline]:
         """The flight-recorder sidecar stored for a report's cache key."""
-        sidecar = self.backend.timeline_fetch(cache_key)
-        return None if sidecar is None else Timeline.from_json(sidecar[1])
+        text = self.get_timeline_json(cache_key)
+        return None if text is None else Timeline.from_json(text)
 
     def get_timeline_json(self, cache_key: str) -> Optional[str]:
         """The stored canonical timeline JSON itself (None when absent).
 
         These are the exact bytes ``GET /timelines/<key>`` serves.
         """
-        sidecar = self.backend.timeline_fetch(cache_key)
+        sidecar = self._shard(cache_key).timeline_fetch(cache_key)
         return None if sidecar is None else sidecar[1]
 
     def timeline_count(self) -> int:
         """How many reports carry a timeline sidecar."""
-        return self.backend.timeline_count()
+        return sum(shard.timeline_count() for shard in self._shards)
 
     def __contains__(self, cache_key: str) -> bool:
-        return self.backend.fetch_payload(cache_key, ("1",)) is not None
+        return self._shard(cache_key).fetch(cache_key, ("1",)) is not None
 
     def __len__(self) -> int:
-        return self.backend.count_where("", [])
+        return sum(shard.count("", ()) for shard in self._shards)
 
     def keys(self) -> list[str]:
         """Every stored cache key, in deterministic (sorted) order."""
         return [
-            row[0]
-            for row in self.backend.iter_select(
-                ("cache_key",), "", [], ("cache_key",)
-            )
+            row[0] for row in self._select(("cache_key",), "", [], ("cache_key",))
         ]
 
     def query(
@@ -297,8 +601,11 @@ class ResultStore:
         ``order_by`` names one of :data:`ORDERABLE_COLUMNS` (default: the
         canonical algorithm/topology/n/seed order); every ordering gets a
         ``cache_key`` tiebreak, so it is total and ``limit``/``offset``
-        paginate without duplicating or dropping rows between pages.
+        paginate without duplicating or dropping rows between pages. A
+        negative ``limit`` or ``offset`` is a ``ValueError``.
         """
+        if limit is not None and limit < 0:
+            raise ValueError(f"limit must be >= 0, got {limit}")
         if offset is not None and offset < 0:
             raise ValueError(f"offset must be >= 0, got {offset}")
         where, values = self._where(
@@ -308,7 +615,7 @@ class ResultStore:
         start = time.perf_counter() if _METRICS.enabled else 0.0
         reports = [
             self._report_from_row(text, wall)
-            for text, wall in self.backend.iter_select(
+            for text, wall in self._select(
                 ("canonical_json", "wall_time_s"),
                 where,
                 values,
@@ -337,74 +644,86 @@ class ResultStore:
             algorithm, topology, adversary, fault_model,
             seed_min, seed_max, success,
         )
-        return self.backend.count_where(where, values)
+        return sum(shard.count(where, values) for shard in self._shards)
 
     def stats(self) -> dict[str, Any]:
         """A summary of the store: totals and per-dimension breakdowns.
 
         Beyond the per-dimension counts, ``backend``/``shards`` describe
-        the engine and ``puts_attempted``/``dedup_ratio`` how much
+        the layout (``sqlite`` for a file, ``sharded-sqlite`` for a shard
+        directory) and ``puts_attempted``/``dedup_ratio`` how much
         duplicate work the content addressing absorbed (farmed sweeps
         re-offering already-stored keys cost one ignored insert, not a
         recompute).
         """
-        backend = self.backend
-        total = backend.count_where("", [])
-        breakdown = {
-            column: {
-                name or "none": count
-                for name, count in backend.group_counts(column).items()
+        total = len(self)
+        breakdown = {}
+        for column in ("algorithm", "topology", "adversary"):
+            counts: dict[str, int] = {}
+            for shard in self._shards:
+                for name, count in shard.group_counts(column):
+                    counts[name] = counts.get(name, 0) + count
+            breakdown[column] = {
+                name or "none": count for name, count in sorted(counts.items())
             }
-            for column in ("algorithm", "topology", "adversary")
-        }
-        attempted = backend.attempted()
+        attempted = sum(shard.attempted() for shard in self._shards)
         return {
             "path": self.path,
             "schema_version": STORE_SCHEMA_VERSION,
-            "backend": backend.kind,
-            "shards": len(backend.shard_stats()),
+            "backend": self._layout,
+            "shards": len(self._shards),
             "reports": total,
             "by_algorithm": breakdown["algorithm"],
             "by_topology": breakdown["topology"],
             "by_adversary": breakdown["adversary"],
-            "stored_wall_time_s": backend.sum_column("wall_time_s"),
-            "timelines": backend.timeline_count(),
+            "stored_wall_time_s": sum(
+                shard.wall_time_sum() for shard in self._shards
+            ),
+            "timelines": self.timeline_count(),
             "puts_attempted": attempted,
             "dedup_ratio": (
                 round(1.0 - total / attempted, 4) if attempted else 0.0
             ),
-            "journal_records": backend.journal_size(),
+            "journal_records": self.journal_size(),
         }
 
     def shard_stats(self) -> list[dict[str, Any]]:
         """Per-shard row counts and put-attempt counters (one entry for
         single-file stores)."""
-        return self.backend.shard_stats()
+        return [
+            {
+                "shard": index,
+                "path": shard.path,
+                "reports": shard.count("", ()),
+                "attempted": shard.attempted(),
+            }
+            for index, shard in enumerate(self._shards)
+        ]
 
     # -- the farm journal ----------------------------------------------------
     #
     # The farm coordinator's durable state rides in the store (a small
-    # ``farm_journal`` table; one journal per store, even sharded) so a
+    # ``farm_journal`` table on shard 0; one journal per store, even
+    # sharded, so there is a single total order to replay) so a
     # coordinator crash orphans nothing: :meth:`repro.farm.Coordinator
     # .recover` rebuilds the queue from these records plus the reports
-    # table. These are thin pass-throughs; the record formats belong to
-    # :mod:`repro.farm.coordinator`.
+    # table. The record formats belong to :mod:`repro.farm.coordinator`.
 
     def journal_append(self, records: list[tuple[str, str]]) -> None:
         """Append ``(kind, payload)`` journal records in one transaction."""
-        self.backend.journal_append(records)
+        self._shards[0].journal_append(records)
 
     def journal_records(self) -> list[tuple[int, str, str]]:
         """Every journal record as ``(seq, kind, payload)``, in seq order."""
-        return self.backend.journal_records()
+        return self._shards[0].journal_records()
 
     def journal_replace(self, records: list[tuple[str, str]]) -> None:
         """Atomically replace the whole journal (compaction)."""
-        self.backend.journal_replace(records)
+        self._shards[0].journal_replace(records)
 
     def journal_size(self) -> int:
         """How many records the journal holds (bounded by compaction)."""
-        return self.backend.journal_size()
+        return self._shards[0].journal_size()
 
     # -- streaming ----------------------------------------------------------
 
@@ -415,13 +734,13 @@ class ResultStore:
 
         Rows come back in the same deterministic order as :meth:`query`
         (honoring ``order_by``) but are fetched ``batch_size`` at a time
-        from one cursor, so aggregating a million-row store holds one
-        batch in memory — this is the fast path streaming aggregation is
-        built on.
+        from one cursor per shard, so aggregating a million-row store
+        holds one batch per shard in memory — this is the fast path
+        streaming aggregation is built on.
         """
         order_by = filters.pop("order_by", None)
         where, values = self._where_from_filters(filters)
-        for row in self.backend.iter_select(
+        for row in self._select(
             StoreRow._fields,
             where,
             values,
@@ -441,7 +760,7 @@ class ResultStore:
         """
         order_by = filters.pop("order_by", None)
         where, values = self._where_from_filters(filters)
-        for text, wall in self.backend.iter_select(
+        for text, wall in self._select(
             ("canonical_json", "wall_time_s"),
             where,
             values,
@@ -475,6 +794,65 @@ class ResultStore:
         return written
 
     # -- internals ----------------------------------------------------------
+
+    def _shard(self, cache_key: str) -> _Shard:
+        """The shard ``cache_key`` routes to."""
+        shards = self._shards
+        if len(shards) == 1:
+            return shards[0]
+        return shards[shard_index(cache_key, len(shards))]
+
+    def _partition(self, rows: list[tuple]) -> list[tuple[_Shard, list[tuple]]]:
+        """Rows (cache key first) grouped by the shard each routes to, as
+        ``(shard, rows)`` pairs in shard order."""
+        shards = self._shards
+        if len(shards) == 1:
+            return [(shards[0], rows)]
+        by_shard: dict[int, list[tuple]] = {}
+        for row in rows:
+            by_shard.setdefault(shard_index(row[0], len(shards)), []).append(row)
+        return [(shards[index], part) for index, part in sorted(by_shard.items())]
+
+    def _select(
+        self,
+        columns: Sequence[str],
+        where: str,
+        values: Sequence[Any],
+        order: Sequence[str],
+        limit: Optional[int] = None,
+        offset: Optional[int] = None,
+        batch_size: int = 4096,
+    ) -> Iterator[tuple]:
+        """Stream rows of ``columns`` sorted ascending by ``order``.
+
+        Each shard streams the order columns ahead of ``columns`` in the
+        same sort, and a lazy heap merge reproduces a single file's
+        global order exactly: every ordering the store issues ends with
+        the unique cache_key, so the merge is total.
+        """
+        if len(self._shards) == 1:
+            return self._shards[0].select(
+                columns, where, values, order, limit, offset, batch_size
+            )
+        width = len(order)
+        first = offset or 0
+        # no shard needs more than offset + limit rows to cover a page
+        stop = None if limit is None else first + limit
+        merged = heapq.merge(
+            *(
+                shard.select(
+                    tuple(order) + tuple(columns),
+                    where,
+                    values,
+                    order,
+                    limit=stop,
+                    batch_size=batch_size,
+                )
+                for shard in self._shards
+            ),
+            key=lambda row: row[:width],
+        )
+        return (row[width:] for row in itertools.islice(merged, first, stop))
 
     @staticmethod
     def _order(order_by: Optional[str]) -> tuple[str, ...]:

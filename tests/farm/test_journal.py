@@ -1,9 +1,11 @@
-"""The farm_journal table: the StoreBackend journal contract.
+"""The farm_journal table: the store's journal contract.
 
 The journal is coordinator state riding in the result store — ordered,
-replaceable, and (for the sharded engine) living on exactly one shard
-so there is a single total order to replay.
+replaceable, and (in a shard directory) living on exactly one shard so
+there is a single total order to replay.
 """
+
+import sqlite3
 
 import pytest
 
@@ -71,12 +73,9 @@ def test_sharded_journal_lives_on_shard_zero(tmp_path):
     routing never touches it."""
     with ResultStore(str(tmp_path / "farm"), shards=3) as store:
         store.journal_append([("job", "{}")])
-        backends = store.backend._backends
-        import sqlite3
-
         counts = []
-        for backend in backends:
-            connection = sqlite3.connect(backend.path)
+        for entry in store.shard_stats():
+            connection = sqlite3.connect(entry["path"])
             counts.append(
                 connection.execute(
                     "SELECT COUNT(*) FROM farm_journal"

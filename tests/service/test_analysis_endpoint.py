@@ -58,6 +58,26 @@ class TestReportsPaging:
         assert excinfo.value.status == 500 or excinfo.value.status == 400
 
 
+    @pytest.mark.parametrize(
+        "page", [{"limit": -1}, {"limit": -1, "offset": 2}, {"offset": -1}]
+    )
+    def test_negative_paging_params_are_400(self, client, page):
+        with pytest.raises(ServiceError) as excinfo:
+            client.query(**page)
+        assert excinfo.value.status == 400
+        assert "must be >= 0" in str(excinfo.value)
+
+
+def test_negative_paging_params_are_400_on_a_shard_directory(tmp_path):
+    store_path = str(tmp_path / "farm")
+    with ReproService(store_path, port=0, workers=1, shards=2) as running:
+        client = ServiceClient(running.url, timeout=30.0)
+        for page in ({"limit": -1}, {"limit": -1, "offset": 2}, {"offset": -1}):
+            with pytest.raises(ServiceError) as excinfo:
+                client.query(**page)
+            assert excinfo.value.status == 400, page
+
+
 class TestAnalysisEndpoint:
     def test_aggregate_matches_local(self, client, service):
         from repro.analysis import aggregate

@@ -1,16 +1,10 @@
-"""The store backend split: sharded and single-file engines agree."""
+"""Store layouts: a shard directory answers exactly like a single file."""
 
 import pytest
 
 from repro.core.faults import FaultConfig
 from repro.runner import Scenario, expand_grid, run_batch
-from repro.store import (
-    ResultStore,
-    ShardedSQLiteBackend,
-    SQLiteBackend,
-    open_backend,
-    shard_index,
-)
+from repro.store import ResultStore, shard_index
 
 BASE = Scenario(
     algorithm="decay",
@@ -34,36 +28,41 @@ def _strip_timing(rows):
     return [row._replace(wall_time_s=0.0) for row in rows]
 
 
-class TestOpenBackend:
+class TestLayouts:
     def test_file_path_opens_single_sqlite(self, tmp_path):
-        backend = open_backend(str(tmp_path / "one.db"))
-        assert isinstance(backend, SQLiteBackend)
-        backend.close()
+        path = tmp_path / "one.db"
+        with ResultStore(str(path)) as store:
+            assert store.stats()["backend"] == "sqlite"
+            assert store.shard_stats() == [
+                {"shard": 0, "path": str(path), "reports": 0, "attempted": 0}
+            ]
+        assert path.is_file()
+        assert not [entry for entry in tmp_path.iterdir() if entry.is_dir()]
 
     def test_shards_parameter_creates_directory(self, tmp_path):
         path = tmp_path / "farm"
-        backend = open_backend(str(path), shards=3)
-        assert isinstance(backend, ShardedSQLiteBackend)
-        backend.close()
+        with ResultStore(str(path), shards=3) as store:
+            assert store.stats()["backend"] == "sharded-sqlite"
         names = sorted(p.name for p in path.iterdir())
         assert names == ["shard-00.db", "shard-01.db", "shard-02.db"]
 
     def test_existing_directory_autodetects_shard_count(self, tmp_path):
         path = str(tmp_path / "farm")
-        open_backend(path, shards=4).close()
-        backend = open_backend(path)  # no shards= needed on reopen
-        assert len(backend.shard_stats()) == 4
-        backend.close()
+        ResultStore(path, shards=4).close()
+        with ResultStore(path) as store:  # no shards= needed on reopen
+            assert len(store.shard_stats()) == 4
+            assert store.stats()["shards"] == 4
 
     def test_shard_count_mismatch_is_a_hard_error(self, tmp_path):
         path = str(tmp_path / "farm")
-        open_backend(path, shards=2).close()
-        with pytest.raises(ValueError, match="2"):
-            open_backend(path, shards=3)
+        ResultStore(path, shards=2).close()
+        with pytest.raises(ValueError, match="has 2 shards, but shards=3"):
+            ResultStore(path, shards=3)
 
     def test_shards_must_be_positive(self, tmp_path):
-        with pytest.raises(ValueError):
-            open_backend(str(tmp_path / "farm"), shards=0)
+        with pytest.raises(ValueError, match="shards must be >= 1, got 0"):
+            ResultStore(str(tmp_path / "farm"), shards=0)
+        assert not (tmp_path / "farm").exists()
 
 
 class TestShardRouting:
@@ -140,6 +139,24 @@ class TestShardedEquivalence:
             paged.extend(r.cache_key for r in page)
             offset += 7
         assert paged == full
+
+    def test_every_page_identical(self, pair):
+        single, sharded = pair
+        for limit in (None, 0, 1, 7, 20, 25):
+            for offset in (None, 0, 2, 19, 20, 25):
+                page = {"limit": limit, "offset": offset}
+                assert [r.cache_key for r in single.query(**page)] == [
+                    r.cache_key for r in sharded.query(**page)
+                ], page
+
+    @pytest.mark.parametrize(
+        "page",
+        [{"limit": -1}, {"limit": -1, "offset": 2}, {"offset": -1}],
+    )
+    def test_negative_limit_or_offset_rejected(self, pair, page):
+        for store in pair:
+            with pytest.raises(ValueError, match="must be >= 0"):
+                store.query(**page)
 
     def test_stats_counts_agree(self, pair):
         single, sharded = pair

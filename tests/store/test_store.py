@@ -184,6 +184,26 @@ class TestSchemaVersion:
         with pytest.raises(ValueError, match="schema version"):
             ResultStore(path)
 
+    def test_reopened_file_store_holds_the_four_tables(self, tmp_path):
+        path = str(tmp_path / "store.db")
+        with ResultStore(path) as store:
+            store.put(fabricate(BASE))
+        ResultStore(path).close()
+        connection = sqlite3.connect(path)
+        tables = [
+            row[0]
+            for row in connection.execute(
+                "SELECT name FROM sqlite_master WHERE type = 'table' "
+                "ORDER BY name"
+            )
+        ]
+        version = connection.execute(
+            "SELECT value FROM store_meta WHERE key = 'schema_version'"
+        ).fetchone()[0]
+        connection.close()
+        assert tables == ["farm_journal", "reports", "store_meta", "timelines"]
+        assert version == "1" == str(STORE_SCHEMA_VERSION)
+
 
 def _writer(path: str, offset: int, count: int) -> int:
     with ResultStore(path) as store:
@@ -210,9 +230,10 @@ class TestConcurrentWriters:
         assert sum(written) == 60
         with ResultStore(path) as store:
             assert len(store) == 60
-            check = store.backend._connection.execute(
-                "PRAGMA integrity_check"
-            ).fetchone()[0]
+            (entry,) = store.shard_stats()
+            connection = sqlite3.connect(entry["path"])
+            check = connection.execute("PRAGMA integrity_check").fetchone()[0]
+            connection.close()
             assert check == "ok"
             for key in store.keys():
                 assert store.get(key) is not None

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from repro.cli import main
 from repro.core.faults import FaultConfig
 from repro.runner import Scenario, expand_grid, run_batch
@@ -46,6 +48,29 @@ class TestStoreStats:
         assert stats["quarantined"] == []
         assert len(stats["shard_stats"]) == stats["shards"]
         assert sum(s["reports"] for s in stats["shard_stats"]) == 3
+
+    @pytest.mark.parametrize(
+        "shards, backend", [(None, "sqlite"), (2, "sharded-sqlite")]
+    )
+    def test_stats_json_keys_on_each_layout(
+        self, capsys, tmp_path, shards, backend
+    ):
+        path = str(tmp_path / ("results.db" if shards is None else "farm"))
+        with ResultStore(path, shards=shards) as store:
+            store.put_many(run_batch(expand_grid(BASE, seeds=range(3))))
+        assert main(["store", path, "--stats", "--format", "json"]) == 0
+        stats = json.loads(capsys.readouterr().out)
+        assert sorted(stats) == [
+            "backend", "by_adversary", "by_algorithm", "by_topology",
+            "dedup_ratio", "journal_records", "path", "puts_attempted",
+            "quarantined", "reports", "schema_version", "shard_stats",
+            "shards", "stored_wall_time_s", "timelines",
+        ]
+        assert stats["backend"] == backend
+        assert stats["shards"] == (shards or 1)
+        assert stats["reports"] == 3
+        for entry in stats["shard_stats"]:
+            assert sorted(entry) == ["attempted", "path", "reports", "shard"]
 
     def test_stats_text_renders_shard_table(self, capsys, tmp_path):
         path = _seeded_store(tmp_path)
