@@ -23,7 +23,12 @@ from repro.algorithms.base import (
     ilog2,
     run_broadcast,
 )
-from repro.algorithms.schedule import Schedule, ScheduleLayer, decay_probabilities
+from repro.algorithms.schedule import (
+    Schedule,
+    ScheduleLayer,
+    decay_probabilities,
+    node_streams,
+)
 from repro.core.faults import FaultConfig
 from repro.core.network import RadioNetwork
 from repro.core.packets import Packet
@@ -88,7 +93,9 @@ def decay_broadcast(
     if max_rounds is None:
         log_n, depth, slowdown = budget_terms(network, faults, adversary, channel)
         max_rounds = int(40 * slowdown * log_n * (depth + log_n)) + 100
-    layer = ScheduleLayer(decay_schedule(n), source.spawn_many(n), network.source)
+    layer = ScheduleLayer(
+        decay_schedule(n), node_streams(source, n), network.source
+    )
     return run_broadcast(
         network,
         layer,

@@ -26,7 +26,12 @@ from repro.algorithms.base import (
     ilog2,
     run_broadcast,
 )
-from repro.algorithms.schedule import Schedule, ScheduleLayer, wave_schedule
+from repro.algorithms.schedule import (
+    Schedule,
+    ScheduleLayer,
+    node_streams,
+    wave_schedule,
+)
 from repro.core.faults import FaultConfig
 from repro.core.network import RadioNetwork
 from repro.core.packets import Packet
@@ -168,7 +173,7 @@ def fastbc_broadcast(
         tree = build_gbst(network).tree
     layer = ScheduleLayer(
         fastbc_schedule(tree, decay_interleave),
-        source.spawn_many(network.n),
+        node_streams(source, network.n),
         network.source,
     )
     return run_broadcast(

@@ -27,7 +27,7 @@ from repro.algorithms.base import (
 )
 from repro.algorithms.fastbc import FastBCProtocol, fastbc_schedule
 from repro.algorithms.robust_fastbc import block_size
-from repro.algorithms.schedule import Schedule, ScheduleLayer
+from repro.algorithms.schedule import Schedule, ScheduleLayer, node_streams
 from repro.core.faults import FaultConfig
 from repro.core.network import RadioNetwork
 from repro.core.packets import Packet
@@ -106,7 +106,7 @@ def repeated_fastbc_broadcast(
         max_rounds = int(60 * repeat * slowdown * (depth + log_n * log_n)) + 200
     layer = ScheduleLayer(
         repeated_fastbc_schedule(tree, repeat),
-        source.spawn_many(network.n),
+        node_streams(source, network.n),
         network.source,
     )
     return run_broadcast(

@@ -36,7 +36,12 @@ from repro.algorithms.base import (
     run_broadcast,
 )
 from repro.algorithms.fastbc import FastBCProtocol
-from repro.algorithms.schedule import Schedule, ScheduleLayer, wave_schedule
+from repro.algorithms.schedule import (
+    Schedule,
+    ScheduleLayer,
+    node_streams,
+    wave_schedule,
+)
 from repro.core.faults import FaultConfig
 from repro.core.network import RadioNetwork
 from repro.core.packets import Packet
@@ -240,7 +245,7 @@ def robust_fastbc_broadcast(
         tree = build_gbst(network).tree
     layer = ScheduleLayer(
         robust_fastbc_schedule(tree, block, round_multiplier, decay_interleave),
-        source.spawn_many(network.n),
+        node_streams(source, network.n),
         network.source,
     )
     return run_broadcast(

@@ -16,6 +16,11 @@ Each algorithm module writes its schedule next to its per-node
 protocol, which stays the scalar reference: a :class:`ScheduleLayer`
 over a schedule draws exactly the coins that the per-node protocols
 built from the same streams draw, so every outcome is the same.
+
+:func:`node_streams` spawns the nodes' streams: one
+:class:`~repro.util.rng.RandomSource` per node below :data:`BANK_MIN_N`
+nodes, one :class:`~repro.util.rng.StreamBank` from there on. Both give
+every node the same stream, so the choice is one of speed alone.
 """
 
 from __future__ import annotations
@@ -27,13 +32,15 @@ import numpy as np
 
 from repro.algorithms.base import ilog2
 from repro.core.engine import RoundResult, node_array
-from repro.util.rng import RandomSource
+from repro.util.rng import RandomSource, StreamBank
 
 __all__ = [
+    "BANK_MIN_N",
     "SILENT",
     "Schedule",
     "ScheduleLayer",
     "decay_probabilities",
+    "node_streams",
     "wave_schedule",
 ]
 
@@ -44,6 +51,26 @@ Schedule = Callable[[int], Step]
 
 #: the step of a round in which nobody broadcasts
 SILENT: tuple[int, ...] = ()
+
+#: networks of at least this many nodes draw their coins from one
+#: StreamBank: seeding the bank costs more than building per-node sources
+#: on smaller networks, and its coin rounds save less there (crossover:
+#: PERFORMANCE.md, "Stream bank")
+BANK_MIN_N = 2048
+
+
+def node_streams(
+    source: RandomSource, n: int
+) -> "list[RandomSource] | StreamBank":
+    """The next ``n`` children of ``source``, one private stream per node.
+
+    A :class:`StreamBank` from :data:`BANK_MIN_N` nodes on, a list of
+    sources below; either way node ``v`` gets the stream of the ``v``-th
+    child, and ``source`` spawns the same children afterwards.
+    """
+    if n >= BANK_MIN_N:
+        return source.spawn_bank(n)
+    return source.spawn_many(n)
 
 
 def decay_probabilities(n: int) -> list[float]:
@@ -74,37 +101,48 @@ def wave_schedule(
 class ScheduleLayer:
     """Every node of a single-message broadcast, following one schedule.
 
-    Node ``v`` draws its coins from ``rngs[v]``: one ``random()`` in each
-    coin round with ``p < 1`` while it is informed, as the per-node
-    protocol's ``bernoulli(p)`` does. The layer keeps the informed nodes
-    in a bytearray and a list, with each one's bound ``random`` method,
-    so a coin round is one pass over that list and the stop check reads
-    its length. A round's broadcasters go to the channel as an ascending
-    int64 array, and its receivers come back as one; one mask over a
-    numpy view of the bytearray picks out those not yet informed.
+    Node ``v`` draws its coins from stream ``v`` of ``rngs``: one
+    ``random()`` in each coin round with ``p < 1`` while it is informed,
+    as the per-node protocol's ``bernoulli(p)`` does. The layer keeps the
+    informed nodes in a bytearray and a list, so the stop check reads the
+    list's length. A round's broadcasters go to the channel as an
+    ascending int64 array, and its receivers come back as one; one mask
+    over a numpy view of the bytearray picks out those not yet informed.
+
+    A coin round draws from a :class:`StreamBank` in a few numpy calls
+    over the informed nodes, ascending. Per-node sources are drawn in one
+    pass over each informed node's bound ``random`` method, kept in the
+    order the nodes were informed.
 
     Parameters
     ----------
     schedule:
         Round index -> step (see the module docstring).
     rngs:
-        One private stream per node, in node order.
+        One private stream per node, in node order: a sequence of sources
+        or a bank (see :func:`node_streams`).
     source:
         The node informed at the start.
     """
 
     def __init__(
-        self, schedule: Schedule, rngs: Sequence[RandomSource], source: int
+        self,
+        schedule: Schedule,
+        rngs: "Sequence[RandomSource] | StreamBank",
+        source: int,
     ) -> None:
         self.schedule = schedule
         self.rngs = rngs
+        #: the streams as one bank, or None for per-node sources
+        self.bank = rngs if isinstance(rngs, StreamBank) else None
         #: 1 at the informed nodes
         self.informed = bytearray(len(rngs))
         # the same bytes as a numpy array, for the array-valued rounds
         self._informed_view = np.frombuffer(self.informed, dtype=np.uint8)
         #: the informed nodes, in the order they were informed
         self.nodes: list[int] = []
-        #: ``rngs[v].bound_random`` for each ``v`` in :attr:`nodes`
+        #: ``rngs[v].bound_random`` for each ``v`` in :attr:`nodes`, when
+        #: the streams are per-node sources
         self.coins: list[Callable[[], float]] = []
         self.inform(source)
 
@@ -112,18 +150,22 @@ class ScheduleLayer:
         """Mark a node that is not yet informed as informed."""
         self.informed[node] = 1
         self.nodes.append(node)
-        self.coins.append(self.rngs[node].bound_random)
+        if self.bank is None:
+            self.coins.append(self.rngs[node].bound_random)
 
     def fire(self, round_index: int) -> np.ndarray:
         """The informed nodes that broadcast in ``round_index``, ascending.
 
         Draws the round's coins: on a coin round with ``p < 1``, one per
-        informed node, in the order the nodes were informed.
+        informed node.
         """
         step = self.schedule(round_index)
         if isinstance(step, float):
             if step >= 1.0:
                 return np.flatnonzero(self._informed_view)
+            if self.bank is not None:
+                rows = np.flatnonzero(self._informed_view)
+                return rows[self.bank.random(rows) < step]
             fired = compress(self.nodes, [coin() < step for coin in self.coins])
             ascending = np.array(list(fired), dtype=np.int64)
             ascending.sort()
@@ -139,8 +181,15 @@ class ScheduleLayer:
     def deliver(self, result: RoundResult) -> None:
         receivers = result.receivers
         if len(receivers):
-            for v in receivers[self._informed_view[receivers] == 0].tolist():
-                self.inform(v)
+            fresh = receivers[self._informed_view[receivers] == 0]
+            if self.bank is None:
+                # per-node sources serve the small networks, whose rounds
+                # inform a few nodes: a loop beats a fancy assignment there
+                for v in fresh.tolist():
+                    self.inform(v)
+            else:
+                self._informed_view[fresh] = 1
+                self.nodes.extend(fresh.tolist())
 
     def all_done(self) -> bool:
         return len(self.nodes) == len(self.informed)

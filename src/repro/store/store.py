@@ -357,24 +357,36 @@ def _shard_paths(path: str, shards: Optional[int]) -> tuple[list[str], str]:
     ``shard-NN.db`` files. An existing directory's shard count is
     discovered from its files and must match ``shards`` when both are
     given: the routing function is part of the store's identity, so a
-    count mismatch is a hard error, never a silent re-route. Anything
-    else, ``":memory:"`` included, is one file.
+    count mismatch is a hard error, never a silent re-route. So is a gap
+    in the files' numbers, before anything is created. Anything else,
+    ``":memory:"`` included, is one file.
     """
     directory = Path(path)
     if not directory.is_dir() and (shards is None or int(shards) == 1):
         return [path], "sqlite"
-    existing = [
-        entry
-        for entry in (directory.glob("shard-*.db") if directory.is_dir() else ())
-        if _SHARD_PATTERN.match(entry.name)
-    ]
+    existing = {
+        int(match.group(1))
+        for match in (
+            _SHARD_PATTERN.match(entry.name)
+            for entry in (directory.iterdir() if directory.is_dir() else ())
+        )
+        if match
+    }
     if existing:
-        if shards is not None and int(shards) != len(existing):
+        count = max(existing) + 1
+        missing = sorted(set(range(count)) - existing)
+        if missing:
             raise ValueError(
-                f"store {path!r} has {len(existing)} shards, "
+                f"store {path!r} is missing shard files "
+                f"{', '.join(f'shard-{index:02d}.db' for index in missing)} "
+                f"of its {count}"
+            )
+        if shards is not None and int(shards) != count:
+            raise ValueError(
+                f"store {path!r} has {count} shards, "
                 f"but shards={shards} was requested"
             )
-        shards = len(existing)
+        shards = count
     elif shards is None:
         raise ValueError(
             f"{path!r} is not a sharded store and no shard count was given"

@@ -1,6 +1,6 @@
 """Shared utilities: seeded RNG management, statistics, tables, validation."""
 
-from repro.util.rng import RandomSource, spawn_rng
+from repro.util.rng import RandomSource, StreamBank, spawn_rng
 from repro.util.stats import (
     Summary,
     geometric_tail,
@@ -21,6 +21,7 @@ from repro.util.validation import (
 
 __all__ = [
     "RandomSource",
+    "StreamBank",
     "spawn_rng",
     "Summary",
     "Table",

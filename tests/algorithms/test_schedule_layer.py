@@ -1,11 +1,13 @@
 """The schedule layer against per-node protocols built from the same spawns.
 
-Each single-message algorithm runs twice: as it ships, on a
-:class:`ScheduleLayer`, and on a :class:`NodeLayer` of its per-node
+Each single-message algorithm runs three times: as it ships, on a
+:class:`ScheduleLayer` over per-node sources and on one over a
+:class:`~repro.util.rng.StreamBank` (the bank's size threshold patched
+above n and to 0), and on a :class:`NodeLayer` of its per-node
 protocols, which the test builds from the same seed in the same spawn
-order (one child per node, then the channel's). Equal final streams show
-that both made the same draws; the RLNC schedules are checked the same
-way in ``test_rlnc_broadcast.py``.
+order (one child per node, then the channel's). Equal final streams
+show that all three made the same draws; the RLNC schedules are checked
+the same way in ``test_rlnc_broadcast.py``.
 """
 
 import contextlib
@@ -14,7 +16,7 @@ from unittest import mock
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.algorithms import base
+from repro.algorithms import base, schedule
 from repro.algorithms.decay import DecayProtocol, decay_broadcast
 from repro.algorithms.fastbc import fastbc_broadcast, make_fastbc_protocols
 from repro.algorithms.repetition import (
@@ -33,7 +35,7 @@ from repro.mac.config import MacConfig
 from repro.timeline import Timeline, TimelineConfig
 from repro.timeline.capture import capture_timeline
 from repro.topologies.registry import make_topology
-from repro.util.rng import RandomSource
+from repro.util.rng import RandomSource, StreamBank
 
 
 def _decay(network, source, tree):
@@ -111,14 +113,22 @@ def recorded_simulators():
         yield built
 
 
-def _run(per_node, name, network, noise, channel, timeline, seed, max_rounds):
+#: how a run draws its coins: per-node protocols (the reference), or the
+#: schedule layer over per-node sources or over one stream bank
+_ARMS = ("per-node", "sources", "bank")
+
+
+def _run(arm, name, network, noise, channel, timeline, seed, max_rounds):
     """One run: outcome, timeline dict and every node's final stream state."""
     broadcast, params, build = _SCHEDULES[name]
     capture = (
         capture_timeline(TimelineConfig()) if timeline else contextlib.nullcontext()
     )
-    with recorded_simulators() as built, capture as slot:
-        if per_node:
+    bank_min_n = 0 if arm == "bank" else network.n + 1
+    with recorded_simulators() as built, capture as slot, mock.patch.object(
+        schedule, "BANK_MIN_N", bank_min_n
+    ):
+        if arm == "per-node":
             source = RandomSource(seed)
             protocols = build(network, source, build_gbst(network).tree)
             outcome = base.run_broadcast(
@@ -132,16 +142,21 @@ def _run(per_node, name, network, noise, channel, timeline, seed, max_rounds):
                 **noise, **params,
             )
     (sim,) = built
-    if per_node:
+    if arm == "per-node":
         assert isinstance(sim.layer, NodeLayer)
-        rngs = [protocol.rng for protocol in sim.layer.protocols]
+        states = [protocol.rng._rng.getstate() for protocol in sim.layer.protocols]
+    elif arm == "sources":
+        assert isinstance(sim.layer, ScheduleLayer)
+        assert sim.layer.bank is None
+        states = [rng._rng.getstate() for rng in sim.layer.rngs]
     else:
         assert isinstance(sim.layer, ScheduleLayer)
-        rngs = sim.layer.rngs
+        assert isinstance(sim.layer.rngs, StreamBank)
+        states = [sim.layer.rngs.getstate(v) for v in network.nodes()]
     recorded = (
         Timeline.from_recorder(slot.recorder).to_dict() if timeline else None
     )
-    return outcome, recorded, [rng._rng.getstate() for rng in rngs]
+    return outcome, recorded, states
 
 
 class TestScheduleLayerMatchesPerNodeProtocols:
@@ -165,22 +180,24 @@ class TestScheduleLayerMatchesPerNodeProtocols:
     ):
         network = make_topology(topology, n, seed)
         channel = MacConfig() if contention else None
-        layer, reference = (
-            _run(per_node, name, network, _NOISE[noise], channel, timeline,
+        reference, *layers = (
+            _run(arm, name, network, _NOISE[noise], channel, timeline,
                  seed, max_rounds)
-            for per_node in (False, True)
+            for arm in _ARMS
         )
-        assert layer[0] == reference[0]
-        assert layer[1] == reference[1]
-        assert layer[2] == reference[2]
+        for layer in layers:
+            assert layer[0] == reference[0]
+            assert layer[1] == reference[1]
+            assert layer[2] == reference[2]
 
     def test_large_grid_waves_match(self):
         """Ranks reach 3 on a 1024-node grid, so many wave buckets fire."""
         network = make_topology("grid", 1024, 0)
         for name in ("fastbc", "robust_fastbc-block2", "repeated_fastbc"):
-            layer, reference = (
-                _run(per_node, name, network, _NOISE["receiver"], None, False,
+            reference, *layers = (
+                _run(arm, name, network, _NOISE["receiver"], None, False,
                      5, 400)
-                for per_node in (False, True)
+                for arm in _ARMS
             )
-            assert layer == reference, name
+            for layer in layers:
+                assert layer == reference, name

@@ -7,9 +7,10 @@
   and off), i.i.d. sender/receiver, ``gilbert_elliott``,
   ``budgeted_jammer`` and ``edge_churn`` noise, every declared
   parameter of the channel-based algorithms away from its default (one
-  of them, pure-wave FASTBC on ``gnp``, runs out its round budget), and
-  the FASTBC family on 1024-node grids and gnps, where the GBST waves
-  are large;
+  of them, pure-wave FASTBC on ``gnp``, runs out its round budget), the
+  FASTBC family on 1024-node grids and gnps, where the GBST waves are
+  large, and the four coin-drawing schedules on 2048-node grids, where
+  the nodes' coins come from one stream bank;
 * the :meth:`~repro.timeline.Timeline.cache_key` of every channel-based
   scenario's timeline;
 * the :class:`~repro.core.trace.TraceRecorder` event stream of a few
@@ -230,6 +231,20 @@ SCENARIOS = {
     "robust_fastbc-gnp1024-block2-churn": _channel_scenario(
         "robust_fastbc", "gnp", 1024, 58, _CHURN,
         params={"block": 2, "round_multiplier": 4},
+    ),
+    # at and above the stream bank's crossover, the coin rounds draw from
+    # one MT19937 bank instead of one random.Random per node
+    "decay-grid2048-receiver": _channel_scenario(
+        "decay", "grid", 2048, 61, _RECEIVER
+    ),
+    "fastbc-grid2048-receiver": _channel_scenario(
+        "fastbc", "grid", 2048, 62, _RECEIVER
+    ),
+    "robust_fastbc-grid2048-receiver": _channel_scenario(
+        "robust_fastbc", "grid", 2048, 63, _RECEIVER
+    ),
+    "repeated_fastbc-grid2048-receiver": _channel_scenario(
+        "repeated_fastbc", "grid", 2048, 64, _RECEIVER
     ),
     "star_routing-receiver": _schedule_scenario(
         "star_routing", "star", 25, FaultConfig.receiver(_P), n=16

@@ -55,7 +55,9 @@ class TestReportsPaging:
         assert excinfo.value.status == 400
         with pytest.raises(ServiceError) as excinfo:
             client.query(order_by="canonical_json")
-        assert excinfo.value.status == 500 or excinfo.value.status == 400
+        assert excinfo.value.status == 400
+        assert "allowed: " in str(excinfo.value)
+        assert "seed" in str(excinfo.value)
 
 
     @pytest.mark.parametrize(

@@ -59,6 +59,19 @@ class TestLayouts:
         with pytest.raises(ValueError, match="has 2 shards, but shards=3"):
             ResultStore(path, shards=3)
 
+    @pytest.mark.parametrize("shards", [None, 3])
+    def test_a_missing_shard_file_is_a_hard_error(
+        self, tmp_path, reports, shards
+    ):
+        path = tmp_path / "farm"
+        with ResultStore(str(path), shards=3) as store:
+            store.put_many(reports)
+        (path / "shard-01.db").unlink()
+        before = sorted(entry.name for entry in path.iterdir())
+        with pytest.raises(ValueError, match="missing shard files shard-01.db of its 3"):
+            ResultStore(str(path), shards=shards)
+        assert sorted(entry.name for entry in path.iterdir()) == before
+
     def test_shards_must_be_positive(self, tmp_path):
         with pytest.raises(ValueError, match="shards must be >= 1, got 0"):
             ResultStore(str(tmp_path / "farm"), shards=0)
