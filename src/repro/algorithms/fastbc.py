@@ -126,12 +126,10 @@ def fastbc_schedule(tree: RankedBFSTree, decay_interleave: bool = True) -> Sched
 def make_fastbc_protocols(
     network: RadioNetwork,
     rng: RandomSource,
-    tree: Optional[RankedBFSTree] = None,
     decay_interleave: bool = True,
 ) -> list[FastBCProtocol]:
-    """Build one FASTBC protocol per node over a shared GBST."""
-    if tree is None:
-        tree = build_gbst(network).tree
+    """Build one FASTBC protocol per node over the network's GBST."""
+    tree = build_gbst(network).tree
     return [
         FastBCProtocol(
             v,
@@ -149,7 +147,6 @@ def fastbc_broadcast(
     faults: FaultConfig = FaultConfig.faultless(),
     rng: "int | RandomSource | None" = None,
     max_rounds: Optional[int] = None,
-    tree: Optional[RankedBFSTree] = None,
     decay_interleave: bool = True,
     adversary=None,
     channel=None,
@@ -169,10 +166,8 @@ def fastbc_broadcast(
             # pure-wave mode pays the full Theta(log n) wave period per
             # failure with no Decay assist
             max_rounds *= 4
-    if tree is None:
-        tree = build_gbst(network).tree
     layer = ScheduleLayer(
-        fastbc_schedule(tree, decay_interleave),
+        fastbc_schedule(build_gbst(network).tree, decay_interleave),
         node_streams(source, network.n),
         network.source,
     )

@@ -385,7 +385,6 @@ def rlnc_robust_fastbc_broadcast(
     payload_length: int = 0,
     messages: Optional[list[bytes]] = None,
     max_rounds: Optional[int] = None,
-    tree: Optional[RankedBFSTree] = None,
     block: Optional[int] = None,
     round_multiplier: int = DEFAULT_ROUND_MULTIPLIER,
     adversary=None,
@@ -396,8 +395,7 @@ def rlnc_robust_fastbc_broadcast(
     check_block_wave(network.n, block, round_multiplier)
     adversary = as_adversary(adversary)
     source = spawn_rng(rng)
-    if tree is None:
-        tree = build_gbst(network).tree
+    tree = build_gbst(network).tree
     if max_rounds is None:
         log_n, depth, slowdown = budget_terms(network, faults, adversary, channel)
         log_log_n = block_size(network.n)
@@ -429,7 +427,6 @@ def rlnc_dense_wave_broadcast(
     payload_length: int = 0,
     messages: Optional[list[bytes]] = None,
     max_rounds: Optional[int] = None,
-    tree: Optional[RankedBFSTree] = None,
     adversary=None,
     channel=None,
 ) -> MultiMessageOutcome:
@@ -442,8 +439,7 @@ def rlnc_dense_wave_broadcast(
     check_positive(k, "k")
     adversary = as_adversary(adversary)
     source = spawn_rng(rng)
-    if tree is None:
-        tree = build_gbst(network).tree
+    tree = build_gbst(network).tree
     if max_rounds is None:
         log_n, depth, slowdown = budget_terms(network, faults, adversary, channel)
         max_rounds = int(

@@ -91,7 +91,6 @@ def repeated_fastbc_broadcast(
     faults: FaultConfig = FaultConfig.faultless(),
     rng: "int | RandomSource | None" = None,
     max_rounds: Optional[int] = None,
-    tree: Optional[RankedBFSTree] = None,
     adversary=None,
     channel=None,
 ) -> BroadcastOutcome:
@@ -99,8 +98,7 @@ def repeated_fastbc_broadcast(
     _check_repeat(repeat)
     adversary = as_adversary(adversary)
     source = spawn_rng(rng)
-    if tree is None:
-        tree = build_gbst(network).tree
+    tree = build_gbst(network).tree
     if max_rounds is None:
         log_n, depth, slowdown = budget_terms(network, faults, adversary, channel)
         max_rounds = int(60 * repeat * slowdown * (depth + log_n * log_n)) + 200

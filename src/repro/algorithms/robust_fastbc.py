@@ -188,14 +188,12 @@ def robust_fastbc_schedule(
 def make_robust_fastbc_protocols(
     network: RadioNetwork,
     rng: RandomSource,
-    tree: Optional[RankedBFSTree] = None,
     block: Optional[int] = None,
     round_multiplier: int = DEFAULT_ROUND_MULTIPLIER,
     decay_interleave: bool = True,
 ) -> list[RobustFastBCProtocol]:
-    """Build one Robust FASTBC protocol per node over a shared GBST."""
-    if tree is None:
-        tree = build_gbst(network).tree
+    """Build one Robust FASTBC protocol per node over the network's GBST."""
+    tree = build_gbst(network).tree
     return [
         RobustFastBCProtocol(
             v,
@@ -215,7 +213,6 @@ def robust_fastbc_broadcast(
     faults: FaultConfig = FaultConfig.faultless(),
     rng: "int | RandomSource | None" = None,
     max_rounds: Optional[int] = None,
-    tree: Optional[RankedBFSTree] = None,
     block: Optional[int] = None,
     round_multiplier: int = DEFAULT_ROUND_MULTIPLIER,
     decay_interleave: bool = True,
@@ -241,10 +238,10 @@ def robust_fastbc_broadcast(
         )
         if not decay_interleave:
             max_rounds *= 4
-    if tree is None:
-        tree = build_gbst(network).tree
     layer = ScheduleLayer(
-        robust_fastbc_schedule(tree, block, round_multiplier, decay_interleave),
+        robust_fastbc_schedule(
+            build_gbst(network).tree, block, round_multiplier, decay_interleave
+        ),
         node_streams(source, network.n),
         network.source,
     )

@@ -83,6 +83,9 @@ class RadioNetwork:
             dtype=np.int32,
             count=int(self.indptr[-1]),
         )
+        # make_topology shares one network across runs: keep it read-only
+        self.indptr.flags.writeable = False
+        self.indices.flags.writeable = False
 
         self._graph = graph
         self._levels: Optional[list[int]] = None

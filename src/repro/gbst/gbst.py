@@ -21,6 +21,11 @@ would give: parent, children, ranks and fast children persist across
 iterations and are updated exactly where an input of the rank rule or the
 rival scan changed.
 
+A GBST is a function of the network and the repair budget, and sweeps run
+FASTBC-family scenarios on one network in a row, so :func:`build_gbst`
+keeps its last result and returns that same, read-only object to the
+next call with the same arguments (the same network object and budget).
+
 The returned tree carries a ``valid`` flag. On the deterministic topology
 families shipped with the library the loop converges (tests assert this).
 On about one registry gnp in a thousand the re-parenting cycles and the
@@ -32,6 +37,7 @@ rounds.
 
 from __future__ import annotations
 
+import functools
 from collections import defaultdict
 from dataclasses import dataclass
 
@@ -42,7 +48,7 @@ from repro.gbst.validity import GBSTViolation, fast_rivals, gbst_violations
 __all__ = ["GBSTResult", "build_gbst"]
 
 
-@dataclass
+@dataclass(frozen=True)
 class GBSTResult:
     """A constructed tree plus construction diagnostics."""
 
@@ -52,10 +58,14 @@ class GBSTResult:
     remaining_violations: int
 
 
+@functools.lru_cache(maxsize=1)
 def build_gbst(
     network: RadioNetwork, max_repair_iterations: int = 200
 ) -> GBSTResult:
     """Construct a GBST for ``network`` (see module docstring).
+
+    A call with the same arguments as the last one returns the same,
+    shared result.
 
     Parameters
     ----------

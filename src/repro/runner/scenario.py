@@ -30,6 +30,7 @@ from repro.mac.config import MacConfig, make_channel_config
 from repro.runner.registry import get_algorithm
 from repro.timeline.config import TimelineConfig
 from repro.topologies.registry import TOPOLOGY_FAMILIES, make_topology
+from repro.util.validation import check_non_negative, check_positive
 
 __all__ = ["Scenario", "DEFAULT_TOPOLOGY_SIZE", "CACHE_KEY_SCHEMA"]
 
@@ -54,9 +55,10 @@ class Scenario:
     topology:
         Topology family name or an explicit :class:`RadioNetwork`.
     topology_params:
-        For named topologies: ``n`` (size, default
-        :data:`DEFAULT_TOPOLOGY_SIZE`) and optional ``seed`` (pin random
-        families independently of the scenario seed).
+        For named topologies: ``n`` (size, an int >= 1, default
+        :data:`DEFAULT_TOPOLOGY_SIZE`) and optional ``seed`` (a
+        non-negative int; pins random families independently of the
+        scenario seed).
     params:
         Algorithm parameters; must be declared by the algorithm.
     faults:
@@ -133,6 +135,12 @@ class Scenario:
                     f"unknown topology_params {sorted(unknown)}; "
                     f"allowed: {sorted(_TOPOLOGY_PARAM_KEYS)}"
                 )
+            if "n" in self.topology_params:
+                check_positive(self.topology_params["n"], "topology_params['n']")
+            if "seed" in self.topology_params:
+                check_non_negative(
+                    self.topology_params["seed"], "topology_params['seed']"
+                )
         elif isinstance(self.topology, RadioNetwork):
             if self.topology_params:
                 raise ValueError(
@@ -164,10 +172,7 @@ class Scenario:
                     f"algorithm {self.algorithm!r} does not run on the "
                     "collision channel, so it cannot record a timeline"
                 )
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
-            raise TypeError(f"seed must be an int, got {type(self.seed).__name__}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
+        check_non_negative(self.seed, "seed")
         if self.max_rounds is not None and self.max_rounds < 1:
             raise ValueError(f"max_rounds must be >= 1, got {self.max_rounds}")
 
@@ -211,8 +216,8 @@ class Scenario:
         """Materialize the topology (explicit network: returned as-is)."""
         if isinstance(self.topology, RadioNetwork):
             return self.topology
-        n = int(self.topology_params.get("n", DEFAULT_TOPOLOGY_SIZE))
-        seed = int(self.topology_params.get("seed", self.seed))
+        n = self.topology_params.get("n", DEFAULT_TOPOLOGY_SIZE)
+        seed = self.topology_params.get("seed", self.seed)
         return make_topology(self.topology, n, seed=seed)
 
     def with_(self, **changes: Any) -> "Scenario":

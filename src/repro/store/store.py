@@ -174,7 +174,9 @@ class _Shard:
     of parsing SQL.
     """
 
-    def __init__(self, path: str, timeout: float) -> None:
+    def __init__(
+        self, path: str, timeout: float, shard_count: Optional[int] = None
+    ) -> None:
         self.path = path
         self._lock = threading.RLock()
         self._connection = sqlite3.connect(
@@ -197,6 +199,13 @@ class _Shard:
                     raise ValueError(
                         f"store {path!r} has schema version {row[0]}, "
                         f"this library writes version {STORE_SCHEMA_VERSION}"
+                    )
+                if shard_count is not None:
+                    # a directory's shard count, checked on every reopen
+                    connection.execute(
+                        "INSERT OR IGNORE INTO store_meta (key, value) "
+                        "VALUES ('shard_count', ?)",
+                        (str(shard_count),),
                     )
         except Exception:
             self._connection.close()
@@ -350,31 +359,47 @@ class _Shard:
         return self._one("SELECT COUNT(*) FROM farm_journal")[0]
 
 
+def _recorded_shard_count(path: Path) -> Optional[int]:
+    """The shard count one shard file records, if any (creates no file)."""
+    connection = sqlite3.connect(f"{path.resolve().as_uri()}?mode=rw", uri=True)
+    try:
+        row = connection.execute(
+            "SELECT value FROM store_meta WHERE key = 'shard_count'"
+        ).fetchone()
+    except sqlite3.OperationalError as error:
+        if "no such table" not in str(error):
+            raise
+        row = None  # an empty file: its first open stopped before the schema
+    finally:
+        connection.close()
+    return None if row is None else int(row[0])
+
+
 def _shard_paths(path: str, shards: Optional[int]) -> tuple[list[str], str]:
     """The shard files of the store at ``path``, and its layout's name.
 
     A directory — existing, or requested with ``shards > 1`` — holds
-    ``shard-NN.db`` files. An existing directory's shard count is
-    discovered from its files and must match ``shards`` when both are
+    ``shard-NN.db`` files, each recording the directory's shard count.
+    An existing directory's count is the larger of the recorded count
+    and the one its file numbers imply (a directory that predates the
+    record has only the latter), and must match ``shards`` when both are
     given: the routing function is part of the store's identity, so a
-    count mismatch is a hard error, never a silent re-route. So is a gap
-    in the files' numbers, before anything is created. Anything else,
+    count mismatch is a hard error, never a silent re-route. So is a
+    missing shard file, before anything is created. Anything else,
     ``":memory:"`` included, is one file.
     """
     directory = Path(path)
     if not directory.is_dir() and (shards is None or int(shards) == 1):
         return [path], "sqlite"
     existing = {
-        int(match.group(1))
-        for match in (
-            _SHARD_PATTERN.match(entry.name)
-            for entry in (directory.iterdir() if directory.is_dir() else ())
-        )
-        if match
+        int(match.group(1)): entry
+        for entry in (directory.iterdir() if directory.is_dir() else ())
+        if (match := _SHARD_PATTERN.match(entry.name))
     }
     if existing:
-        count = max(existing) + 1
-        missing = sorted(set(range(count)) - existing)
+        recorded = {_recorded_shard_count(entry) for entry in existing.values()}
+        count = max((recorded - {None}) | {max(existing) + 1})
+        missing = sorted(set(range(count)) - set(existing))
         if missing:
             raise ValueError(
                 f"store {path!r} is missing shard files "
@@ -423,10 +448,11 @@ class ResultStore:
     ) -> None:
         self.path = str(path)
         paths, self._layout = _shard_paths(self.path, shards)
+        count = len(paths) if self._layout == "sharded-sqlite" else None
         self._shards: list[_Shard] = []
         try:
             for shard_path in paths:
-                self._shards.append(_Shard(shard_path, timeout))
+                self._shards.append(_Shard(shard_path, timeout, count))
         except Exception:
             self.close()
             raise

@@ -3,10 +3,17 @@
 Experiments sweep over families by name; the registry centralizes the
 mapping so the CLI, benchmarks, and tests agree on what e.g. ``"path"``
 means.
+
+A network is a function of its family's builder, ``n`` and ``seed``, and
+sweeps run many scenarios on one topology in a row, so
+:func:`make_topology` keeps the last network it built and returns that
+same object to the next request for it. Networks are shared and
+read-only.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import Callable
 
 from repro.core.network import RadioNetwork
@@ -87,11 +94,29 @@ TOPOLOGY_FAMILIES: dict[str, Callable[[int, int], RadioNetwork]] = {
 }
 
 
+#: builders whose graph ignores the seed: one network serves every seed
+_SEED_FREE = frozenset(
+    {_path, _single_link, _star, _cycle, _complete, _grid, _caterpillar, _bramble}
+)
+
+
 def make_topology(family: str, n: int, seed: int = 0) -> RadioNetwork:
-    """Build a named topology family at size ~n (deterministic per seed)."""
+    """Build a named topology family at size ~n (deterministic per seed).
+
+    A repeat request for the last network built returns the same, shared
+    object; families whose graph ignores the seed (path, grid, ...) share
+    it across seeds.
+    """
     try:
         builder = TOPOLOGY_FAMILIES[family]
     except KeyError:
         known = ", ".join(sorted(TOPOLOGY_FAMILIES))
         raise ValueError(f"unknown family {family!r}; known: {known}") from None
+    return _build(builder, n, 0 if builder in _SEED_FREE else seed)
+
+
+@functools.lru_cache(maxsize=1, typed=True)
+def _build(
+    builder: Callable[[int, int], RadioNetwork], n: int, seed: int
+) -> RadioNetwork:
     return builder(n, seed)

@@ -80,15 +80,11 @@ class TestNoisyFastBC:
 
 
 class TestProtocolFactory:
-    def test_shared_tree_accepted(self):
-        net = path(10)
-        tree = build_gbst(net).tree
-        protocols = make_fastbc_protocols(net, RandomSource(1), tree=tree)
-        assert len(protocols) == 10
-        assert protocols[net.source].informed
-
     def test_only_source_informed(self):
-        protocols = make_fastbc_protocols(path(6), RandomSource(1))
+        net = path(6)
+        protocols = make_fastbc_protocols(net, RandomSource(1))
+        assert len(protocols) == 6
+        assert protocols[net.source].informed
         informed = [p.informed for p in protocols]
         assert sum(informed) == 1
 
@@ -117,7 +113,7 @@ class TestRepetitionBaselines:
     def test_repeat_one_is_plain_fastbc_schedule(self):
         net = path(8)
         tree = build_gbst(net).tree
-        plain = make_fastbc_protocols(net, RandomSource(3), tree=tree)
+        plain = make_fastbc_protocols(net, RandomSource(3))
         repeated = [
             RepeatedFastBCProtocol(
                 v, tree, RandomSource(3).spawn(), repeat=1,

@@ -38,14 +38,15 @@ from repro.topologies.registry import make_topology
 from repro.util.rng import RandomSource, StreamBank
 
 
-def _decay(network, source, tree):
+def _decay(network, source):
     return [
         DecayProtocol(network.n, source.spawn(), informed=v == network.source)
         for v in network.nodes()
     ]
 
 
-def _repeated(network, source, tree):
+def _repeated(network, source):
+    tree = build_gbst(network).tree
     return [
         RepeatedFastBCProtocol(
             v, tree, source.spawn(), 3, informed=v == network.source
@@ -59,33 +60,29 @@ _SCHEDULES = {
     "decay": (decay_broadcast, {}, _decay),
     "fastbc": (
         fastbc_broadcast, {},
-        lambda network, source, tree: make_fastbc_protocols(
-            network, source, tree=tree
-        ),
+        make_fastbc_protocols,
     ),
     "fastbc-pure-wave": (
         fastbc_broadcast, {"decay_interleave": False},
-        lambda network, source, tree: make_fastbc_protocols(
-            network, source, tree=tree, decay_interleave=False
+        lambda network, source: make_fastbc_protocols(
+            network, source, decay_interleave=False
         ),
     ),
     "robust_fastbc": (
         robust_fastbc_broadcast, {},
-        lambda network, source, tree: make_robust_fastbc_protocols(
-            network, source, tree=tree
-        ),
+        make_robust_fastbc_protocols,
     ),
     "robust_fastbc-block2": (
         robust_fastbc_broadcast, {"block": 2, "round_multiplier": 4},
-        lambda network, source, tree: make_robust_fastbc_protocols(
-            network, source, tree=tree, block=2, round_multiplier=4
+        lambda network, source: make_robust_fastbc_protocols(
+            network, source, block=2, round_multiplier=4
         ),
     ),
     "robust_fastbc-block1-pure-wave": (
         robust_fastbc_broadcast,
         {"block": 1, "round_multiplier": 2, "decay_interleave": False},
-        lambda network, source, tree: make_robust_fastbc_protocols(
-            network, source, tree=tree, block=1, round_multiplier=2,
+        lambda network, source: make_robust_fastbc_protocols(
+            network, source, block=1, round_multiplier=2,
             decay_interleave=False,
         ),
     ),
@@ -130,7 +127,7 @@ def _run(arm, name, network, noise, channel, timeline, seed, max_rounds):
     ):
         if arm == "per-node":
             source = RandomSource(seed)
-            protocols = build(network, source, build_gbst(network).tree)
+            protocols = build(network, source)
             outcome = base.run_broadcast(
                 network, protocols, noise.get("faults", FaultConfig.faultless()),
                 source.spawn(), max_rounds, adversary=noise.get("adversary"),

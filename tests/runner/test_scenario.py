@@ -43,6 +43,41 @@ class TestValidation:
         with pytest.raises(ValueError, match="non-negative, got -7"):
             Scenario(algorithm="rlnc_decay", seed=-7)
 
+    @pytest.mark.parametrize(
+        "key, value, error, message",
+        [
+            ("n", 0, ValueError, r"\['n'\] must be positive, got 0"),
+            ("n", -4, ValueError, r"\['n'\] must be positive, got -4"),
+            ("n", 16.0, TypeError, r"\['n'\] must be an int, got float"),
+            ("n", "16", TypeError, r"\['n'\] must be an int, got str"),
+            ("n", True, TypeError, r"\['n'\] must be an int, got bool"),
+            ("seed", -1, ValueError, r"\['seed'\] must be non-negative, got -1"),
+            ("seed", 1.5, TypeError, r"\['seed'\] must be an int, got float"),
+            ("seed", False, TypeError, r"\['seed'\] must be an int, got bool"),
+        ],
+    )
+    def test_bad_topology_size_or_seed_rejected(self, key, value, error, message):
+        # a bad size must fail here, not run on a one-node grid or fail
+        # deep inside a worker's run
+        for topology in ("grid", "gnp"):
+            with pytest.raises(error, match=message):
+                Scenario(
+                    algorithm="decay",
+                    topology=topology,
+                    topology_params={key: value},
+                )
+        with pytest.raises(error, match=message):
+            Scenario.from_dict(
+                {"algorithm": "decay", "topology": "grid",
+                 "topology_params": {key: value}}
+            )
+
+    def test_smallest_topology_params_accepted(self):
+        scenario = Scenario(
+            algorithm="decay", topology="gnp", topology_params={"n": 1, "seed": 0}
+        )
+        assert run(scenario).total == 1
+
 
 class TestTopologyBuild:
     def test_named_family_uses_size_and_default(self):

@@ -112,6 +112,26 @@ class TestErrors:
             )
         assert excinfo.value.status == 400
 
+    @pytest.mark.parametrize(
+        "body",
+        [
+            {"scenarios": [{"algorithm": "decay", "topology": "grid",
+                            "topology_params": {"n": -4}}]},
+            {"base": {"algorithm": "decay", "topology": "grid",
+                      "topology_params": {"n": 0}}},
+            {"base": BASE.to_dict(), "grid": {"n": [12, -4]}},
+            {"scenarios": [{"algorithm": "decay", "topology": "gnp",
+                            "topology_params": {"n": 12, "seed": -1}}]},
+        ],
+    )
+    def test_bad_topology_size_or_seed_is_400(self, client, body):
+        before = len(client.jobs())
+        with pytest.raises(ServiceError) as excinfo:
+            client._json("/jobs", body)
+        assert excinfo.value.status == 400
+        assert "topology_params" in str(excinfo.value)
+        assert len(client.jobs()) == before
+
     def test_unknown_query_parameter_is_400(self, client):
         with pytest.raises(ServiceError) as excinfo:
             client._json("/reports?bogus=1")

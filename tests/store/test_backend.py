@@ -1,5 +1,7 @@
 """Store layouts: a shard directory answers exactly like a single file."""
 
+import sqlite3
+
 import pytest
 
 from repro.core.faults import FaultConfig
@@ -71,6 +73,48 @@ class TestLayouts:
         with pytest.raises(ValueError, match="missing shard files shard-01.db of its 3"):
             ResultStore(str(path), shards=shards)
         assert sorted(entry.name for entry in path.iterdir()) == before
+
+    @pytest.mark.parametrize("shards", [None, 3])
+    def test_a_missing_last_shard_file_is_a_hard_error(
+        self, tmp_path, reports, shards
+    ):
+        # the recorded count catches what the file numbers cannot show
+        path = tmp_path / "farm"
+        with ResultStore(str(path), shards=3) as store:
+            store.put_many(reports)
+        for suffix in ("", "-wal", "-shm"):
+            (path / f"shard-02.db{suffix}").unlink(missing_ok=True)
+        before = sorted(entry.name for entry in path.iterdir())
+        with pytest.raises(ValueError, match="missing shard files shard-02.db of its 3"):
+            ResultStore(str(path), shards=shards)
+        assert sorted(entry.name for entry in path.iterdir()) == before
+
+    def test_a_directory_without_a_recorded_count_records_it(
+        self, tmp_path, reports
+    ):
+        path = tmp_path / "farm"
+        with ResultStore(str(path), shards=3) as store:
+            store.put_many(reports)
+        for shard in sorted(path.glob("shard-*.db")):
+            with sqlite3.connect(shard) as connection:
+                connection.execute(
+                    "DELETE FROM store_meta WHERE key = 'shard_count'"
+                )
+            connection.close()
+        with ResultStore(str(path)) as store:  # counted from its files
+            assert store.stats()["shards"] == 3
+            assert store.stats()["reports"] == len(reports)
+        (path / "shard-02.db").unlink()
+        with pytest.raises(ValueError, match="missing shard files shard-02.db of its 3"):
+            ResultStore(str(path))
+
+    def test_an_empty_shard_file_reopens(self, tmp_path):
+        # what a first open killed before it wrote the schema leaves behind
+        path = tmp_path / "farm"
+        ResultStore(str(path), shards=3).close()
+        (path / "shard-01.db").write_bytes(b"")
+        with ResultStore(str(path)) as store:
+            assert store.stats()["shards"] == 3
 
     def test_shards_must_be_positive(self, tmp_path):
         with pytest.raises(ValueError, match="shards must be >= 1, got 0"):

@@ -3,6 +3,7 @@
 import networkx as nx
 import pytest
 
+from repro.topologies import registry
 from repro.topologies.layered import bipartite_network, layered_network
 from repro.topologies.random_graphs import gnp, random_tree
 from repro.topologies.registry import TOPOLOGY_FAMILIES, make_topology
@@ -88,7 +89,9 @@ class TestRegistry:
 
     def test_deterministic(self):
         a = make_topology("gnp", 25, seed=4)
+        registry._build.cache_clear()  # build b anew, not from the memo
         b = make_topology("gnp", 25, seed=4)
+        assert a is not b
         assert nx.utils.graphs_equal(a.graph, b.graph)
 
     def test_unknown_family(self):
