@@ -6,7 +6,9 @@ emits ``BENCH_mac.json`` (see ``bars.py``) with two measurements:
 * ``mac_kernel`` — saturated ContentionChannel slots timed through the
   vectorized ``transmit`` and the scalar ``transmit_reference`` on a
   dense (complete) and a sparse (G(n, p)) collision domain, reported as
-  node-slots/s with the vectorized/scalar speedup. Outcome parity
+  node-slots/s with the vectorized/scalar speedup. Every resolved slot
+  of both domains gathers enough (broadcaster, neighbor) pairs that
+  ``transmit`` resolves it on the vectorized kernel. Outcome parity
   (byte-identical counters) is asserted before any timing, so the two
   legs provably run the same simulation. Bar: vectorized must not be
   slower than scalar on the dense domain.
@@ -44,21 +46,17 @@ def _saturated_offers(network):
     return np.arange(network.n, dtype=np.int64)
 
 
-def _leg_run(network, offers, slots, kernel, seed=7):
-    channel = ContentionChannel(
-        network, rng=seed, kernel="vectorized", config=_CONFIG
-    )
-    step = channel.transmit if kernel == "vectorized" else (
-        channel.transmit_reference
-    )
+def _leg_run(network, offers, slots, leg, seed=7):
+    channel = ContentionChannel(network, rng=seed, config=_CONFIG)
+    step = channel.transmit if leg == "vectorized" else channel.transmit_reference
     for _ in range(slots):
         step(offers)
     return channel
 
 
-def _time_leg(network, offers, slots, kernel):
+def _time_leg(network, offers, slots, leg):
     start = time.perf_counter()
-    _leg_run(network, offers, slots, kernel)
+    _leg_run(network, offers, slots, leg)
     return time.perf_counter() - start
 
 
@@ -84,21 +82,20 @@ def bench_mac_kernel(slots, repeats, dense_n, sparse_n, seed=7):
 
             best = {"vectorized": float("inf"), "scalar": float("inf")}
             for _ in range(repeats):
-                for kernel in best:
-                    best[kernel] = min(
-                        best[kernel],
-                        _time_leg(network, offers, slots, kernel),
+                for leg in best:
+                    best[leg] = min(
+                        best[leg], _time_leg(network, offers, slots, leg)
                     )
             node_slots = network.n * slots
             results[name] = {
                 "n": network.n,
                 "m": network.edge_count,
                 "legs": {
-                    kernel: {
+                    leg: {
                         "seconds": round(seconds, 6),
                         "node_slots_per_sec": round(node_slots / seconds, 1),
                     }
-                    for kernel, seconds in best.items()
+                    for leg, seconds in best.items()
                 },
                 "speedup": round(
                     best["scalar"] / best["vectorized"], 2

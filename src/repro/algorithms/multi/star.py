@@ -24,7 +24,6 @@ from repro.algorithms.base import ilog2
 from repro.coding.reed_solomon import ReedSolomonCode
 from repro.core.engine import Channel, node_array
 from repro.core.faults import FaultConfig, FaultModel
-from repro.core.packets import RSPacket
 from repro.topologies.basic import star
 from repro.util.rng import RandomSource, spawn_rng
 from repro.util.validation import check_positive, check_probability
@@ -153,14 +152,13 @@ def star_rs_coding(
     receptions = {v: 0 for v in leaves}
     rounds = 0
     while min(receptions.values()) < k and rounds < max_rounds:
-        payload = coded_payloads[rounds] if validate_decode else b""
-        packet = RSPacket(coded_index=rounds, payload=payload)
+        # round r sends coded packet r
         result = channel.transmit(hub_only)
-        rounds += 1
         for v in result.receivers.tolist():
             receptions[v] += 1
             if validate_decode:
-                received_packets[v].append((packet.coded_index, packet.payload))
+                received_packets[v].append((rounds, coded_payloads[rounds]))
+        rounds += 1
 
     success = min(receptions.values()) >= k
     if success and validate_decode:

@@ -22,7 +22,7 @@ from repro.core.errors import (
 )
 from repro.core.faults import AdversaryConfig, FaultConfig, FaultModel
 from repro.core.network import RadioNetwork
-from repro.core.packets import NOISE, MessagePacket, Packet, RSPacket
+from repro.core.packets import MessagePacket, Packet
 from repro.core.protocol import NodeProtocol
 from repro.core.engine import Channel, RoundObserver, RoundResult, Simulator
 from repro.core.trace import ChannelCounters, TraceRecorder
@@ -36,14 +36,12 @@ __all__ = [
     "FaultModel",
     "MessagePacket",
     "NodeProtocol",
-    "NOISE",
     "Packet",
     "ProtocolError",
     "RadioNetwork",
     "ReproError",
     "RoundObserver",
     "RoundResult",
-    "RSPacket",
     "SimulationError",
     "Simulator",
     "TopologyError",

@@ -189,7 +189,7 @@ class Channel:
 
     Round resolution has two interchangeable kernels:
 
-    * a **vectorized** numpy kernel (the default) that gathers every
+    * a **vectorized** numpy kernel that gathers every
       broadcaster's CSR neighbor slice, computes hear-counts with
       ``np.bincount``, and draws all fault coins in bulk;
     * a **scalar reference** (:meth:`transmit_reference`) — the original
@@ -199,10 +199,12 @@ class Channel:
       PERFORMANCE.md), so for the same seed they agree reception for
       reception; the test suite cross-checks this property.
 
-    Because the kernels are outcome-identical, ``kernel="auto"`` (the
-    default) picks per round by the total neighbor-gather work: tiny
-    rounds on tiny graphs stay on the scalar loop (numpy call latency
-    would dominate), large rounds go vectorized.
+    Because the kernels are outcome-identical, :meth:`transmit` picks
+    one per round by the total neighbor-gather work: tiny rounds on tiny
+    graphs stay on the scalar loop (numpy call latency would dominate),
+    large rounds go vectorized. Tests pin the choice through
+    ``VECTORIZE_MIN_WORK``: 0 sends every round to the vectorized
+    kernel, ``10**9`` every round to the scalar one.
 
     Either kernel only fills a :class:`RoundResult`. Every round then
     passes one seam, :meth:`_run_round`: the counters are summed from
@@ -227,9 +229,6 @@ class Channel:
     observers:
         :class:`RoundObserver` objects shown every resolved round, in
         order; ``channel.observers`` is a list and may be appended to.
-    kernel:
-        ``"auto"`` (default), ``"vectorized"``, or ``"scalar"`` — force a
-        resolution kernel, mainly for benchmarks and cross-checks.
     adversary:
         Optional corruption strategy replacing the i.i.d. fault coins: an
         :class:`~repro.adversary.base.Adversary` instance (bound to this
@@ -248,18 +247,12 @@ class Channel:
         faults: FaultConfig = FaultConfig.faultless(),
         rng: "int | RandomSource | None" = None,
         observers: Sequence[RoundObserver] = (),
-        kernel: str = "auto",
         adversary: "Adversary | AdversaryConfig | None" = None,
     ) -> None:
-        if kernel not in ("auto", "vectorized", "scalar"):
-            raise ValueError(
-                f"kernel must be 'auto', 'vectorized', or 'scalar'; got {kernel!r}"
-            )
         self.network = network
         self.faults = faults
         self.rng = spawn_rng(rng)
         self.observers = list(observers)
-        self.kernel = kernel
         self.counters = ChannelCounters()
         self.round_index = 0
         # deferred import: repro.adversary builds on repro.core.faults, so
@@ -394,22 +387,16 @@ class Channel:
         return result
 
     def _resolve_auto(self, result: RoundResult) -> None:
-        """Kernel dispatch: honor ``self.kernel``, else pick by gather work."""
-        if self.kernel == "scalar":
-            resolver = self._resolve_scalar
-        elif self.kernel == "vectorized":
-            resolver = self._resolve_vectorized
+        """Kernel dispatch: pick by the round's gather work."""
+        bs = result.broadcasters
+        threshold = self.VECTORIZE_MIN_WORK
+        # no degree sum when even max-degree broadcasters stay below
+        # the threshold: the common tiny round skips two numpy calls
+        small = len(bs) * self._max_degree < threshold
+        if small or self._degree[bs].sum() < threshold:
+            self._resolve_scalar(result)
         else:
-            bs = result.broadcasters
-            threshold = self.VECTORIZE_MIN_WORK
-            # no degree sum when even max-degree broadcasters stay below
-            # the threshold: the common tiny round skips two numpy calls
-            small = len(bs) * self._max_degree < threshold
-            if small or self._degree[bs].sum() < threshold:
-                resolver = self._resolve_scalar
-            else:
-                resolver = self._resolve_vectorized
-        resolver(result)
+            self._resolve_vectorized(result)
 
     def _prologue_vectorized(
         self, result: RoundResult
@@ -707,7 +694,6 @@ class Simulator:
         faults: FaultConfig = FaultConfig.faultless(),
         rng: "int | RandomSource | None" = None,
         observers: Sequence[RoundObserver] = (),
-        kernel: str = "auto",
         adversary: "Adversary | AdversaryConfig | None" = None,
         channel: "MacConfig | None" = None,
     ) -> None:
@@ -721,7 +707,7 @@ class Simulator:
         self.layer = protocols
         if channel is None:
             self.channel = Channel(
-                network, faults, rng, observers, kernel=kernel, adversary=adversary
+                network, faults, rng, observers, adversary=adversary
             )
         else:
             # deferred import: repro.mac.channel subclasses Channel, so a
@@ -733,7 +719,6 @@ class Simulator:
                 faults,
                 rng,
                 observers,
-                kernel=kernel,
                 adversary=adversary,
                 config=channel,
             )

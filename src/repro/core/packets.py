@@ -2,19 +2,17 @@
 
 The model distinguishes *routing* packets — one of the k broadcast messages,
 identified by index (Section 3.1) — from *coding* packets, which are
-arbitrary O(log nk)-bit strings. Three concrete packet kinds cover the
-paper's schedules:
+arbitrary O(log nk)-bit strings. Two concrete packet kinds cover the
+per-node protocols:
 
 * :class:`MessagePacket` — routing: "message i" (optionally with payload).
-* :class:`RSPacket` — a Reed-Solomon coded packet identified by its coded
-  index (Lemmas 16, 26, 30).
 * :class:`repro.coding.rlnc.CodedPacket` — an RLNC combination
   (Lemmas 12-13); re-exported here for convenience.
 
-``NOISE`` is the distinguished non-packet a node perceives on collision,
-fault, or silence. The model guarantees nodes never mistake it for a
-packet, which the engine enforces by *not delivering anything at all* in
-those cases — protocols observe noise as the absence of a delivery.
+A node perceives noise on collision, fault, or silence. The model
+guarantees nodes never mistake it for a packet, which the engine
+enforces by *not delivering anything at all* in those cases — protocols
+observe noise as the absence of a delivery.
 """
 
 from __future__ import annotations
@@ -24,27 +22,7 @@ from typing import Union
 
 from repro.coding.rlnc import CodedPacket
 
-__all__ = ["MessagePacket", "RSPacket", "NOISE", "NoiseType", "Packet"]
-
-
-class NoiseType:
-    """Singleton sentinel for noise; falsy so ``if reception:`` reads well."""
-
-    _instance: "NoiseType | None" = None
-
-    def __new__(cls) -> "NoiseType":
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __bool__(self) -> bool:
-        return False
-
-    def __repr__(self) -> str:
-        return "NOISE"
-
-
-NOISE = NoiseType()
+__all__ = ["MessagePacket", "Packet"]
 
 
 @dataclass(frozen=True)
@@ -65,18 +43,4 @@ class MessagePacket:
             raise ValueError(f"message index must be >= 0, got {self.index}")
 
 
-@dataclass(frozen=True)
-class RSPacket:
-    """A Reed-Solomon coded packet: coded index plus coded payload."""
-
-    coded_index: int
-    payload: bytes = b""
-
-    def __post_init__(self) -> None:
-        if self.coded_index < 0:
-            raise ValueError(
-                f"coded index must be >= 0, got {self.coded_index}"
-            )
-
-
-Packet = Union[MessagePacket, RSPacket, CodedPacket]
+Packet = Union[MessagePacket, CodedPacket]

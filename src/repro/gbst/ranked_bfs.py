@@ -13,7 +13,7 @@ maximum rank by ``ceil(log2 n)``, which tests verify property-based.
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.core.network import RadioNetwork
 
@@ -137,28 +137,14 @@ def compute_ranks(
     return rank
 
 
-def build_ranked_bfs_tree(
-    network: RadioNetwork,
-    parent_choice: Optional[Callable[[int, list[int]], int]] = None,
-) -> RankedBFSTree:
-    """Build a ranked BFS tree with a pluggable parent-selection rule.
+def build_ranked_bfs_tree(network: RadioNetwork) -> RankedBFSTree:
+    """Build a ranked BFS tree over ``network``.
 
-    Parameters
-    ----------
-    network:
-        The network to span.
-    parent_choice:
-        ``parent_choice(v, candidates)`` picks v's parent among its
-        previous-level neighbors. Defaults to the candidate with the most
-        previous-level "exposure" (highest degree), which empirically
-        concentrates fast stretches and reduces GBST repair work.
+    Each node's parent is the previous-level neighbor of highest degree
+    (the smaller id on a tie), which empirically concentrates fast
+    stretches and reduces GBST repair work.
     """
     levels = network.levels()
-    if parent_choice is None:
-
-        def parent_choice(v: int, candidates: list[int]) -> int:
-            return max(candidates, key=lambda u: (network.degree(u), -u))
-
     parent = [-1] * network.n
     for v in range(network.n):
         if v == network.source:
@@ -170,5 +156,5 @@ def build_ranked_bfs_tree(
             raise ValueError(
                 f"node {v} has no previous-level neighbor; network invariant broken"
             )
-        parent[v] = parent_choice(v, candidates)
+        parent[v] = max(candidates, key=lambda u: (network.degree(u), -u))
     return RankedBFSTree(network, parent)

@@ -142,13 +142,10 @@ class ContentionChannel(Channel):
         faults: FaultConfig = FaultConfig.faultless(),
         rng: "int | RandomSource | None" = None,
         observers: Sequence[RoundObserver] = (),
-        kernel: str = "auto",
         adversary: "AdversaryConfig | None" = None,
         config: Optional[MacConfig] = None,
     ) -> None:
-        super().__init__(
-            network, faults, rng, observers, kernel=kernel, adversary=adversary
-        )
+        super().__init__(network, faults, rng, observers, adversary=adversary)
         self.config = config if config is not None else MacConfig()
         self.counters = MacCounters()
         n = network.n
@@ -166,31 +163,51 @@ class ContentionChannel(Channel):
     # -- public entry points -------------------------------------------------
 
     def transmit(self, broadcasters: np.ndarray) -> RoundResult:
-        """Resolve one MAC slot given its ascending int64 array of offerers."""
-        return self._mac_round(broadcasters, self._resolve_auto, scalar=False)
+        """Resolve one MAC slot given its ascending int64 array of offerers.
+
+        The gate and feedback run in numpy; the collision round between
+        them takes the base channel's per-round kernel choice.
+        """
+        return self._mac_round(
+            broadcasters,
+            self._gate_vectorized,
+            self._resolve_auto,
+            self._feedback_vectorized,
+        )
 
     def transmit_reference(self, broadcasters: np.ndarray) -> RoundResult:
         """Scalar reference: same slot semantics, same RNG stream."""
-        return self._mac_round(broadcasters, self._resolve_scalar, scalar=True)
+        return self._mac_round(
+            broadcasters,
+            self._gate_scalar,
+            self._resolve_scalar,
+            self._feedback_scalar,
+        )
 
     # -- slot pipeline -------------------------------------------------------
 
-    def _mac_round(self, offers: np.ndarray, resolver, scalar: bool) -> RoundResult:
+    def _mac_round(self, offers: np.ndarray, gate, resolver, feedback) -> RoundResult:
+        """One slot: ``gate`` the offers, ``resolver`` the round, ``feedback``.
+
+        ``feedback(tx, result)`` runs only on a slot with transmitters,
+        after the slot's energy map is cleared, and returns the number of
+        successful transmissions.
+        """
         # the one check of the slot: the transmitters the gate picks are
         # a subset of the offers, so they pass to the channel as they are
         offers = self._checked(offers)
         counters = self.counters
         metrics_on = _METRICS.enabled
         captures_before = counters.mac_captures
-        if scalar:
-            tx, defers = self._gate_scalar(offers)
-        else:
-            tx, defers = self._gate_vectorized(offers)
+        tx, defers = gate(offers)
         counters.mac_offers += len(offers)
         counters.mac_defers += defers
         counters.mac_transmissions += len(tx)
         result = self._run_round(tx, resolver)
-        successes = self._feedback(tx, result, scalar)
+        self._busy_prev[:] = False
+        successes = feedback(tx, result) if len(tx) else 0
+        counters.mac_tx_success += successes
+        counters.mac_tx_collisions += len(tx) - successes
         if metrics_on:
             if len(offers):
                 _M_OFFERS.inc(len(offers))
@@ -262,43 +279,19 @@ class ContentionChannel(Channel):
                 self._power[b] = powers[i]
         return node_array(tx), defers
 
-    def _feedback(self, tx: np.ndarray, result: RoundResult, scalar: bool) -> int:
-        """Post-slot bookkeeping: energy map, backoff evolution, redraws.
+    def _feedback_vectorized(self, tx: np.ndarray, result: RoundResult) -> int:
+        """Numpy feedback: energy map, backoff evolution, redraws — in bulk.
 
         A transmission succeeded iff its node appears in
-        ``result.senders``. Returns the number of successful
-        transmissions. Every transmitter redraws its counter from one
+        ``result.senders``. Every transmitter redraws its counter from one
         bulk uniform draw in ascending node order, so the RNG stream is
         outcome-independent and identical across kernels.
         """
-        busy = self._busy_prev
-        busy[:] = False
-        if not tx.size:
-            return 0
-        counters = self.counters
         config = self.config
         stage = self._stage
-        max_stage = config.max_stage
         network = self.network
         draws = self._mac_rng.uniform_array(len(tx))
-        if scalar:
-            succeeded = set(result.senders.tolist())
-            tx_nodes = tx.tolist()
-            successes = 0
-            for b in tx_nodes:
-                busy[b] = True
-                for v in network.neighbors[b]:
-                    busy[v] = True
-            for i, b in enumerate(tx_nodes):
-                if b in succeeded:
-                    stage[b] = 0
-                    successes += 1
-                else:
-                    stage[b] = min(int(stage[b]) + 1, max_stage)
-                self._backoff[b] = int(draws[i] * config.window(int(stage[b])))
-            counters.mac_tx_success += successes
-            counters.mac_tx_collisions += len(tx_nodes) - successes
-            return successes
+        busy = self._busy_prev
         busy[tx] = True
         busy[network.indices[network.csr_slots(tx)[0]]] = True
         succeeded = np.zeros(network.n, dtype=bool)
@@ -306,14 +299,34 @@ class ContentionChannel(Channel):
         succ = succeeded[tx]
         stage[tx[succ]] = 0
         failed = tx[~succ]
-        stage[failed] = np.minimum(stage[failed] + 1, max_stage)
+        stage[failed] = np.minimum(stage[failed] + 1, config.max_stage)
         windows = np.minimum(
             np.left_shift(np.int64(config.cw_min), stage[tx]), config.cw_max
         )
         self._backoff[tx] = (draws * windows).astype(np.int64)
-        successes = int(succ.sum())
-        counters.mac_tx_success += successes
-        counters.mac_tx_collisions += len(tx) - successes
+        return int(succ.sum())
+
+    def _feedback_scalar(self, tx: np.ndarray, result: RoundResult) -> int:
+        """Reference feedback: per-node loop over the same bulk draws."""
+        config = self.config
+        stage = self._stage
+        neighbors = self.network.neighbors
+        draws = self._mac_rng.uniform_array(len(tx))
+        busy = self._busy_prev
+        succeeded = set(result.senders.tolist())
+        tx_nodes = tx.tolist()
+        successes = 0
+        for b in tx_nodes:
+            busy[b] = True
+            for v in neighbors[b]:
+                busy[v] = True
+        for i, b in enumerate(tx_nodes):
+            if b in succeeded:
+                stage[b] = 0
+                successes += 1
+            else:
+                stage[b] = min(int(stage[b]) + 1, config.max_stage)
+            self._backoff[b] = int(draws[i] * config.window(int(stage[b])))
         return successes
 
     # -- capture-aware resolution -------------------------------------------

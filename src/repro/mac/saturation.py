@@ -53,7 +53,6 @@ def saturation_sim(
     config: MacConfig,
     slots: int,
     rng: int = 0,
-    kernel: str = "auto",
 ) -> SaturationResult:
     """Saturate a complete graph of ``n`` nodes for ``slots`` MAC slots.
 
@@ -63,7 +62,7 @@ def saturation_sim(
     if slots < 1:
         raise ValueError(f"slots must be >= 1, got {slots}")
     network = complete(n)
-    channel = ContentionChannel(network, rng=rng, kernel=kernel, config=config)
+    channel = ContentionChannel(network, rng=rng, config=config)
     everyone = np.arange(network.n, dtype=np.int64)
     for _ in range(slots):
         channel.transmit(everyone)

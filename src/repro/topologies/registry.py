@@ -62,9 +62,10 @@ def _gnp(n: int, seed: int) -> RadioNetwork:
 
 
 def _layered(n: int, seed: int) -> RadioNetwork:
+    # consecutive layers are joined completely: no coin is drawn
     width = max(2, round(n**0.5))
     layers = max(1, (n - 1) // width)
-    return layered.layered_network(layers, width, rng=seed)
+    return layered.layered_network(layers, width)
 
 
 def _caterpillar(n: int, seed: int) -> RadioNetwork:
@@ -96,7 +97,8 @@ TOPOLOGY_FAMILIES: dict[str, Callable[[int, int], RadioNetwork]] = {
 
 #: builders whose graph ignores the seed: one network serves every seed
 _SEED_FREE = frozenset(
-    {_path, _single_link, _star, _cycle, _complete, _grid, _caterpillar, _bramble}
+    {_path, _single_link, _star, _cycle, _complete, _grid, _layered,
+     _caterpillar, _bramble}
 )
 
 

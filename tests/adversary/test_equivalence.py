@@ -10,6 +10,7 @@ runner level (canonical RunReport JSON).
 """
 
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -89,18 +90,18 @@ class TestKernelEquivalence:
             network = _sample_network(sampler, config_index)
             config = AdversaryConfig(kind, _sample_params(kind, sampler))
             seed = sampler.randrange(2**31)
-            vectorized = Channel(
-                network, rng=seed, kernel="vectorized", adversary=config
-            )
-            scalar = Channel(network, rng=seed, kernel="scalar", adversary=config)
+            vectorized = Channel(network, rng=seed, adversary=config)
+            scalar = Channel(network, rng=seed, adversary=config)
             context = (
                 f"config {config_index}: {network.name} n={network.n} "
                 f"adversary={config} seed={seed}"
             )
             for _ in range(8):
                 broadcasters = _sample_broadcasters(sampler, network.n)
-                got = vectorized.transmit(broadcasters)
-                want = scalar.transmit(broadcasters)
+                # threshold 0: every round on the vectorized kernel
+                with mock.patch.object(Channel, "VECTORIZE_MIN_WORK", 0):
+                    got = vectorized.transmit(broadcasters)
+                want = scalar.transmit_reference(broadcasters)
                 assert got == want, context
             assert (
                 vectorized.counters.as_dict() == scalar.counters.as_dict()

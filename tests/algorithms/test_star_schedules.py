@@ -81,6 +81,21 @@ class TestRSCoding:
         )
         assert outcome.success
 
+    @pytest.mark.parametrize(
+        "fault_model", [FaultModel.RECEIVER, FaultModel.SENDER], ids=str
+    )
+    def test_validate_decode_keeps_the_schedule(self, fault_model):
+        """Decoding draws from its own stream: the validated run sends the
+        same rounds, and each leaf decodes from the packet of each round
+        it heard."""
+        kwargs = dict(n_leaves=12, k=10, p=0.4, rng=9, max_rounds=200)
+        plain = star_rs_coding(fault_model=fault_model, **kwargs)
+        validated = star_rs_coding(
+            fault_model=fault_model, validate_decode=True, **kwargs
+        )
+        assert plain.success
+        assert validated == plain
+
     def test_validate_decode_guard(self):
         with pytest.raises(ValueError):
             star_rs_coding(

@@ -6,15 +6,18 @@ kernel) and :meth:`Channel.transmit_reference` (scalar kernel) return
 equal :class:`~repro.core.engine.RoundResult` objects — every field, in
 the same order — and the same counters. Both kernels draw fault coins
 through the same bulk calls, so agreement is exact, not statistical.
+``transmit`` is pinned to the vectorized kernel by patching
+``Channel.VECTORIZE_MIN_WORK`` to 0.
 """
 
 import random
+from unittest import mock
 
 import networkx as nx
 import numpy as np
 import pytest
 
-from repro.core.engine import Channel, Simulator
+from repro.core.engine import Channel
 from repro.core.faults import FaultConfig
 from repro.core.network import RadioNetwork
 from repro.topologies import basic, random_graphs
@@ -57,7 +60,7 @@ class TestKernelEquivalence:
             network = _sample_network(sampler, config_index)
             faults = _sample_faults(sampler)
             seed = sampler.randrange(2**31)
-            vectorized = Channel(network, faults, rng=seed, kernel="vectorized")
+            vectorized = Channel(network, faults, rng=seed)
             reference = Channel(network, faults, rng=seed)
             context = (
                 f"config {config_index}: {network.name} n={network.n} "
@@ -67,7 +70,8 @@ class TestKernelEquivalence:
                 count = sampler.randint(0, network.n)
                 chosen = sorted(sampler.sample(range(network.n), count))
                 broadcasters = np.array(chosen, dtype=np.int64)
-                got = vectorized.transmit(broadcasters)
+                with mock.patch.object(Channel, "VECTORIZE_MIN_WORK", 0):
+                    got = vectorized.transmit(broadcasters)
                 want = reference.transmit_reference(broadcasters)
                 assert got == want, context
             assert vectorized.counters.as_dict() == reference.counters.as_dict(), (
@@ -86,30 +90,74 @@ class TestKernelEquivalence:
                 want = reference.transmit_reference(HUB)
                 assert got == want, f"seed {seed}"
 
-    def test_forced_kernels_validate(self):
-        with pytest.raises(ValueError):
-            Channel(basic.path(3), kernel="simd")
 
-    def test_simulator_kernel_passthrough(self):
-        sim = Simulator(
-            basic.path(2),
-            [_NullProtocol(), _NullProtocol()],
-            kernel="vectorized",
-        )
-        assert sim.channel.kernel == "vectorized"
+def _kernel_calls(channel, rounds):
+    """Drive ``rounds`` through ``transmit``.
+
+    Returns the round results and the (vectorized, scalar) kernel calls.
+    """
+    with mock.patch.object(
+        Channel,
+        "_resolve_vectorized",
+        autospec=True,
+        side_effect=Channel._resolve_vectorized,
+    ) as vectorized, mock.patch.object(
+        Channel,
+        "_resolve_scalar",
+        autospec=True,
+        side_effect=Channel._resolve_scalar,
+    ) as scalar:
+        results = [channel.transmit(broadcasters) for broadcasters in rounds]
+    return results, (vectorized.call_count, scalar.call_count)
 
 
-class _NullProtocol:
-    active = False
+class TestKernelChoice:
+    """``transmit`` picks each round's kernel by its gather work alone."""
 
-    def act(self, round_index):
-        return None
+    @pytest.mark.parametrize(
+        "who,extra,kernel",
+        [
+            ("hub", -1, "scalar"),
+            ("hub", 0, "vectorized"),
+            ("leaves", -1, "scalar"),
+            ("leaves", 0, "vectorized"),
+        ],
+    )
+    def test_gather_work_at_the_threshold(self, who, extra, kernel):
+        """A round gathering ``VECTORIZE_MIN_WORK`` pairs goes vectorized,
+        one pair fewer stays scalar: from the hub alone (the max-degree
+        bound decides) and from many leaves (the degree sum decides)."""
+        threshold = Channel.VECTORIZE_MIN_WORK
+        if who == "hub":
+            network = basic.star(threshold + extra)
+            broadcasters = HUB
+        else:
+            network = basic.star(threshold)
+            broadcasters = np.arange(1, threshold + extra + 1, dtype=np.int64)
+        faults = FaultConfig.receiver(0.3)
+        channel = Channel(network, faults, rng=4)
+        reference = Channel(network, faults, rng=4)
+        [got], calls = _kernel_calls(channel, [broadcasters])
+        assert calls == ((1, 0) if kernel == "vectorized" else (0, 1))
+        assert got == reference.transmit_reference(broadcasters)
 
-    def on_receive(self, round_index, packet, sender):
-        pass
-
-    def is_done(self):
-        return True
+    @pytest.mark.parametrize(
+        "threshold,kernel", [(0, "vectorized"), (10**9, "scalar")]
+    )
+    def test_threshold_pin_routes_every_round(self, threshold, kernel):
+        """Pinning the threshold sends every non-empty round to one kernel."""
+        network = random_graphs.gnp(60, 0.1, rng=3)
+        pick = random.Random(threshold)
+        rounds = []
+        for _ in range(30):
+            count = pick.randint(0, network.n)
+            chosen = sorted(pick.sample(range(network.n), count))
+            rounds.append(np.array(chosen, dtype=np.int64))
+        resolved = sum(1 for broadcasters in rounds if len(broadcasters))
+        channel = Channel(network, FaultConfig.sender(0.2), rng=9)
+        with mock.patch.object(Channel, "VECTORIZE_MIN_WORK", threshold):
+            _, calls = _kernel_calls(channel, rounds)
+        assert calls == ((resolved, 0) if kernel == "vectorized" else (0, resolved))
 
 
 class TestCSRAdjacency:

@@ -1,19 +1,8 @@
-"""Tests for packet types and the noise sentinel."""
+"""Tests for the routing packet type."""
 
 import pytest
 
-from repro.core.packets import NOISE, MessagePacket, NoiseType, RSPacket
-
-
-class TestNoise:
-    def test_noise_is_falsy(self):
-        assert not NOISE
-
-    def test_noise_is_singleton(self):
-        assert NoiseType() is NOISE
-
-    def test_repr(self):
-        assert repr(NOISE) == "NOISE"
+from repro.core.packets import MessagePacket
 
 
 class TestMessagePacket:
@@ -37,13 +26,3 @@ class TestMessagePacket:
     def test_equality(self):
         assert MessagePacket(2, b"x") == MessagePacket(2, b"x")
         assert MessagePacket(2) != MessagePacket(3)
-
-
-class TestRSPacket:
-    def test_fields(self):
-        p = RSPacket(7, b"pp")
-        assert p.coded_index == 7 and p.payload == b"pp"
-
-    def test_rejects_negative_index(self):
-        with pytest.raises(ValueError):
-            RSPacket(-2)

@@ -11,6 +11,7 @@ vectorized kernel.
 """
 
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -61,19 +62,24 @@ _NETWORKS = st.builds(
 
 
 def _traces(channel_cls, network, faults, adversary, seed, reference, **extra):
-    """Drive one channel; return its (full, sampled at 0.3) recorders."""
+    """Drive one channel; return its (full, sampled at 0.3) recorders.
+
+    ``transmit`` runs with the threshold pinned to 0, so every round takes
+    the vectorized kernel; ``reference`` drives ``transmit_reference``.
+    """
     full = TraceRecorder()
     sampled = TraceRecorder(sample=0.3, sample_seed=seed)
     channel = channel_cls(
         network, faults, rng=seed, observers=[full, sampled],
-        kernel="vectorized", adversary=adversary, **extra,
+        adversary=adversary, **extra,
     )
     transmit = channel.transmit_reference if reference else channel.transmit
     pick = random.Random(seed)
-    for _ in range(_ROUNDS):
-        count = pick.randint(0, network.n)
-        chosen = sorted(pick.sample(range(network.n), count))
-        transmit(np.array(chosen, dtype=np.int64))
+    with mock.patch.object(Channel, "VECTORIZE_MIN_WORK", 0):
+        for _ in range(_ROUNDS):
+            count = pick.randint(0, network.n)
+            chosen = sorted(pick.sample(range(network.n), count))
+            transmit(np.array(chosen, dtype=np.int64))
     return full, sampled
 
 

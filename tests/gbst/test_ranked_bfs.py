@@ -91,6 +91,29 @@ class TestTreeStructure:
         non_roots = sum(1 for v in net.nodes() if tree.parent[v] != -1)
         assert non_roots == net.n - 1
 
+    @pytest.mark.parametrize(
+        "network",
+        [gnp(40, 0.15, rng=2), gnp(60, 0.3, rng=5), grid(5, 7)],
+        ids=lambda network: network.name,
+    )
+    def test_parent_is_the_highest_degree_previous_level_neighbor(
+        self, network
+    ):
+        """The degree rule: among v's previous-level neighbors the parent
+        has the highest degree, the smaller id on a tie."""
+        tree = build_ranked_bfs_tree(network)
+        levels = network.levels()
+        for v in network.nodes():
+            if v == network.source:
+                continue
+            candidates = [
+                u for u in network.neighbors[v] if levels[u] == levels[v] - 1
+            ]
+            best = max(network.degree(u) for u in candidates)
+            assert tree.parent[v] == min(
+                u for u in candidates if network.degree(u) == best
+            )
+
 
 class TestFastNodes:
     def test_path_interior_fast(self):

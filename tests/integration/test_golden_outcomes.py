@@ -33,6 +33,7 @@ import json
 import random
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -272,29 +273,34 @@ SCENARIOS = {
 _TRACE_ROUNDS = 40
 
 
-def _trace(make_channel, network, seed, sample=1.0):
-    """Drive random broadcast sets through a traced channel; return the trace."""
+def _trace(
+    make_channel, network, seed, sample=1.0, min_work=Channel.VECTORIZE_MIN_WORK
+):
+    """Drive random broadcast sets through a traced channel; return the trace.
+
+    ``min_work`` pins ``Channel.VECTORIZE_MIN_WORK`` for the run: 0 sends
+    every round to the vectorized kernel.
+    """
     recorder = TraceRecorder(enabled=True, sample=sample, sample_seed=11)
     channel = make_channel(network, recorder)
     pick = random.Random(seed)
-    for _ in range(_TRACE_ROUNDS):
-        count = pick.randint(0, max(1, network.n // 3))
-        chosen = sorted(pick.sample(range(network.n), count))
-        channel.transmit(np.array(chosen, dtype=np.int64))
+    with mock.patch.object(Channel, "VECTORIZE_MIN_WORK", min_work):
+        for _ in range(_TRACE_ROUNDS):
+            count = pick.randint(0, max(1, network.n // 3))
+            chosen = sorted(pick.sample(range(network.n), count))
+            channel.transmit(np.array(chosen, dtype=np.int64))
     return recorder
 
 
-def _default(faults=FaultConfig.faultless(), adversary=None, kernel="auto"):
+def _default(faults=FaultConfig.faultless(), adversary=None):
     return lambda network, recorder: Channel(
-        network, faults, rng=5, observers=[recorder], kernel=kernel,
-        adversary=adversary,
+        network, faults, rng=5, observers=[recorder], adversary=adversary
     )
 
 
-def _mac(config, faults=FaultConfig.faultless(), kernel="auto"):
+def _mac(config, faults=FaultConfig.faultless()):
     return lambda network, recorder: ContentionChannel(
-        network, faults, rng=5, observers=[recorder], kernel=kernel,
-        config=config,
+        network, faults, rng=5, observers=[recorder], config=config
     )
 
 
@@ -312,9 +318,10 @@ TRACES = {
         3,
     ),
     "channel-vectorized-sender": lambda: _trace(
-        _default(FaultConfig.sender(_P), kernel="vectorized"),
+        _default(FaultConfig.sender(_P)),
         random_graphs.gnp(120, 0.1, rng=6),
         6,
+        min_work=0,
     ),
     "mac-grid-receiver": lambda: _trace(
         _mac(MacConfig(), FaultConfig.receiver(_P)), basic.grid(6, 6), 4
@@ -325,10 +332,10 @@ TRACES = {
         5,
     ),
     "mac-vectorized-capture": lambda: _trace(
-        _mac(MacConfig(capture=1.2, sense=False), FaultConfig.receiver(_P),
-             kernel="vectorized"),
+        _mac(MacConfig(capture=1.2, sense=False), FaultConfig.receiver(_P)),
         random_graphs.gnp(120, 0.1, rng=7),
         7,
+        min_work=0,
     ),
     "channel-gnp-sampled": lambda: _trace(
         _default(FaultConfig.receiver(_P)), random_graphs.gnp(48, 0.15, rng=4),

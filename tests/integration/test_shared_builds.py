@@ -35,8 +35,8 @@ def _clear_memos():
 class TestTopologyMemo:
     def test_declared_seed_free_families(self):
         assert SEED_FREE == [
-            "bramble", "caterpillar", "complete", "cycle", "grid", "path",
-            "single_link", "star",
+            "bramble", "caterpillar", "complete", "cycle", "grid", "layered",
+            "path", "single_link", "star",
         ]
 
     @pytest.mark.parametrize("family", SEED_FREE)

@@ -68,17 +68,36 @@ class TestChannelValidation:
         channel.transmit(np.array([0, 2], dtype=np.int64))
         assert channel.round_index == 1
 
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "repro.core.engine.Channel",
+            "repro.mac.channel.ContentionChannel",
+            "repro.core.engine.Simulator",
+            "repro.mac.saturation.saturation_sim",
+        ],
+    )
+    def test_the_channel_picks_its_own_kernel(self, name):
+        """No entry point takes a kernel switch: each round's kernel follows
+        from its gather work (``Channel.VECTORIZE_MIN_WORK``) alone."""
+        import importlib
+        import inspect
+
+        module, attr = name.rsplit(".", 1)
+        entry = getattr(importlib.import_module(module), attr)
+        assert "kernel" not in inspect.signature(entry).parameters
+
 
 class TestProtocolContract:
     def test_single_message_protocols_reject_foreign_packets(self):
         from repro.algorithms.decay import DecayProtocol
+        from repro.coding.rlnc import CodedPacket
         from repro.core.errors import ProtocolError
-        from repro.core.packets import RSPacket
         from repro.util.rng import RandomSource
 
         protocol = DecayProtocol(8, RandomSource(0))
         with pytest.raises(ProtocolError):
-            protocol.on_receive(0, RSPacket(0), sender=1)
+            protocol.on_receive(0, CodedPacket(b"\x01", b""), sender=1)
 
 
 class TestErrorHierarchy:
