@@ -22,7 +22,8 @@ canonical report bytes from ``run_batch`` are identical with telemetry
 and span tracing fully on vs off, and with the timeline recorder on vs
 off once the scenario's own ``timeline`` opt-in entry (and hence the
 cache key) is set aside. A ``memory_model`` entry reports the recorder's
-measured buffer footprint at n=10^5 for PERFORMANCE.md.
+measured footprint for PERFORMANCE.md: its per-node arrays at n=10^5,
+and the bytes each bucket row holds.
 
 The legs run in lockstep — every round is resolved by all four
 channels back to back, in a rotating order — and each leg's time is the
@@ -37,7 +38,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core.engine import Channel
+from repro.core.engine import Channel, RoundResult
 from repro.core.faults import FaultConfig
 from repro.runner import Scenario, expand_grid, run_batch
 from repro.telemetry.metrics import METRICS
@@ -58,8 +59,9 @@ SCALES = {
 #: the byte-identity sweep: small but multi-seed, the store-canonical path
 _IDENTITY_SCENARIOS = 8
 
-#: the PERFORMANCE.md memory-model size
+#: the PERFORMANCE.md memory-model size, and the bucket rows it flushes
 _MEMORY_MODEL_N = 100_000
+_MEMORY_MODEL_ROWS = 1000
 
 
 def _workload(rounds, n, seed=7):
@@ -203,19 +205,26 @@ def check_byte_identity(tmp_dir):
     }
 
 
-def measure_memory_model(n=_MEMORY_MODEL_N):
-    """Measured recorder buffer footprint at large n (PERFORMANCE.md)."""
-    recorder = TimelineRecorder(n, TimelineConfig())
+def measure_memory_model(n=_MEMORY_MODEL_N, rows=_MEMORY_MODEL_ROWS):
+    """Measured recorder footprint (PERFORMANCE.md): the per-node arrays
+    at large n, and the bytes a bucket row takes (its tuple and its list
+    slot) over ``rows`` silent rounds at ``every=1``."""
+    recorder = TimelineRecorder(n, TimelineConfig(every=1))
     per_node = (
         recorder.first_delivery.nbytes + recorder._informed_mask.nbytes
     )
+    for index in range(rows):
+        recorder.on_round(RoundResult(index))
+    recorder.finish()
+    row_bytes = (
+        sys.getsizeof(recorder._rows) + sum(map(sys.getsizeof, recorder._rows))
+    ) / rows
     return {
         "name": "memory_model",
         "n": n,
         "per_node_bytes": per_node,
-        "bucket_row_bytes": recorder._rows.nbytes // len(recorder._rows),
-        "initial_bucket_capacity": len(recorder._rows),
-        "total_initial_bytes": per_node + recorder._rows.nbytes,
+        "rows": rows,
+        "bucket_row_bytes": round(row_bytes, 1),
     }
 
 

@@ -1,6 +1,6 @@
 """Sweep farming with the result store: interrupt, resume, query — free.
 
-A 100-scenario Decay-vs-RLNC sweep runs against a content-addressed
+A 20-scenario Decay-vs-RLNC sweep runs against a content-addressed
 :class:`repro.ResultStore`. We simulate a crash halfway through (the
 process "dies" after half the batch), then resume: every scenario that
 already finished is a cache hit — one SQLite read, byte-identical to a
@@ -11,7 +11,7 @@ re-running anything.
 The same flow from the shell::
 
     repro sweep --algorithms decay,rlnc_decay --topology path --n 48 \\
-        --fault-model receiver --p 0.3 --seeds 0:50 \\
+        --fault-model receiver --p 0.3 --seeds 0:10 \\
         --store farm.db --resume
     repro store farm.db
 
@@ -37,7 +37,7 @@ def main() -> None:
         faults=FaultConfig.receiver(0.3),
     )
     scenarios = expand_grid(
-        base, seeds=range(50), grid={"algorithm": ["decay", "rlnc_decay"]}
+        base, seeds=range(10), grid={"algorithm": ["decay", "rlnc_decay"]}
     )
     store_path = str(Path(tempfile.mkdtemp(prefix="sweep-farm-")) / "farm.db")
     print(f"{len(scenarios)}-scenario sweep against {store_path}\n")

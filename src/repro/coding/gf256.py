@@ -41,15 +41,14 @@ def _build_tables() -> tuple[np.ndarray, np.ndarray]:
 _EXP, _LOG = _build_tables()
 
 # 256x256 multiplication table: one-time 64 KiB cost buys branch-free
-# vectorized multiplication for matrices and RLNC combination.
+# vectorized multiplication for matrices and RLNC combination. Each table
+# is one gather from exp at log sums; row and column 0 stay zero.
+_NONZERO_LOG = _LOG[1:].astype(np.intp)
 _MUL_TABLE = np.zeros((256, 256), dtype=np.uint8)
-for _a in range(1, 256):
-    for _b in range(1, 256):
-        _MUL_TABLE[_a, _b] = _EXP[int(_LOG[_a]) + int(_LOG[_b])]
+_MUL_TABLE[1:, 1:] = _EXP[_NONZERO_LOG[:, None] + _NONZERO_LOG[None, :]]
 
 _INV_TABLE = np.zeros(256, dtype=np.uint8)
-for _a in range(1, 256):
-    _INV_TABLE[_a] = _EXP[_ORDER - int(_LOG[_a])]
+_INV_TABLE[1:] = _EXP[_ORDER - _NONZERO_LOG]
 
 # flat view of the multiplication table: np.take on a 1-D array with a
 # precomputed (scalar << 8) + element index is 2-3x faster than 2-D

@@ -47,7 +47,11 @@ class RunReport:
     dict of a :class:`~repro.timeline.Timeline`), attached when the
     scenario opted in. Like ``wall_time_s`` it stays outside the
     canonical form — the store persists it as a sidecar keyed by
-    ``cache_key``, not inside the report bytes.
+    ``cache_key``, not inside the report bytes. It is a ``Mapping``: a
+    fresh run attaches a plain dict, and a report served from a
+    :class:`~repro.store.ResultStore` a read-only mapping that decodes
+    the stored sidecar on first read. Both compare equal, and
+    :meth:`to_dict` copies either into a dict.
     """
 
     scenario: dict
@@ -62,7 +66,7 @@ class RunReport:
     network_name: str = ""
     wall_time_s: float = 0.0
     cache_key: str = ""
-    timeline: "dict | None" = None
+    timeline: "Mapping | None" = None
 
     @property
     def informed_fraction(self) -> float:

@@ -32,7 +32,6 @@ threads and across processes (each process opens its own
 
 from __future__ import annotations
 
-import dataclasses
 import heapq
 import itertools
 import json
@@ -41,12 +40,13 @@ import sqlite3
 import threading
 import time
 import zlib
+from collections.abc import Mapping
 from pathlib import Path
 from typing import Any, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from repro.runner.report import RunReport
 from repro.telemetry.metrics import METRICS as _METRICS
-from repro.timeline.artifact import Timeline
+from repro.timeline.artifact import Timeline, timeline_key
 
 __all__ = [
     "ResultStore",
@@ -165,6 +165,42 @@ class StoreRow(NamedTuple):
     wall_time_s: float
 
 
+class _SidecarTimeline(Mapping):
+    """A stored timeline sidecar attached to a cache hit, decoded on first
+    read.
+
+    It holds the sidecar's canonical JSON text. The first key lookup,
+    iteration, comparison or ``repr`` runs ``json.loads`` once and keeps
+    the dict, so a hit whose caller never reads ``report.timeline`` (a
+    resumed sweep, a replay compared by canonical bytes) never parses it.
+    Read-only like any ``Mapping``, and equal to the plain dict a fresh
+    run attaches, in either direction.
+    """
+
+    __slots__ = ("_text", "_data")
+
+    def __init__(self, text: str) -> None:
+        self._text = text
+        self._data: Optional[dict] = None
+
+    def _decoded(self) -> dict:
+        if self._data is None:
+            self._data = json.loads(self._text)
+        return self._data
+
+    def __getitem__(self, key: str) -> Any:
+        return self._decoded()[key]
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._decoded())
+
+    def __len__(self) -> int:
+        return len(self._decoded())
+
+    def __repr__(self) -> str:
+        return repr(self._decoded())
+
+
 class _Shard:
     """One SQLite file of a store: its connection, lock and statements.
 
@@ -252,6 +288,17 @@ class _Shard:
             (cache_key,),
         )
 
+    def fetch_hit(self, cache_key: str) -> Optional[tuple]:
+        """A report's canonical JSON, wall time and timeline sidecar text
+        (None without one), in one statement."""
+        return self._one(
+            "SELECT reports.canonical_json, reports.wall_time_s, "
+            "timelines.canonical_json FROM reports LEFT JOIN timelines "
+            "ON timelines.cache_key = reports.cache_key "
+            "WHERE reports.cache_key = ?",
+            (cache_key,),
+        )
+
     def select(
         self,
         columns: Sequence[str],
@@ -320,10 +367,9 @@ class _Shard:
                 rows,
             )
 
-    def timeline_fetch(self, cache_key: str) -> Optional[tuple[str, str]]:
+    def timeline_fetch(self, cache_key: str) -> Optional[tuple[str]]:
         return self._one(
-            "SELECT timeline_key, canonical_json FROM timelines "
-            "WHERE cache_key = ?",
+            "SELECT canonical_json FROM timelines WHERE cache_key = ?",
             (cache_key,),
         )
 
@@ -489,7 +535,10 @@ class ResultStore:
         Reports carrying a flight-recorder payload (``report.timeline``)
         also write a timeline sidecar under the same cache key; sidecars
         are content-addressed like reports, so a duplicate offer is one
-        ignored insert.
+        ignored insert. The payload is validated through
+        :meth:`Timeline.from_dict` (farm workers' reports are outside
+        input) and rendered once: its ``timeline_key`` is the SHA-256 of
+        the stored text.
         """
         now = time.time()
         rows = []
@@ -521,14 +570,9 @@ class ResultStore:
                 )
             )
             if report.timeline is not None:
-                timeline = Timeline.from_dict(report.timeline)
+                text = Timeline.from_dict(report.timeline).to_json()
                 timeline_rows.append(
-                    (
-                        report.cache_key,
-                        timeline.cache_key(),
-                        timeline.to_json(),
-                        now,
-                    )
+                    (report.cache_key, timeline_key(text), text, now)
                 )
         if not rows:
             return 0
@@ -556,23 +600,19 @@ class ResultStore:
         canonical JSON exactly. ``wall_time_s`` is the original run's
         (timing is outside the canonical form). A stored timeline
         sidecar is re-attached as ``report.timeline``, so a cache hit
-        returns exactly what the original run produced.
+        returns what the original run produced. The sidecar arrives as
+        its canonical text in a read-only ``Mapping`` that is decoded
+        on first read, so a hit whose timeline is never read never
+        parses it.
         """
-        shard = self._shard(cache_key)
-        row = shard.fetch(cache_key, ("canonical_json", "wall_time_s"))
+        row = self._shard(cache_key).fetch_hit(cache_key)
         if _METRICS.enabled:
             _M_GETS.inc()
             if row is not None:
                 _M_GET_HITS.inc()
         if row is None:
             return None
-        report = self._report_from_row(row[0], row[1])
-        sidecar = shard.timeline_fetch(cache_key)
-        if sidecar is not None:
-            report = dataclasses.replace(
-                report, timeline=json.loads(sidecar[1])
-            )
-        return report
+        return self._report_from_row(*row)
 
     def get_json(self, cache_key: str) -> Optional[str]:
         """The stored canonical JSON text itself (None when absent)."""
@@ -599,7 +639,7 @@ class ResultStore:
         These are the exact bytes ``GET /timelines/<key>`` serves.
         """
         sidecar = self._shard(cache_key).timeline_fetch(cache_key)
-        return None if sidecar is None else sidecar[1]
+        return None if sidecar is None else sidecar[0]
 
     def timeline_count(self) -> int:
         """How many reports carry a timeline sidecar."""
@@ -923,9 +963,19 @@ class ResultStore:
         )
 
     @staticmethod
-    def _report_from_row(canonical_json: str, wall_time_s: float) -> RunReport:
-        report = RunReport.from_dict(json.loads(canonical_json))
-        return dataclasses.replace(report, wall_time_s=wall_time_s)
+    def _report_from_row(
+        canonical_json: str,
+        wall_time_s: float,
+        timeline_json: Optional[str] = None,
+    ) -> RunReport:
+        """One stored row as a report, built once: the canonical body,
+        the original run's wall time and, when given, the undecoded
+        timeline sidecar."""
+        data = json.loads(canonical_json)
+        data["wall_time_s"] = wall_time_s
+        if timeline_json is not None:
+            data["timeline"] = _SidecarTimeline(timeline_json)
+        return RunReport.from_dict(data)
 
     @staticmethod
     def _where(

@@ -23,10 +23,17 @@ from repro._version import __version__
 from repro.timeline.config import TimelineConfig
 from repro.timeline.recorder import DATA_COLUMNS, TimelineRecorder
 
-__all__ = ["Timeline", "TIMELINE_SCHEMA"]
+__all__ = ["Timeline", "TIMELINE_SCHEMA", "timeline_key"]
 
 #: bump when the timeline columnar layout changes incompatibly
 TIMELINE_SCHEMA = 1
+
+
+def timeline_key(text: str) -> str:
+    """The content address of a canonical timeline rendering: SHA-256 of
+    the :meth:`Timeline.to_json` text, so a caller that already holds
+    the text need not render it again."""
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 @dataclass(frozen=True)
@@ -117,7 +124,7 @@ class Timeline:
 
     def cache_key(self) -> str:
         """SHA-256 content address over the canonical rendering."""
-        return hashlib.sha256(self.to_json().encode("utf-8")).hexdigest()
+        return timeline_key(self.to_json())
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "Timeline":

@@ -1,9 +1,11 @@
 """The array-based flight recorder: a channel round observer.
 
-:class:`TimelineRecorder` accumulates per-round channel statistics into
-preallocated numpy buffers — no per-event Python objects on the hot path.
-It attaches like any observer (the timeline capture appends it to the
-channel's ``observers``), so a channel without one pays nothing for it.
+:class:`TimelineRecorder` accumulates per-round channel statistics in
+integer accumulators and per-node numpy arrays — no per-event Python
+objects on the hot path. Each flushed bucket is one tuple, and the rows
+become one int64 array when they are read. It attaches like any
+observer (the timeline capture appends it to the channel's
+``observers``), so a channel without one pays nothing for it.
 
 Rows are *buckets* of ``config.every`` consecutive rounds. A bucket is
 flushed lazily — at the first round of the *next* bucket, or at
@@ -41,7 +43,6 @@ DATA_COLUMNS = (
 )
 
 _NCOL = len(DATA_COLUMNS)
-_INITIAL_CAPACITY = 256
 
 
 class _DisabledTimeline:
@@ -68,7 +69,7 @@ NULL_TIMELINE = _DisabledTimeline()
 
 
 class TimelineRecorder:
-    """Accumulates one run's per-round flight data into numpy buffers.
+    """Accumulates one run's per-round flight data, one row per bucket.
 
     Parameters
     ----------
@@ -101,8 +102,8 @@ class TimelineRecorder:
         # with everyone informed, deliveries carry no per-node news and
         # on_round degrades to pure bucket arithmetic
         self._first_pending = n
-        self._rows = np.zeros((_INITIAL_CAPACITY, _NCOL), dtype=np.int64)
-        self._len = 0
+        # one tuple per flushed bucket, in DATA_COLUMNS order
+        self._rows: list[tuple[int, ...]] = []
         # open-bucket accumulators
         self._b_open = False
         self._b_index = -1
@@ -167,22 +168,19 @@ class TimelineRecorder:
     # -- internals -----------------------------------------------------------
 
     def _flush(self) -> None:
-        if self._len == len(self._rows):
-            grown = np.zeros((2 * len(self._rows), _NCOL), dtype=np.int64)
-            grown[: self._len] = self._rows
-            self._rows = grown
-        self._rows[self._len] = (
-            self._b_index * self.every,
-            self._b_broadcasts,
-            self._b_deliveries,
-            self._b_collisions,
-            self._b_sender_faults,
-            self._b_receiver_faults,
-            self._b_new_informed,
-            self.informed,
-            self._b_innovative,
+        self._rows.append(
+            (
+                self._b_index * self.every,
+                self._b_broadcasts,
+                self._b_deliveries,
+                self._b_collisions,
+                self._b_sender_faults,
+                self._b_receiver_faults,
+                self._b_new_informed,
+                self.informed,
+                self._b_innovative,
+            )
         )
-        self._len += 1
         self._b_open = False
         self._b_broadcasts = 0
         self._b_deliveries = 0
@@ -196,7 +194,7 @@ class TimelineRecorder:
 
     def rows(self) -> np.ndarray:
         """The flushed bucket rows, ``(len, len(DATA_COLUMNS))`` int64."""
-        return self._rows[: self._len]
+        return np.array(self._rows, dtype=np.int64).reshape(-1, _NCOL)
 
     def __len__(self) -> int:
-        return self._len
+        return len(self._rows)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.coding.gf256 import GF256
+from repro.coding.gf256 import _INV_TABLE, _MUL_FLAT, _MUL_TABLE, GF256
 
 elements = st.integers(min_value=0, max_value=255)
 nonzero = st.integers(min_value=1, max_value=255)
@@ -230,3 +230,19 @@ class TestTables:
         exp, log = GF256.exp_table(), GF256.log_table()
         for a in (1, 2, 3, 100, 255):
             assert exp[int(log[a])] == a
+
+    def test_mul_table_is_carryless_product_mod_aes_polynomial(self):
+        # every one of the 65,536 entries, from first principles:
+        # shift-and-XOR polynomial product, then reduce mod 0x11B
+        a = np.arange(256, dtype=np.int64)[:, None]
+        b = np.arange(256, dtype=np.int64)[None, :]
+        product = np.zeros((256, 256), dtype=np.int64)
+        for bit in range(8):
+            product ^= (a << bit) * ((b >> bit) & 1)
+        for bit in range(14, 7, -1):
+            product ^= ((product >> bit) & 1) * (0x11B << (bit - 8))
+        assert np.array_equal(_MUL_TABLE, product.astype(np.uint8))
+        assert np.array_equal(_MUL_FLAT, _MUL_TABLE.reshape(65536))
+        nonzero = np.arange(1, 256)
+        assert np.all(_MUL_TABLE[nonzero, _INV_TABLE[nonzero]] == 1)
+        assert _INV_TABLE[0] == 0

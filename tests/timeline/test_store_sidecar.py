@@ -1,12 +1,13 @@
 """Store persistence: timeline sidecars ride along with their reports."""
 
 import json
+import pickle
 
 import pytest
 
-from repro.runner import Scenario, run
+from repro.runner import RunReport, Scenario, run, run_batch
 from repro.store import ResultStore
-from repro.timeline import TimelineConfig
+from repro.timeline import Timeline, TimelineConfig
 from repro.timeline.analyze import aggregate_timelines
 
 
@@ -75,8 +76,6 @@ class TestSidecarRoundTrip:
 
 class TestReuseThroughTheRunner:
     def test_cache_hits_return_the_recorded_timeline(self, tmp_path):
-        from repro.runner import run_batch
-
         scenario = Scenario(
             algorithm="decay",
             topology="gnp",
@@ -89,6 +88,48 @@ class TestReuseThroughTheRunner:
             again = run_batch([scenario], store=store)[0]
         assert first.timeline is not None
         assert again.timeline == first.timeline
+
+    def test_a_hit_parses_its_sidecar_only_when_read(self, store, monkeypatch):
+        scenario = Scenario(
+            algorithm="decay",
+            topology="gnp",
+            topology_params={"n": 24},
+            seed=5,
+            timeline=TimelineConfig(every=1),
+        )
+        first = run_batch([scenario], store=store)[0]
+        sidecar = store.get_timeline_json(first.cache_key)
+        parsed = []
+        loads = json.loads
+
+        def counting_loads(text, *args, **kwargs):
+            parsed.append(text)
+            return loads(text, *args, **kwargs)
+
+        monkeypatch.setattr(json, "loads", counting_loads)
+        again = run_batch([scenario], store=store)[0]
+        assert again.to_json(canonical=True) == first.to_json(canonical=True)
+        assert sidecar not in parsed
+        assert again.timeline["rounds"] == first.rounds
+        assert again.timeline["columns"] == first.timeline["columns"]
+        assert parsed.count(sidecar) == 1
+        monkeypatch.undo()
+
+        # the replay is the fresh report, whichever way it is read
+        assert again == first and first == again
+        assert again.timeline == first.timeline
+        assert first.timeline == again.timeline
+        assert again.to_dict() == first.to_dict()
+        assert json.dumps(again.to_dict(), sort_keys=True) == json.dumps(
+            first.to_dict(), sort_keys=True
+        )
+        assert RunReport.from_dict(again.to_dict()) == first
+        assert pickle.loads(pickle.dumps(again)) == first
+        assert Timeline.from_dict(again.timeline) == Timeline.from_dict(
+            first.timeline
+        )
+        with pytest.raises(TypeError):
+            again.timeline["rounds"] = 0
 
 
 class TestAggregate:
