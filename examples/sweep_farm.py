@@ -39,7 +39,13 @@ def main() -> None:
     scenarios = expand_grid(
         base, seeds=range(10), grid={"algorithm": ["decay", "rlnc_decay"]}
     )
-    store_path = str(Path(tempfile.mkdtemp(prefix="sweep-farm-")) / "farm.db")
+    # the store lives in a temporary directory that goes when the sweep ends
+    with tempfile.TemporaryDirectory(prefix="sweep-farm-") as directory:
+        farm(scenarios, str(Path(directory) / "farm.db"))
+
+
+def farm(scenarios: list, store_path: str) -> None:
+    """Run the sweep against ``store_path``: crash, resume, replay, query."""
     print(f"{len(scenarios)}-scenario sweep against {store_path}\n")
 
     # -- first attempt: "killed" halfway through ----------------------------

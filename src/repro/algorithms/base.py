@@ -1,44 +1,34 @@
 """Shared scaffolding for single-message broadcast algorithms.
 
 Every single-message algorithm in this package is packaged the same way: a
-:class:`MessageProtocol` subclass that writes only ``act`` (the per-node
-reference), the same schedule for a
-:class:`~repro.algorithms.schedule.ScheduleLayer`, and a
-``<name>_broadcast`` convenience function that sizes a default round
-budget from :func:`budget_terms`, builds the layer over every node, runs
-the simulator until all nodes are informed (or the budget runs out), and
-returns a :class:`BroadcastOutcome`.
+schedule for a :class:`~repro.algorithms.schedule.ScheduleLayer`, whose
+docstring states each node's rule, and a ``<name>_broadcast`` convenience
+function that sizes a default round budget from :func:`budget_terms`,
+builds the layer over every node, runs the simulator until all nodes are
+informed (or the budget runs out), and returns a
+:class:`BroadcastOutcome`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 from repro.adversary.base import Adversary, effective_loss_rate
 from repro.adversary.registry import as_adversary
 from repro.core.engine import ProtocolLayer, Simulator
-from repro.core.errors import ProtocolError
 from repro.core.faults import AdversaryConfig, FaultConfig
 from repro.core.network import RadioNetwork
-from repro.core.packets import MessagePacket, Packet
-from repro.core.protocol import NodeProtocol
 from repro.core.trace import ChannelCounters
 from repro.util.rng import RandomSource
 
 __all__ = [
-    "MESSAGE",
     "BroadcastOutcome",
-    "MessageProtocol",
     "run_broadcast",
     "as_adversary",
     "budget_terms",
     "ilog2",
 ]
-
-#: the one message a single-message protocol broadcasts
-MESSAGE = MessagePacket(0)
 
 
 def ilog2(n: int) -> int:
@@ -67,40 +57,6 @@ class BroadcastOutcome:
         return self.informed / self.total
 
 
-class MessageProtocol(NodeProtocol):
-    """A node of a single-message broadcast: done once it holds the message.
-
-    Subclasses write only :meth:`act`, which listens (returns ``None``)
-    until ``informed``. The first legitimate reception informs the node
-    and wakes it.
-
-    Parameters
-    ----------
-    rng:
-        This node's private randomness.
-    informed:
-        True for the source.
-    """
-
-    def __init__(self, rng: RandomSource, informed: bool) -> None:
-        self.rng = rng
-        self.informed = informed
-        self.active = informed
-
-    def on_receive(self, round_index: int, packet: Packet, sender: int) -> None:
-        if not isinstance(packet, MessagePacket):
-            raise ProtocolError(
-                f"single-message protocol received {type(packet).__name__}; "
-                "the model's routing packets are MessagePacket"
-            )
-        if not self.informed:
-            self.informed = True
-            self.active = True
-
-    def is_done(self) -> bool:
-        return self.informed
-
-
 def budget_terms(
     network: RadioNetwork,
     faults: FaultConfig,
@@ -127,20 +83,15 @@ def budget_terms(
 
 def run_broadcast(
     network: RadioNetwork,
-    protocols: "Sequence[NodeProtocol] | ProtocolLayer",
+    layer: ProtocolLayer,
     faults: FaultConfig,
     rng: "int | RandomSource | None",
     max_rounds: int,
     adversary: "Adversary | AdversaryConfig | None" = None,
     channel=None,
 ) -> BroadcastOutcome:
-    """Drive ``protocols`` until every node is done or the budget expires.
-
-    ``protocols`` is one :class:`NodeProtocol` per node or a
-    :class:`~repro.core.engine.ProtocolLayer` over all of them, as
-    :class:`~repro.core.engine.Simulator` takes.
-    """
-    sim = Simulator(network, protocols, faults, rng, adversary=adversary, channel=channel)
+    """Drive ``layer`` until every node is done or the budget expires."""
+    sim = Simulator(network, layer, faults, rng, adversary=adversary, channel=channel)
     executed = sim.run(max_rounds)
     success = sim.all_done()
     return BroadcastOutcome(

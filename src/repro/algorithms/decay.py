@@ -15,12 +15,9 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.algorithms.base import (
-    MESSAGE,
     BroadcastOutcome,
-    MessageProtocol,
     as_adversary,
     budget_terms,
-    ilog2,
     run_broadcast,
 )
 from repro.algorithms.schedule import (
@@ -31,40 +28,18 @@ from repro.algorithms.schedule import (
 )
 from repro.core.faults import FaultConfig
 from repro.core.network import RadioNetwork
-from repro.core.packets import Packet
 from repro.util.rng import RandomSource, spawn_rng
 
-__all__ = ["DecayProtocol", "decay_broadcast", "decay_schedule"]
-
-
-class DecayProtocol(MessageProtocol):
-    """Per-node Decay: informed nodes broadcast w.p. ``2^-(t mod phase)``.
-
-    Parameters
-    ----------
-    n:
-        Network size (the only global knowledge Decay needs).
-    rng:
-        This node's private randomness.
-    informed:
-        True for the source.
-    """
-
-    def __init__(self, n: int, rng: RandomSource, informed: bool = False) -> None:
-        super().__init__(rng, informed)
-        self.phase_length = ilog2(n) + 1
-
-    def act(self, round_index: int) -> Optional[Packet]:
-        if not self.informed:
-            return None
-        i = round_index % self.phase_length
-        if self.rng.bernoulli(2.0 ** (-i)):
-            return MESSAGE
-        return None
+__all__ = ["decay_broadcast", "decay_schedule"]
 
 
 def decay_schedule(n: int) -> Schedule:
-    """:class:`DecayProtocol`'s schedule: the coin ``2^-(r mod phase)``."""
+    """Decay's schedule on ``n`` nodes (the only global knowledge it needs).
+
+    Each node's rule: once informed, broadcast in round ``r`` with
+    probability ``2^-(r mod phase)``, ``phase = ilog2(n) + 1``, on the
+    node's own coin.
+    """
     decay = decay_probabilities(n)
     phase = len(decay)
     return lambda round_index: decay[round_index % phase]

@@ -18,9 +18,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.algorithms.base import (
-    MESSAGE,
     BroadcastOutcome,
-    MessageProtocol,
     as_adversary,
     budget_terms,
     ilog2,
@@ -34,86 +32,27 @@ from repro.algorithms.schedule import (
 )
 from repro.core.faults import FaultConfig
 from repro.core.network import RadioNetwork
-from repro.core.packets import Packet
 from repro.gbst.gbst import build_gbst
 from repro.gbst.ranked_bfs import RankedBFSTree
 from repro.util.rng import RandomSource, spawn_rng
 
-__all__ = [
-    "FastBCProtocol",
-    "fastbc_broadcast",
-    "fastbc_schedule",
-    "make_fastbc_protocols",
-]
-
-
-class FastBCProtocol(MessageProtocol):
-    """Per-node FASTBC over a shared GBST (known-topology algorithm).
-
-    Parameters
-    ----------
-    node:
-        This node's internal index.
-    tree:
-        The common GBST (known topology lets all nodes agree on it).
-    rng:
-        Private randomness for the Decay half.
-    informed:
-        True for the source.
-    """
-
-    def __init__(
-        self,
-        node: int,
-        tree: RankedBFSTree,
-        rng: RandomSource,
-        informed: bool = False,
-        decay_interleave: bool = True,
-    ) -> None:
-        super().__init__(rng, informed)
-        self.node = node
-        self.decay_interleave = decay_interleave
-        self.level = tree.level[node]
-        self.rank = tree.rank[node]
-        self.is_fast = tree.is_fast(node)
-        self.phase_length = ilog2(tree.network.n) + 1
-        # Schedule period uses the Lemma 7 *bound* ceil(log2 n) rather than
-        # the realized max rank: the paper's analysis (Lemmas 8 and 10)
-        # treats the wave period as Theta(log n), and using the bound also
-        # spares nodes from having to know the realized tree statistic.
-        self.max_rank = max(1, ilog2(tree.network.n))
-
-    def act(self, round_index: int) -> Optional[Packet]:
-        if not self.informed:
-            return None
-        if round_index % 2 == 1:
-            # slow transmission round: standard Decay step. Experiments
-            # may disable the interleave to isolate the wave mechanism
-            # (the object of Lemma 10's recurrence).
-            if not self.decay_interleave:
-                return None
-            i = ((round_index - 1) // 2) % self.phase_length
-            if self.rng.bernoulli(2.0 ** (-i)):
-                return MESSAGE
-            return None
-        # fast transmission round 2t: wave schedule along fast stretches.
-        # Fast node at level l, rank r broadcasts iff t = l - 6r (mod
-        # 6 r_max); consecutive levels of a stretch fire in consecutive
-        # even rounds, so the wave moves one hop per even round.
-        if not self.is_fast:
-            return None
-        t = round_index // 2
-        modulus = 6 * self.max_rank
-        if (t - (self.level - 6 * self.rank)) % modulus == 0:
-            return MESSAGE
-        return None
+__all__ = ["fastbc_broadcast", "fastbc_schedule"]
 
 
 def fastbc_schedule(tree: RankedBFSTree, decay_interleave: bool = True) -> Schedule:
-    """:class:`FastBCProtocol`'s schedule over a shared GBST.
+    """FASTBC's schedule over a shared GBST (known topology lets every
+    node agree on it).
 
-    Even round 2t fires the bucket of fast nodes with
-    ``(level - 6·rank) mod 6·r_max = t mod 6·r_max``.
+    Each node's rule, once informed: in odd round ``2t + 1`` it takes
+    Decay's step ``2^-(t mod phase)`` on its own coin (or stays silent
+    without ``decay_interleave``, which isolates the wave of Lemma 10's
+    recurrence). In even round 2t a fast node at level ``l`` with rank
+    ``r`` broadcasts iff ``t ≡ l - 6r (mod 6·r_max)``, so consecutive
+    levels of a stretch fire in consecutive even rounds and the wave
+    moves one hop per even round. ``r_max`` is the Lemma 7 bound
+    ``ceil(log2 n)``, not the realized max rank: Lemmas 8 and 10 treat
+    the wave period as Θ(log n), and the bound spares nodes from knowing
+    the realized tree statistic.
     """
     n = tree.network.n
     modulus = 6 * max(1, ilog2(n))
@@ -121,25 +60,6 @@ def fastbc_schedule(tree: RankedBFSTree, decay_interleave: bool = True) -> Sched
     for v in tree.fast_nodes():
         buckets[(tree.level[v] - 6 * tree.rank[v]) % modulus].append(v)
     return wave_schedule(n, decay_interleave, lambda t: buckets[t % modulus])
-
-
-def make_fastbc_protocols(
-    network: RadioNetwork,
-    rng: RandomSource,
-    decay_interleave: bool = True,
-) -> list[FastBCProtocol]:
-    """Build one FASTBC protocol per node over the network's GBST."""
-    tree = build_gbst(network).tree
-    return [
-        FastBCProtocol(
-            v,
-            tree,
-            rng.spawn(),
-            informed=(v == network.source),
-            decay_interleave=decay_interleave,
-        )
-        for v in network.nodes()
-    ]
 
 
 def fastbc_broadcast(

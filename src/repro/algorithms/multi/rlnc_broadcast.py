@@ -28,36 +28,27 @@ The schedule is *static* (a function of round number, node identity and
 private coins only), satisfying the paper's "node cannot change its
 behavior based on whether it receives a message" requirement.
 
-Runs on more than :data:`PER_NODE_MAX_N` nodes go through
-:class:`RLNCGossipLayer`: the schedule's firing step from
-:class:`~repro.algorithms.schedule.ScheduleLayer` over the nodes that
-hold something, and every node's coded knowledge in one
-:class:`~repro.coding.rlnc.RLNCBank`. Smaller runs drive one
-:class:`RLNCGossipProtocol` per node over the per-node protocol of the
-same schedule (:class:`~repro.algorithms.decay.DecayProtocol`,
-:class:`~repro.algorithms.robust_fastbc.RobustFastBCProtocol`,
-:class:`DenseWaveProtocol`, built with ``informed=True``), which is also
-the reference the layer is tested against, draw for draw.
+Every run fires through one
+:class:`~repro.algorithms.schedule.ScheduleLayer` over the schedule,
+whose informed nodes are the nodes that hold something. On more than
+:data:`PER_NODE_MAX_N` nodes, :class:`RLNCGossipLayer` keeps every
+node's coded knowledge in one :class:`~repro.coding.rlnc.RLNCBank`;
+smaller runs keep one :class:`~repro.coding.rlnc.RLNCEncoder` per node.
+The tests run both against one per-node gossip object per node
+(``tests/per_node.py``), draw for draw.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
-from repro.algorithms.base import (
-    MESSAGE,
-    MessageProtocol,
-    as_adversary,
-    budget_terms,
-)
-from repro.algorithms.decay import DecayProtocol, decay_schedule
-from repro.algorithms.fastbc import FastBCProtocol
+from repro.algorithms.base import as_adversary, budget_terms
+from repro.algorithms.decay import decay_schedule
 from repro.algorithms.robust_fastbc import (
     DEFAULT_ROUND_MULTIPLIER,
-    RobustFastBCProtocol,
     block_size,
     check_block_wave,
     robust_fastbc_schedule,
@@ -69,11 +60,9 @@ from repro.coding.rlnc import (
     RLNCEncoder,
     random_coefficients,
 )
-from repro.core.engine import NodeLayer, RoundResult, Simulator
+from repro.core.engine import RoundResult, Simulator
 from repro.core.faults import FaultConfig
 from repro.core.network import RadioNetwork
-from repro.core.packets import Packet
-from repro.core.protocol import NodeProtocol
 from repro.core.trace import ChannelCounters
 from repro.gbst.gbst import build_gbst
 from repro.gbst.ranked_bfs import RankedBFSTree
@@ -82,10 +71,8 @@ from repro.util.rng import RandomSource, spawn_rng
 from repro.util.validation import check_positive
 
 __all__ = [
-    "DenseWaveProtocol",
     "MultiMessageOutcome",
     "RLNCGossipLayer",
-    "RLNCGossipProtocol",
     "dense_wave_schedule",
     "rlnc_decay_broadcast",
     "rlnc_dense_wave_broadcast",
@@ -109,67 +96,18 @@ class MultiMessageOutcome:
         return self.rounds / self.k
 
 
-class RLNCGossipProtocol(NodeProtocol):
-    """A node that gossips RLNC combinations on a single-message schedule.
-
-    Runs small networks, and is the per-node reference for
-    :class:`RLNCGossipLayer`.
-
-    Parameters
-    ----------
-    pattern:
-        A single-message protocol built with ``informed=True``; the node
-        broadcasts, if it holds anything, in the rounds where
-        ``pattern.act`` returns a packet. It never receives, so its
-        schedule cannot depend on receptions.
-    encoder:
-        This node's RLNC state (pre-loaded with the k messages at the
-        source).
-
-    The combination coefficients are drawn from ``pattern.rng``, the
-    node's one private stream, right after the coins of the same round.
-    """
-
-    def __init__(self, pattern: MessageProtocol, encoder: RLNCEncoder) -> None:
-        self.pattern = pattern
-        self.encoder = encoder
-        self.rng = pattern.rng
-        self.active = encoder.can_transmit()
-        # flight recorder for rank progress; _run_gossip swaps in the
-        # channel's recorder when a timeline capture is armed
-        self.timeline = NULL_TIMELINE
-
-    def act(self, round_index: int) -> Optional[CodedPacket]:
-        if not self.encoder.can_transmit():
-            return None
-        if self.pattern.act(round_index) is None:
-            return None
-        return self.encoder.emit(self.rng)
-
-    def on_receive(self, round_index: int, packet, sender: int) -> None:
-        innovative = self.encoder.receive(packet)
-        self.active = True
-        if innovative and self.timeline.enabled:
-            self.timeline.note_innovative()
-
-    def is_done(self) -> bool:
-        return self.encoder.is_complete()
-
-
 class RLNCGossipLayer:
     """Every node's RLNC gossip as one protocol layer over an :class:`RLNCBank`.
 
     ``pattern`` is a :class:`~repro.algorithms.schedule.ScheduleLayer`
-    whose informed nodes are the nodes with rank > 0 (the nodes whose
-    :class:`RLNCGossipProtocol` is active). Each round its firing step
-    picks the emitters, drawing their coins; each emitter then draws its
-    weights from the same stream, as the protocol does right after the
-    round's coins. One bank emit builds every coded row, one per emitter
-    in ascending order, so each reception's row is found by looking its
+    whose informed nodes are the nodes with rank > 0. Each round its
+    firing step picks the emitters, drawing their coins; each emitter
+    then draws its weights from the same stream, right after the round's
+    coins. One bank emit builds every coded row, one per emitter in
+    ascending order, so each reception's row is found by looking its
     sender up among the emitters. One bank receive absorbs them all.
     Outcomes, counters, timelines, final bases and final streams equal
-    those of a simulator over :class:`RLNCGossipProtocol` nodes built
-    with the same streams.
+    those of :class:`_EncoderLayer` over the same streams.
     """
 
     def __init__(self, pattern: ScheduleLayer, bank: RLNCBank) -> None:
@@ -224,60 +162,88 @@ class RLNCGossipLayer:
         return np.flatnonzero(self.bank.rank).tolist()
 
 
-class DenseWaveProtocol(FastBCProtocol):
+def dense_wave_schedule(tree: RankedBFSTree) -> Schedule:
     """Exploratory schedule for the paper's open problem (Section 4.2).
 
-    The paper leaves open whether a fault-robust algorithm can broadcast k
-    messages in ``O(D + k log n + polylog n)`` rounds. This schedule drops
-    Robust FASTBC's superround gating entirely: every fast-set node fires
-    on *every* even round with ``t ≡ level (mod 3)``, so coded generations
-    pipeline down each stretch at full rate instead of one batch per
-    superround cycle; odd rounds keep FASTBC's Decay step for slow edges.
-    The mod-3 gate still prevents adjacent-level collisions, but unlike
-    the GBST wave there is no rank/level separation between *distinct*
-    fast nodes of one level, so on general graphs same-level interference
-    can occur — experiment X1 measures where the candidate stands.
+    The paper leaves open whether a fault-robust algorithm can broadcast
+    k messages in ``O(D + k log n + polylog n)`` rounds. This schedule
+    drops Robust FASTBC's superround gating entirely. Each node's rule,
+    once informed: odd rounds keep FASTBC's Decay step, and in even
+    round 2t every fast node with ``level ≡ t (mod 3)`` fires, so coded
+    generations pipeline down each stretch at full rate instead of one
+    batch per superround cycle. The mod-3 gate still prevents
+    adjacent-level collisions, but unlike the GBST wave there is no
+    rank/level separation between *distinct* fast nodes of one level, so
+    on general graphs same-level interference can occur; experiment X1
+    measures where the candidate stands.
     """
-
-    def act(self, round_index: int) -> Optional[Packet]:
-        if not self.informed:
-            return None
-        if round_index % 2 == 1:
-            if not self.decay_interleave:
-                return None
-            i = ((round_index - 1) // 2) % self.phase_length
-            if self.rng.bernoulli(2.0 ** (-i)):
-                return MESSAGE
-            return None
-        if not self.is_fast:
-            return None
-        if self.level % 3 != (round_index // 2) % 3:
-            return None
-        return MESSAGE
-
-
-def dense_wave_schedule(tree: RankedBFSTree) -> Schedule:
-    """:class:`DenseWaveProtocol`'s schedule: even round 2t fires the fast
-    nodes with ``level ≡ t (mod 3)``."""
     buckets: list[list[int]] = [[], [], []]
     for v in tree.fast_nodes():
         buckets[tree.level[v] % 3].append(v)
     return wave_schedule(tree.network.n, True, lambda t: buckets[t % 3])
 
 
-#: networks up to this size gossip through per-node
-#: :class:`RLNCGossipProtocol` objects. The branch exists for one caller:
-#: perfbench's traced test asserts ``RLNCEncoder.emit`` calls on a
-#: 16-node ``rlnc_decay`` run, and its tracer does not wrap the bank yet.
-#: Delete it once the tracer does; no benchmark workload gossips on so
-#: few nodes (timings at these sizes: PERFORMANCE.md, "Batched gossip").
+#: networks up to this size gossip through :class:`_EncoderLayer`, one
+#: :class:`~repro.coding.rlnc.RLNCEncoder` per node. The branch exists
+#: for one caller: perfbench's traced test asserts ``RLNCEncoder.emit``
+#: calls on a 16-node ``rlnc_decay`` run, and its tracer does not wrap
+#: the bank yet. Delete the constant and the layer once the tracer does;
+#: no benchmark workload gossips on so few nodes (PERFORMANCE.md,
+#: "Batched gossip").
 PER_NODE_MAX_N = 16
+
+
+class _EncoderLayer:
+    """Every node's RLNC gossip with one :class:`RLNCEncoder` per node.
+
+    Fires through ``pattern`` as :class:`RLNCGossipLayer` does; each
+    emitter then draws its weights in :meth:`RLNCEncoder.emit` from its
+    own stream, and each receiver absorbs the packet of the sender it
+    heard in :meth:`RLNCEncoder.receive`. A coded packet is never zero,
+    so a reception gives its receiver rank > 0 and informs the pattern.
+    """
+
+    def __init__(self, pattern: ScheduleLayer, encoders: list[RLNCEncoder]) -> None:
+        self.pattern = pattern
+        self.encoders = encoders
+        # _run_gossip swaps in the channel's recorder when a timeline
+        # capture is armed
+        self.timeline = NULL_TIMELINE
+        # the last round's packets by emitter
+        self._packets: dict[int, CodedPacket] = {}
+
+    def act(self, round_index: int) -> np.ndarray:
+        emitters = self.pattern.fire(round_index)
+        rngs = self.pattern.rngs
+        encoders = self.encoders
+        self._packets = {v: encoders[v].emit(rngs[v]) for v in emitters.tolist()}
+        return emitters
+
+    def deliver(self, result: RoundResult) -> None:
+        packets = self._packets
+        encoders = self.encoders
+        pattern = self.pattern
+        innovative = 0
+        for v, s in zip(result.receivers.tolist(), result.senders.tolist()):
+            innovative += encoders[v].receive(packets[s])
+            if not pattern.informed[v]:
+                pattern.inform(v)
+        if innovative and self.timeline.enabled:
+            self.timeline.note_innovative(innovative)
+
+    def all_done(self) -> bool:
+        return all(encoder.is_complete() for encoder in self.encoders)
+
+    def done_count(self) -> int:
+        return sum(encoder.is_complete() for encoder in self.encoders)
+
+    def active_nodes(self) -> list[int]:
+        return self.pattern.active_nodes()
 
 
 def _run_gossip(
     network: RadioNetwork,
     schedule: Schedule,
-    make_pattern: Callable[[int, RandomSource], MessageProtocol],
     k: int,
     payload_length: int,
     messages: Optional[list[bytes]],
@@ -289,11 +255,10 @@ def _run_gossip(
 ) -> MultiMessageOutcome:
     """Gossip with every node on ``schedule``.
 
-    Above :data:`PER_NODE_MAX_N` nodes the bank layer runs the schedule
-    itself; smaller networks run node ``v`` on its per-node protocol,
-    ``make_pattern(v, its RandomSource)``. Stream order: the payload
-    messages from ``rng``, then one child stream per node in node order,
-    then the channel's child.
+    Above :data:`PER_NODE_MAX_N` nodes through :class:`RLNCGossipLayer`,
+    at most that many through :class:`_EncoderLayer`. Stream order: the
+    payload messages from ``rng``, then one child stream per node in node
+    order, then the channel's child.
     """
     if messages is None:
         if payload_length:
@@ -305,27 +270,23 @@ def _run_gossip(
             # rank-only mode: messages are empty, the coefficient vectors
             # carry all the information the experiment measures
             messages = [b""] * k
+    pattern = ScheduleLayer(schedule, rng.spawn_many(network.n), network.source)
     if network.n <= PER_NODE_MAX_N:
-        layer = NodeLayer(
-            RLNCGossipProtocol(
-                make_pattern(v, rng.spawn()),
+        layer = _EncoderLayer(
+            pattern,
+            [
                 RLNCEncoder(
                     k,
                     payload_length,
                     messages=messages if v == network.source else None,
-                ),
-            )
-            for v in network.nodes()
+                )
+                for v in network.nodes()
+            ],
         )
-        rank_holders = layer.protocols
     else:
         bank = RLNCBank(network.n, k, payload_length)
         bank.load(network.source, messages)
-        layer = RLNCGossipLayer(
-            ScheduleLayer(schedule, rng.spawn_many(network.n), network.source),
-            bank,
-        )
-        rank_holders = [layer]
+        layer = RLNCGossipLayer(pattern, bank)
     sim = Simulator(
         network, layer, faults, rng.spawn(), adversary=adversary, channel=channel
     )
@@ -334,8 +295,7 @@ def _run_gossip(
             # rank progress rides the same recorder the channel feeds; the
             # open bucket absorbs innovative receptions of the round just
             # resolved (deliveries dispatch after the channel epilogue)
-            for holder in rank_holders:
-                holder.timeline = observer
+            layer.timeline = observer
     executed = sim.run(max_rounds)
     return MultiMessageOutcome(
         success=sim.all_done(),
@@ -371,7 +331,6 @@ def rlnc_decay_broadcast(
     return _run_gossip(
         network,
         decay_schedule(n),
-        lambda v, node_rng: DecayProtocol(n, node_rng, informed=True),
         k, payload_length, messages, faults, source,
         max_rounds, adversary=adversary, channel=channel,
     )
@@ -410,10 +369,6 @@ def rlnc_robust_fastbc_broadcast(
     return _run_gossip(
         network,
         robust_fastbc_schedule(tree, block, round_multiplier),
-        lambda v, node_rng: RobustFastBCProtocol(
-            v, tree, node_rng, informed=True,
-            block=block, round_multiplier=round_multiplier,
-        ),
         k, payload_length, messages, faults, source,
         max_rounds, adversary=adversary, channel=channel,
     )
@@ -433,7 +388,7 @@ def rlnc_dense_wave_broadcast(
     """Exploratory: RLNC over the dense-wave pattern (open problem).
 
     Targets the paper's open ``O(D + k log n + polylog n)`` question; see
-    :class:`DenseWaveProtocol` for the construction and its caveats, and
+    :func:`dense_wave_schedule` for the construction and its caveats, and
     experiment X1 for measurements.
     """
     check_positive(k, "k")
@@ -448,7 +403,6 @@ def rlnc_dense_wave_broadcast(
     return _run_gossip(
         network,
         dense_wave_schedule(tree),
-        lambda v, node_rng: DenseWaveProtocol(v, tree, node_rng, informed=True),
         k, payload_length, messages, faults, source,
         max_rounds, adversary=adversary, channel=channel,
     )

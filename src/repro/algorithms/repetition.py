@@ -9,7 +9,7 @@ The paper discusses two straw-man fixes before introducing Robust FASTBC:
   drops to ``1/polylog(n)``, giving ``O(D log log n + polylog n)``.
 
 These are the A2 ablation baselines. Repetition is implemented as a round
-retimer over :class:`~repro.algorithms.fastbc.FastBCProtocol`: real round
+retimer over :func:`~repro.algorithms.fastbc.fastbc_schedule`: real round
 ``t`` executes virtual FASTBC round ``t // repeat`` (Decay coin flips are
 re-drawn per repetition, which only helps the baseline).
 """
@@ -25,18 +25,16 @@ from repro.algorithms.base import (
     ilog2,
     run_broadcast,
 )
-from repro.algorithms.fastbc import FastBCProtocol, fastbc_schedule
+from repro.algorithms.fastbc import fastbc_schedule
 from repro.algorithms.robust_fastbc import block_size
 from repro.algorithms.schedule import Schedule, ScheduleLayer, node_streams
 from repro.core.faults import FaultConfig
 from repro.core.network import RadioNetwork
-from repro.core.packets import Packet
 from repro.gbst.gbst import build_gbst
 from repro.gbst.ranked_bfs import RankedBFSTree
 from repro.util.rng import RandomSource, spawn_rng
 
 __all__ = [
-    "RepeatedFastBCProtocol",
     "repeated_fastbc_broadcast",
     "repeated_fastbc_schedule",
     "repeat_factor_log",
@@ -59,27 +57,10 @@ def _check_repeat(repeat: int) -> None:
         raise ValueError(f"repeat must be >= 1, got {repeat}")
 
 
-class RepeatedFastBCProtocol(FastBCProtocol):
-    """FASTBC with every round repeated ``repeat`` times."""
-
-    def __init__(
-        self,
-        node: int,
-        tree: RankedBFSTree,
-        rng: RandomSource,
-        repeat: int,
-        informed: bool = False,
-    ) -> None:
-        _check_repeat(repeat)
-        super().__init__(node, tree, rng, informed=informed)
-        self.repeat = repeat
-
-    def act(self, round_index: int) -> Optional[Packet]:
-        return super().act(round_index // self.repeat)
-
-
 def repeated_fastbc_schedule(tree: RankedBFSTree, repeat: int) -> Schedule:
-    """:class:`RepeatedFastBCProtocol`'s schedule: FASTBC's at ``r // repeat``."""
+    """FASTBC with every round repeated ``repeat`` times: each node takes
+    in round ``r`` the action FASTBC's rule gives it in round
+    ``r // repeat``."""
     _check_repeat(repeat)
     fastbc = fastbc_schedule(tree)
     return lambda round_index: fastbc(round_index // repeat)

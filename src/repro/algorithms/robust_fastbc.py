@@ -28,14 +28,12 @@ import math
 from typing import Optional
 
 from repro.algorithms.base import (
-    MESSAGE,
     BroadcastOutcome,
     as_adversary,
     budget_terms,
     ilog2,
     run_broadcast,
 )
-from repro.algorithms.fastbc import FastBCProtocol
 from repro.algorithms.schedule import (
     Schedule,
     ScheduleLayer,
@@ -44,18 +42,15 @@ from repro.algorithms.schedule import (
 )
 from repro.core.faults import FaultConfig
 from repro.core.network import RadioNetwork
-from repro.core.packets import Packet
 from repro.gbst.gbst import build_gbst
 from repro.gbst.ranked_bfs import RankedBFSTree
 from repro.util.rng import RandomSource, spawn_rng
 
 __all__ = [
-    "RobustFastBCProtocol",
     "robust_fastbc_broadcast",
     "robust_fastbc_schedule",
     "block_size",
     "check_block_wave",
-    "make_robust_fastbc_protocols",
 ]
 
 #: default round multiplier c ("sufficiently large constant"); sized so a
@@ -82,92 +77,29 @@ def check_block_wave(
     return s
 
 
-class RobustFastBCProtocol(FastBCProtocol):
-    """Per-node Robust FASTBC over a shared GBST.
-
-    Inherits FASTBC's GBST fields, Decay phase length and schedule period
-    (the Lemma 7 bound ``ceil(log2 n)``, matching the paper's
-    ``Θ(log n)`` treatment of the inter-wave wait); its ``act`` differs
-    from FASTBC's only in the even-round block wave.
-
-    Parameters
-    ----------
-    node, tree, rng, informed, decay_interleave:
-        As in :class:`~repro.algorithms.fastbc.FastBCProtocol`.
-    block:
-        Block size S; defaults to :func:`block_size` of n. Exposed for the
-        A1 ablation (S = 1 recovers plain-FASTBC-like fragility, large S
-        over-waits).
-    round_multiplier:
-        The constant c: a block broadcasts for c·S consecutive even rounds.
-    """
-
-    def __init__(
-        self,
-        node: int,
-        tree: RankedBFSTree,
-        rng: RandomSource,
-        informed: bool = False,
-        block: Optional[int] = None,
-        round_multiplier: int = DEFAULT_ROUND_MULTIPLIER,
-        decay_interleave: bool = True,
-    ) -> None:
-        if round_multiplier < 1:
-            raise ValueError(
-                f"round_multiplier must be >= 1, got {round_multiplier}"
-            )
-        super().__init__(
-            node, tree, rng, informed=informed, decay_interleave=decay_interleave
-        )
-        self.block = block if block is not None else block_size(tree.network.n)
-        if self.block < 1:
-            raise ValueError(f"block size must be >= 1, got {self.block}")
-        self.round_multiplier = round_multiplier
-
-    def act(self, round_index: int) -> Optional[Packet]:
-        if not self.informed:
-            return None
-        if round_index % 2 == 1:
-            # odd: standard Decay step on all informed nodes (optional for
-            # wave-isolation experiments, as in FastBCProtocol)
-            if not self.decay_interleave:
-                return None
-            i = ((round_index - 1) // 2) % self.phase_length
-            if self.rng.bernoulli(2.0 ** (-i)):
-                return MESSAGE
-            return None
-        # even: block wave on the fast set. t indexes even rounds; within
-        # its superround, the node at level l fires on every t = l (mod 3),
-        # so the wave crosses one hop per even round when transmissions
-        # succeed and retries a hop every 3 even rounds after a fault.
-        if not self.is_fast:
-            return None
-        t = round_index // 2
-        s = self.block
-        superround_length = self.round_multiplier * s
-        modulus = 6 * self.max_rank
-        target = (self.level // s - 6 * self.rank) % modulus
-        current = (t // superround_length) % modulus
-        if current != target:
-            return None
-        if self.level % 3 != t % 3:
-            return None
-        return MESSAGE
-
-
 def robust_fastbc_schedule(
     tree: RankedBFSTree,
     block: Optional[int] = None,
     round_multiplier: int = DEFAULT_ROUND_MULTIPLIER,
     decay_interleave: bool = True,
 ) -> Schedule:
-    """:class:`RobustFastBCProtocol`'s schedule over a shared GBST.
+    """Robust FASTBC's schedule over a shared GBST.
 
-    Even round 2t fires the bucket keyed by the active superround
-    ``(t // c·S) mod 6·r_max`` and ``t mod 3``: the fast nodes with
-    ``(level // S - 6·rank) mod 6·r_max`` and ``level mod 3`` equal to
-    those. Rejects ``block`` and ``round_multiplier`` as the protocol
-    does, before any bucket is built.
+    Each node's rule, once informed: odd rounds take FASTBC's Decay step
+    (:func:`~repro.algorithms.fastbc.fastbc_schedule`, with the same
+    ``decay_interleave`` switch). In even round 2t a fast node at level
+    ``l`` with rank ``r`` broadcasts iff its block's superround is the
+    active one, ``(l // S - 6r) ≡ (t // c·S) (mod 6·r_max)``, and
+    ``l ≡ t (mod 3)``: within its superround it fires on every third
+    even round, so the wave crosses one hop per even round when
+    transmissions succeed and retries a hop every 3 even rounds after a
+    fault. ``S`` is ``block`` (default :func:`block_size` of n, exposed
+    for the A1 ablation), ``c`` is ``round_multiplier`` and ``r_max``
+    FASTBC's bound ``ceil(log2 n)``. So even round 2t fires one bucket,
+    keyed by the active superround and ``t mod 3``.
+
+    Rejects ``block`` and ``round_multiplier`` below 1 before any bucket
+    is built.
     """
     n = tree.network.n
     s = check_block_wave(n, block, round_multiplier)
@@ -183,29 +115,6 @@ def robust_fastbc_schedule(
         decay_interleave,
         lambda t: buckets[3 * ((t // superround_length) % modulus) + t % 3],
     )
-
-
-def make_robust_fastbc_protocols(
-    network: RadioNetwork,
-    rng: RandomSource,
-    block: Optional[int] = None,
-    round_multiplier: int = DEFAULT_ROUND_MULTIPLIER,
-    decay_interleave: bool = True,
-) -> list[RobustFastBCProtocol]:
-    """Build one Robust FASTBC protocol per node over the network's GBST."""
-    tree = build_gbst(network).tree
-    return [
-        RobustFastBCProtocol(
-            v,
-            tree,
-            rng.spawn(),
-            informed=(v == network.source),
-            block=block,
-            round_multiplier=round_multiplier,
-            decay_interleave=decay_interleave,
-        )
-        for v in network.nodes()
-    ]
 
 
 def robust_fastbc_broadcast(

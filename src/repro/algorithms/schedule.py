@@ -12,10 +12,12 @@ round, the node's GBST level and rank, and one private coin. A
 * a *bucket*: an ascending sequence of candidates, whose informed
   members broadcast without a draw. :data:`SILENT` is the empty bucket.
 
-Each algorithm module writes its schedule next to its per-node
-protocol, which stays the scalar reference: a :class:`ScheduleLayer`
-over a schedule draws exactly the coins that the per-node protocols
-built from the same streams draw, so every outcome is the same.
+Each algorithm module writes its schedule, and the schedule's
+docstring states the rule that each node follows, as the paper does. The
+tests keep that rule as one object per node (``tests/per_node.py``), the
+scalar reference: a :class:`ScheduleLayer` over a schedule draws exactly
+the coins that those objects draw from the same streams, so every
+outcome is the same.
 
 :func:`node_streams` spawns the nodes' streams: one
 :class:`~repro.util.rng.RandomSource` per node below :data:`BANK_MIN_N`
@@ -103,7 +105,7 @@ class ScheduleLayer:
 
     Node ``v`` draws its coins from stream ``v`` of ``rngs``: one
     ``random()`` in each coin round with ``p < 1`` while it is informed,
-    as the per-node protocol's ``bernoulli(p)`` does. The layer keeps the
+    as ``bernoulli(p)`` on its own stream does. The layer keeps the
     informed nodes in a bytearray and a list, so the stop check reads the
     list's length. A round's broadcasters go to the channel as an
     ascending int64 array, and its receivers come back as one; one mask

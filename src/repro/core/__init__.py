@@ -22,8 +22,6 @@ from repro.core.errors import (
 )
 from repro.core.faults import AdversaryConfig, FaultConfig, FaultModel
 from repro.core.network import RadioNetwork
-from repro.core.packets import MessagePacket, Packet
-from repro.core.protocol import NodeProtocol
 from repro.core.engine import Channel, RoundObserver, RoundResult, Simulator
 from repro.core.trace import ChannelCounters, TraceRecorder
 
@@ -34,9 +32,6 @@ __all__ = [
     "ChannelCounters",
     "FaultConfig",
     "FaultModel",
-    "MessagePacket",
-    "NodeProtocol",
-    "Packet",
     "ProtocolError",
     "RadioNetwork",
     "ReproError",

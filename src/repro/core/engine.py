@@ -10,30 +10,23 @@ Two layers:
   (:mod:`repro.schedules`) are built on it. The channel never sees a
   packet: a caller that sends packets keeps them and looks each
   reception's packet up by its sender.
-* :class:`Simulator` — drives one protocol layer against a channel until
-  a stop predicate fires or a round budget is exhausted. A
-  :class:`ProtocolLayer` holds every node's state: the broadcast
-  algorithms run on array layers
-  (:class:`~repro.algorithms.schedule.ScheduleLayer` for single-message
-  schedules, :class:`~repro.algorithms.multi.rlnc_broadcast.RLNCGossipLayer`
-  for RLNC gossip), and a :class:`NodeLayer` drives per-node
-  :class:`~repro.core.protocol.NodeProtocol` instances: the RLNC path on
-  at most 16 nodes, and the per-node references the array layers are
-  tested against.
+* :class:`Simulator` — drives one :class:`ProtocolLayer` against a
+  channel until every node is done or a round budget is exhausted. The
+  layer holds every node's state: the single-message algorithms run on
+  :class:`~repro.algorithms.schedule.ScheduleLayer`, and RLNC gossip on
+  layers over it (:mod:`repro.algorithms.multi.rlnc_broadcast`).
 """
 
 from __future__ import annotations
 
 from itertools import compress
-from typing import Callable, Optional, Protocol, Sequence
+from typing import Optional, Protocol, Sequence
 
 import numpy as np
 
-from repro.core.errors import ProtocolError, SimulationError
+from repro.core.errors import SimulationError
 from repro.core.faults import AdversaryConfig, FaultConfig
 from repro.core.network import RadioNetwork
-from repro.core.packets import Packet
-from repro.core.protocol import NodeProtocol
 from repro.core.trace import ChannelCounters
 from repro.telemetry.metrics import METRICS as _METRICS
 from repro.timeline.capture import maybe_bind_simulator
@@ -41,7 +34,6 @@ from repro.util.rng import RandomSource, spawn_rng
 
 __all__ = [
     "Channel",
-    "NodeLayer",
     "node_array",
     "ProtocolLayer",
     "RoundObserver",
@@ -618,46 +610,6 @@ class ProtocolLayer(Protocol):
         """The nodes that may broadcast before hearing anything."""
 
 
-class NodeLayer:
-    """The per-node layer: one :class:`NodeProtocol` object per node.
-
-    :meth:`act` keeps the round's ``{node: packet}``; :meth:`deliver`
-    hands each receiver the packet of the sender it heard.
-    """
-
-    def __init__(self, protocols: Sequence[NodeProtocol]) -> None:
-        self.protocols = list(protocols)
-        self._packets: dict[int, Packet] = {}
-
-    def act(self, round_index: int) -> np.ndarray:
-        packets: dict[int, Packet] = {}
-        for node, protocol in enumerate(self.protocols):
-            if not protocol.active:
-                continue
-            packet = protocol.act(round_index)
-            if packet is not None:
-                packets[node] = packet
-        self._packets = packets
-        return node_array(list(packets))
-
-    def deliver(self, result: RoundResult) -> None:
-        packets = self._packets
-        protocols = self.protocols
-        r = result.round_index
-        for v, s in zip(result.receivers.tolist(), result.senders.tolist()):
-            protocols[v].on_receive(r, packets[s], s)
-
-    def all_done(self) -> bool:
-        return all(p.is_done() for p in self.protocols)
-
-    def done_count(self) -> int:
-        return sum(1 for p in self.protocols if p.is_done())
-
-    def active_nodes(self) -> list[int]:
-        return [node for node, p in enumerate(self.protocols) if p.active]
-
-
-
 class Simulator:
     """Drives one protocol layer over a :class:`Channel`.
 
@@ -665,16 +617,14 @@ class Simulator:
     ----------
     network:
         Topology.
-    protocols:
-        One :class:`NodeProtocol` per node, in internal index order
-        (driven through a :class:`NodeLayer`), or a
-        :class:`ProtocolLayer` holding every node's state itself.
+    layer:
+        The :class:`ProtocolLayer` holding every node's state.
     faults:
         Fault configuration.
     rng:
-        Randomness for the channel (fault sampling). Protocols hold their
-        own sources so that channel noise and algorithmic randomness are
-        independent streams.
+        Randomness for the channel (fault sampling). The layer holds the
+        nodes' own sources, so that channel noise and algorithmic
+        randomness are independent streams.
     observers:
         Round observers handed to the channel (see :class:`Channel`).
     adversary:
@@ -690,21 +640,15 @@ class Simulator:
     def __init__(
         self,
         network: RadioNetwork,
-        protocols: "Sequence[NodeProtocol] | ProtocolLayer",
+        layer: ProtocolLayer,
         faults: FaultConfig = FaultConfig.faultless(),
         rng: "int | RandomSource | None" = None,
         observers: Sequence[RoundObserver] = (),
         adversary: "Adversary | AdversaryConfig | None" = None,
         channel: "MacConfig | None" = None,
     ) -> None:
-        if isinstance(protocols, Sequence):
-            if len(protocols) != network.n:
-                raise SimulationError(
-                    f"got {len(protocols)} protocols for {network.n} nodes"
-                )
-            protocols = NodeLayer(protocols)
         self.network = network
-        self.layer = protocols
+        self.layer = layer
         if channel is None:
             self.channel = Channel(
                 network, faults, rng, observers, adversary=adversary
@@ -740,23 +684,16 @@ class Simulator:
         self.layer.deliver(result)
         return result
 
-    def run(
-        self,
-        max_rounds: int,
-        stop: Optional[Callable[["Simulator"], bool]] = None,
-    ) -> int:
-        """Run until ``stop(self)`` is True or ``max_rounds`` elapse.
+    def run(self, max_rounds: int) -> int:
+        """Run until every node is done or ``max_rounds`` elapse.
 
-        Returns the number of rounds executed in this call. The default
-        stop predicate is "every node is done" (:meth:`all_done`).
+        Returns the number of rounds executed in this call.
         """
         if max_rounds < 0:
             raise ValueError(f"max_rounds must be >= 0, got {max_rounds}")
-        if stop is None:
-            stop = Simulator.all_done
         executed = 0
         while executed < max_rounds:
-            if stop(self):
+            if self.layer.all_done():
                 break
             self.step()
             executed += 1

@@ -21,6 +21,8 @@ from repro.core.faults import AdversaryConfig, FaultConfig, FaultModel
 from repro.runner import Scenario, run
 from repro.topologies import basic, random_graphs
 
+from per_node import NodeLayer
+
 
 def nodes(*ids: int) -> np.ndarray:
     """One round's broadcasters, as the channel takes them."""
@@ -158,12 +160,12 @@ class TestIIDFaultsSubsumesFaultConfig:
         assert "adversary" not in scenario.to_dict()
 
     def test_simulator_accepts_faultconfig_and_adversary_exclusively(self):
-        protocols_factory = lambda: [_NullProtocol() for _ in range(3)]
-        Simulator(basic.path(3), protocols_factory(), adversary=IIDFaults())
+        layer_factory = lambda: NodeLayer([_NullProtocol() for _ in range(3)])
+        Simulator(basic.path(3), layer_factory(), adversary=IIDFaults())
         with pytest.raises(ValueError, match="not both"):
             Simulator(
                 basic.path(3),
-                protocols_factory(),
+                layer_factory(),
                 FaultConfig.receiver(0.2),
                 adversary=IIDFaults(),
             )

@@ -3,12 +3,13 @@
 import pytest
 
 from repro.algorithms.base import ilog2
-from repro.algorithms.decay import DecayProtocol, decay_broadcast
+from repro.algorithms.decay import decay_broadcast
 from repro.core.faults import FaultConfig
-from repro.core.packets import MessagePacket
 from repro.topologies.basic import grid, path, star
 from repro.topologies.random_graphs import gnp
 from repro.util.rng import RandomSource
+
+from per_node import DecayProtocol, MessagePacket
 
 
 class TestIlog2:

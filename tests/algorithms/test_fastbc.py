@@ -4,9 +4,8 @@ import pytest
 
 from repro.algorithms.base import ilog2
 from repro.algorithms.decay import decay_broadcast
-from repro.algorithms.fastbc import fastbc_broadcast, make_fastbc_protocols
+from repro.algorithms.fastbc import fastbc_broadcast
 from repro.algorithms.repetition import (
-    RepeatedFastBCProtocol,
     repeat_factor_log,
     repeat_factor_loglog,
     repeated_fastbc_broadcast,
@@ -15,6 +14,8 @@ from repro.core.faults import FaultConfig
 from repro.gbst.gbst import build_gbst
 from repro.topologies.basic import caterpillar, grid, path, star
 from repro.util.rng import RandomSource
+
+from per_node import RepeatedFastBCProtocol, make_fastbc_protocols
 
 
 class TestFaultlessFastBC:

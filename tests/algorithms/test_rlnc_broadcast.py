@@ -9,16 +9,17 @@ from hypothesis import strategies as st
 
 from repro.algorithms.multi import rlnc_broadcast
 from repro.algorithms.multi.rlnc_broadcast import (
+    PER_NODE_MAX_N,
     MultiMessageOutcome,
     RLNCGossipLayer,
-    RLNCGossipProtocol,
     rlnc_decay_broadcast,
     rlnc_dense_wave_broadcast,
     rlnc_robust_fastbc_broadcast,
 )
 from repro.coding.rlnc import RLNCEncoder
-from repro.core.engine import NodeLayer, Simulator
+from repro.core.engine import Simulator
 from repro.core.faults import AdversaryConfig, FaultConfig
+from repro.gbst.gbst import build_gbst
 from repro.mac.config import MacConfig
 from repro.telemetry.metrics import METRICS
 from repro.timeline import Timeline, TimelineConfig
@@ -28,12 +29,42 @@ from repro.topologies.basic import caterpillar, grid, path, star
 from repro.topologies.random_graphs import gnp
 from repro.util.rng import RandomSource
 
+from per_node import (
+    DecayProtocol,
+    DenseWaveProtocol,
+    NodeLayer,
+    RLNCGossipProtocol,
+    RobustFastBCProtocol,
+)
+
+
+def _decay_pattern(network, v, rng):
+    return DecayProtocol(network.n, rng, informed=True)
+
+
+def _robust_fastbc_pattern(network, v, rng):
+    return RobustFastBCProtocol(v, build_gbst(network).tree, rng, informed=True)
+
+
+def _dense_wave_pattern(network, v, rng):
+    return DenseWaveProtocol(v, build_gbst(network).tree, rng, informed=True)
+
+
+#: name -> (the algorithm, the per-node protocol of its schedule, built
+#: with ``informed=True`` as each node's gossip pattern)
+_ALGORITHMS = {
+    "rlnc_decay": (rlnc_decay_broadcast, _decay_pattern),
+    "rlnc_robust_fastbc": (rlnc_robust_fastbc_broadcast, _robust_fastbc_pattern),
+    "rlnc_dense_wave": (rlnc_dense_wave_broadcast, _dense_wave_pattern),
+}
+
 
 @contextlib.contextmanager
-def batched_gossip():
+def shipped_gossip():
     """Run gossip as the algorithms do; yields the simulators they build.
 
-    On more than 16 nodes that is the batched :class:`RLNCGossipLayer`.
+    On more than :data:`PER_NODE_MAX_N` nodes that is the batched
+    :class:`RLNCGossipLayer`, on fewer the layer of one encoder per node.
     """
     built = []
 
@@ -47,17 +78,18 @@ def batched_gossip():
 
 
 @contextlib.contextmanager
-def per_node_gossip():
+def per_node_gossip(make_pattern):
     """Run gossip on the per-node reference; yields its simulators.
 
     Replaces ``_run_gossip`` with one :class:`RLNCGossipProtocol` per node
     over the same streams: the payload messages, one child per node in
     node order, then the channel's child. It ignores the schedule and
-    runs each node's per-node protocol, ``make_pattern``.
+    runs node ``v`` on ``make_pattern(network, v, its stream)``, the
+    per-node protocol of the algorithm under test.
     """
     built = []
 
-    def gossip(network, schedule, make_pattern, k, payload_length, messages,
+    def gossip(network, schedule, k, payload_length, messages,
                faults, rng, max_rounds, adversary=None, channel=None):
         if messages is None:
             messages = [
@@ -67,7 +99,7 @@ def per_node_gossip():
             ]
         protocols = [
             RLNCGossipProtocol(
-                make_pattern(v, rng.spawn()),
+                make_pattern(network, v, rng.spawn()),
                 RLNCEncoder(
                     k,
                     payload_length,
@@ -77,7 +109,7 @@ def per_node_gossip():
             for v in network.nodes()
         ]
         sim = Simulator(
-            network, protocols, faults, rng.spawn(),
+            network, NodeLayer(protocols), faults, rng.spawn(),
             adversary=adversary, channel=channel,
         )
         built.append(sim)
@@ -99,6 +131,12 @@ def per_node_gossip():
         yield built
 
 
+def _decoder_state(decoder, rng):
+    r = decoder.rank
+    return (r, decoder._basis[:r].tolist(), decoder._pivot_col[:r].tolist(),
+            rng._rng.getstate())
+
+
 def node_states(layer):
     """Per node: (rank, basis rows, pivot columns, stream state)."""
     if isinstance(layer, RLNCGossipLayer):
@@ -109,22 +147,23 @@ def node_states(layer):
             for (v, r), rng in zip(enumerate(bank.rank.tolist()),
                                    layer.pattern.rngs)
         ]
-    states = []
-    for protocol in layer.protocols:
-        decoder = protocol.encoder.decoder
-        r = decoder.rank
-        states.append(
-            (r, decoder._basis[:r].tolist(), decoder._pivot_col[:r].tolist(),
-             protocol.rng._rng.getstate())
-        )
-    return states
+    if isinstance(layer, NodeLayer):
+        return [
+            _decoder_state(protocol.encoder.decoder, protocol.rng)
+            for protocol in layer.protocols
+        ]
+    return [
+        _decoder_state(encoder.decoder, rng)
+        for encoder, rng in zip(layer.encoders, layer.pattern.rngs)
+    ]
 
 
 def decoded(layer, node):
     if isinstance(layer, RLNCGossipLayer):
         return layer.bank.decode_messages(node)
-    assert isinstance(layer, NodeLayer)
-    return layer.protocols[node].encoder.decode_messages()
+    if isinstance(layer, NodeLayer):
+        return layer.protocols[node].encoder.decode_messages()
+    return layer.encoders[node].decode_messages()
 
 
 class TestRLNCDecay:
@@ -149,20 +188,22 @@ class TestRLNCDecay:
         assert outcome.success
 
     def test_end_to_end_payload_integrity(self):
-        """With payloads on, every node must decode the exact messages."""
-        net = star(20)
+        """With payloads on, every node must decode the exact messages,
+        on both shipped layers and on the per-node reference."""
         k, length = 3, 8
         rng = RandomSource(7)
         messages = [bytes(rng.bytes_array(length).tobytes()) for _ in range(k)]
-        for gossip in (batched_gossip, per_node_gossip):
-            with gossip() as built:
-                outcome = rlnc_decay_broadcast(
-                    net, k=k, rng=8, payload_length=length, messages=messages
-                )
-            assert outcome.success
-            layer = built[0].layer
-            for v in net.nodes():
-                assert decoded(layer, v) == messages, (gossip.__name__, v)
+        for net in (star(20), star(12)):
+            for gossip in (shipped_gossip(), per_node_gossip(_decay_pattern)):
+                with gossip as built:
+                    outcome = rlnc_decay_broadcast(
+                        net, k=k, rng=8, payload_length=length,
+                        messages=messages,
+                    )
+                assert outcome.success
+                layer = built[0].layer
+                for v in net.nodes():
+                    assert decoded(layer, v) == messages, (type(layer), v)
 
     def test_rejects_bad_k(self):
         with pytest.raises(ValueError):
@@ -216,11 +257,6 @@ class TestRLNCRobustFastBC:
             rlnc_robust_fastbc_broadcast(path(4), k=-1)
 
 
-_ALGORITHMS = {
-    "rlnc_decay": rlnc_decay_broadcast,
-    "rlnc_robust_fastbc": rlnc_robust_fastbc_broadcast,
-    "rlnc_dense_wave": rlnc_dense_wave_broadcast,
-}
 _NOISE = {
     "sender": {"faults": FaultConfig.sender(0.3)},
     "receiver": {"faults": FaultConfig.receiver(0.3)},
@@ -254,13 +290,20 @@ def _gossip(per_node, algorithm, network, k, payload_length, noise, channel,
     capture = (
         capture_timeline(TimelineConfig()) if timeline else contextlib.nullcontext()
     )
-    gossip = per_node_gossip if per_node else batched_gossip
-    with gossip() as built, capture as slot:
-        outcome = _ALGORITHMS[algorithm](
+    broadcast, make_pattern = _ALGORITHMS[algorithm]
+    gossip = per_node_gossip(make_pattern) if per_node else shipped_gossip()
+    with gossip as built, capture as slot:
+        outcome = broadcast(
             network, k, rng=seed, payload_length=payload_length,
             max_rounds=max_rounds, channel=channel, **_NOISE[noise],
         )
-    assert isinstance(built[0].layer, NodeLayer if per_node else RLNCGossipLayer)
+    if per_node:
+        expected = NodeLayer
+    elif network.n > PER_NODE_MAX_N:
+        expected = RLNCGossipLayer
+    else:
+        expected = rlnc_broadcast._EncoderLayer
+    assert type(built[0].layer) is expected
     recorded = (
         Timeline.from_recorder(slot.recorder).to_dict() if timeline else None
     )
@@ -269,10 +312,12 @@ def _gossip(per_node, algorithm, network, k, payload_length, noise, channel,
 
 
 class TestBatchedLayerMatchesPerNodeReference:
-    """The bank layer against per-node RLNCGossipProtocols, same streams.
+    """Both shipped layers against per-node RLNCGossipProtocols, same streams.
 
-    Equal final streams show that the layer's firing step drew the
-    coins, and the weights, that the per-node protocols draw.
+    Up to :data:`PER_NODE_MAX_N` nodes the algorithms gossip through one
+    encoder per node, above it through the bank. Equal final streams
+    show that the layer's firing step drew the coins, and the weights,
+    that the per-node protocols draw.
     """
 
     @settings(
@@ -283,8 +328,8 @@ class TestBatchedLayerMatchesPerNodeReference:
     @given(
         algorithm=st.sampled_from(sorted(_ALGORITHMS)),
         topology=st.sampled_from(["path", "grid", "gnp", "star", "caterpillar"]),
-        # more than 16 nodes, where the algorithms gossip through the bank
-        n=st.integers(17, 24),
+        # both sides of PER_NODE_MAX_N: the encoder layer and the bank
+        n=st.integers(2, 24),
         k=st.integers(1, 20),
         payload_length=st.sampled_from([0, 1, 5]),
         noise=st.sampled_from(sorted(_NOISE)),

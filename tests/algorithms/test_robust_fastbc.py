@@ -3,16 +3,13 @@
 import pytest
 
 from repro.algorithms.fastbc import fastbc_broadcast
-from repro.algorithms.robust_fastbc import (
-    RobustFastBCProtocol,
-    block_size,
-    make_robust_fastbc_protocols,
-    robust_fastbc_broadcast,
-)
+from repro.algorithms.robust_fastbc import block_size, robust_fastbc_broadcast
 from repro.core.faults import FaultConfig
 from repro.gbst.gbst import build_gbst
 from repro.topologies.basic import caterpillar, grid, path, star
 from repro.util.rng import RandomSource
+
+from per_node import RobustFastBCProtocol, make_robust_fastbc_protocols
 
 
 class TestBlockSize:

@@ -3,11 +3,12 @@
 Each single-message algorithm runs three times: as it ships, on a
 :class:`ScheduleLayer` over per-node sources and on one over a
 :class:`~repro.util.rng.StreamBank` (the bank's size threshold patched
-above n and to 0), and on a :class:`NodeLayer` of its per-node
-protocols, which the test builds from the same seed in the same spawn
-order (one child per node, then the channel's). Equal final streams
-show that all three made the same draws; the RLNC schedules are checked
-the same way in ``test_rlnc_broadcast.py``.
+above n and to 0), and on a :class:`~per_node.NodeLayer` of its
+per-node protocols (``tests/per_node.py``), which the test builds from
+the same seed in the same spawn order (one child per node, then the
+channel's). Equal final streams show that all three made the same draws;
+the RLNC schedules are checked the same way in
+``test_rlnc_broadcast.py``.
 """
 
 import contextlib
@@ -17,18 +18,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.algorithms import base, schedule
-from repro.algorithms.decay import DecayProtocol, decay_broadcast
-from repro.algorithms.fastbc import fastbc_broadcast, make_fastbc_protocols
-from repro.algorithms.repetition import (
-    RepeatedFastBCProtocol,
-    repeated_fastbc_broadcast,
-)
-from repro.algorithms.robust_fastbc import (
-    make_robust_fastbc_protocols,
-    robust_fastbc_broadcast,
-)
+from repro.algorithms.decay import decay_broadcast
+from repro.algorithms.fastbc import fastbc_broadcast
+from repro.algorithms.repetition import repeated_fastbc_broadcast
+from repro.algorithms.robust_fastbc import robust_fastbc_broadcast
 from repro.algorithms.schedule import ScheduleLayer
-from repro.core.engine import NodeLayer, Simulator
+from repro.core.engine import Simulator
 from repro.core.faults import AdversaryConfig, FaultConfig
 from repro.gbst.gbst import build_gbst
 from repro.mac.config import MacConfig
@@ -36,6 +31,14 @@ from repro.timeline import Timeline, TimelineConfig
 from repro.timeline.capture import capture_timeline
 from repro.topologies.registry import make_topology
 from repro.util.rng import RandomSource, StreamBank
+
+from per_node import (
+    DecayProtocol,
+    NodeLayer,
+    RepeatedFastBCProtocol,
+    make_fastbc_protocols,
+    make_robust_fastbc_protocols,
+)
 
 
 def _decay(network, source):
@@ -127,9 +130,9 @@ def _run(arm, name, network, noise, channel, timeline, seed, max_rounds):
     ):
         if arm == "per-node":
             source = RandomSource(seed)
-            protocols = build(network, source)
             outcome = base.run_broadcast(
-                network, protocols, noise.get("faults", FaultConfig.faultless()),
+                network, NodeLayer(build(network, source)),
+                noise.get("faults", FaultConfig.faultless()),
                 source.spawn(), max_rounds, adversary=noise.get("adversary"),
                 channel=channel,
             )

@@ -1,8 +1,8 @@
-"""Tests for the routing packet type."""
+"""Tests for the routing packet type of the per-node references."""
 
 import pytest
 
-from repro.core.packets import MessagePacket
+from per_node import MessagePacket
 
 
 class TestMessagePacket:

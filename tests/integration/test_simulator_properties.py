@@ -3,11 +3,13 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.algorithms.decay import DecayProtocol, decay_broadcast
+from repro.algorithms.decay import decay_broadcast
 from repro.core.engine import Simulator
 from repro.core.faults import FaultConfig, FaultModel
 from repro.topologies.random_graphs import gnp, random_tree
 from repro.util.rng import RandomSource
+
+from per_node import DecayProtocol, NodeLayer
 
 
 @given(
@@ -42,7 +44,7 @@ def test_simulation_is_deterministic(n, seed):
             for v in network.nodes()
         ]
         sim = Simulator(
-            network, protocols, FaultConfig.receiver(0.4), rng=seed + 1
+            network, NodeLayer(protocols), FaultConfig.receiver(0.4), rng=seed + 1
         )
         sim.run(max_rounds=2000)
         return sim.round_index, sim.done_count(), sim.counters.as_dict()
@@ -63,7 +65,9 @@ def test_informed_set_monotone(n, seed):
         DecayProtocol(n, rng.spawn(), informed=(v == network.source))
         for v in network.nodes()
     ]
-    sim = Simulator(network, protocols, FaultConfig.receiver(0.3), rng=seed)
+    sim = Simulator(
+        network, NodeLayer(protocols), FaultConfig.receiver(0.3), rng=seed
+    )
     last = sim.done_count()
     for _ in range(200):
         if sim.all_done():
@@ -85,7 +89,9 @@ def test_counters_consistent(seed):
         DecayProtocol(12, rng.spawn(), informed=(v == network.source))
         for v in network.nodes()
     ]
-    sim = Simulator(network, protocols, FaultConfig.receiver(0.3), rng=seed)
+    sim = Simulator(
+        network, NodeLayer(protocols), FaultConfig.receiver(0.3), rng=seed
+    )
     steps = 50
     for _ in range(steps):
         sim.step()

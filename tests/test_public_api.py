@@ -1,8 +1,14 @@
 """The public API surface: everything advertised resolves and works."""
 
+import ast
+import importlib.util
+import pathlib
+
 import pytest
 
 import repro
+
+import per_node
 
 
 class TestExports:
@@ -89,8 +95,10 @@ class TestChannelValidation:
 
 
 class TestProtocolContract:
+    """The per-node references' own contract (they live in ``per_node``)."""
+
     def test_single_message_protocols_reject_foreign_packets(self):
-        from repro.algorithms.decay import DecayProtocol
+        from per_node import DecayProtocol
         from repro.coding.rlnc import CodedPacket
         from repro.core.errors import ProtocolError
         from repro.util.rng import RandomSource
@@ -124,3 +132,38 @@ class TestErrorHierarchy:
         error = BroadcastTimeout(rounds=100, informed=5, total=10)
         assert error.rounds == 100
         assert "5/10" in str(error)
+
+
+class TestOneProtocolSeam:
+    """The program runs every algorithm on array layers: no module under
+    ``src/repro`` defines, imports or builds a per-node protocol."""
+
+    MODULES = ("per_node", "repro.core.protocol", "repro.core.packets")
+
+    def test_per_node_modules_are_gone(self):
+        for name in self.MODULES[1:]:
+            assert importlib.util.find_spec(name) is None, name
+
+    def test_no_program_module_touches_a_per_node_name(self):
+        moved = set(per_node.__all__)
+        offences = []
+        for path in sorted(pathlib.Path(repro.__file__).parent.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+                    names = [node.name]
+                elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                    targets = getattr(node, "targets", None) or [node.target]
+                    names = [t.id for t in targets if isinstance(t, ast.Name)]
+                elif isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    names = [node.module or ""]
+                    names += [alias.name for alias in node.names]
+                else:
+                    continue
+                offences += [
+                    f"{path.name}:{node.lineno} {name}"
+                    for name in names
+                    if name in moved or name in self.MODULES
+                ]
+        assert not offences
