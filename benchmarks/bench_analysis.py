@@ -59,7 +59,7 @@ def build_store(path, rows):
                 rounds = 40 + (n * 3) + (seed * 7919) % 97
                 reports.append(
                     RunReport(
-                        scenario=cell.describe(),
+                        scenario=cell.to_dict(),
                         algorithm=algorithm,
                         success=(seed % 50) != 0,
                         rounds=rounds,

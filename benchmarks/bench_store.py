@@ -44,7 +44,7 @@ def _fabricated_reports(count):
         scenario = SWEEP_BASE.with_(seed=seed)
         reports.append(
             RunReport(
-                scenario=scenario.describe(),
+                scenario=scenario.to_dict(),
                 algorithm=scenario.algorithm,
                 success=True,
                 rounds=120,

@@ -31,9 +31,11 @@ parameter grids out across a process pool, returning JSON-serializable
                     grid={"algorithm": ["decay", "fastbc"]},
                     processes=4)
 
-The per-algorithm functions (``decay_broadcast``, ``fastbc_broadcast``,
-``star_rs_coding``, ...) predate the scenario API and are kept as thin
-compatibility entry points over the same implementations::
+A scenario names its topology by registry family, so every scenario has
+a content address. A pre-built network runs through the per-algorithm
+functions (``decay_broadcast``, ``fastbc_broadcast``, ``star_rs_coding``,
+...) or ``get_algorithm(name).run(network, ...)``, thin entry points over
+the same implementations::
 
     from repro import decay_broadcast, FaultConfig, path
 

@@ -6,11 +6,13 @@ through every failure mode the farm claims to survive, at once:
 1. starts ``repro serve --workers remote`` on a fresh sharded store and
    a :class:`~repro.chaos.ChaosProxy` in front of it (seeded drops,
    delays, injected 500s, black holes);
-2. submits a sweep directly, then starts three workers *through the
-   proxy*: one self-kills after its first completed lease
-   (``--chaos-kill-after``), one heartbeats too slowly to keep any
-   long lease alive (``--chaos-heartbeat-factor``), one is merely
-   subject to the proxy;
+2. submits a sweep directly, then starts the workers *through the
+   proxy*: first one that self-kills after its first completed lease
+   (``--chaos-kill-after``), alone, so that it cannot find the queue
+   idle before it completes a lease, and waits for its kill status;
+   then one that heartbeats too slowly to keep any long lease alive
+   (``--chaos-heartbeat-factor``) and one that is merely subject to
+   the proxy;
 3. once the sweep is visibly underway, SIGKILLs the coordinator — the
    journal in the store is all that survives — and restarts it with
    ``--recover`` on the same port;
@@ -57,6 +59,9 @@ CHAOS_SEED = 7
 
 #: per-call deadline handed to the workers (must beat blackhole_s)
 WORKER_DEADLINE = 5.0
+
+#: how long the lone self-killing worker may take to complete its lease
+KAMIKAZE_TIMEOUT = 60.0
 
 
 def _stage_line(elapsed_s: float, message: str) -> str:
@@ -171,13 +176,18 @@ def run_chaos_smoke(verbose: bool = True) -> dict[str, Any]:
             job = client.submit(scenarios=scenarios)
             stage(f"job {job['id']} submitted: {len(scenarios)} scenarios")
 
-            # all worker traffic goes through the chaos proxy
+            # all worker traffic goes through the chaos proxy; the kamikaze
+            # runs alone first, so no other worker can drain the queue
+            # before it completes the lease it dies after
             workers["kamikaze"] = _spawn_worker(proxy.url, "kamikaze", kill_after=1)
+            status = workers["kamikaze"].wait(timeout=KAMIKAZE_TIMEOUT)
+            assert status == 42, {"kamikaze": status}
+            stage("kamikaze completed one lease and killed itself (status 42)")
             workers["slowbeat"] = _spawn_worker(
                 proxy.url, "slowbeat", heartbeat_factor=8.0
             )
             workers["steady"] = _spawn_worker(proxy.url, "steady")
-            stage("3 workers spawned through the chaos proxy")
+            stage("2 more workers spawned through the chaos proxy")
 
             # let the sweep get underway, then kill the coordinator dead
             _wait_for_progress(

@@ -13,13 +13,7 @@ the paper (:mod:`repro.core.engine` implements the exact semantics):
   legitimate packet.
 """
 
-from repro.core.errors import (
-    BroadcastTimeout,
-    ProtocolError,
-    ReproError,
-    SimulationError,
-    TopologyError,
-)
+from repro.core.errors import ReproError, SimulationError, TopologyError
 from repro.core.faults import AdversaryConfig, FaultConfig, FaultModel
 from repro.core.network import RadioNetwork
 from repro.core.engine import Channel, RoundObserver, RoundResult, Simulator
@@ -27,12 +21,10 @@ from repro.core.trace import ChannelCounters, TraceRecorder
 
 __all__ = [
     "AdversaryConfig",
-    "BroadcastTimeout",
     "Channel",
     "ChannelCounters",
     "FaultConfig",
     "FaultModel",
-    "ProtocolError",
     "RadioNetwork",
     "ReproError",
     "RoundObserver",

@@ -11,8 +11,6 @@ __all__ = [
     "ReproError",
     "TopologyError",
     "SimulationError",
-    "ProtocolError",
-    "BroadcastTimeout",
 ]
 
 
@@ -26,25 +24,3 @@ class TopologyError(ReproError):
 
 class SimulationError(ReproError):
     """The simulation engine reached an inconsistent state."""
-
-
-class ProtocolError(ReproError):
-    """A node protocol violated the model contract (e.g. broadcast while
-    claiming to be idle, or emitted a packet of the wrong type)."""
-
-
-class BroadcastTimeout(ReproError):
-    """A broadcast did not complete within the allotted round budget.
-
-    Carries the progress made so far so experiments can distinguish "slow"
-    from "stuck".
-    """
-
-    def __init__(self, rounds: int, informed: int, total: int) -> None:
-        self.rounds = rounds
-        self.informed = informed
-        self.total = total
-        super().__init__(
-            f"broadcast incomplete after {rounds} rounds: "
-            f"{informed}/{total} nodes informed"
-        )

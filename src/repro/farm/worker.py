@@ -236,9 +236,7 @@ class FarmWorker:
         trace_id = getattr(self.client, "last_trace", "") or lease.get("trace", "")
         if not trace_id:
             trace_id = trace_id_for_keys(
-                scenario.cache_key()
-                for scenario in scenarios
-                if scenario.cacheable
+                scenario.cache_key() for scenario in scenarios
             )
         try:
             with _TRACER.span(
@@ -327,11 +325,7 @@ class FarmWorker:
             if abandon is not None and abandon.is_set():
                 break
             chunk = scenarios[start : start + stride]
-            hits = sum(
-                1
-                for scenario in chunk
-                if scenario.cacheable and scenario.cache_key() in self.cache
-            )
+            hits = sum(scenario.cache_key() in self.cache for scenario in chunk)
             reports.extend(
                 run_batch(
                     chunk,

@@ -11,7 +11,9 @@ Implements Section 3.4.2's structural machinery:
 * :func:`~repro.gbst.gbst.build_gbst` — constructs a GBST by BFS parent
   selection plus a verified repair loop.
 * :mod:`~repro.gbst.stretches` — decomposition of tree paths into fast
-  stretches, used by FASTBC and Robust FASTBC.
+  stretches, the structure the FASTBC analyses (Lemmas 8, 10 and
+  Theorem 11) walk along; no algorithm calls it, and the tests check the
+  decomposition itself.
 """
 
 from repro.gbst.gbst import build_gbst

@@ -37,11 +37,11 @@ class RunReport:
 
     ``cache_key`` is the scenario's content address
     (:meth:`Scenario.cache_key <repro.runner.scenario.Scenario.cache_key>`),
-    set by :func:`repro.runner.run` for every serializable scenario so the
-    report is self-identifying in a :class:`~repro.store.ResultStore`.
-    It is empty — and omitted from :meth:`to_dict` — for reports that
-    predate the store or ran an explicit (non-serializable) network, so
-    their canonical bytes are unchanged.
+    set by :func:`repro.runner.run` for every scenario so the report is
+    self-identifying in a :class:`~repro.store.ResultStore`. It is empty
+    — and omitted from :meth:`to_dict` — only for reports built by hand
+    or loaded from JSON that predates the store, so their canonical
+    bytes are unchanged.
 
     ``timeline`` is the run's flight-recorder payload (the canonical
     dict of a :class:`~repro.timeline.Timeline`), attached when the

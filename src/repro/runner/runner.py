@@ -95,11 +95,11 @@ def run(scenario: Scenario) -> RunReport:
     if capture is not None and capture.recorder is not None:
         timeline_payload = Timeline.from_recorder(capture.recorder).to_dict()
     elapsed = time.perf_counter() - start
-    key = scenario.cache_key() if scenario.cacheable else ""
+    key = scenario.cache_key()
     if _METRICS.enabled:
         _M_RUNS.inc()
         _M_RUN_SECONDS.observe(elapsed)
-    if _TRACER.enabled and key:
+    if _TRACER.enabled:
         _TRACER.record_span(
             "runner.run",
             trace_id_for_key(key),
@@ -111,7 +111,7 @@ def run(scenario: Scenario) -> RunReport:
             success=result.success,
         )
     return RunReport(
-        scenario=scenario.describe(),
+        scenario=scenario.to_dict(),
         algorithm=scenario.algorithm,
         success=result.success,
         rounds=result.rounds,
@@ -162,17 +162,15 @@ def run_batch(
     key is already stored skip execution: the stored canonical report is
     returned in their place, byte-identical to what a fresh run would
     produce. ``reuse=False`` recomputes everything and refreshes the
-    store. Non-serializable scenarios (explicit networks) always execute
-    and are never stored.
+    store. Every scenario has a cache key, so every fresh report is
+    stored.
     """
     batch = list(scenarios)
     reports: list[Optional[RunReport]] = [None] * len(batch)
     pending: list[int] = []
     if store is not None and reuse:
         for index, scenario in enumerate(batch):
-            cached = (
-                store.get(scenario.cache_key()) if scenario.cacheable else None
-            )
+            cached = store.get(scenario.cache_key())
             if cached is not None:
                 reports[index] = cached
             else:
@@ -182,9 +180,7 @@ def run_batch(
 
     fresh = _execute([batch[index] for index in pending], processes)
     if store is not None and fresh:
-        store.put_many(
-            [report for report in fresh if report.cache_key], replace=not reuse
-        )
+        store.put_many(fresh, replace=not reuse)
     for index, report in zip(pending, fresh):
         reports[index] = report
     return reports  # type: ignore[return-value]  # every slot is filled

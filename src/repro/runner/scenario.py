@@ -6,12 +6,14 @@ budget — so that examples, experiments, benchmarks, and the CLI all
 describe work the same way and :func:`repro.runner.run` can execute it
 anywhere (including in a worker process of a ``run_batch`` pool).
 
-The topology is either a registry family name (``"path"``, ``"gnp"``,
-...) with ``topology_params`` (``n`` and optionally a topology ``seed``
-pinned independently of the scenario seed), or an explicit, pre-built
-:class:`~repro.core.network.RadioNetwork`. Only named topologies survive
-``to_dict``/``from_dict``; explicit networks still run but serialize as a
-descriptive placeholder.
+The topology is a registry family name (``"path"``, ``"gnp"``, ...) with
+``topology_params`` (``n`` and optionally a topology ``seed`` pinned
+independently of the scenario seed), so every scenario survives
+``to_dict``/``from_dict`` and has a content address
+(:meth:`Scenario.cache_key`). A pre-built
+:class:`~repro.core.network.RadioNetwork` runs through the per-algorithm
+entry points instead: ``decay_broadcast(network, ...)`` or
+``get_algorithm(name).run(network, ...)``.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import dataclasses
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Any, Mapping, Optional, Union
+from typing import Any, Mapping, Optional
 
 from repro._version import __version__
 from repro.adversary.registry import get_adversary_type
@@ -53,12 +55,12 @@ class Scenario:
     algorithm:
         Registered algorithm name (see :func:`repro.all_algorithms`).
     topology:
-        Topology family name or an explicit :class:`RadioNetwork`.
+        Topology family name (see :data:`TOPOLOGY_FAMILIES
+        <repro.topologies.registry.TOPOLOGY_FAMILIES>`).
     topology_params:
-        For named topologies: ``n`` (size, an int >= 1, default
-        :data:`DEFAULT_TOPOLOGY_SIZE`) and optional ``seed`` (a
-        non-negative int; pins random families independently of the
-        scenario seed).
+        ``n`` (size, an int >= 1, default :data:`DEFAULT_TOPOLOGY_SIZE`)
+        and optional ``seed`` (a non-negative int; pins random families
+        independently of the scenario seed).
     params:
         Algorithm parameters; must be declared by the algorithm.
     faults:
@@ -94,7 +96,7 @@ class Scenario:
     """
 
     algorithm: str
-    topology: Union[str, RadioNetwork] = "path"
+    topology: str = "path"
     topology_params: Mapping[str, Any] = field(default_factory=dict)
     params: Mapping[str, Any] = field(default_factory=dict)
     faults: FaultConfig = field(default_factory=FaultConfig.faultless)
@@ -123,34 +125,29 @@ class Scenario:
                 "collision channel, so a contention MAC does not apply"
             )
 
-        if isinstance(self.topology, str):
-            if self.topology not in TOPOLOGY_FAMILIES:
-                known = ", ".join(sorted(TOPOLOGY_FAMILIES))
-                raise ValueError(
-                    f"unknown topology family {self.topology!r}; known: {known}"
-                )
-            unknown = set(self.topology_params) - _TOPOLOGY_PARAM_KEYS
-            if unknown:
-                raise ValueError(
-                    f"unknown topology_params {sorted(unknown)}; "
-                    f"allowed: {sorted(_TOPOLOGY_PARAM_KEYS)}"
-                )
-            if "n" in self.topology_params:
-                check_positive(self.topology_params["n"], "topology_params['n']")
-            if "seed" in self.topology_params:
-                check_non_negative(
-                    self.topology_params["seed"], "topology_params['seed']"
-                )
-        elif isinstance(self.topology, RadioNetwork):
-            if self.topology_params:
-                raise ValueError(
-                    "topology_params only apply to named topology families, "
-                    "not explicit RadioNetwork instances"
-                )
-        else:
+        if not isinstance(self.topology, str):
             raise TypeError(
-                "topology must be a family name or a RadioNetwork, got "
-                f"{type(self.topology).__name__}"
+                "topology must be a topology family name, got "
+                f"{type(self.topology).__name__}; run a pre-built network "
+                "with decay_broadcast(network, ...) or "
+                "get_algorithm(name).run(network, ...)"
+            )
+        if self.topology not in TOPOLOGY_FAMILIES:
+            known = ", ".join(sorted(TOPOLOGY_FAMILIES))
+            raise ValueError(
+                f"unknown topology family {self.topology!r}; known: {known}"
+            )
+        unknown = set(self.topology_params) - _TOPOLOGY_PARAM_KEYS
+        if unknown:
+            raise ValueError(
+                f"unknown topology_params {sorted(unknown)}; "
+                f"allowed: {sorted(_TOPOLOGY_PARAM_KEYS)}"
+            )
+        if "n" in self.topology_params:
+            check_positive(self.topology_params["n"], "topology_params['n']")
+        if "seed" in self.topology_params:
+            check_non_negative(
+                self.topology_params["seed"], "topology_params['seed']"
             )
 
         if not isinstance(self.faults, FaultConfig):
@@ -213,9 +210,7 @@ class Scenario:
         return make_channel_config(self.channel, self.channel_params)
 
     def build_network(self) -> RadioNetwork:
-        """Materialize the topology (explicit network: returned as-is)."""
-        if isinstance(self.topology, RadioNetwork):
-            return self.topology
+        """Materialize the topology."""
         n = self.topology_params.get("n", DEFAULT_TOPOLOGY_SIZE)
         seed = self.topology_params.get("seed", self.seed)
         return make_topology(self.topology, n, seed=seed)
@@ -223,16 +218,6 @@ class Scenario:
     def with_(self, **changes: Any) -> "Scenario":
         """A copy with the given fields replaced (sweep helper)."""
         return dataclasses.replace(self, **changes)
-
-    @property
-    def cacheable(self) -> bool:
-        """Whether the scenario serializes (and therefore has a cache key).
-
-        Scenarios holding an explicit :class:`RadioNetwork` are not
-        reconstructible from their dict form, so they cannot be
-        content-addressed.
-        """
-        return isinstance(self.topology, str)
 
     def cache_key(self) -> str:
         """Content address: SHA-256 over the canonical scenario dict.
@@ -259,25 +244,10 @@ class Scenario:
     # -- serialization ------------------------------------------------------
 
     def to_dict(self) -> dict[str, Any]:
-        """JSON-serializable form; raises for explicit networks."""
-        if isinstance(self.topology, RadioNetwork):
-            raise ValueError(
-                "scenarios holding an explicit RadioNetwork cannot be "
-                "serialized; use a named topology family"
-            )
-        return self._as_dict(self.topology)
-
-    def describe(self) -> dict[str, Any]:
-        """Like :meth:`to_dict` but never fails: explicit networks are
-        summarized by name (not reconstructible via :meth:`from_dict`)."""
-        if isinstance(self.topology, RadioNetwork):
-            return self._as_dict(f"<explicit:{self.topology.name}>")
-        return self.to_dict()
-
-    def _as_dict(self, topology: str) -> dict[str, Any]:
+        """JSON-serializable form."""
         data = {
             "algorithm": self.algorithm,
-            "topology": topology,
+            "topology": self.topology,
             "topology_params": dict(self.topology_params),
             "params": dict(self.params),
             "faults": {"model": str(self.faults.model), "p": self.faults.p},

@@ -211,18 +211,12 @@ class JobManager:
     # -- submission and inspection ------------------------------------------
 
     def submit(self, scenarios: Sequence[Scenario]) -> Job:
-        """Enqueue a batch; every scenario must be serializable."""
+        """Enqueue a batch of scenarios."""
         if self._stop.is_set():
             raise RuntimeError("the job manager is shut down")
         batch = list(scenarios)
         if not batch:
             raise ValueError("cannot submit an empty batch")
-        for scenario in batch:
-            if not scenario.cacheable:
-                raise ValueError(
-                    "service jobs require serializable scenarios "
-                    "(named topology families)"
-                )
         with self._lock:
             job = Job(f"job-{next(self._counter):04d}", batch)
             self._jobs[job.id] = job
@@ -235,7 +229,7 @@ class JobManager:
     def submit_adaptive(self, spec: Mapping[str, Any]) -> Job:
         """Enqueue an adaptive sweep (see ``adaptive_sweep`` for keys).
 
-        ``spec`` must hold a serializable ``base`` scenario dict and may
+        ``spec`` must hold a ``base`` scenario dict and may
         hold ``grid``, ``target_halfwidth``, ``max_seeds``, ``batch``,
         ``metric``, ``confidence``, ``resamples``, ``seed``,
         ``seed_start``. Every knob is validated here (fail at submit
@@ -252,8 +246,6 @@ class JobManager:
             )
         spec = dict(spec)
         base = Scenario.from_dict(spec.get("base", {}))
-        if not base.cacheable:
-            raise ValueError("adaptive jobs require serializable scenarios")
         grid = coerce_grid(spec.get("grid") or {})
         max_seeds = int(spec.get("max_seeds", 64))
         batch_size = int(spec.get("batch", 4))

@@ -527,8 +527,9 @@ class ResultStore:
         """Batch-insert reports, one transaction per shard; returns rows
         written.
 
-        Every report must carry a non-empty ``cache_key`` (reports of
-        explicit-network scenarios are not content-addressable). Existing
+        Every report must carry a non-empty ``cache_key``, as every
+        report of :func:`repro.runner.run` does; a hand-built report, or
+        one loaded from JSON that predates the store, has none. Existing
         keys are left untouched — the stored bytes are already the
         canonical answer — unless ``replace`` is true.
 
@@ -546,8 +547,8 @@ class ResultStore:
         for report in reports:
             if not report.cache_key:
                 raise ValueError(
-                    "report has no cache_key (explicit-network scenarios "
-                    "are not content-addressable)"
+                    "report has no cache_key (only reports of repro.run "
+                    "are content-addressed; hand-built ones are not)"
                 )
             scenario = report.scenario
             faults = scenario.get("faults", {})

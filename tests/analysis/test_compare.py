@@ -51,7 +51,7 @@ def _fabricated(ratio=2.0, trials=8, sizes=(16, 32)):
                 )
                 reports.append(
                     RunReport(
-                        scenario=scenario.describe(),
+                        scenario=scenario.to_dict(),
                         algorithm=algorithm,
                         success=True,
                         rounds=rounds,

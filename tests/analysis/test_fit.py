@@ -80,7 +80,7 @@ class TestFitOverReports:
                     )
                     reports.append(
                         RunReport(
-                            scenario=scenario.describe(),
+                            scenario=scenario.to_dict(),
                             algorithm=algorithm,
                             success=True,
                             rounds=int(10 * n**exponent),

@@ -22,10 +22,17 @@
   repair for up to 30 iterations, gnps whose ranks reach 4, families
   that need no repair, and two grids whose repair budget runs out.
 
-A digest changes only when a run's outcome does. A deliberate outcome
-change regenerates the file::
+The file also records the :data:`~repro.runner.scenario.CACHE_KEY_SCHEMA`
+its digests were computed under. A digest changes only when a run's
+outcome does, and a store keyed under one schema must never serve a
+report computed under other rules, so a deliberate outcome change bumps
+``CACHE_KEY_SCHEMA`` and then regenerates the file::
 
     PYTHONPATH=src python tests/integration/test_golden_outcomes.py
+
+Regeneration exits 1, writing nothing, when it would rewrite a report
+digest or timeline key that the file holds under the current schema; new
+corpus entries are appended freely.
 """
 
 import hashlib
@@ -45,6 +52,7 @@ from repro.gbst.gbst import build_gbst
 from repro.mac.channel import ContentionChannel
 from repro.mac.config import MacConfig
 from repro.runner import Scenario, run
+from repro.runner.scenario import CACHE_KEY_SCHEMA
 from repro.timeline import Timeline, TimelineConfig
 from repro.topologies import basic, random_graphs
 from repro.topologies.registry import make_topology
@@ -411,11 +419,28 @@ def compute_golden() -> dict:
     traces = {name: _trace_digest(make()) for name, make in TRACES.items()}
     gbsts = {name: _gbst_digest(name) for name in GBSTS}
     return {
+        "cache_key_schema": CACHE_KEY_SCHEMA,
         "reports": reports,
         "timelines": timelines,
         "traces": traces,
         "gbsts": gbsts,
     }
+
+
+def rewritten_outcomes(held: dict, fresh: dict) -> list[str]:
+    """The pinned report digests and timeline keys ``fresh`` would change.
+
+    Empty when ``held`` was computed under another schema: a bumped
+    ``CACHE_KEY_SCHEMA`` is what licenses an outcome change.
+    """
+    if held["cache_key_schema"] != fresh["cache_key_schema"]:
+        return []
+    return [
+        f"{section}/{name}"
+        for section in ("reports", "timelines")
+        for name, digest in sorted(held[section].items())
+        if name in SCENARIOS and fresh[section].get(name) != digest
+    ]
 
 
 @pytest.fixture(scope="module")
@@ -428,6 +453,25 @@ def test_corpus_covers_every_registry_algorithm():
 
     covered = {scenario.algorithm for scenario in SCENARIOS.values()}
     assert covered == {algorithm.name for algorithm in all_algorithms()}
+
+
+def test_golden_file_records_the_cache_key_schema(golden):
+    assert golden["cache_key_schema"] == CACHE_KEY_SCHEMA
+
+
+def test_regeneration_refuses_to_rewrite_a_pinned_outcome(golden):
+    fresh = json.loads(json.dumps(golden))
+    assert rewritten_outcomes(golden, fresh) == []
+    fresh["reports"]["decay-path-receiver"] = "0" * 64
+    del fresh["timelines"]["fastbc-path-receiver"]
+    fresh["reports"]["a-new-entry"] = "1" * 64
+    assert rewritten_outcomes(golden, fresh) == [
+        "reports/decay-path-receiver",
+        "timelines/fastbc-path-receiver",
+    ]
+    # a bumped schema is what licenses the change
+    fresh["cache_key_schema"] = CACHE_KEY_SCHEMA + 1
+    assert rewritten_outcomes(golden, fresh) == []
 
 
 def test_golden_file_lists_exactly_the_corpus(golden):
@@ -453,9 +497,25 @@ def test_gbst_is_pinned(name, golden):
     assert _gbst_digest(name) == golden["gbsts"][name], name
 
 
-if __name__ == "__main__":
+def main() -> int:
+    fresh = compute_golden()
+    if GOLDEN.exists():
+        changed = rewritten_outcomes(json.loads(GOLDEN.read_text("utf-8")), fresh)
+        if changed:
+            print(
+                f"refusing to rewrite {len(changed)} outcome(s) pinned under "
+                f"CACHE_KEY_SCHEMA {CACHE_KEY_SCHEMA}: {', '.join(changed)}; "
+                "bump CACHE_KEY_SCHEMA in repro/runner/scenario.py so no "
+                "store serves a report computed under the old rules",
+                file=sys.stderr,
+            )
+            return 1
     GOLDEN.write_text(
-        json.dumps(compute_golden(), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
+        json.dumps(fresh, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
     print(f"wrote {GOLDEN}", file=sys.stderr)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

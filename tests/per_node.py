@@ -37,7 +37,7 @@ from repro.algorithms.base import ilog2
 from repro.algorithms.robust_fastbc import DEFAULT_ROUND_MULTIPLIER, block_size
 from repro.coding.rlnc import CodedPacket, RLNCEncoder
 from repro.core.engine import RoundResult, node_array
-from repro.core.errors import ProtocolError
+from repro.core.errors import ReproError
 from repro.core.network import RadioNetwork
 from repro.gbst.gbst import build_gbst
 from repro.gbst.ranked_bfs import RankedBFSTree
@@ -54,6 +54,7 @@ __all__ = [
     "NodeLayer",
     "NodeProtocol",
     "Packet",
+    "ProtocolError",
     "RLNCGossipProtocol",
     "RepeatedFastBCProtocol",
     "RobustFastBCProtocol",
@@ -83,6 +84,11 @@ Packet = Union[MessagePacket, CodedPacket]
 
 #: the one message a single-message protocol broadcasts
 MESSAGE = MessagePacket(0)
+
+
+class ProtocolError(ReproError):
+    """A node protocol violated the model contract (e.g. broadcast while
+    claiming to be idle, or emitted a packet of the wrong type)."""
 
 
 class NodeProtocol(abc.ABC):

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.faults import FaultConfig, FaultModel
-from repro.runner import Scenario, run
+from repro.runner import Scenario, get_algorithm, run
 from repro.topologies import path
 
 
@@ -24,8 +24,20 @@ class TestValidation:
         with pytest.raises(ValueError, match="topology_params"):
             Scenario(algorithm="decay", topology_params={"diameter": 5})
 
+    def test_prebuilt_network_rejected_naming_the_entry_points(self):
+        # every scenario has a content address, which a pre-built network
+        # lacks: it runs through the per-algorithm entry points instead
+        with pytest.raises(TypeError, match="got RadioNetwork") as error:
+            Scenario(algorithm="decay", topology=path(5))
+        assert "decay_broadcast(network, ...)" in str(error.value)
+        assert "get_algorithm(name).run(network, ...)" in str(error.value)
+        # a topology from outside JSON (POST /jobs) is checked the same way
+        with pytest.raises(TypeError, match="got int"):
+            Scenario.from_dict({"algorithm": "decay", "topology": 5})
+
     def test_topology_params_rejected_for_explicit_network(self):
-        with pytest.raises(ValueError, match="explicit RadioNetwork"):
+        # the network itself is refused before its size params are read
+        with pytest.raises(TypeError, match="got RadioNetwork"):
             Scenario(
                 algorithm="decay", topology=path(8), topology_params={"n": 8}
             )
@@ -104,10 +116,16 @@ class TestTopologyBuild:
             )
 
     def test_explicit_network_returned_as_is(self):
-        network = path(9)
-        scenario = Scenario(algorithm="decay", topology=network)
-        assert scenario.build_network() is network
-        assert run(scenario).total == 9
+        # the entry point the TypeError names runs a pre-built network as
+        # is, with the outcome of the scenario that builds the same network
+        named = run(Scenario(algorithm="decay", topology_params={"n": 9}, seed=3))
+        result = get_algorithm("decay").run(path(9), FaultConfig.faultless(), 3)
+        assert result.total == named.total == 9
+        assert (result.success, result.rounds, result.informed) == (
+            named.success,
+            named.rounds,
+            named.informed,
+        )
 
 
 class TestSerialization:
@@ -130,12 +148,6 @@ class TestSerialization:
         ).to_dict()
         assert data["faults"] == {"model": "receiver", "p": 0.25}
         assert Scenario.from_dict(data).faults.model is FaultModel.RECEIVER
-
-    def test_explicit_network_refuses_to_dict_but_describes(self):
-        scenario = Scenario(algorithm="decay", topology=path(5))
-        with pytest.raises(ValueError, match="serialized"):
-            scenario.to_dict()
-        assert scenario.describe()["topology"].startswith("<explicit:")
 
     def test_with_replaces_fields(self):
         base = Scenario(algorithm="decay", seed=0)

@@ -6,7 +6,6 @@ import pytest
 
 from repro.core.faults import AdversaryConfig, FaultConfig
 from repro.runner import RunReport, Scenario, run
-from repro.topologies import path
 
 BASE = Scenario(
     algorithm="decay",
@@ -64,10 +63,13 @@ class TestCacheKey:
         assert jammer.cache_key() != churn.cache_key()
 
     def test_explicit_network_is_not_cacheable(self):
-        scenario = Scenario(algorithm="decay", topology=path(8))
-        assert not scenario.cacheable
-        with pytest.raises(ValueError):
-            scenario.cache_key()
+        # older versions described a pre-built network by a placeholder;
+        # it names no topology family, so it never becomes a keyed scenario
+        data = BASE.to_dict()
+        data["topology"] = "<explicit:path-8>"
+        data["topology_params"] = {}
+        with pytest.raises(ValueError, match="unknown topology family"):
+            Scenario.from_dict(data)
 
 
 class TestReportCacheKey:
@@ -85,9 +87,16 @@ class TestReportCacheKey:
         assert RunReport.from_dict(report.to_dict()).cache_key == report.cache_key
 
     def test_explicit_network_report_has_no_key(self):
-        report = run(Scenario(algorithm="decay", topology=path(8)))
+        # a report older versions wrote for a pre-built network loads
+        # without a key and re-renders byte for byte
+        data = run(BASE).to_dict(include_timing=False)
+        del data["cache_key"]
+        data["scenario"]["topology"] = "<explicit:path-16>"
+        data["scenario"]["topology_params"] = {}
+        report = RunReport.from_dict(data)
         assert report.cache_key == ""
         assert "cache_key" not in report.to_dict()
+        assert report.to_json(canonical=True) == json.dumps(data, sort_keys=True)
 
     def test_keyless_reports_keep_pre_store_canonical_bytes(self):
         # reports that don't opt in (hand-built, or loaded from old JSON)

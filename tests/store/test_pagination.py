@@ -31,7 +31,7 @@ def _fabricated(count, algorithms=("decay", "fastbc")):
         )
         reports.append(
             RunReport(
-                scenario=scenario.describe(),
+                scenario=scenario.to_dict(),
                 algorithm=algorithm,
                 success=index % 7 != 0,
                 rounds=100 + (index * 37) % 50,  # heavy ties on purpose

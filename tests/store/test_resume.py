@@ -4,7 +4,15 @@ import pytest
 
 import repro.runner.runner as runner_module
 from repro.core.faults import AdversaryConfig, FaultConfig
-from repro.runner import Scenario, expand_grid, run_batch, sweep
+from repro.runner import (
+    RunReport,
+    Scenario,
+    all_algorithms,
+    expand_grid,
+    get_algorithm,
+    run_batch,
+    sweep,
+)
 from repro.store import ResultStore
 from repro.topologies import path
 
@@ -105,10 +113,52 @@ class TestResumeDeterminism:
         assert canonical(parallel) == canonical(serial)
 
     def test_explicit_network_scenarios_run_but_are_not_stored(self, store):
-        explicit = Scenario(algorithm="decay", topology=path(8))
-        reports = run_batch([explicit], store=store)
-        assert reports[0].success is not None
+        # a pre-built network runs through its algorithm's entry point; a
+        # report of that run has no content address, so the store refuses
+        # the whole batch holding it rather than file it under no key
+        result = get_algorithm("decay").run(path(8), FaultConfig.faultless(), 0)
+        assert result.success and result.total == 8
+        keyless = RunReport(
+            scenario={"algorithm": "decay", "topology": "<explicit:path-8>"},
+            algorithm="decay",
+            success=result.success,
+            rounds=result.rounds,
+            informed=result.informed,
+            total=result.total,
+            network_n=8,
+            network_name="path-8",
+        )
+        keyed = run_batch([BASE])[0]
+        with pytest.raises(ValueError, match="no cache_key"):
+            store.put_many([keyed, keyless])
         assert len(store) == 0
+
+    def test_every_algorithm_is_stored_under_its_key(self, store, monkeypatch):
+        # every registry algorithm on its default topology, so the single-
+        # message, multi-message, star and single-link kinds all reach
+        # the store: every report has a key, and every key a row
+        scenarios = [
+            Scenario(
+                algorithm=algorithm.name,
+                topology=algorithm.default_topology,
+                topology_params={"n": 12},
+                faults=FaultConfig.receiver(0.2),
+                seed=seed,
+            )
+            for algorithm in all_algorithms()
+            for seed in range(2)
+        ]
+        fresh = run_batch(scenarios, store=store)
+        assert len(store) == len(scenarios) == 24
+        for scenario, report in zip(scenarios, fresh):
+            assert report.cache_key == scenario.cache_key()
+            assert report.cache_key in store
+
+        def explode(scenario):
+            raise AssertionError("every scenario should be a cache hit")
+
+        monkeypatch.setattr(runner_module, "run", explode)
+        assert canonical(run_batch(scenarios, store=store)) == canonical(fresh)
 
 
 class TestFastPath:

@@ -22,7 +22,7 @@ BASE = Scenario(
 def fabricate(scenario: Scenario, rounds: int = 7) -> RunReport:
     """A synthetic report under the scenario's real cache key (no run)."""
     return RunReport(
-        scenario=scenario.describe(),
+        scenario=scenario.to_dict(),
         algorithm=scenario.algorithm,
         success=True,
         rounds=rounds,

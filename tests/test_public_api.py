@@ -98,9 +98,8 @@ class TestProtocolContract:
     """The per-node references' own contract (they live in ``per_node``)."""
 
     def test_single_message_protocols_reject_foreign_packets(self):
-        from per_node import DecayProtocol
+        from per_node import DecayProtocol, ProtocolError
         from repro.coding.rlnc import CodedPacket
-        from repro.core.errors import ProtocolError
         from repro.util.rng import RandomSource
 
         protocol = DecayProtocol(8, RandomSource(0))
@@ -110,28 +109,10 @@ class TestProtocolContract:
 
 class TestErrorHierarchy:
     def test_all_domain_errors_derive_from_repro_error(self):
-        from repro.core.errors import (
-            BroadcastTimeout,
-            ProtocolError,
-            ReproError,
-            SimulationError,
-            TopologyError,
-        )
+        from repro.core.errors import ReproError, SimulationError, TopologyError
 
-        for error_type in (
-            TopologyError,
-            SimulationError,
-            ProtocolError,
-            BroadcastTimeout,
-        ):
+        for error_type in (TopologyError, SimulationError):
             assert issubclass(error_type, ReproError)
-
-    def test_broadcast_timeout_carries_progress(self):
-        from repro.core.errors import BroadcastTimeout
-
-        error = BroadcastTimeout(rounds=100, informed=5, total=10)
-        assert error.rounds == 100
-        assert "5/10" in str(error)
 
 
 class TestOneProtocolSeam:
