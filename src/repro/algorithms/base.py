@@ -1,18 +1,23 @@
-"""Shared scaffolding for single-message broadcast algorithms.
+"""The one run driver of every algorithm on the :class:`Simulator`.
 
-Every single-message algorithm in this package is packaged the same way: a
-schedule for a :class:`~repro.algorithms.schedule.ScheduleLayer`, whose
-docstring states each node's rule, and a ``<name>_broadcast`` convenience
-function that sizes a default round budget from :func:`budget_terms`,
-builds the layer over every node, runs the simulator until all nodes are
-informed (or the budget runs out), and returns a
-:class:`BroadcastOutcome`.
+Decay, FASTBC, Robust FASTBC, repeated FASTBC and the three RLNC
+algorithms (Lemmas 12-13 run a single-message schedule with a coded
+packet where it sends the message) differ only in their schedule, their
+per-node state and their round budget. So each ``<name>_broadcast``
+entry point declares just those: a layer factory (a schedule over
+:func:`~repro.algorithms.schedule.schedule_layer`, or RLNC's gossip
+layer) and a budget function of :func:`budget_terms`. :func:`run_broadcast`
+does the rest, in one place: it coerces the adversary, spawns the run's
+streams, sizes a missing budget, builds the layer, attaches an armed
+timeline capture's recorder, runs the simulator until every node is
+done (or the budget runs out) and returns a :class:`BroadcastOutcome`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable, Optional
 
 from repro.adversary.base import Adversary, effective_loss_rate
 from repro.adversary.registry import as_adversary
@@ -20,15 +25,26 @@ from repro.core.engine import ProtocolLayer, Simulator
 from repro.core.faults import AdversaryConfig, FaultConfig
 from repro.core.network import RadioNetwork
 from repro.core.trace import ChannelCounters
-from repro.util.rng import RandomSource
+from repro.timeline.capture import armed_recorder
+from repro.timeline.recorder import TimelineRecorder
+from repro.util.rng import RandomSource, spawn_rng
 
 __all__ = [
+    "Budget",
     "BroadcastOutcome",
+    "LayerFactory",
     "run_broadcast",
-    "as_adversary",
     "budget_terms",
     "ilog2",
 ]
+
+#: ``make_layer(source, recorder)``: a run's protocol layer, whose nodes
+#: draw their streams from the run's ``source``; ``recorder`` is the run's
+#: flight recorder, or None when no timeline is captured
+LayerFactory = Callable[[RandomSource, Optional[TimelineRecorder]], ProtocolLayer]
+#: ``budget(log_n, depth, slowdown)``: a default round budget from the
+#: terms of :func:`budget_terms`
+Budget = Callable[[int, int, float], int]
 
 
 def ilog2(n: int) -> int:
@@ -40,10 +56,13 @@ def ilog2(n: int) -> int:
 
 @dataclass(frozen=True)
 class BroadcastOutcome:
-    """Result of one single-message broadcast run.
+    """Result of one run of the driver.
 
     ``rounds`` is the number of rounds until the last node became informed
-    (== ``budget`` when the run timed out and ``success`` is False).
+    (== ``budget`` when the run timed out and ``success`` is False);
+    ``informed`` counts the nodes that are done. The RLNC entry points
+    report it as a
+    :class:`~repro.algorithms.multi.rlnc_broadcast.MultiMessageOutcome`.
     """
 
     success: bool
@@ -83,19 +102,42 @@ def budget_terms(
 
 def run_broadcast(
     network: RadioNetwork,
-    layer: ProtocolLayer,
+    make_layer: LayerFactory,
     faults: FaultConfig,
     rng: "int | RandomSource | None",
-    max_rounds: int,
+    max_rounds: Optional[int],
+    budget: Budget,
     adversary: "Adversary | AdversaryConfig | None" = None,
     channel=None,
 ) -> BroadcastOutcome:
-    """Drive ``layer`` until every node is done or the budget expires."""
-    sim = Simulator(network, layer, faults, rng, adversary=adversary, channel=channel)
+    """Run one broadcast until every node is done or the budget expires.
+
+    ``max_rounds`` defaults to ``budget(*budget_terms(...))``. Stream
+    order: ``make_layer`` draws the nodes' streams (RLNC first draws its
+    payload messages) from the run's source, then the channel takes the
+    source's next child. When a timeline capture is armed
+    (:func:`~repro.timeline.capture.capture_timeline`), its recorder goes
+    to the layer and to the channel as a round observer, and starts with
+    the layer's active nodes informed.
+    """
+    adversary = as_adversary(adversary)
+    source = spawn_rng(rng)
+    if max_rounds is None:
+        max_rounds = budget(*budget_terms(network, faults, adversary, channel))
+    recorder = armed_recorder(network.n)
+    layer = make_layer(source, recorder)
+    observers = ()
+    if recorder is not None:
+        for node in layer.active_nodes():
+            recorder.mark_informed(node)
+        observers = (recorder,)
+    sim = Simulator(
+        network, layer, faults, source.spawn(), observers,
+        adversary=adversary, channel=channel,
+    )
     executed = sim.run(max_rounds)
-    success = sim.all_done()
     return BroadcastOutcome(
-        success=success,
+        success=sim.all_done(),
         rounds=executed,
         informed=sim.done_count(),
         total=network.n,

@@ -14,21 +14,15 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.algorithms.base import (
-    BroadcastOutcome,
-    as_adversary,
-    budget_terms,
-    run_broadcast,
-)
+from repro.algorithms.base import BroadcastOutcome, run_broadcast
 from repro.algorithms.schedule import (
     Schedule,
-    ScheduleLayer,
     decay_probabilities,
-    node_streams,
+    schedule_layer,
 )
 from repro.core.faults import FaultConfig
 from repro.core.network import RadioNetwork
-from repro.util.rng import RandomSource, spawn_rng
+from repro.util.rng import RandomSource
 
 __all__ = ["decay_broadcast", "decay_schedule"]
 
@@ -62,21 +56,11 @@ def decay_broadcast(
     its nominal loss rate); ``channel`` swaps the always-deliver medium
     for a contention MAC (budgets stretch by its planning slowdown).
     """
-    adversary = as_adversary(adversary)
-    source = spawn_rng(rng)
-    n = network.n
-    if max_rounds is None:
-        log_n, depth, slowdown = budget_terms(network, faults, adversary, channel)
-        max_rounds = int(40 * slowdown * log_n * (depth + log_n)) + 100
-    layer = ScheduleLayer(
-        decay_schedule(n), node_streams(source, n), network.source
-    )
+
+    def budget(log_n: int, depth: int, slowdown: float) -> int:
+        return int(40 * slowdown * log_n * (depth + log_n)) + 100
+
     return run_broadcast(
-        network,
-        layer,
-        faults,
-        source.spawn(),
-        max_rounds,
-        adversary=adversary,
-        channel=channel,
+        network, schedule_layer(network, decay_schedule(network.n)),
+        faults, rng, max_rounds, budget, adversary=adversary, channel=channel,
     )

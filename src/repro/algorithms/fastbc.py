@@ -17,24 +17,13 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.algorithms.base import (
-    BroadcastOutcome,
-    as_adversary,
-    budget_terms,
-    ilog2,
-    run_broadcast,
-)
-from repro.algorithms.schedule import (
-    Schedule,
-    ScheduleLayer,
-    node_streams,
-    wave_schedule,
-)
+from repro.algorithms.base import BroadcastOutcome, ilog2, run_broadcast
+from repro.algorithms.schedule import Schedule, schedule_layer, wave_schedule
 from repro.core.faults import FaultConfig
 from repro.core.network import RadioNetwork
 from repro.gbst.gbst import build_gbst
 from repro.gbst.ranked_bfs import RankedBFSTree
-from repro.util.rng import RandomSource, spawn_rng
+from repro.util.rng import RandomSource
 
 __all__ = ["fastbc_broadcast", "fastbc_schedule"]
 
@@ -77,26 +66,15 @@ def fastbc_broadcast(
     Lemma 10 — under faults FASTBC legitimately needs ``Θ(D log n)``
     rounds, and the experiments measure exactly that degradation.
     """
-    adversary = as_adversary(adversary)
-    source = spawn_rng(rng)
-    if max_rounds is None:
-        log_n, depth, slowdown = budget_terms(network, faults, adversary, channel)
-        max_rounds = int(60 * slowdown * log_n * (depth + log_n)) + 100
-        if not decay_interleave:
-            # pure-wave mode pays the full Theta(log n) wave period per
-            # failure with no Decay assist
-            max_rounds *= 4
-    layer = ScheduleLayer(
-        fastbc_schedule(build_gbst(network).tree, decay_interleave),
-        node_streams(source, network.n),
-        network.source,
-    )
+
+    def budget(log_n: int, depth: int, slowdown: float) -> int:
+        rounds = int(60 * slowdown * log_n * (depth + log_n)) + 100
+        # pure-wave mode pays the full Theta(log n) wave period per
+        # failure with no Decay assist
+        return rounds if decay_interleave else 4 * rounds
+
+    schedule = fastbc_schedule(build_gbst(network).tree, decay_interleave)
     return run_broadcast(
-        network,
-        layer,
-        faults,
-        source.spawn(),
-        max_rounds,
-        adversary=adversary,
-        channel=channel,
+        network, schedule_layer(network, schedule),
+        faults, rng, max_rounds, budget, adversary=adversary, channel=channel,
     )

@@ -28,7 +28,9 @@ The schedule is *static* (a function of round number, node identity and
 private coins only), satisfying the paper's "node cannot change its
 behavior based on whether it receives a message" requirement.
 
-Every run fires through one
+Each entry point hands the run driver,
+:func:`~repro.algorithms.base.run_broadcast`, its schedule's gossip
+layer and its budget. Every run fires through one
 :class:`~repro.algorithms.schedule.ScheduleLayer` over the schedule,
 whose informed nodes are the nodes that hold something. On more than
 :data:`PER_NODE_MAX_N` nodes, :class:`RLNCGossipLayer` keeps every
@@ -45,7 +47,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.algorithms.base import as_adversary, budget_terms
+from repro.algorithms.base import BroadcastOutcome, LayerFactory, run_broadcast
 from repro.algorithms.decay import decay_schedule
 from repro.algorithms.robust_fastbc import (
     DEFAULT_ROUND_MULTIPLIER,
@@ -60,14 +62,14 @@ from repro.coding.rlnc import (
     RLNCEncoder,
     random_coefficients,
 )
-from repro.core.engine import RoundResult, Simulator
+from repro.core.engine import RoundResult
 from repro.core.faults import FaultConfig
 from repro.core.network import RadioNetwork
 from repro.core.trace import ChannelCounters
 from repro.gbst.gbst import build_gbst
 from repro.gbst.ranked_bfs import RankedBFSTree
-from repro.timeline.recorder import NULL_TIMELINE, TimelineRecorder
-from repro.util.rng import RandomSource, spawn_rng
+from repro.timeline.recorder import TimelineRecorder
+from repro.util.rng import RandomSource
 from repro.util.validation import check_positive
 
 __all__ = [
@@ -95,6 +97,18 @@ class MultiMessageOutcome:
     def rounds_per_message(self) -> float:
         return self.rounds / self.k
 
+    @classmethod
+    def of(cls, outcome: BroadcastOutcome, k: int) -> "MultiMessageOutcome":
+        """A driver run's outcome, as the run of ``k`` messages."""
+        return cls(
+            success=outcome.success,
+            rounds=outcome.rounds,
+            k=k,
+            completed_nodes=outcome.informed,
+            total_nodes=outcome.total,
+            counters=outcome.counters,
+        )
+
 
 class RLNCGossipLayer:
     """Every node's RLNC gossip as one protocol layer over an :class:`RLNCBank`.
@@ -105,17 +119,22 @@ class RLNCGossipLayer:
     then draws its weights from the same stream, right after the round's
     coins. One bank emit builds every coded row, one per emitter in
     ascending order, so each reception's row is found by looking its
-    sender up among the emitters. One bank receive absorbs them all.
-    Outcomes, counters, timelines, final bases and final streams equal
-    those of :class:`_EncoderLayer` over the same streams.
+    sender up among the emitters. One bank receive absorbs them all, and
+    its innovative receptions are credited to ``timeline``, the run's
+    flight recorder, unless it is None. Outcomes, counters, timelines,
+    final bases and final streams equal those of :class:`_EncoderLayer`
+    over the same streams.
     """
 
-    def __init__(self, pattern: ScheduleLayer, bank: RLNCBank) -> None:
+    def __init__(
+        self,
+        pattern: ScheduleLayer,
+        bank: RLNCBank,
+        timeline: Optional[TimelineRecorder] = None,
+    ) -> None:
         self.pattern = pattern
         self.bank = bank
-        # _run_gossip swaps in the channel's recorder when a timeline
-        # capture is armed
-        self.timeline = NULL_TIMELINE
+        self.timeline = timeline
         # the last round's emitters (ascending) and their coded rows
         self._emitters = None
         self._rows = None
@@ -144,7 +163,7 @@ class RLNCGossipLayer:
             return
         rows = self._rows[np.searchsorted(self._emitters, result.senders)]
         innovative = self.bank.receive(receivers, rows)
-        if innovative and self.timeline.enabled:
+        if innovative and self.timeline is not None:
             self.timeline.note_innovative(innovative)
         pattern = self.pattern
         informed = pattern.informed
@@ -201,14 +220,19 @@ class _EncoderLayer:
     own stream, and each receiver absorbs the packet of the sender it
     heard in :meth:`RLNCEncoder.receive`. A coded packet is never zero,
     so a reception gives its receiver rank > 0 and informs the pattern.
+    Innovative receptions are credited to ``timeline`` as in
+    :class:`RLNCGossipLayer`.
     """
 
-    def __init__(self, pattern: ScheduleLayer, encoders: list[RLNCEncoder]) -> None:
+    def __init__(
+        self,
+        pattern: ScheduleLayer,
+        encoders: list[RLNCEncoder],
+        timeline: Optional[TimelineRecorder] = None,
+    ) -> None:
         self.pattern = pattern
         self.encoders = encoders
-        # _run_gossip swaps in the channel's recorder when a timeline
-        # capture is armed
-        self.timeline = NULL_TIMELINE
+        self.timeline = timeline
         # the last round's packets by emitter
         self._packets: dict[int, CodedPacket] = {}
 
@@ -228,7 +252,7 @@ class _EncoderLayer:
             innovative += encoders[v].receive(packets[s])
             if not pattern.informed[v]:
                 pattern.inform(v)
-        if innovative and self.timeline.enabled:
+        if innovative and self.timeline is not None:
             self.timeline.note_innovative(innovative)
 
     def all_done(self) -> bool:
@@ -241,70 +265,50 @@ class _EncoderLayer:
         return self.pattern.active_nodes()
 
 
-def _run_gossip(
+def _gossip_layer(
     network: RadioNetwork,
     schedule: Schedule,
     k: int,
     payload_length: int,
     messages: Optional[list[bytes]],
-    faults: FaultConfig,
-    rng: RandomSource,
-    max_rounds: int,
-    adversary=None,
-    channel=None,
-) -> MultiMessageOutcome:
-    """Gossip with every node on ``schedule``.
+) -> LayerFactory:
+    """The layer factory of k-message gossip with every node on ``schedule``.
 
-    Above :data:`PER_NODE_MAX_N` nodes through :class:`RLNCGossipLayer`,
-    at most that many through :class:`_EncoderLayer`. Stream order: the
-    payload messages from ``rng``, then one child stream per node in node
-    order, then the channel's child.
+    Above :data:`PER_NODE_MAX_N` nodes an :class:`RLNCGossipLayer`, at
+    most that many an :class:`_EncoderLayer`; either credits rank
+    progress to the run's recorder. Stream order: the payload messages
+    from the run's source, then one child stream per node in node order;
+    the driver then spawns the channel's child.
     """
-    if messages is None:
-        if payload_length:
-            messages = [
-                bytes(rng.bytes_array(payload_length).tobytes())
+
+    def make_layer(source, recorder):
+        if messages is not None:
+            loaded = messages
+        elif payload_length:
+            loaded = [
+                bytes(source.bytes_array(payload_length).tobytes())
                 for _ in range(k)
             ]
         else:
             # rank-only mode: messages are empty, the coefficient vectors
             # carry all the information the experiment measures
-            messages = [b""] * k
-    pattern = ScheduleLayer(schedule, rng.spawn_many(network.n), network.source)
-    if network.n <= PER_NODE_MAX_N:
-        layer = _EncoderLayer(
-            pattern,
-            [
+            loaded = [b""] * k
+        pattern = ScheduleLayer(schedule, source.spawn_many(network.n), network.source)
+        if network.n <= PER_NODE_MAX_N:
+            encoders = [
                 RLNCEncoder(
                     k,
                     payload_length,
-                    messages=messages if v == network.source else None,
+                    messages=loaded if v == network.source else None,
                 )
                 for v in network.nodes()
-            ],
-        )
-    else:
+            ]
+            return _EncoderLayer(pattern, encoders, recorder)
         bank = RLNCBank(network.n, k, payload_length)
-        bank.load(network.source, messages)
-        layer = RLNCGossipLayer(pattern, bank)
-    sim = Simulator(
-        network, layer, faults, rng.spawn(), adversary=adversary, channel=channel
-    )
-    for observer in sim.channel.observers:
-        if isinstance(observer, TimelineRecorder):
-            # rank progress rides the same recorder the channel feeds; the
-            # open bucket absorbs innovative receptions of the round just
-            # resolved (deliveries dispatch after the channel epilogue)
-            layer.timeline = observer
-    executed = sim.run(max_rounds)
-    return MultiMessageOutcome(
-        success=sim.all_done(),
-        rounds=executed,
-        k=k,
-        completed_nodes=sim.done_count(),
-        total_nodes=network.n,
-        counters=sim.counters,
-    )
+        bank.load(network.source, loaded)
+        return RLNCGossipLayer(pattern, bank, recorder)
+
+    return make_layer
 
 
 def rlnc_decay_broadcast(
@@ -320,20 +324,18 @@ def rlnc_decay_broadcast(
 ) -> MultiMessageOutcome:
     """Broadcast k messages with RLNC over the Decay pattern (Lemma 12)."""
     check_positive(k, "k")
-    adversary = as_adversary(adversary)
-    source = spawn_rng(rng)
-    n = network.n
-    if max_rounds is None:
-        log_n, depth, slowdown = budget_terms(network, faults, adversary, channel)
-        max_rounds = int(
+
+    def budget(log_n: int, depth: int, slowdown: float) -> int:
+        return int(
             40 * slowdown * (depth * log_n + k * log_n + log_n * log_n)
         ) + 200
-    return _run_gossip(
-        network,
-        decay_schedule(n),
-        k, payload_length, messages, faults, source,
-        max_rounds, adversary=adversary, channel=channel,
+
+    schedule = decay_schedule(network.n)
+    outcome = run_broadcast(
+        network, _gossip_layer(network, schedule, k, payload_length, messages),
+        faults, rng, max_rounds, budget, adversary=adversary, channel=channel,
     )
+    return MultiMessageOutcome.of(outcome, k)
 
 
 def rlnc_robust_fastbc_broadcast(
@@ -352,13 +354,10 @@ def rlnc_robust_fastbc_broadcast(
     """Broadcast k messages with RLNC over Robust FASTBC (Lemma 13)."""
     check_positive(k, "k")
     check_block_wave(network.n, block, round_multiplier)
-    adversary = as_adversary(adversary)
-    source = spawn_rng(rng)
-    tree = build_gbst(network).tree
-    if max_rounds is None:
-        log_n, depth, slowdown = budget_terms(network, faults, adversary, channel)
+
+    def budget(log_n: int, depth: int, slowdown: float) -> int:
         log_log_n = block_size(network.n)
-        max_rounds = int(
+        return int(
             slowdown
             * (
                 40 * depth
@@ -366,12 +365,15 @@ def rlnc_robust_fastbc_broadcast(
                 + 60 * round_multiplier * log_n * log_n * log_log_n
             )
         ) + 200
-    return _run_gossip(
-        network,
-        robust_fastbc_schedule(tree, block, round_multiplier),
-        k, payload_length, messages, faults, source,
-        max_rounds, adversary=adversary, channel=channel,
+
+    schedule = robust_fastbc_schedule(
+        build_gbst(network).tree, block, round_multiplier
     )
+    outcome = run_broadcast(
+        network, _gossip_layer(network, schedule, k, payload_length, messages),
+        faults, rng, max_rounds, budget, adversary=adversary, channel=channel,
+    )
+    return MultiMessageOutcome.of(outcome, k)
 
 
 def rlnc_dense_wave_broadcast(
@@ -392,17 +394,13 @@ def rlnc_dense_wave_broadcast(
     experiment X1 for measurements.
     """
     check_positive(k, "k")
-    adversary = as_adversary(adversary)
-    source = spawn_rng(rng)
-    tree = build_gbst(network).tree
-    if max_rounds is None:
-        log_n, depth, slowdown = budget_terms(network, faults, adversary, channel)
-        max_rounds = int(
-            40 * slowdown * (depth + k * log_n + log_n * log_n)
-        ) + 400
-    return _run_gossip(
-        network,
-        dense_wave_schedule(tree),
-        k, payload_length, messages, faults, source,
-        max_rounds, adversary=adversary, channel=channel,
+
+    def budget(log_n: int, depth: int, slowdown: float) -> int:
+        return int(40 * slowdown * (depth + k * log_n + log_n * log_n)) + 400
+
+    schedule = dense_wave_schedule(build_gbst(network).tree)
+    outcome = run_broadcast(
+        network, _gossip_layer(network, schedule, k, payload_length, messages),
+        faults, rng, max_rounds, budget, adversary=adversary, channel=channel,
     )
+    return MultiMessageOutcome.of(outcome, k)

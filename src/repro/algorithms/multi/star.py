@@ -115,9 +115,10 @@ def star_rs_coding(
     property).
 
     With ``validate_decode`` (used in tests; requires the run to finish
-    within 256 coded packets) the function actually encodes k random
-    messages, collects each leaf's packets, decodes, and verifies the
-    round-trip; otherwise reception counting stands in for decoding,
+    within 256 coded packets, one GF(2^8) Reed-Solomon block, so the
+    default budget is capped there) the function actually encodes k
+    random messages, collects each leaf's packets, decodes, and verifies
+    the round-trip; otherwise reception counting stands in for decoding,
     justified by the separately-tested MDS property.
     """
     check_positive(n_leaves, "n_leaves")
@@ -131,6 +132,8 @@ def star_rs_coding(
     leaves = [v for v in network.nodes() if v != hub]
     if max_rounds is None:
         max_rounds = int(20 * (k + ilog2(n_leaves) + 1) / (1.0 - p)) + 100
+        if validate_decode:
+            max_rounds = min(max_rounds, 256)
 
     code = None
     coded_payloads: list[bytes] = []

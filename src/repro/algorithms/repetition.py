@@ -18,21 +18,15 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.algorithms.base import (
-    BroadcastOutcome,
-    as_adversary,
-    budget_terms,
-    ilog2,
-    run_broadcast,
-)
+from repro.algorithms.base import BroadcastOutcome, ilog2, run_broadcast
 from repro.algorithms.fastbc import fastbc_schedule
 from repro.algorithms.robust_fastbc import block_size
-from repro.algorithms.schedule import Schedule, ScheduleLayer, node_streams
+from repro.algorithms.schedule import Schedule, schedule_layer
 from repro.core.faults import FaultConfig
 from repro.core.network import RadioNetwork
 from repro.gbst.gbst import build_gbst
 from repro.gbst.ranked_bfs import RankedBFSTree
-from repro.util.rng import RandomSource, spawn_rng
+from repro.util.rng import RandomSource
 
 __all__ = [
     "repeated_fastbc_broadcast",
@@ -77,23 +71,12 @@ def repeated_fastbc_broadcast(
 ) -> BroadcastOutcome:
     """Broadcast with the repetition baseline (factor ``repeat``)."""
     _check_repeat(repeat)
-    adversary = as_adversary(adversary)
-    source = spawn_rng(rng)
-    tree = build_gbst(network).tree
-    if max_rounds is None:
-        log_n, depth, slowdown = budget_terms(network, faults, adversary, channel)
-        max_rounds = int(60 * repeat * slowdown * (depth + log_n * log_n)) + 200
-    layer = ScheduleLayer(
-        repeated_fastbc_schedule(tree, repeat),
-        node_streams(source, network.n),
-        network.source,
-    )
+
+    def budget(log_n: int, depth: int, slowdown: float) -> int:
+        return int(60 * repeat * slowdown * (depth + log_n * log_n)) + 200
+
+    schedule = repeated_fastbc_schedule(build_gbst(network).tree, repeat)
     return run_broadcast(
-        network,
-        layer,
-        faults,
-        source.spawn(),
-        max_rounds,
-        adversary=adversary,
-        channel=channel,
+        network, schedule_layer(network, schedule),
+        faults, rng, max_rounds, budget, adversary=adversary, channel=channel,
     )

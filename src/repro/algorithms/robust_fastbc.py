@@ -27,24 +27,13 @@ from __future__ import annotations
 import math
 from typing import Optional
 
-from repro.algorithms.base import (
-    BroadcastOutcome,
-    as_adversary,
-    budget_terms,
-    ilog2,
-    run_broadcast,
-)
-from repro.algorithms.schedule import (
-    Schedule,
-    ScheduleLayer,
-    node_streams,
-    wave_schedule,
-)
+from repro.algorithms.base import BroadcastOutcome, ilog2, run_broadcast
+from repro.algorithms.schedule import Schedule, schedule_layer, wave_schedule
 from repro.core.faults import FaultConfig
 from repro.core.network import RadioNetwork
 from repro.gbst.gbst import build_gbst
 from repro.gbst.ranked_bfs import RankedBFSTree
-from repro.util.rng import RandomSource, spawn_rng
+from repro.util.rng import RandomSource
 
 __all__ = [
     "robust_fastbc_broadcast",
@@ -130,36 +119,17 @@ def robust_fastbc_broadcast(
 ) -> BroadcastOutcome:
     """Broadcast one message from the source with Robust FASTBC."""
     check_block_wave(network.n, block, round_multiplier)
-    adversary = as_adversary(adversary)
-    source = spawn_rng(rng)
-    if max_rounds is None:
-        log_n, depth, slowdown = budget_terms(network, faults, adversary, channel)
+
+    def budget(log_n: int, depth: int, slowdown: float) -> int:
         log_log_n = block_size(network.n)
-        max_rounds = (
-            int(
-                slowdown
-                * (
-                    40 * depth
-                    + 60 * round_multiplier * log_n * log_log_n * log_n
-                )
-            )
-            + 200
-        )
-        if not decay_interleave:
-            max_rounds *= 4
-    layer = ScheduleLayer(
-        robust_fastbc_schedule(
-            build_gbst(network).tree, block, round_multiplier, decay_interleave
-        ),
-        node_streams(source, network.n),
-        network.source,
+        wave = 60 * round_multiplier * log_n * log_log_n * log_n
+        rounds = int(slowdown * (40 * depth + wave)) + 200
+        return rounds if decay_interleave else 4 * rounds
+
+    schedule = robust_fastbc_schedule(
+        build_gbst(network).tree, block, round_multiplier, decay_interleave
     )
     return run_broadcast(
-        network,
-        layer,
-        faults,
-        source.spawn(),
-        max_rounds,
-        adversary=adversary,
-        channel=channel,
+        network, schedule_layer(network, schedule),
+        faults, rng, max_rounds, budget, adversary=adversary, channel=channel,
     )

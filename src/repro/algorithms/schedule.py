@@ -19,10 +19,13 @@ scalar reference: a :class:`ScheduleLayer` over a schedule draws exactly
 the coins that those objects draw from the same streams, so every
 outcome is the same.
 
-:func:`node_streams` spawns the nodes' streams: one
-:class:`~repro.util.rng.RandomSource` per node below :data:`BANK_MIN_N`
-nodes, one :class:`~repro.util.rng.StreamBank` from there on. Both give
-every node the same stream, so the choice is one of speed alone.
+:func:`schedule_layer` is what a single-message entry point hands the
+run driver, :func:`~repro.algorithms.base.run_broadcast`: the factory
+of a :class:`ScheduleLayer` over every node. Its :func:`node_streams`
+spawns the nodes' streams: one :class:`~repro.util.rng.RandomSource` per
+node below :data:`BANK_MIN_N` nodes, one
+:class:`~repro.util.rng.StreamBank` from there on. Both give every node
+the same stream, so the choice is one of speed alone.
 """
 
 from __future__ import annotations
@@ -32,8 +35,9 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from repro.algorithms.base import ilog2
+from repro.algorithms.base import LayerFactory, ilog2
 from repro.core.engine import RoundResult, node_array
+from repro.core.network import RadioNetwork
 from repro.util.rng import RandomSource, StreamBank
 
 __all__ = [
@@ -43,6 +47,7 @@ __all__ = [
     "ScheduleLayer",
     "decay_probabilities",
     "node_streams",
+    "schedule_layer",
     "wave_schedule",
 ]
 
@@ -73,6 +78,19 @@ def node_streams(
     if n >= BANK_MIN_N:
         return source.spawn_bank(n)
     return source.spawn_many(n)
+
+
+def schedule_layer(network: RadioNetwork, schedule: Schedule) -> LayerFactory:
+    """The layer factory of a single-message run on ``network``.
+
+    Its layer runs every node on ``schedule``, node ``v`` drawing from
+    the ``v``-th child of the run's source (:func:`node_streams`), with
+    the network's source informed. It records nothing itself: the
+    channel shows the recorder every round.
+    """
+    return lambda source, recorder: ScheduleLayer(
+        schedule, node_streams(source, network.n), network.source
+    )
 
 
 def decay_probabilities(n: int) -> list[float]:

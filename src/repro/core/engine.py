@@ -14,7 +14,10 @@ Two layers:
   channel until every node is done or a round budget is exhausted. The
   layer holds every node's state: the single-message algorithms run on
   :class:`~repro.algorithms.schedule.ScheduleLayer`, and RLNC gossip on
-  layers over it (:mod:`repro.algorithms.multi.rlnc_broadcast`).
+  layers over it (:mod:`repro.algorithms.multi.rlnc_broadcast`). The
+  program builds simulators in one place, the run driver
+  :func:`repro.algorithms.base.run_broadcast`, which also attaches any
+  flight recorder as an observer; the engine knows nothing of timelines.
 """
 
 from __future__ import annotations
@@ -29,7 +32,6 @@ from repro.core.faults import AdversaryConfig, FaultConfig
 from repro.core.network import RadioNetwork
 from repro.core.trace import ChannelCounters
 from repro.telemetry.metrics import METRICS as _METRICS
-from repro.timeline.capture import maybe_bind_simulator
 from repro.util.rng import RandomSource, spawn_rng
 
 __all__ = [
@@ -666,9 +668,6 @@ class Simulator:
                 adversary=adversary,
                 config=channel,
             )
-        # an armed timeline capture (repro.timeline.capture) appends its
-        # flight recorder to the first simulator's channel observers
-        maybe_bind_simulator(self)
 
     @property
     def counters(self) -> ChannelCounters:

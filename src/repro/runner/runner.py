@@ -67,11 +67,12 @@ def run(scenario: Scenario) -> RunReport:
 
     When the scenario carries a ``timeline`` config, the run executes
     inside an armed :func:`~repro.timeline.capture.capture_timeline`
-    context: the simulator's channel gets a flight recorder as a round
-    observer, and the frozen :class:`~repro.timeline.Timeline` artifact
-    is attached to the report (outside its canonical bytes). Recording
-    only reads each round's result — the simulated outcome is unchanged,
-    which the timeline test suite checks byte-for-byte.
+    context: the run driver (:func:`repro.algorithms.base.run_broadcast`)
+    hands the simulator's channel a flight recorder as a round observer,
+    and the frozen :class:`~repro.timeline.Timeline` artifact is attached
+    to the report (outside its canonical bytes). Recording only reads
+    each round's result — the simulated outcome is unchanged, which the
+    timeline test suite checks byte-for-byte.
     """
     algorithm = get_algorithm(scenario.algorithm)
     network = scenario.build_network()

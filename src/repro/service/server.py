@@ -72,7 +72,7 @@ from urllib.parse import parse_qs, urlparse
 from repro.introspect import registry_dump
 from repro.runner import RunReport, Scenario, expand_grid
 from repro.service.jobs import JobManager, coerce_grid
-from repro.store import ORDERABLE_COLUMNS, ResultStore
+from repro.store import ResultStore
 from repro.telemetry.metrics import METRICS as _METRICS
 from repro.telemetry.tracing import TRACE_HEADER
 
@@ -418,15 +418,6 @@ class _Handler(BaseHTTPRequestHandler):
                     filters[name] = int(query[name][0])
                 except ValueError:
                     raise _BadRequest(f"{name} must be an integer")
-        for name in ("limit", "offset"):
-            if filters.get(name, 0) < 0:
-                raise _BadRequest(f"{name} must be >= 0, got {filters[name]}")
-        order_by = filters.get("order_by")
-        if order_by is not None and order_by not in ORDERABLE_COLUMNS:
-            raise _BadRequest(
-                f"unknown order_by column {order_by!r}; "
-                f"allowed: {', '.join(ORDERABLE_COLUMNS)}"
-            )
         if "success" in query:
             value = query["success"][0].lower()
             if value not in ("true", "false", "0", "1"):
@@ -437,7 +428,10 @@ class _Handler(BaseHTTPRequestHandler):
         ) - {"success"}
         if unknown:
             raise _BadRequest(f"unknown query parameters {sorted(unknown)}")
-        reports = self.server.service.store.query(**filters)
+        try:
+            reports = self.server.service.store.query(**filters)
+        except ValueError as error:
+            raise _BadRequest(str(error)) from error
         self._send_json(
             200,
             {

@@ -1,20 +1,21 @@
 """Binding a flight recorder to the run that is about to execute.
 
 The runner knows *that* a scenario wants a timeline
-(``Scenario.timeline``); the engine knows *where* the rounds happen
-(the :class:`~repro.core.engine.Simulator` built deep inside an
-algorithm's entry point). They meet here: :func:`capture_timeline`
-parks a :class:`TimelineCapture` slot in a :class:`contextvars.ContextVar`
-for the duration of ``algorithm.run``, and the first Simulator
-constructed inside the context appends a fresh recorder to its channel's
-observers (and seeds the informed set from the protocol layer's
-initially-active nodes — every broadcast protocol in this repo starts
-``active`` iff it holds the message).
+(``Scenario.timeline``); the run driver,
+:func:`repro.algorithms.base.run_broadcast`, knows *where* the rounds
+happen. They meet here: :func:`capture_timeline` parks a
+:class:`TimelineCapture` slot in a :class:`contextvars.ContextVar` for
+the duration of ``algorithm.run``, and the driver asks
+:func:`armed_recorder` for a fresh recorder. It hands that recorder to
+its :class:`~repro.core.engine.Simulator` as a round observer and to the
+protocol layer (RLNC credits rank progress to it), and marks the layer's
+initially-active nodes informed: every broadcast protocol in this repo
+starts active iff it holds the message.
 
-First-Simulator-only is deliberate: every channel-based algorithm in the
-registry drives exactly one Simulator per run, while helper channels
+First-run-only is deliberate: every channel-based algorithm in the
+registry makes exactly one driver run per call, while helper channels
 built elsewhere (schedule executors, benchmarks, probes) never see the
-slot because they do not go through ``Simulator``. A ContextVar rather
+slot because they do not go through the driver. A ContextVar rather
 than a module global keeps concurrent runs in the service's job threads
 isolated; pool workers inherit nothing because the context is entered
 inside :func:`repro.runner.run`, which executes *in* the worker.
@@ -24,15 +25,12 @@ from __future__ import annotations
 
 import contextlib
 import contextvars
-from typing import TYPE_CHECKING, Iterator, Optional
+from typing import Iterator, Optional
 
 from repro.timeline.config import TimelineConfig
 from repro.timeline.recorder import TimelineRecorder
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.engine import Simulator
-
-__all__ = ["TimelineCapture", "capture_timeline", "active_capture"]
+__all__ = ["TimelineCapture", "armed_recorder", "capture_timeline"]
 
 
 class TimelineCapture:
@@ -63,23 +61,15 @@ def capture_timeline(config: TimelineConfig) -> Iterator[TimelineCapture]:
         _CAPTURE.reset(token)
 
 
-def active_capture() -> Optional[TimelineCapture]:
-    """The armed capture slot, or None outside any capture context."""
-    return _CAPTURE.get()
+def armed_recorder(n: int) -> Optional[TimelineRecorder]:
+    """A fresh recorder for an ``n``-node run if capture is armed, else None.
 
-
-def maybe_bind_simulator(simulator: "Simulator") -> None:
-    """Attach a recorder to ``simulator``'s channel if capture is armed.
-
-    Called from ``Simulator.__init__``. Only the first simulator of a
-    capture context binds; later ones (none exist for registry
+    The run driver calls it once per run. Only the first run of a
+    capture context gets a recorder; later ones (none exist for registry
     algorithms today) run unrecorded rather than resetting the buffers.
     """
     slot = _CAPTURE.get()
     if slot is None or slot.recorder is not None:
-        return
-    recorder = TimelineRecorder(simulator.network.n, slot.config)
-    for node in simulator.layer.active_nodes():
-        recorder.mark_informed(node)
-    slot.recorder = recorder
-    simulator.channel.observers.append(recorder)
+        return None
+    slot.recorder = TimelineRecorder(n, slot.config)
+    return slot.recorder

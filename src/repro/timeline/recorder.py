@@ -4,8 +4,8 @@
 integer accumulators and per-node numpy arrays — no per-event Python
 objects on the hot path. Each flushed bucket is one tuple, and the rows
 become one int64 array when they are read. It attaches like any
-observer (the timeline capture appends it to the channel's
-``observers``), so a channel without one pays nothing for it.
+observer (the run driver hands it to the simulator's channel), so a
+channel without one pays nothing for it.
 
 Rows are *buckets* of ``config.every`` consecutive rounds. A bucket is
 flushed lazily — at the first round of the *next* bucket, or at
@@ -25,7 +25,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.engine import RoundResult
     from repro.timeline.config import TimelineConfig
 
-__all__ = ["TimelineRecorder", "NULL_TIMELINE", "DATA_COLUMNS"]
+__all__ = ["TimelineRecorder", "DATA_COLUMNS"]
 
 #: bucket-row columns, in canonical order. ``round_start`` is the first
 #: round index of the bucket; ``informed`` is cumulative at bucket end;
@@ -45,29 +45,6 @@ DATA_COLUMNS = (
 _NCOL = len(DATA_COLUMNS)
 
 
-class _DisabledTimeline:
-    """The no-op recorder a protocol carries when no timeline is armed.
-
-    Protocol hooks read only ``enabled``; the methods keep unguarded call
-    sites safe.
-    """
-
-    enabled = False
-
-    def on_round(self, result: "RoundResult") -> None:
-        return
-
-    def note_innovative(self, count: int = 1) -> None:
-        return
-
-    def mark_informed(self, node: int) -> None:
-        return
-
-
-#: module-level singleton: the disabled path never allocates
-NULL_TIMELINE = _DisabledTimeline()
-
-
 class TimelineRecorder:
     """Accumulates one run's per-round flight data, one row per bucket.
 
@@ -85,8 +62,6 @@ class TimelineRecorder:
     detection is a bulk numpy mask over the round's receivers (unique per
     round by the channel model).
     """
-
-    enabled = True
 
     def __init__(self, n: int, config: "TimelineConfig") -> None:
         if n < 1:

@@ -7,10 +7,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.algorithms import base
 from repro.algorithms.multi import rlnc_broadcast
 from repro.algorithms.multi.rlnc_broadcast import (
     PER_NODE_MAX_N,
-    MultiMessageOutcome,
     RLNCGossipLayer,
     rlnc_decay_broadcast,
     rlnc_dense_wave_broadcast,
@@ -24,7 +24,6 @@ from repro.mac.config import MacConfig
 from repro.telemetry.metrics import METRICS
 from repro.timeline import Timeline, TimelineConfig
 from repro.timeline.capture import capture_timeline
-from repro.timeline.recorder import TimelineRecorder
 from repro.topologies.basic import caterpillar, grid, path, star
 from repro.topologies.random_graphs import gnp
 from repro.util.rng import RandomSource
@@ -73,7 +72,7 @@ def shipped_gossip():
             super().__init__(*args, **kwargs)
             built.append(self)
 
-    with mock.patch.object(rlnc_broadcast, "Simulator", Recording):
+    with mock.patch.object(base, "Simulator", Recording):
         yield built
 
 
@@ -81,53 +80,43 @@ def shipped_gossip():
 def per_node_gossip(make_pattern):
     """Run gossip on the per-node reference; yields its simulators.
 
-    Replaces ``_run_gossip`` with one :class:`RLNCGossipProtocol` per node
-    over the same streams: the payload messages, one child per node in
-    node order, then the channel's child. It ignores the schedule and
-    runs node ``v`` on ``make_pattern(network, v, its stream)``, the
-    per-node protocol of the algorithm under test.
+    Swaps the algorithms' gossip layer factory for one that builds one
+    :class:`RLNCGossipProtocol` per node over the same streams: the
+    payload messages, one child per node in node order, then (drawn by
+    the driver) the channel's child. It ignores the schedule and runs
+    node ``v`` on ``make_pattern(network, v, its stream)``, the per-node
+    protocol of the algorithm under test.
     """
-    built = []
 
-    def gossip(network, schedule, k, payload_length, messages,
-               faults, rng, max_rounds, adversary=None, channel=None):
-        if messages is None:
-            messages = [
-                rng.bytes_array(payload_length).tobytes() if payload_length
-                else b""
-                for _ in range(k)
+    def gossip_layer(network, schedule, k, payload_length, messages):
+        def make_layer(source, recorder):
+            loaded = messages
+            if loaded is None:
+                loaded = [
+                    source.bytes_array(payload_length).tobytes()
+                    if payload_length else b""
+                    for _ in range(k)
+                ]
+            protocols = [
+                RLNCGossipProtocol(
+                    make_pattern(network, v, source.spawn()),
+                    RLNCEncoder(
+                        k,
+                        payload_length,
+                        messages=loaded if v == network.source else None,
+                    ),
+                )
+                for v in network.nodes()
             ]
-        protocols = [
-            RLNCGossipProtocol(
-                make_pattern(network, v, rng.spawn()),
-                RLNCEncoder(
-                    k,
-                    payload_length,
-                    messages=messages if v == network.source else None,
-                ),
-            )
-            for v in network.nodes()
-        ]
-        sim = Simulator(
-            network, NodeLayer(protocols), faults, rng.spawn(),
-            adversary=adversary, channel=channel,
-        )
-        built.append(sim)
-        for observer in sim.channel.observers:
-            if isinstance(observer, TimelineRecorder):
-                for protocol in protocols:
-                    protocol.timeline = observer
-        executed = sim.run(max_rounds)
-        return MultiMessageOutcome(
-            success=sim.all_done(),
-            rounds=executed,
-            k=k,
-            completed_nodes=sim.done_count(),
-            total_nodes=network.n,
-            counters=sim.counters,
-        )
+            for protocol in protocols:
+                protocol.timeline = recorder
+            return NodeLayer(protocols)
 
-    with mock.patch.object(rlnc_broadcast, "_run_gossip", gossip):
+        return make_layer
+
+    with shipped_gossip() as built, mock.patch.object(
+        rlnc_broadcast, "_gossip_layer", gossip_layer
+    ):
         yield built
 
 

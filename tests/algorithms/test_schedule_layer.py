@@ -4,11 +4,11 @@ Each single-message algorithm runs three times: as it ships, on a
 :class:`ScheduleLayer` over per-node sources and on one over a
 :class:`~repro.util.rng.StreamBank` (the bank's size threshold patched
 above n and to 0), and on a :class:`~per_node.NodeLayer` of its
-per-node protocols (``tests/per_node.py``), which the test builds from
-the same seed in the same spawn order (one child per node, then the
-channel's). Equal final streams show that all three made the same draws;
-the RLNC schedules are checked the same way in
-``test_rlnc_broadcast.py``.
+per-node protocols (``tests/per_node.py``), which the test hands the
+same run driver with the same seed, so they draw the same spawns (one
+child per node, then the channel's). Equal final streams show that all
+three made the same draws; the RLNC schedules are checked the same way
+in ``test_rlnc_broadcast.py``.
 """
 
 import contextlib
@@ -30,7 +30,7 @@ from repro.mac.config import MacConfig
 from repro.timeline import Timeline, TimelineConfig
 from repro.timeline.capture import capture_timeline
 from repro.topologies.registry import make_topology
-from repro.util.rng import RandomSource, StreamBank
+from repro.util.rng import StreamBank
 
 from per_node import (
     DecayProtocol,
@@ -129,11 +129,12 @@ def _run(arm, name, network, noise, channel, timeline, seed, max_rounds):
         schedule, "BANK_MIN_N", bank_min_n
     ):
         if arm == "per-node":
-            source = RandomSource(seed)
+            # max_rounds is given, so the driver sizes no budget
             outcome = base.run_broadcast(
-                network, NodeLayer(build(network, source)),
+                network,
+                lambda source, recorder: NodeLayer(build(network, source)),
                 noise.get("faults", FaultConfig.faultless()),
-                source.spawn(), max_rounds, adversary=noise.get("adversary"),
+                seed, max_rounds, None, adversary=noise.get("adversary"),
                 channel=channel,
             )
         else:

@@ -5,7 +5,8 @@ import math
 import pytest
 
 from repro.algorithms.multi.star import star_adaptive_routing, star_rs_coding
-from repro.core.faults import FaultModel
+from repro.core.faults import FaultConfig, FaultModel
+from repro.runner import Scenario, run
 
 
 class TestAdaptiveRouting:
@@ -101,6 +102,30 @@ class TestRSCoding:
             star_rs_coding(
                 n_leaves=4, k=300, p=0.1, validate_decode=True
             )
+
+    @pytest.mark.parametrize("n", [9, 33, 129])
+    def test_validating_scenario_runs_under_its_default_budget(self, n):
+        """The registry's k=4 budget exceeds one RS block from 6 nodes on;
+        validating caps it at 256 rounds, and the run reports what the
+        unvalidated run reports."""
+        for seed in range(3):
+            plain, validated = (
+                run(
+                    Scenario(
+                        algorithm="star_coding",
+                        topology="star",
+                        topology_params={"n": n},
+                        faults=FaultConfig.receiver(0.3),
+                        params={"validate_decode": validate},
+                        seed=seed,
+                    )
+                )
+                for validate in (False, True)
+            )
+            assert plain.success, (n, seed)
+            assert validated.success == plain.success
+            assert validated.rounds == plain.rounds
+            assert validated.extras == plain.extras
 
 
 class TestTheorem17Gap:

@@ -41,7 +41,6 @@ from repro.core.errors import ReproError
 from repro.core.network import RadioNetwork
 from repro.gbst.gbst import build_gbst
 from repro.gbst.ranked_bfs import RankedBFSTree
-from repro.timeline.recorder import NULL_TIMELINE
 from repro.util.rng import RandomSource
 
 __all__ = [
@@ -453,9 +452,9 @@ class RLNCGossipProtocol(NodeProtocol):
         self.encoder = encoder
         self.rng = pattern.rng
         self.active = encoder.can_transmit()
-        # flight recorder for rank progress; the test's gossip runner
-        # swaps in the channel's recorder when a timeline capture is armed
-        self.timeline = NULL_TIMELINE
+        # flight recorder for rank progress, or None; the test's gossip
+        # layer factory hands in the run's recorder when a capture is armed
+        self.timeline = None
 
     def act(self, round_index: int) -> Optional[CodedPacket]:
         if not self.encoder.can_transmit():
@@ -467,7 +466,7 @@ class RLNCGossipProtocol(NodeProtocol):
     def on_receive(self, round_index: int, packet, sender: int) -> None:
         innovative = self.encoder.receive(packet)
         self.active = True
-        if innovative and self.timeline.enabled:
+        if innovative and self.timeline is not None:
             self.timeline.note_innovative()
 
     def is_done(self) -> bool:

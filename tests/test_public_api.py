@@ -148,3 +148,51 @@ class TestOneProtocolSeam:
                     if name in moved or name in self.MODULES
                 ]
         assert not offences
+
+
+def _program_modules():
+    """(path relative to the package root, parsed tree) of every module
+    under ``src/repro``."""
+    root = pathlib.Path(repro.__file__).parent
+    for path in sorted(root.rglob("*.py")):
+        yield path.relative_to(root).as_posix(), ast.parse(
+            path.read_text(), str(path)
+        )
+
+
+class TestOneRunDriver:
+    """Every algorithm on the simulator runs through one driver,
+    ``repro.algorithms.base.run_broadcast``: it alone builds a
+    ``Simulator`` and binds a timeline, so the engine imports no
+    timeline code."""
+
+    def test_only_the_driver_builds_a_simulator(self):
+        callers = [
+            name
+            for name, tree in _program_modules()
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and "Simulator"
+            in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+        ]
+        assert callers == ["algorithms/base.py"]
+
+    def test_the_engine_imports_no_timeline_code(self):
+        imports = []
+        for name, tree in _program_modules():
+            if not name.startswith("core/"):
+                continue
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import):
+                    modules = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    modules = [node.module or ""]
+                else:
+                    continue
+                imports += [
+                    f"{name}:{node.lineno} {module}"
+                    for module in modules
+                    if module == "repro.timeline"
+                    or module.startswith("repro.timeline.")
+                ]
+        assert not imports

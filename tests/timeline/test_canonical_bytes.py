@@ -5,50 +5,100 @@ the scenario. Opting into the flight recorder changes the *scenario*
 (the config participates in the cache key) but must not change anything
 the simulation computed — same rounds, counters, extras, byte for byte
 once the scenario's own ``timeline`` entry is set aside.
+
+What it records adds up to the report, for every algorithm on the run
+driver: the per-bucket channel columns sum to the run's counters, a
+single-message timeline ends with the report's informed count, and a
+successful RLNC run records k innovative receptions at each of the
+n - 1 nodes that start empty.
 """
 
 import json
 
+import pytest
+
 from repro.core.faults import AdversaryConfig, FaultConfig
-from repro.runner import RunReport, Scenario, run
-from repro.timeline import TimelineConfig
+from repro.runner import RunReport, Scenario, all_algorithms, run
+from repro.timeline import Timeline, TimelineConfig
 
-_VARIANTS = [
-    dict(algorithm="decay", topology="gnp", topology_params={"n": 24}, seed=3),
-    dict(
-        algorithm="fastbc",
-        topology="path",
-        topology_params={"n": 16},
-        faults=FaultConfig.receiver(0.3),
-        seed=7,
-    ),
-    dict(
-        algorithm="rlnc_decay",
-        topology="path",
-        topology_params={"n": 12},
-        params={"k": 2},
-        adversary=AdversaryConfig(
-            "budgeted_jammer",
-            {"per_round": 1, "budget": 24, "policy": "frontier"},
+#: every algorithm that runs on the simulator, so through the run driver
+#: (the seven that take an adversary or a contention channel)
+_DRIVEN = sorted(a.name for a in all_algorithms() if a.supports_adversary)
+_NOISE = {
+    "receiver": dict(faults=FaultConfig.receiver(0.3)),
+    "sender": dict(faults=FaultConfig.sender(0.3)),
+    "gilbert_elliott": dict(adversary=AdversaryConfig("gilbert_elliott", {})),
+    "contention": dict(channel="contention"),
+}
+_VARIANTS = {
+    f"{algorithm}-{noise}": dict(
+        algorithm=algorithm,
+        topology="gnp",
+        topology_params={"n": 24},
+        seed=3,
+        **fields,
+    )
+    for algorithm in _DRIVEN
+    for noise, fields in _NOISE.items()
+}
+# hand-picked runs: faultless, a path, and a frontier jammer
+_VARIANTS.update(
+    {
+        "decay-faultless": dict(
+            algorithm="decay", topology="gnp", topology_params={"n": 24}, seed=3
         ),
-        seed=5,
-    ),
-]
+        "fastbc-path": dict(
+            algorithm="fastbc",
+            topology="path",
+            topology_params={"n": 16},
+            faults=FaultConfig.receiver(0.3),
+            seed=7,
+        ),
+        "rlnc_decay-jammer": dict(
+            algorithm="rlnc_decay",
+            topology="path",
+            topology_params={"n": 12},
+            params={"k": 2},
+            adversary=AdversaryConfig(
+                "budgeted_jammer",
+                {"per_round": 1, "budget": 24, "policy": "frontier"},
+            ),
+            seed=5,
+        ),
+    }
+)
+#: timeline columns that sum, over the buckets, to the channel counter
+_COUNTED = (
+    "broadcasts",
+    "deliveries",
+    "collisions",
+    "sender_faults",
+    "receiver_faults",
+)
 
 
-def test_recording_leaves_the_simulated_outcome_unchanged():
-    for fields in _VARIANTS:
-        plain = run(Scenario(**fields))
-        recorded = run(
-            Scenario(**fields, timeline=TimelineConfig(every=1))
-        )
-        a = json.loads(plain.to_json(canonical=True))
-        b = json.loads(recorded.to_json(canonical=True))
-        # the only canonical difference is the scenario's own opt-in
-        assert "timeline" not in a["scenario"]
-        assert b["scenario"].pop("timeline") == {"every": 1, "node_detail": 4096}
-        assert a.pop("cache_key") != b.pop("cache_key")
-        assert a == b, fields
+@pytest.mark.parametrize("name", sorted(_VARIANTS))
+def test_recording_leaves_the_simulated_outcome_unchanged(name):
+    fields = _VARIANTS[name]
+    plain = run(Scenario(**fields))
+    recorded = run(Scenario(**fields, timeline=TimelineConfig(every=1)))
+    a = json.loads(plain.to_json(canonical=True))
+    b = json.loads(recorded.to_json(canonical=True))
+    # the only canonical difference is the scenario's own opt-in
+    assert "timeline" not in a["scenario"]
+    assert b["scenario"].pop("timeline") == {"every": 1, "node_detail": 4096}
+    assert a.pop("cache_key") != b.pop("cache_key")
+    assert a == b
+
+    timeline = Timeline.from_dict(recorded.timeline)
+    assert timeline.rounds == recorded.rounds
+    for column in _COUNTED:
+        assert sum(timeline.columns[column]) == recorded.counters[column], column
+    k = recorded.extras.get("k")
+    if k is None:
+        assert timeline.informed_final == recorded.informed
+    elif recorded.success:
+        assert sum(timeline.columns["innovative"]) == k * (recorded.total - 1)
 
 
 def test_timeline_stays_outside_the_canonical_bytes():

@@ -1,10 +1,10 @@
-"""Recorder semantics: bucketing, per-round counts, growth, disabled path."""
+"""Recorder semantics: bucketing, per-round counts, growth."""
 
 import numpy as np
 import pytest
 
 from repro.core.engine import RoundResult
-from repro.timeline import NULL_TIMELINE, TimelineConfig, TimelineRecorder
+from repro.timeline import TimelineConfig, TimelineRecorder
 from repro.timeline.recorder import DATA_COLUMNS
 
 
@@ -32,18 +32,6 @@ def _drive(recorder, rounds, deliveries_per_round=0, n=8):
         )
         recorder.on_round(_round(round_index, receivers))
     recorder.finish()
-
-
-class TestDisabledPath:
-    def test_null_timeline_is_disabled_and_inert(self):
-        assert NULL_TIMELINE.enabled is False
-        NULL_TIMELINE.on_round(RoundResult(0))
-        NULL_TIMELINE.note_innovative()
-        NULL_TIMELINE.mark_informed(3)
-
-    def test_recorder_reports_enabled(self):
-        recorder = TimelineRecorder(4, TimelineConfig())
-        assert recorder.enabled is True
 
 
 class TestBucketing:
