@@ -5,9 +5,9 @@ Each single-message algorithm (Section 4.1) is one schedule, which one
 the schedule's docstring states each node's rule. Multi-message
 algorithms (Section 4.2, Section 5) live in :mod:`repro.algorithms.multi`;
 its RLNC gossip runs the single-message schedules, sending a coded packet
-where they send the message. All seven run through one driver,
-:func:`run_broadcast`: an entry point declares its layer and its round
-budget, and the driver does the run.
+where they send the message. Every algorithm on the channel runs through
+one driver, :func:`run_broadcast`: an entry point declares its layer (or
+script) and its round budget, and the driver does the run.
 """
 
 from repro.algorithms.base import (

@@ -11,17 +11,21 @@ does the rest, in one place: it coerces the adversary, spawns the run's
 streams, sizes a missing budget, builds the layer, attaches an armed
 timeline capture's recorder, runs the simulator until every node is
 done (or the budget runs out) and returns a :class:`BroadcastOutcome`.
+The centralized schedules (the star's, layered routing's and those of
+:mod:`repro.schedules`) are scripts that :func:`run_script` runs on it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Generator, Optional
+
+import numpy as np
 
 from repro.adversary.base import Adversary, effective_loss_rate
 from repro.adversary.registry import as_adversary
-from repro.core.engine import ProtocolLayer, Simulator
+from repro.core.engine import ProtocolLayer, RoundResult, Simulator
 from repro.core.faults import AdversaryConfig, FaultConfig
 from repro.core.network import RadioNetwork
 from repro.core.trace import ChannelCounters
@@ -33,9 +37,13 @@ __all__ = [
     "Budget",
     "BroadcastOutcome",
     "LayerFactory",
+    "Script",
+    "ScriptLayer",
     "run_broadcast",
+    "run_script",
     "budget_terms",
     "ilog2",
+    "stretch",
 ]
 
 #: ``make_layer(source, recorder)``: a run's protocol layer, whose nodes
@@ -45,6 +53,9 @@ LayerFactory = Callable[[RandomSource, Optional[TimelineRecorder]], ProtocolLaye
 #: ``budget(log_n, depth, slowdown)``: a default round budget from the
 #: terms of :func:`budget_terms`
 Budget = Callable[[int, int, float], int]
+#: a schedule as a script: it yields each round's broadcasters and is sent
+#: that round's :class:`RoundResult`
+Script = Generator[np.ndarray, RoundResult, None]
 
 
 def ilog2(n: int) -> int:
@@ -94,10 +105,18 @@ def budget_terms(
     """
     log_n = ilog2(network.n) + 1
     depth = max(1, network.source_eccentricity)
-    slowdown = 1.0 / (1.0 - effective_loss_rate(faults, adversary))
+    return log_n, depth, stretch(1.0, faults, adversary, channel)
+
+
+def stretch(
+    rounds: float, faults: FaultConfig, adversary: "Adversary | None", channel
+) -> float:
+    """``rounds / (1 - p)`` times the MAC's slowdown (:func:`budget_terms`),
+    exact where ``rounds * slowdown`` can round one lower."""
+    rounds /= 1.0 - effective_loss_rate(faults, adversary)
     if channel is not None:
-        slowdown *= channel.planning_slowdown()
-    return log_n, depth, slowdown
+        rounds *= channel.planning_slowdown()
+    return rounds
 
 
 def run_broadcast(
@@ -142,4 +161,63 @@ def run_broadcast(
         informed=sim.done_count(),
         total=network.n,
         counters=sim.counters,
+    )
+
+
+class ScriptLayer:
+    """A :class:`~repro.core.engine.ProtocolLayer` over a :data:`Script`.
+
+    A centralized schedule writes ``result = yield broadcasters`` where a
+    loop of its own would call ``channel.transmit(broadcasters)``, so its
+    nested loops and early exits read as before. The layer runs the
+    script to its first round when it is built, :meth:`deliver` sends
+    each round's result in, and the run is done once the script returns:
+    then every node counts as done, none before. The source starts
+    informed.
+    """
+
+    def __init__(self, script: Script, network: RadioNetwork) -> None:
+        self._script = script
+        self._network = network
+        self._finished = False
+        self.deliver(None)
+
+    def act(self, round_index: int) -> np.ndarray:
+        return self._pending
+
+    def deliver(self, result: Optional[RoundResult]) -> None:
+        try:
+            self._pending = self._script.send(result)
+        except StopIteration:
+            self._finished = True
+
+    def all_done(self) -> bool:
+        return self._finished
+
+    def done_count(self) -> int:
+        return self._network.n if self._finished else 0
+
+    def active_nodes(self) -> list[int]:
+        return [self._network.source]
+
+
+def run_script(
+    network: RadioNetwork,
+    script: Callable[[RandomSource], Script],
+    faults: FaultConfig,
+    rng: "int | RandomSource | None",
+    max_rounds: int,
+    adversary: "Adversary | AdversaryConfig | None" = None,
+    channel=None,
+) -> BroadcastOutcome:
+    """Run ``script(source)`` on the driver for at most ``max_rounds`` rounds.
+
+    The script draws its coins from the run's ``source``, and the channel
+    takes the source's next child once the script has reached its first
+    round. ``success`` is True iff the script returned in time.
+    """
+    return run_broadcast(
+        network, lambda source, recorder: ScriptLayer(script(source), network),
+        faults, rng, max_rounds, lambda *terms: max_rounds,
+        adversary=adversary, channel=channel,
     )

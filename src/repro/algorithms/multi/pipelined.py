@@ -12,6 +12,7 @@ meta-rounds don't collide). Total `O(k log^2 n)` rounds for k >> D —
 worst-case adaptive routing throughput `Ω(1/log^2 n)` with receiver
 faults, which together with the Lemma 19 upper bound pins the worst-case
 routing throughput at `Θ(1/log^2 n)` (Lemma 22).
+Both are scripts on the run driver (:func:`~repro.algorithms.base.run_script`).
 """
 
 from __future__ import annotations
@@ -19,11 +20,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.algorithms.base import ilog2
-from repro.core.engine import Channel, node_array
+from repro.algorithms.base import ilog2, run_script
+from repro.core.engine import node_array
 from repro.core.faults import FaultConfig
 from repro.core.network import RadioNetwork
-from repro.util.rng import RandomSource, spawn_rng
+from repro.util.rng import RandomSource
 from repro.util.validation import check_positive
 
 __all__ = [
@@ -63,45 +64,35 @@ def bipartite_routing_broadcast(
     repeated Decay. Layers beyond 2, if any, are ignored.
     """
     check_positive(k, "k")
-    source = spawn_rng(rng)
     layers = network.bfs_layers()
     if len(layers) < 3:
-        raise ValueError(
-            "bipartite routing needs at least source + two layers"
-        )
+        raise ValueError("bipartite routing needs at least source + two layers")
     left, right = layers[1], layers[2]
-    channel = Channel(network, faults, source.spawn())
-    n = network.n
-    phase_length = ilog2(n) + 1
+    phase_length = ilog2(network.n) + 1
     if max_rounds is None:
-        max_rounds = int(
-            60 * k * phase_length * phase_length / (1.0 - faults.p)
-        ) + 200
+        max_rounds = int(60 * k * phase_length**2 / (1.0 - faults.p)) + 200
 
-    rounds = 0
-    holders = list(left)
     completed: dict[int, set[int]] = {v: set() for v in right}
-    for message_index in range(k):
-        missing = set(right)
-        step = 0
-        while missing and rounds < max_rounds:
-            i = step % phase_length
-            probability = 2.0 ** (-i)
-            fired = sorted(u for u in holders if source.bernoulli(probability))
-            result = channel.transmit(node_array(fired))
-            rounds += 1
-            step += 1
-            for v in result.receivers.tolist():
-                if v in missing:
-                    completed[v].add(message_index)
-                    missing.discard(v)
-        if missing:
-            break
 
+    def script(source):
+        for message_index in range(k):
+            missing = set(right)
+            step = 0
+            while missing:
+                probability = 2.0 ** (-(step % phase_length))
+                fired = [u for u in left if source.bernoulli(probability)]
+                result = yield node_array(sorted(fired))
+                step += 1
+                for v in result.receivers.tolist():
+                    if v in missing:
+                        completed[v].add(message_index)
+                        missing.discard(v)
+
+    outcome = run_script(network, script, faults, rng, max_rounds)
     done = sum(1 for v in right if len(completed[v]) == k)
     return PipelinedOutcome(
         success=done == len(right),
-        rounds=rounds,
+        rounds=outcome.rounds,
         k=k,
         completed_nodes=done,
         total_nodes=len(right),
@@ -125,10 +116,8 @@ def pipelined_routing_broadcast(
     owned meta-round, so batch j enters layer l at meta-round ``3j + l``.
     """
     check_positive(k, "k")
-    source = spawn_rng(rng)
     layers = network.bfs_layers()
     depth = len(layers) - 1
-    channel = Channel(network, faults, source.spawn())
     n = network.n
     phase_length = ilog2(n) + 1
 
@@ -149,50 +138,47 @@ def pipelined_routing_broadcast(
     knowledge: list[set[int]] = [set() for _ in range(n)]
     knowledge[network.source] = set(range(k))
 
-    rounds = 0
-    for meta in range(max_meta_rounds):
-        # layer l pushes batch j = (meta - l) / 3 to layer l+1
-        active: list[tuple[int, list[int]]] = []  # (layer, batch messages)
-        for l in range(0, depth):
-            if (meta - l) % 3 != 0:
+    def script(source):
+        for meta in range(max_meta_rounds):
+            # (layer, batch messages): layer l pushes batch j = (meta - l) / 3
+            # to layer l+1
+            active = [
+                (l, batches[(meta - l) // 3])
+                for l in range(depth)
+                if (meta - l) % 3 == 0 and 0 <= (meta - l) // 3 < len(batches)
+            ]
+            if not active:
                 continue
-            j = (meta - l) // 3
-            if 0 <= j < len(batches):
-                active.append((l, batches[j]))
-        if not active:
-            continue
-        # inside the meta-round, each active layer works through its batch
-        # messages sequentially with Decay sub-schedules
-        progress: dict[int, int] = {l: 0 for l, _ in active}  # msg ptr
-        for step in range(meta_round_length):
-            actions = {}
-            i = step % phase_length
-            probability = 2.0 ** (-i)
-            for l, batch in active:
-                ptr = progress[l]
-                if ptr >= len(batch):
-                    continue
-                message = batch[ptr]
-                receivers = layers[l + 1]
-                if all(message in knowledge[v] for v in receivers):
-                    progress[l] = ptr + 1
-                    continue
-                for u in layers[l]:
-                    if message in knowledge[u] and source.bernoulli(probability):
-                        actions[u] = message
-            if all(
-                progress[l] >= len(batch) for l, batch in active
-            ):
-                break
-            result = channel.transmit(node_array(sorted(actions)))
-            rounds += 1
-            for v, s in zip(result.receivers.tolist(), result.senders.tolist()):
-                knowledge[v].add(actions[s])
+            # inside the meta-round, each active layer works through its
+            # batch messages sequentially with Decay sub-schedules
+            progress: dict[int, int] = {l: 0 for l, _ in active}  # msg ptr
+            for step in range(meta_round_length):
+                actions = {}
+                probability = 2.0 ** (-(step % phase_length))
+                for l, batch in active:
+                    ptr = progress[l]
+                    if ptr >= len(batch):
+                        continue
+                    message = batch[ptr]
+                    if all(message in knowledge[v] for v in layers[l + 1]):
+                        progress[l] = ptr + 1
+                        continue
+                    for u in layers[l]:
+                        if message in knowledge[u] and source.bernoulli(probability):
+                            actions[u] = message
+                if all(progress[l] >= len(batch) for l, batch in active):
+                    break
+                result = yield node_array(sorted(actions))
+                for v, s in zip(result.receivers.tolist(), result.senders.tolist()):
+                    knowledge[v].add(actions[s])
 
+    # the script ends within its meta-rounds, so this budget never binds
+    max_rounds = max_meta_rounds * meta_round_length
+    outcome = run_script(network, script, faults, rng, max_rounds)
     done = sum(1 for v in range(n) if len(knowledge[v]) == k)
     return PipelinedOutcome(
         success=done == n,
-        rounds=rounds,
+        rounds=outcome.rounds,
         k=k,
         completed_nodes=done,
         total_nodes=n,

@@ -9,10 +9,11 @@ On a star (source adjacent to n leaves) with receiver faults:
   count: the source streams distinct coded packets and each leaf only
   needs *any* k of them: `Θ(k)` rounds.
 
-The ratio is the `Θ(log n)` receiver-fault coding gap. Both schedules run
-on the real channel (:class:`~repro.core.engine.Channel`) with the source
-as the only broadcaster — on a star, broadcasting from leaves never helps
-(argued in Lemma 15's proof), so this is WLOG.
+The ratio is the `Θ(log n)` receiver-fault coding gap. Both schedules are
+scripts on the run driver (:func:`~repro.algorithms.base.run_script`),
+so they take an adversary, the contention MAC and a timeline, with the
+source as the only broadcaster — on a star, broadcasting from leaves
+never helps (argued in Lemma 15's proof), so this is WLOG.
 """
 
 from __future__ import annotations
@@ -20,12 +21,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from repro.algorithms.base import ilog2
+from repro.adversary.registry import as_adversary
+from repro.algorithms.base import ilog2, run_script, stretch
 from repro.coding.reed_solomon import ReedSolomonCode
-from repro.core.engine import Channel, node_array
+from repro.core.engine import node_array
 from repro.core.faults import FaultConfig, FaultModel
+from repro.core.trace import ChannelCounters
 from repro.topologies.basic import star
-from repro.util.rng import RandomSource, spawn_rng
+from repro.util.rng import RandomSource
 from repro.util.validation import check_positive, check_probability
 
 __all__ = ["StarOutcome", "star_adaptive_routing", "star_rs_coding"]
@@ -42,6 +45,8 @@ class StarOutcome:
     #: per-leaf reception counts (diagnostic for the lower-bound argument)
     min_receptions: int
     max_receptions: int
+    #: the run's channel counters
+    counters: ChannelCounters
 
     @property
     def rounds_per_message(self) -> float:
@@ -55,49 +60,48 @@ def star_adaptive_routing(
     rng: "int | RandomSource | None" = None,
     fault_model: FaultModel = FaultModel.RECEIVER,
     max_rounds: Optional[int] = None,
+    adversary=None,
+    channel=None,
 ) -> StarOutcome:
     """Lemma 15's schedule: broadcast m_1 until all leaves have it, then
     m_2, and so on. Fully adaptive: the source sees exactly who received.
+
+    ``adversary`` and ``channel`` work as in
+    :func:`~repro.algorithms.decay.decay_broadcast`; the default budget
+    plans for their loss rate and slowdown.
     """
     check_positive(n_leaves, "n_leaves")
     check_positive(k, "k")
     check_probability(p, "p")
-    source = spawn_rng(rng)
     network = star(n_leaves)
     faults = FaultConfig(fault_model, p)
-    channel = Channel(network, faults, source.spawn())
-    hub = network.source
-    leaves = [v for v in network.nodes() if v != hub]
+    adversary = as_adversary(adversary)
     if max_rounds is None:
-        max_rounds = int(60 * k * (ilog2(n_leaves) + 1) / (1.0 - p)) + 200
+        rounds = 60 * k * (ilog2(n_leaves) + 1)
+        max_rounds = int(stretch(rounds, faults, adversary, channel)) + 200
 
-    hub_only = node_array([hub])
-    receptions = {v: 0 for v in leaves}
-    rounds = 0
-    for _ in range(k):
-        missing = set(leaves)
-        while missing and rounds < max_rounds:
-            result = channel.transmit(hub_only)
-            rounds += 1
-            for v in result.receivers.tolist():
-                receptions[v] += 1
-                missing.discard(v)
-        if missing:
-            return StarOutcome(
-                success=False,
-                rounds=rounds,
-                k=k,
-                n_leaves=n_leaves,
-                min_receptions=min(receptions.values()),
-                max_receptions=max(receptions.values()),
-            )
+    hub_only = node_array([network.source])
+    # per-leaf receptions; star() puts the hub at node 0
+    receptions = dict.fromkeys(range(1, network.n), 0)
+
+    def script(source):
+        for _ in range(k):
+            missing = set(receptions)
+            while missing:
+                result = yield hub_only
+                for v in result.receivers.tolist():
+                    receptions[v] += 1
+                    missing.discard(v)
+
+    outcome = run_script(network, script, faults, rng, max_rounds, adversary, channel)
+    return _star_outcome(outcome, k, n_leaves, receptions)
+
+
+def _star_outcome(outcome, k: int, n_leaves: int, receptions) -> StarOutcome:
+    counts = receptions.values()
     return StarOutcome(
-        success=True,
-        rounds=rounds,
-        k=k,
-        n_leaves=n_leaves,
-        min_receptions=min(receptions.values()),
-        max_receptions=max(receptions.values()),
+        outcome.success, outcome.rounds, k, n_leaves, min(counts), max(counts),
+        outcome.counters,
     )
 
 
@@ -109,6 +113,8 @@ def star_rs_coding(
     fault_model: FaultModel = FaultModel.RECEIVER,
     max_rounds: Optional[int] = None,
     validate_decode: bool = False,
+    adversary=None,
+    channel=None,
 ) -> StarOutcome:
     """Lemma 16's schedule: stream distinct Reed-Solomon coded packets
     until every leaf holds k of them (any k suffice to decode — the MDS
@@ -119,64 +125,53 @@ def star_rs_coding(
     default budget is capped there) the function actually encodes k
     random messages, collects each leaf's packets, decodes, and verifies
     the round-trip; otherwise reception counting stands in for decoding,
-    justified by the separately-tested MDS property.
+    justified by the separately-tested MDS property. ``adversary`` and
+    ``channel`` work as in :func:`star_adaptive_routing`.
     """
     check_positive(n_leaves, "n_leaves")
     check_positive(k, "k")
     check_probability(p, "p")
-    source = spawn_rng(rng)
     network = star(n_leaves)
     faults = FaultConfig(fault_model, p)
-    channel = Channel(network, faults, source.spawn())
-    hub = network.source
-    leaves = [v for v in network.nodes() if v != hub]
+    adversary = as_adversary(adversary)
     if max_rounds is None:
-        max_rounds = int(20 * (k + ilog2(n_leaves) + 1) / (1.0 - p)) + 100
+        rounds = 20 * (k + ilog2(n_leaves) + 1)
+        max_rounds = int(stretch(rounds, faults, adversary, channel)) + 100
         if validate_decode:
             max_rounds = min(max_rounds, 256)
+    if validate_decode and (k > 256 or max_rounds > 256):
+        raise ValueError(
+            "validate_decode requires k and max_rounds <= 256 "
+            "(one GF(2^8) Reed-Solomon block)"
+        )
 
-    code = None
-    coded_payloads: list[bytes] = []
+    hub_only = node_array([network.source])
+    receptions = dict.fromkeys(range(1, network.n), 0)
     original: list[bytes] = []
-    received_packets: dict[int, list[tuple[int, bytes]]] = {v: [] for v in leaves}
-    if validate_decode:
-        if k > 256 or max_rounds > 256:
-            raise ValueError(
-                "validate_decode requires k and max_rounds <= 256 "
-                "(one GF(2^8) Reed-Solomon block)"
+    received_packets = {v: [] for v in receptions}
+    code = ReedSolomonCode(k=k, m=256) if validate_decode else None
+
+    def script(source):
+        if code is not None:
+            original.extend(
+                bytes(source.bytes_array(16).tobytes()) for _ in range(k)
             )
-        code = ReedSolomonCode(k=k, m=256)
-        original = [
-            bytes(source.bytes_array(16).tobytes()) for _ in range(k)
-        ]
-        coded_payloads = code.encode(original)
+            coded_payloads = code.encode(original)
+        rounds = 0
+        while min(receptions.values()) < k:
+            # round r sends coded packet r
+            result = yield hub_only
+            for v in result.receivers.tolist():
+                receptions[v] += 1
+                if code is not None:
+                    received_packets[v].append((rounds, coded_payloads[rounds]))
+            rounds += 1
 
-    hub_only = node_array([hub])
-    receptions = {v: 0 for v in leaves}
-    rounds = 0
-    while min(receptions.values()) < k and rounds < max_rounds:
-        # round r sends coded packet r
-        result = channel.transmit(hub_only)
-        for v in result.receivers.tolist():
-            receptions[v] += 1
-            if validate_decode:
-                received_packets[v].append((rounds, coded_payloads[rounds]))
-        rounds += 1
-
-    success = min(receptions.values()) >= k
-    if success and validate_decode:
-        assert code is not None
-        for v in leaves:
-            decoded = code.decode(received_packets[v])
-            if decoded != original:
+    outcome = run_script(network, script, faults, rng, max_rounds, adversary, channel)
+    if outcome.success and code is not None:
+        for v, packets in received_packets.items():
+            if code.decode(packets) != original:
                 raise AssertionError(
                     f"leaf {v} decoded the wrong messages — MDS violation"
                 )
-    return StarOutcome(
-        success=success,
-        rounds=rounds,
-        k=k,
-        n_leaves=n_leaves,
-        min_receptions=min(receptions.values()),
-        max_receptions=max(receptions.values()),
-    )
+    return _star_outcome(outcome, k, n_leaves, receptions)

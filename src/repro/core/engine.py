@@ -5,17 +5,16 @@ Two layers:
 * :class:`Channel` — the physical layer. Given one round's broadcasters,
   an ascending int64 array of node ids, it resolves collisions and
   faults and reports who heard whom as arrays. This is the single place
-  where the model semantics listed in :mod:`repro.core` are implemented;
-  both the distributed simulator and the centralized schedule executors
-  (:mod:`repro.schedules`) are built on it. The channel never sees a
-  packet: a caller that sends packets keeps them and looks each
-  reception's packet up by its sender.
+  where the model semantics listed in :mod:`repro.core` are implemented.
+  The channel never sees a packet: a caller that sends packets keeps
+  them and looks each reception's packet up by its sender.
 * :class:`Simulator` — drives one :class:`ProtocolLayer` against a
   channel until every node is done or a round budget is exhausted. The
   layer holds every node's state: the single-message algorithms run on
-  :class:`~repro.algorithms.schedule.ScheduleLayer`, and RLNC gossip on
-  layers over it (:mod:`repro.algorithms.multi.rlnc_broadcast`). The
-  program builds simulators in one place, the run driver
+  :class:`~repro.algorithms.schedule.ScheduleLayer`, RLNC gossip on
+  layers over it (:mod:`repro.algorithms.multi.rlnc_broadcast`), and the
+  centralized schedules on :class:`~repro.algorithms.base.ScriptLayer`.
+  The program builds simulators, and so channels, in one place, the run driver
   :func:`repro.algorithms.base.run_broadcast`, which also attaches any
   flight recorder as an observer; the engine knows nothing of timelines.
 """

@@ -55,7 +55,7 @@ def registry_dump(adversaries_only: bool = False) -> dict[str, Any]:
                     for p in a.params
                 ],
                 "default_topology": a.default_topology,
-                "supports_adversary": a.supports_adversary,
+                "supports_adversary": a.kind != "link",
             }
             for a in all_algorithms()
         ],

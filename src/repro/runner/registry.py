@@ -8,11 +8,12 @@ the library's broadcast functions behind an adapter with the signature::
     adapter(network, faults, seed, max_rounds, params) -> AlgorithmResult
 
 so "which protocol under which fault model" becomes data rather than
-code. The seven algorithms that run on the collision channel share one
+code. The seven algorithms that run on the scenario's network share one
 adapter, :func:`_on_channel`, which calls their public ``*_broadcast``
 function with the declared parameters as keywords and normalizes the
-outcome; the star and single-link schedules keep one adapter each,
-because they size their own medium from the scenario.
+outcome; the star schedules share :func:`_on_star`, which sizes the star
+from the scenario, and the single-link schedules, which flip their fault
+coins with no channel, share :func:`_on_link`.
 
 Outcome normalization: every adapter reduces its native outcome type
 (:class:`~repro.algorithms.base.BroadcastOutcome`, ``MultiMessageOutcome``,
@@ -81,11 +82,13 @@ class AlgorithmResult:
 
 @dataclass(frozen=True)
 class Param:
-    """One declared algorithm parameter (name, default, one-line doc)."""
+    """One declared algorithm parameter: name, default, one-line doc, and
+    the smallest int it takes (None: no bound; a None default allows None)."""
 
     name: str
     default: Any
     doc: str = ""
+    minimum: Optional[int] = None
 
 
 Adapter = Callable[
@@ -104,10 +107,10 @@ class BroadcastAlgorithm:
     (source-to-leaves schedules; the scenario topology sizes the star), or
     ``"link"`` (two-node schedules; only the fault probability matters).
     ``default_topology`` names a registry family the algorithm is happy
-    to run on out of the box. ``supports_adversary`` is True for the
-    algorithms that run on the real collision channel and therefore
-    accept any registered adversary model; the star/link schedule
-    simulations only know the i.i.d. fault probability.
+    to run on out of the box. Every kind but ``"link"`` runs on the
+    channel, so takes any registered adversary model, the contention MAC
+    and a timeline; the single-link schedules only know the i.i.d. fault
+    probability.
     """
 
     name: str
@@ -115,7 +118,6 @@ class BroadcastAlgorithm:
     summary: str
     params: tuple[Param, ...] = ()
     default_topology: str = "path"
-    supports_adversary: bool = False
     adapter: Adapter = None  # type: ignore[assignment]
 
     def declared(self) -> dict[str, Any]:
@@ -123,13 +125,33 @@ class BroadcastAlgorithm:
         return {p.name: p.default for p in self.params}
 
     def validate_params(self, params: Mapping[str, Any]) -> None:
-        """Reject parameters this algorithm does not declare."""
+        """Reject undeclared parameters, and values below their minimum."""
         unknown = [key for key in params if key not in self.declared()]
         if unknown:
             known = ", ".join(sorted(self.declared())) or "(none)"
             raise ValueError(
                 f"algorithm {self.name!r} got unknown parameters "
                 f"{sorted(unknown)}; declared: {known}"
+            )
+        for param in self.params:
+            value = params.get(param.name, param.default)
+            nullable = param.default is None
+            if param.minimum is None or (value is None and nullable):
+                continue
+            if type(value) is not int or value < param.minimum:
+                allowed = " or None" if nullable else ""
+                raise ValueError(
+                    f"algorithm {self.name!r} parameter {param.name!r} must "
+                    f"be an int >= {param.minimum}{allowed}, got {value!r}"
+                )
+
+    def require_channel(self) -> None:
+        """Refuse a single-link schedule, which runs on no channel."""
+        if self.kind == "link":
+            raise ValueError(
+                f"algorithm {self.name!r} flips its fault coins with no "
+                "channel, so it takes no adversary, contention channel or "
+                "timeline"
             )
 
     def run(
@@ -143,18 +165,8 @@ class BroadcastAlgorithm:
         channel=None,
     ) -> AlgorithmResult:
         """Run with declared defaults merged under ``params``."""
-        if adversary is not None and not self.supports_adversary:
-            raise ValueError(
-                f"algorithm {self.name!r} does not support adversary models "
-                "(only channel-based algorithms do); drop --adversary or "
-                "pick a 'single'/'multi' algorithm"
-            )
-        if channel is not None and not self.supports_adversary:
-            raise ValueError(
-                f"algorithm {self.name!r} does not run on the collision "
-                "channel, so a contention MAC does not apply; use the "
-                "default channel or pick a 'single'/'multi' algorithm"
-            )
+        if adversary is not None or channel is not None:
+            self.require_channel()
         merged = self.declared()
         if params:
             self.validate_params(params)
@@ -174,7 +186,6 @@ def register_algorithm(
     summary: str,
     params: tuple[Param, ...] = (),
     default_topology: str = "path",
-    supports_adversary: bool = False,
 ) -> Callable[[Adapter], BroadcastAlgorithm]:
     """Decorator registering an adapter as a named broadcast algorithm."""
 
@@ -187,7 +198,6 @@ def register_algorithm(
             summary=summary,
             params=params,
             default_topology=default_topology,
-            supports_adversary=supports_adversary,
             adapter=adapter,
         )
         _REGISTRY[name] = algorithm
@@ -266,13 +276,15 @@ def _on_channel(
     return adapter
 
 
-_K = Param("k", 4, "number of messages")
+_K = Param("k", 4, "number of messages", 1)
 _PAYLOAD = Param(
-    "payload_length", 0, "payload bytes per message (0: headers only)"
+    "payload_length", 0, "payload bytes per message (0: headers only)", 0
 )
-_BLOCK = Param("block", None, "block size override (default: Theta(log log n))")
+_BLOCK = Param(
+    "block", None, "block size override (default: Theta(log log n))", 1
+)
 _ROUND_MULTIPLIER = Param(
-    "round_multiplier", DEFAULT_ROUND_MULTIPLIER, "rounds per block step"
+    "round_multiplier", DEFAULT_ROUND_MULTIPLIER, "rounds per block step", 1
 )
 _DECAY_INTERLEAVE = Param(
     "decay_interleave", True, "interleave Decay rounds with the wave"
@@ -281,14 +293,12 @@ _DECAY_INTERLEAVE = Param(
 register_algorithm(
     "decay",
     kind="single",
-    supports_adversary=True,
     summary="Decay broadcast (Lemma 9): fault-robust O(log n/(1-p) (D + log n))",
 )(_on_channel(decay_broadcast, _from_single))
 
 register_algorithm(
     "fastbc",
     kind="single",
-    supports_adversary=True,
     summary="FASTBC (Lemma 10): fast when faultless, degrades under faults",
     params=(_DECAY_INTERLEAVE,),
 )(_on_channel(fastbc_broadcast, _from_single))
@@ -296,7 +306,6 @@ register_algorithm(
 register_algorithm(
     "robust_fastbc",
     kind="single",
-    supports_adversary=True,
     summary="Robust FASTBC (Theorem 11): blocks absorb faults, keeps the wave",
     params=(_BLOCK, _ROUND_MULTIPLIER, _DECAY_INTERLEAVE),
 )(_on_channel(robust_fastbc_broadcast, _from_single))
@@ -304,15 +313,13 @@ register_algorithm(
 register_algorithm(
     "repeated_fastbc",
     kind="single",
-    supports_adversary=True,
     summary="Repetition baseline: FASTBC with every round repeated `repeat` times",
-    params=(Param("repeat", 2, "repetition factor per wave round"),),
+    params=(Param("repeat", 2, "repetition factor per wave round", 1),),
 )(_on_channel(repeated_fastbc_broadcast, _from_single))
 
 register_algorithm(
     "rlnc_decay",
     kind="multi",
-    supports_adversary=True,
     summary="k-message RLNC over the Decay pattern (Lemma 12)",
     params=(_K, _PAYLOAD),
 )(_on_channel(rlnc_decay_broadcast, _from_multi))
@@ -320,7 +327,6 @@ register_algorithm(
 register_algorithm(
     "rlnc_robust_fastbc",
     kind="multi",
-    supports_adversary=True,
     summary="k-message RLNC over Robust FASTBC waves (Lemma 13)",
     params=(_K, _PAYLOAD, _BLOCK, _ROUND_MULTIPLIER),
 )(_on_channel(rlnc_robust_fastbc_broadcast, _from_multi))
@@ -328,7 +334,6 @@ register_algorithm(
 register_algorithm(
     "rlnc_dense_wave",
     kind="multi",
-    supports_adversary=True,
     summary="exploratory k-message RLNC dense-wave pattern (open problem X1)",
     params=(_K, _PAYLOAD),
 )(_on_channel(rlnc_dense_wave_broadcast, _from_multi))
@@ -336,11 +341,10 @@ register_algorithm(
 
 # -- star schedules (Theorem 17 coding gap) ----------------------------------
 #
-# The star schedules build their own star channel; the scenario's topology
-# only sizes it (n nodes -> n-1 leaves) and the scenario's FaultConfig
-# supplies the fault model and probability. On failure the per-leaf
-# completion split is not observable from StarOutcome, so `informed`
-# collapses to all-or-nothing.
+# On failure the per-leaf completion split is not observable from
+# StarOutcome, so `informed` collapses to all-or-nothing. The report leaves
+# the channel counters out: adding them changes the canonical bytes, which
+# waits for a CACHE_KEY_SCHEMA bump.
 
 
 def _from_star(outcome) -> AlgorithmResult:
@@ -358,29 +362,37 @@ def _from_star(outcome) -> AlgorithmResult:
     )
 
 
-@register_algorithm(
+def _on_star(schedule: Callable[..., Any]) -> Adapter:
+    """The adapter of a star schedule: ``n`` nodes make ``n - 1`` leaves."""
+
+    def adapter(
+        network, faults, seed, max_rounds, params, adversary=None, channel=None
+    ):
+        return _from_star(
+            schedule(
+                max(1, network.n - 1),
+                p=faults.p,
+                rng=seed,
+                fault_model=faults.model,
+                max_rounds=max_rounds,
+                adversary=adversary,
+                channel=channel,
+                **params,
+            )
+        )
+
+    return adapter
+
+
+register_algorithm(
     "star_routing",
     kind="star",
     summary="adaptive star routing (Lemma 15): Theta(k log n) against faults",
     params=(_K,),
     default_topology="star",
-)
-def _star_routing(
-    network, faults, seed, max_rounds, params, adversary=None, channel=None
-):
-    return _from_star(
-        star_adaptive_routing(
-            max(1, network.n - 1),
-            params["k"],
-            faults.p,
-            rng=seed,
-            fault_model=faults.model,
-            max_rounds=max_rounds,
-        )
-    )
+)(_on_star(star_adaptive_routing))
 
-
-@register_algorithm(
+register_algorithm(
     "star_coding",
     kind="star",
     summary="Reed-Solomon star coding (Lemma 16): Theta(k), closes the gap",
@@ -389,21 +401,7 @@ def _star_routing(
         Param("validate_decode", False, "decode and verify the RS round-trip"),
     ),
     default_topology="star",
-)
-def _star_coding(
-    network, faults, seed, max_rounds, params, adversary=None, channel=None
-):
-    return _from_star(
-        star_rs_coding(
-            max(1, network.n - 1),
-            params["k"],
-            faults.p,
-            rng=seed,
-            fault_model=faults.model,
-            max_rounds=max_rounds,
-            validate_decode=params["validate_decode"],
-        )
-    )
+)(_on_star(star_rs_coding))
 
 
 # -- single-link schedules (Section 6) ----------------------------------------
@@ -428,53 +426,45 @@ def _from_link(outcome) -> AlgorithmResult:
     )
 
 
-@register_algorithm(
+def _on_link(schedule: Callable[..., Any], budget: Optional[str]) -> Adapter:
+    """The adapter of a single-link schedule; ``max_rounds`` is its ``budget``."""
+
+    def adapter(
+        network, faults, seed, max_rounds, params, adversary=None, channel=None
+    ):
+        budgets = {budget: max_rounds} if budget else {}
+        return _from_link(schedule(p=faults.p, rng=seed, **budgets, **params))
+
+    return adapter
+
+
+_LINK_K = Param("k", 8, "number of messages", 1)
+
+register_algorithm(
     "single_link_routing",
     kind="link",
     summary="adaptive single-link routing (Lemma 32): 4k/(1-p) budget",
-    params=(Param("k", 8, "number of messages"),),
+    params=(_LINK_K,),
     default_topology="single_link",
-)
-def _single_link_routing(
-    network, faults, seed, max_rounds, params, adversary=None, channel=None
-):
-    return _from_link(
-        single_link_adaptive_routing(
-            params["k"], faults.p, rng=seed, round_budget=max_rounds
-        )
-    )
+)(_on_link(single_link_adaptive_routing, "round_budget"))
 
-
-@register_algorithm(
+register_algorithm(
     "single_link_nonadaptive",
     kind="link",
     summary="non-adaptive single-link routing (Lemma 29): Theta(log k) repeats",
     params=(
-        Param("k", 8, "number of messages"),
-        Param("repetitions", None, "per-message repeats (default: Lemma 29 bound)"),
+        _LINK_K,
+        Param(
+            "repetitions", None, "per-message repeats (default: Lemma 29 bound)", 1
+        ),
     ),
     default_topology="single_link",
-)
-def _single_link_nonadaptive(
-    network, faults, seed, max_rounds, params, adversary=None, channel=None
-):
-    return _from_link(
-        single_link_nonadaptive_routing(
-            params["k"], faults.p, rng=seed, repetitions=params["repetitions"]
-        )
-    )
+)(_on_link(single_link_nonadaptive_routing, None))
 
-
-@register_algorithm(
+register_algorithm(
     "single_link_coding",
     kind="link",
     summary="single-link MDS coding (Lemma 30): any k receptions decode",
-    params=(Param("k", 8, "number of messages"),),
+    params=(_LINK_K,),
     default_topology="single_link",
-)
-def _single_link_coding(
-    network, faults, seed, max_rounds, params, adversary=None, channel=None
-):
-    return _from_link(
-        single_link_coding(params["k"], faults.p, rng=seed, max_rounds=max_rounds)
-    )
+)(_on_link(single_link_coding, "max_rounds"))

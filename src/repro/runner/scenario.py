@@ -62,7 +62,7 @@ class Scenario:
         and optional ``seed`` (a non-negative int; pins random families
         independently of the scenario seed).
     params:
-        Algorithm parameters; must be declared by the algorithm.
+        Algorithm parameters: declared by the algorithm, none below its minimum.
     faults:
         The fault model and probability.
     adversary:
@@ -84,11 +84,11 @@ class Scenario:
         simulation (same RNG streams, same report contents) but the
         config does participate in :meth:`cache_key` — a stored
         timeline-less report must never satisfy a request that asked
-        for the timeline sidecar. Only channel-based algorithms record.
+        for the timeline sidecar. The single-link schedules, which run
+        on no channel, take no timeline, adversary or contention channel.
     channel:
         Channel kind: ``"default"`` (the paper's collision channel) or
-        ``"contention"`` (the CSMA/CA MAC of :mod:`repro.mac`). Only
-        channel-based algorithms accept the contention channel.
+        ``"contention"`` (the CSMA/CA MAC of :mod:`repro.mac`).
     channel_params:
         Knobs for a non-default channel (see
         :meth:`~repro.mac.config.MacConfig.to_dict`); must be empty for
@@ -119,11 +119,6 @@ class Scenario:
         # validates kind and params eagerly (raises on unknown keys); the
         # built config is re-derived on demand by channel_config()
         make_channel_config(self.channel, self.channel_params)
-        if self.channel != "default" and not algorithm.supports_adversary:
-            raise ValueError(
-                f"algorithm {self.algorithm!r} does not run on the "
-                "collision channel, so a contention MAC does not apply"
-            )
 
         if not isinstance(self.topology, str):
             raise TypeError(
@@ -155,25 +150,20 @@ class Scenario:
                 f"faults must be a FaultConfig, got {type(self.faults).__name__}"
             )
         if self.adversary is not None:
-            self._normalize_adversary(algorithm)
+            self._normalize_adversary()
         if self.timeline is not None:
             if not isinstance(self.timeline, TimelineConfig):
                 raise TypeError(
                     "timeline must be a TimelineConfig, got "
                     f"{type(self.timeline).__name__}"
                 )
-            # the flight recorder observes collision-channel rounds;
-            # supports_adversary marks exactly the channel-based kinds
-            if not algorithm.supports_adversary:
-                raise ValueError(
-                    f"algorithm {self.algorithm!r} does not run on the "
-                    "collision channel, so it cannot record a timeline"
-                )
+        if self.adversary or self.timeline or self.channel != "default":
+            algorithm.require_channel()
         check_non_negative(self.seed, "seed")
         if self.max_rounds is not None and self.max_rounds < 1:
             raise ValueError(f"max_rounds must be >= 1, got {self.max_rounds}")
 
-    def _normalize_adversary(self, algorithm) -> None:
+    def _normalize_adversary(self) -> None:
         """Validate the adversary config; fold ``iid`` into ``faults``."""
         adversary = self.adversary
         if not isinstance(adversary, AdversaryConfig):
@@ -196,12 +186,6 @@ class Scenario:
             faults = FaultConfig(FaultModel(str(merged["model"])), float(merged["p"]))
             object.__setattr__(self, "faults", faults)
             object.__setattr__(self, "adversary", None)
-            return
-        if not algorithm.supports_adversary:
-            raise ValueError(
-                f"algorithm {self.algorithm!r} does not support adversary "
-                "models (only channel-based algorithms do)"
-            )
 
     # -- derived views ------------------------------------------------------
 

@@ -13,13 +13,16 @@ Two canonical faultless schedules ship with the library:
 * :func:`path_pipeline_schedule` — messages pipelined down a path with
   mod-3 spacing (no two broadcasters within distance 2, so no collisions;
   throughput 1/3).
+
+:func:`execute_reference` plays a schedule as a script on the run driver.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.engine import Channel, node_array
+from repro.algorithms.base import run_script
+from repro.core.engine import node_array
 from repro.core.faults import FaultConfig
 from repro.core.network import RadioNetwork
 from repro.topologies.basic import path, star
@@ -86,22 +89,20 @@ def execute_reference(schedule: StaticRoutingSchedule) -> ReferenceExecution:
     silent (the paper's rule for routing schedules).
     """
     network = schedule.network
-    channel = Channel(network, FaultConfig.faultless(), rng=0)
     known: dict[int, set[int]] = {v: set() for v in network.nodes()}
     known[network.source] = set(range(schedule.k))
     deliveries: list[list[tuple[int, int, int]]] = []
-    for actions in schedule.rounds:
-        live = {
-            node: message
-            for node, message in actions.items()
-            if message in known[node]
-        }
-        result = channel.transmit(node_array(sorted(live)))
-        this_round = []
-        for v, s in zip(result.receivers.tolist(), result.senders.tolist()):
-            known[v].add(live[s])
-            this_round.append((v, s, live[s]))
-        deliveries.append(this_round)
+
+    def script(source):
+        for actions in schedule.rounds:
+            live = {node: m for node, m in actions.items() if m in known[node]}
+            result = yield node_array(sorted(live))
+            heard = zip(result.receivers.tolist(), result.senders.tolist())
+            deliveries.append([(v, s, live[s]) for v, s in heard])
+            for v, _, message in deliveries[-1]:
+                known[v].add(message)
+
+    run_script(network, script, FaultConfig.faultless(), 0, schedule.length)
     return ReferenceExecution(deliveries=deliveries, known=known)
 
 

@@ -17,6 +17,7 @@ a ``(1-p)(1±η)`` factor of the faultless schedule:
 Success is judged against the faultless :class:`ReferenceExecution`: every
 delivery the original schedule made must be reproduced (all ``x``
 sub-messages, resp. ``>= x`` coded packets) in the corresponding meta-round.
+Both transformed schedules are scripts on the run driver.
 """
 
 from __future__ import annotations
@@ -24,14 +25,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from repro.core.engine import Channel, node_array
+from repro.algorithms.base import run_script
+from repro.core.engine import node_array
 from repro.core.faults import FaultConfig, FaultModel
 from repro.schedules.schedule import (
     ReferenceExecution,
     StaticRoutingSchedule,
     execute_reference,
 )
-from repro.util.rng import RandomSource, spawn_rng
+from repro.util.rng import RandomSource
 from repro.util.validation import check_positive, check_probability
 
 __all__ = [
@@ -80,7 +82,27 @@ class TransformOutcome:
 
 
 def _meta_round_length(x: int, p: float, eta: float) -> int:
+    """Rounds per meta-round, after rejecting a bad ``x``, ``p`` or ``eta``."""
+    check_positive(x, "x")
+    check_probability(p, "p")
+    if eta <= 0:
+        raise ValueError(f"eta must be positive, got {eta}")
     return max(x, math.ceil(x * (1.0 + eta) / (1.0 - p)))
+
+
+def _outcome(schedule, x, length, reference, reproduced, success):
+    """The run's outcome: it succeeds if it reproduced every reference delivery."""
+    expected = sum(map(len, reference.deliveries))
+    return TransformOutcome(
+        success=success and reproduced == expected,
+        original_rounds=schedule.length,
+        transformed_rounds=schedule.length * length,
+        k_original=schedule.k,
+        x=x,
+        meta_round_length=length,
+        reproduced=reproduced,
+        expected=expected,
+    )
 
 
 def transform_routing_schedule(
@@ -108,75 +130,49 @@ def transform_routing_schedule(
     reference:
         Precomputed faultless execution (recomputed if omitted).
     """
-    check_positive(x, "x")
-    check_probability(p, "p")
-    if eta <= 0:
-        raise ValueError(f"eta must be positive, got {eta}")
-    source = spawn_rng(rng)
+    length = _meta_round_length(x, p, eta)
     if reference is None:
         reference = execute_reference(schedule)
-
     network = schedule.network
-    channel = Channel(network, FaultConfig.sender(p), source.spawn())
-    length = _meta_round_length(x, p, eta)
-
     # count, per meta-round, how many sub-message deliveries each
     # reference (receiver, sender) pair accumulated
     reproduced = 0
-    expected = 0
     known: dict[int, set[int]] = {v: set() for v in network.nodes()}
     known[network.source] = set(range(schedule.k))
 
-    for r, actions in enumerate(schedule.rounds):
-        live_broadcasters = {
-            node: message
-            for node, message in actions.items()
-            if message in known[node]
-        }
-        sent_count = {node: 0 for node in live_broadcasters}
-        got_count = {
-            (receiver, sender): 0
-            for receiver, sender, _ in reference.deliveries[r]
-        }
-        for _ in range(length):
-            live = sorted(
-                node for node in live_broadcasters if sent_count[node] < x
-            )
-            if not live:
-                break
-            result = channel.transmit(node_array(live))
-            faulty = set(result.faulty_senders.tolist())
-            # adaptive senders advance on every clean transmission
-            for node in live:
-                if node not in faulty:
-                    sent_count[node] += 1
-            for key in zip(result.receivers.tolist(), result.senders.tolist()):
-                if key in got_count:
-                    got_count[key] += 1
-        for (receiver, sender), count in got_count.items():
-            expected += 1
-            if count >= x:
-                reproduced += 1
-                message = next(
-                    m
-                    for rcv, snd, m in reference.deliveries[r]
-                    if (rcv, snd) == (receiver, sender)
+    def script(source):
+        nonlocal reproduced
+        for actions, deliveries in zip(schedule.rounds, reference.deliveries):
+            live_broadcasters = {
+                node: m for node, m in actions.items() if m in known[node]
+            }
+            sent_count = {node: 0 for node in live_broadcasters}
+            got_count = {(receiver, sender): 0 for receiver, sender, _ in deliveries}
+            for _ in range(length):
+                live = sorted(
+                    node for node in live_broadcasters if sent_count[node] < x
                 )
-                known[receiver].add(message)
+                if not live:
+                    break
+                result = yield node_array(live)
+                faulty = set(result.faulty_senders.tolist())
+                # adaptive senders advance on every clean transmission
+                for node in live:
+                    if node not in faulty:
+                        sent_count[node] += 1
+                for key in zip(result.receivers.tolist(), result.senders.tolist()):
+                    if key in got_count:
+                        got_count[key] += 1
+            for receiver, sender, message in deliveries:
+                if got_count[receiver, sender] >= x:
+                    reproduced += 1
+                    known[receiver].add(message)
 
-    return TransformOutcome(
-        success=reproduced == expected
-        and all(
-            known[v] >= reference.known[v] for v in network.nodes()
-        ),
-        original_rounds=schedule.length,
-        transformed_rounds=schedule.length * length,
-        k_original=schedule.k,
-        x=x,
-        meta_round_length=length,
-        reproduced=reproduced,
-        expected=expected,
+    run_script(
+        network, script, FaultConfig.sender(p), rng, schedule.length * length
     )
+    success = all(known[v] >= reference.known[v] for v in network.nodes())
+    return _outcome(schedule, x, length, reference, reproduced, success)
 
 
 def transform_coding_schedule(
@@ -197,55 +193,39 @@ def transform_coding_schedule(
     :mod:`repro.coding.reed_solomon`, then reconstructs all ``x``
     sub-instance packets).
     """
-    check_positive(x, "x")
-    check_probability(p, "p")
-    if eta <= 0:
-        raise ValueError(f"eta must be positive, got {eta}")
+    length = _meta_round_length(x, p, eta)
     if fault_model is FaultModel.NONE:
         raise ValueError("transform_coding_schedule expects a faulty model")
-    source = spawn_rng(rng)
     if reference is None:
         reference = execute_reference(schedule)
-
     network = schedule.network
-    channel = Channel(network, FaultConfig(fault_model, p), source.spawn())
-    length = _meta_round_length(x, p, eta)
-
     reproduced = 0
-    expected = 0
     # In the coding transformation a node's ability to broadcast in
     # meta-round r depends on having decoded its earlier receptions; track
     # which nodes fell behind and treat their later broadcasts as noise
     # (conservative: failures propagate as the lemma's analysis requires).
     decoded_ok: dict[int, bool] = {v: True for v in network.nodes()}
 
-    for r, actions in enumerate(schedule.rounds):
-        got_count = {
-            (receiver, sender): 0
-            for receiver, sender, _ in reference.deliveries[r]
-        }
-        live = node_array(sorted(node for node in actions if decoded_ok[node]))
-        for _ in range(length):
-            # broadcaster i streams coded packet j of its meta-round in
-            # sub-round j; reception counts stand in for the packets
-            result = channel.transmit(live)
-            for key in zip(result.receivers.tolist(), result.senders.tolist()):
-                if key in got_count:
-                    got_count[key] += 1
-        for (receiver, sender), count in got_count.items():
-            expected += 1
-            if count >= x:
-                reproduced += 1
-            else:
-                decoded_ok[receiver] = False
+    def script(source):
+        nonlocal reproduced
+        for actions, deliveries in zip(schedule.rounds, reference.deliveries):
+            got_count = {(receiver, sender): 0 for receiver, sender, _ in deliveries}
+            live = node_array(sorted(node for node in actions if decoded_ok[node]))
+            for _ in range(length):
+                # broadcaster i streams coded packet j of its meta-round in
+                # sub-round j; reception counts stand in for the packets
+                result = yield live
+                for key in zip(result.receivers.tolist(), result.senders.tolist()):
+                    if key in got_count:
+                        got_count[key] += 1
+            for receiver, sender, _ in deliveries:
+                if got_count[receiver, sender] >= x:
+                    reproduced += 1
+                else:
+                    decoded_ok[receiver] = False
 
-    return TransformOutcome(
-        success=reproduced == expected,
-        original_rounds=schedule.length,
-        transformed_rounds=schedule.length * length,
-        k_original=schedule.k,
-        x=x,
-        meta_round_length=length,
-        reproduced=reproduced,
-        expected=expected,
+    run_script(
+        network, script, FaultConfig(fault_model, p), rng,
+        schedule.length * length,
     )
+    return _outcome(schedule, x, length, reference, reproduced, True)

@@ -12,10 +12,10 @@ protocol layer (RLNC credits rank progress to it), and marks the layer's
 initially-active nodes informed: every broadcast protocol in this repo
 starts active iff it holds the message.
 
-First-run-only is deliberate: every channel-based algorithm in the
-registry makes exactly one driver run per call, while helper channels
-built elsewhere (schedule executors, benchmarks, probes) never see the
-slot because they do not go through the driver. A ContextVar rather
+First-run-only is deliberate: a registry algorithm makes at most one
+driver run per call (the single-link schedules run on no channel), and
+channels built outside the driver (benchmarks, probes) never see the
+slot. A ContextVar rather
 than a module global keeps concurrent runs in the service's job threads
 isolated; pool workers inherit nothing because the context is entered
 inside :func:`repro.runner.run`, which executes *in* the worker.

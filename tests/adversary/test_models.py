@@ -354,12 +354,18 @@ class TestScenarioWiring:
         assert scenario.to_dict()["adversary"]["kind"] == "budgeted_jammer"
 
     def test_adversary_requires_channel_algorithm(self):
-        for algorithm in ("star_coding", "single_link_routing"):
-            with pytest.raises(ValueError, match="does not support adversary"):
-                Scenario(
-                    algorithm=algorithm,
-                    adversary=AdversaryConfig("gilbert_elliott"),
-                )
+        with pytest.raises(ValueError, match="takes no adversary"):
+            Scenario(
+                algorithm="single_link_routing",
+                adversary=AdversaryConfig("gilbert_elliott"),
+            )
+        # the star schedules run on the channel like the others
+        star = Scenario(
+            algorithm="star_coding",
+            topology="star",
+            adversary=AdversaryConfig("gilbert_elliott"),
+        )
+        assert run(star).success
 
     def test_adversary_and_faults_mutually_exclusive(self):
         with pytest.raises(ValueError, match="not both"):

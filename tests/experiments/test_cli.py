@@ -51,7 +51,8 @@ class TestList:
         }
         by_name = {a["name"]: a for a in data["algorithms"]}
         assert by_name["decay"]["supports_adversary"] is True
-        assert by_name["star_coding"]["supports_adversary"] is False
+        assert by_name["star_coding"]["supports_adversary"] is True
+        assert by_name["single_link_coding"]["supports_adversary"] is False
         assert {p["name"] for p in by_name["rlnc_decay"]["params"]} == {
             "k",
             "payload_length",
@@ -168,6 +169,19 @@ class TestSweep:
     def test_unknown_algorithm_fails_cleanly(self, capsys):
         assert main(["sweep", "--algorithms", "warp"]) == 2
         assert "unknown algorithm" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "algorithm, param",
+        [("robust_fastbc", "block=0"), ("star_coding", "k=0")],
+    )
+    def test_param_below_its_minimum_fails_cleanly(self, capsys, algorithm, param):
+        assert main([
+            "sweep", "--algorithms", algorithm, "--topology", "path",
+            "--n", "8", "--seeds", "0:1", "--param", param,
+        ]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "must be an int >= 1" in err
 
     def test_bad_seed_spec_fails_cleanly(self, capsys):
         assert main(self.SWEEP_ARGS[:-1] + ["5:5"]) == 2

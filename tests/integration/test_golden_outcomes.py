@@ -2,7 +2,7 @@
 
 ``golden_outcomes.json`` pins SHA-256 digests of
 
-* the canonical report bytes of ~50 registry scenarios covering every
+* the canonical report bytes of ~60 registry scenarios covering every
   registry algorithm, the default and contention channels (capture on
   and off), i.i.d. sender/receiver, ``gilbert_elliott``,
   ``budgeted_jammer`` and ``edge_churn`` noise, every declared
@@ -11,8 +11,9 @@
   FASTBC family on 1024-node grids and gnps, where the GBST waves are
   large, and the four coin-drawing schedules on 2048-node grids, where
   the nodes' coins come from one stream bank;
-* the :meth:`~repro.timeline.Timeline.cache_key` of every channel-based
-  scenario's timeline;
+* the :meth:`~repro.timeline.Timeline.cache_key` of every timeline the
+  corpus records (every algorithm but the single-link schedules runs
+  on the channel and can record one);
 * the :class:`~repro.core.trace.TraceRecorder` event stream of a few
   direct :class:`~repro.core.engine.Channel` /
   :class:`~repro.mac.channel.ContentionChannel` runs, one of them
@@ -266,6 +267,26 @@ SCENARIOS = {
     ),
     "star_coding-sender": _schedule_scenario(
         "star_coding", "star", 28, FaultConfig.sender(_P), n=16
+    ),
+    # the star schedules on the run driver: an adversary, the contention
+    # MAC and a timeline, none of which they took before
+    "star_routing-gilbert": _channel_scenario(
+        "star_routing", "star", 16, 65, _GILBERT
+    ),
+    "star_coding-gilbert": _channel_scenario(
+        "star_coding", "star", 16, 66, _GILBERT
+    ),
+    "star_routing-contention": _channel_scenario(
+        "star_routing", "star", 16, 67, _RECEIVER, _CONTENTION
+    ),
+    "star_coding-capture": _channel_scenario(
+        "star_coding", "star", 16, 68, _SENDER, _CAPTURE
+    ),
+    "star_routing-receiver-timeline": _channel_scenario(
+        "star_routing", "star", 32, 69, _RECEIVER, params={"k": 6}
+    ),
+    "star_coding-sender-timeline": _channel_scenario(
+        "star_coding", "star", 32, 70, _SENDER, params={"k": 6}
     ),
     "single_link_routing-receiver": _schedule_scenario(
         "single_link_routing", "single_link", 29, FaultConfig.receiver(_P)

@@ -67,8 +67,11 @@ class TestValidation:
             _contention(channel_params={"cw_min": 16, "cw_max": 2})
 
     def test_non_channel_algorithm_rejects_contention(self):
-        with pytest.raises(ValueError, match="does not run on the collision"):
-            _contention(algorithm="star_routing", topology="star")
+        with pytest.raises(ValueError, match="takes no .*contention channel"):
+            _contention(algorithm="single_link_routing", topology="single_link")
+        # the star schedules run on the channel like the others
+        star = _contention(algorithm="star_routing", topology="star")
+        assert run_batch([star])[0].success
 
     def test_default_channel_rejects_params(self):
         with pytest.raises(ValueError, match="no channel_params"):

@@ -8,6 +8,7 @@ import repro
 from repro.algorithms import repetition, robust_fastbc
 from repro.algorithms.multi import rlnc_broadcast
 from repro.core.faults import FaultConfig
+from repro.topologies.basic import path
 from repro.runner import (
     Scenario,
     all_algorithms,
@@ -55,6 +56,31 @@ class TestRegistryShape:
         with pytest.raises(ValueError, match="unknown parameters"):
             get_algorithm("decay").validate_params({"warp": 9})
 
+    @pytest.mark.parametrize(
+        "algorithm, params",
+        [
+            ("rlnc_decay", {"k": 0}),
+            ("star_coding", {"k": -2}),
+            ("single_link_routing", {"k": 0}),
+            ("repeated_fastbc", {"repeat": 0}),
+            ("robust_fastbc", {"round_multiplier": 0}),
+            ("robust_fastbc", {"block": 0}),
+            ("single_link_nonadaptive", {"repetitions": 0}),
+            ("rlnc_dense_wave", {"payload_length": -1}),
+            ("rlnc_decay", {"k": "4"}),
+            ("rlnc_decay", {"k": None}),
+        ],
+    )
+    def test_scenario_checks_parameter_values(self, algorithm, params):
+        (name,) = params
+        with pytest.raises(ValueError, match=f"parameter '{name}' must be an int >="):
+            Scenario(algorithm=algorithm, params=params)
+
+    def test_bounds_and_none_defaults_are_accepted(self):
+        Scenario(algorithm="robust_fastbc", params={"block": None})
+        Scenario(algorithm="single_link_nonadaptive", params={"repetitions": None})
+        Scenario(algorithm="rlnc_decay", params={"k": 1, "payload_length": 0})
+
 
 class TestEveryAlgorithmRuns:
     @pytest.mark.parametrize(
@@ -100,13 +126,19 @@ GBST_CALLERS = {
 
 
 def _assert_rejected_before_gbst(name, params, message):
-    scenario = Scenario(
-        algorithm=name, topology="path", topology_params={"n": 8},
-        params=params, seed=1,
-    )
+    """A scenario refuses ``params`` when it is built; the entry point,
+    reached through the registry's adapter without that check, refuses
+    them before it builds a GBST."""
+    with pytest.raises(ValueError, match="must be an int >= 1"):
+        Scenario(
+            algorithm=name, topology="path", topology_params={"n": 8},
+            params=params, seed=1,
+        )
+    algorithm = get_algorithm(name)
+    merged = {**algorithm.declared(), **params}
     with mock.patch.object(GBST_CALLERS[name], "build_gbst") as build_gbst:
         with pytest.raises(ValueError, match=message):
-            run(scenario)
+            algorithm.adapter(path(8), FaultConfig.faultless(), 1, None, merged)
     build_gbst.assert_not_called()
 
 

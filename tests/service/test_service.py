@@ -132,6 +132,18 @@ class TestErrors:
         assert "topology_params" in str(excinfo.value)
         assert len(client.jobs()) == before
 
+    def test_param_below_its_minimum_is_400(self, client):
+        before = len(client.jobs())
+        with pytest.raises(ServiceError) as excinfo:
+            client._json(
+                "/jobs",
+                {"scenarios": [{"algorithm": "robust_fastbc",
+                                "params": {"block": 0}}]},
+            )
+        assert excinfo.value.status == 400
+        assert "'block' must be an int >= 1" in str(excinfo.value)
+        assert len(client.jobs()) == before
+
     def test_unknown_query_parameter_is_400(self, client):
         with pytest.raises(ServiceError) as excinfo:
             client._json("/reports?bogus=1")

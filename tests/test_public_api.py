@@ -161,10 +161,10 @@ def _program_modules():
 
 
 class TestOneRunDriver:
-    """Every algorithm on the simulator runs through one driver,
-    ``repro.algorithms.base.run_broadcast``: it alone builds a
-    ``Simulator`` and binds a timeline, so the engine imports no
-    timeline code."""
+    """Every algorithm and schedule on the channel runs through one
+    driver, ``repro.algorithms.base.run_broadcast``: it alone builds a
+    ``Simulator``, and so a channel, and binds a timeline, so the engine
+    imports no timeline code."""
 
     def test_only_the_driver_builds_a_simulator(self):
         callers = [
@@ -176,6 +176,20 @@ class TestOneRunDriver:
             in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
         ]
         assert callers == ["algorithms/base.py"]
+
+    def test_no_schedule_builds_a_channel(self):
+        """The algorithms, schedules and experiments run every round on
+        the driver's simulator: none of them builds a channel."""
+        callers = [
+            f"{name}:{node.lineno}"
+            for name, tree in _program_modules()
+            if name.startswith(("algorithms/", "schedules/", "experiments/"))
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and {"Channel", "ContentionChannel"}
+            & {getattr(node.func, "id", None), getattr(node.func, "attr", None)}
+        ]
+        assert not callers
 
     def test_the_engine_imports_no_timeline_code(self):
         imports = []
