@@ -24,7 +24,6 @@ import numpy as np
 
 from repro.mac import MacConfig, ContentionChannel, bianchi_fixed_point
 from repro.mac.saturation import saturation_sim
-from repro.telemetry.metrics import METRICS
 from repro.topologies import random_graphs
 from repro.topologies.basic import complete
 
@@ -66,43 +65,36 @@ def bench_mac_kernel(slots, repeats, dense_n, sparse_n, seed=7):
         "dense": complete(dense_n),
         "sparse": random_graphs.gnp(sparse_n, 8.0 / sparse_n, rng=seed),
     }
-    was_enabled = METRICS.enabled
-    METRICS.enabled = False
     results = {}
-    try:
-        for name, network in domains.items():
-            offers = _saturated_offers(network)
-            # outcome parity before timing: both kernels must simulate
-            # the exact same slots or the speedup compares different work
-            vec = _leg_run(network, offers, 24, "vectorized", seed=seed)
-            ref = _leg_run(network, offers, 24, "scalar", seed=seed)
-            assert vec.counters.as_dict() == ref.counters.as_dict(), (
-                f"kernel parity broke on the {name} domain"
-            )
+    for name, network in domains.items():
+        offers = _saturated_offers(network)
+        # outcome parity before timing: both kernels must simulate
+        # the exact same slots or the speedup compares different work
+        vec = _leg_run(network, offers, 24, "vectorized", seed=seed)
+        ref = _leg_run(network, offers, 24, "scalar", seed=seed)
+        assert vec.counters.as_dict() == ref.counters.as_dict(), (
+            f"kernel parity broke on the {name} domain"
+        )
 
-            best = {"vectorized": float("inf"), "scalar": float("inf")}
-            for _ in range(repeats):
-                for leg in best:
-                    best[leg] = min(
-                        best[leg], _time_leg(network, offers, slots, leg)
-                    )
-            node_slots = network.n * slots
-            results[name] = {
-                "n": network.n,
-                "m": network.edge_count,
-                "legs": {
-                    leg: {
-                        "seconds": round(seconds, 6),
-                        "node_slots_per_sec": round(node_slots / seconds, 1),
-                    }
-                    for leg, seconds in best.items()
-                },
-                "speedup": round(
-                    best["scalar"] / best["vectorized"], 2
-                ),
-            }
-    finally:
-        METRICS.enabled = was_enabled
+        best = {"vectorized": float("inf"), "scalar": float("inf")}
+        for _ in range(repeats):
+            for leg in best:
+                best[leg] = min(
+                    best[leg], _time_leg(network, offers, slots, leg)
+                )
+        node_slots = network.n * slots
+        results[name] = {
+            "n": network.n,
+            "m": network.edge_count,
+            "legs": {
+                leg: {
+                    "seconds": round(seconds, 6),
+                    "node_slots_per_sec": round(node_slots / seconds, 1),
+                }
+                for leg, seconds in best.items()
+            },
+            "speedup": round(best["scalar"] / best["vectorized"], 2),
+        }
     return {
         "name": "mac_kernel",
         "slots": slots,

@@ -1,21 +1,26 @@
-"""Observer overhead benchmark: one harness for every round-observer bar.
+"""Observer overhead benchmark: one harness for every observer bar.
 
 ``python benchmarks/bench_overhead.py [--scale smoke|full] [--output PATH]``
 emits ``BENCH_overhead.json`` (see ``bars.py``) with one channel-round
-workload (a sparse G(n, p) with n/8 senders per round) timed four ways:
+workload (a sparse G(n, p) with n/8 senders per round) timed three ways:
 
 * ``bare``     — ``Channel._checked`` then ``Channel._resolve_round``,
   the engine's own un-observed round (validate, resolve, count,
-  advance): no metrics read, no observer loop;
-* ``disabled`` — ``Channel.transmit`` with metrics off and no observers,
-  i.e. what every run that asks for nothing pays;
-* ``metrics``  — ``Channel.transmit`` with ``METRICS.enabled``, the
-  ``repro_channel_*`` counters incrementing every round;
+  advance): no observer loop;
+* ``disabled`` — ``Channel.transmit`` with no observers, i.e. what
+  every run that asks for nothing pays;
 * ``timeline`` — ``Channel.transmit`` with a ``TimelineRecorder``
-  (``every=1``) observer appending one bucket per round, metrics off.
+  (``every=1``) observer appending one bucket per round.
 
-Three bars hold the legs' overhead over bare: disabled <= 1%,
-metrics <= 5%, timeline <= 5%.
+The channel reads no metrics: the run driver adds a finished run's
+counters to them. So the metrics are timed where they are paid, on
+whole ``decay_broadcast`` runs over the same graph (receiver faults
+p=0.1), two ways: ``disabled`` with ``METRICS.enabled`` off and
+``metrics`` with it on.
+
+Three bars hold the observed legs' overhead over their baseline:
+channel-round disabled <= 1% and timeline <= 5% over bare, and driver
+metrics <= 5% over driver disabled.
 
 Two byte-identity checks guard the invariant the bars exist to protect:
 canonical report bytes from ``run_batch`` are identical with telemetry
@@ -25,10 +30,11 @@ cache key) is set aside. A ``memory_model`` entry reports the recorder's
 measured footprint for PERFORMANCE.md: its per-node arrays at n=10^5,
 and the bytes each bucket row holds.
 
-The legs run in lockstep — every round is resolved by all four
-channels back to back, in a rotating order — and each leg's time is the
-sum over rounds of its best-of-N round time. Drift in machine load thus
-lands on every leg equally, and a burst only spoils the repeats it hits.
+Each workload runs its legs in lockstep — every round (every run) is
+resolved by each leg back to back, in a rotating order — and each leg's
+time is the sum over rounds (runs) of its best-of-N time. Drift in
+machine load thus lands on every leg equally, and a burst only spoils
+the repeats it hits.
 """
 
 import json
@@ -38,6 +44,7 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.algorithms.decay import decay_broadcast
 from repro.core.engine import Channel, RoundResult
 from repro.core.faults import FaultConfig
 from repro.runner import Scenario, expand_grid, run_batch
@@ -49,11 +56,14 @@ from repro.util.rng import RandomSource
 
 from bars import Bar, main
 
-LEGS = ("bare", "disabled", "metrics", "timeline")
+LEGS = ("bare", "disabled", "timeline")
+
+#: the driver-run legs: metrics off, then on
+DRIVER_LEGS = ("disabled", "metrics")
 
 SCALES = {
-    "smoke": {"rounds": 600, "repeats": 9, "n": 1024},
-    "full": {"rounds": 2000, "repeats": 15, "n": 1024},
+    "smoke": {"rounds": 600, "repeats": 9, "n": 1024, "runs": 8},
+    "full": {"rounds": 2000, "repeats": 15, "n": 1024, "runs": 16},
 }
 
 #: the byte-identity sweep: small but multi-seed, the store-canonical path
@@ -64,9 +74,14 @@ _MEMORY_MODEL_N = 100_000
 _MEMORY_MODEL_ROWS = 1000
 
 
+def _network(n, seed):
+    """The harness's graph: a sparse G(n, p) of mean degree 16."""
+    return random_graphs.gnp(n, 16.0 / n, rng=seed)
+
+
 def _workload(rounds, n, seed=7):
     """The channel-round workload: sparse G(n, p), n/8 senders per round."""
-    network = random_graphs.gnp(n, 16.0 / n, rng=seed)
+    network = _network(n, seed)
     pick = RandomSource(seed)
     rounds_broadcasters = [
         np.array(
@@ -91,45 +106,45 @@ def _leg_channel(leg, network, seed):
     return channel, channel.transmit
 
 
+def _leg_entries(best, base, count, rate):
+    """Each leg's best seconds, ``count`` per second under the key
+    ``rate``, and its overhead over the ``base`` leg."""
+    return {
+        leg: {
+            "seconds": round(seconds, 6),
+            rate: round(count / seconds, 2),
+            "overhead_fraction": round(
+                max(0.0, (seconds - best[base]) / best[base]), 4
+            ),
+        }
+        for leg, seconds in best.items()
+    }
+
+
 def bench_channel_overhead(rounds, repeats, n, seed=7):
     """Best-of-``repeats`` seconds per leg, with overhead over bare."""
     network, rounds_broadcasters = _workload(rounds, n, seed=seed)
     samples = {leg: np.empty((repeats, rounds)) for leg in LEGS}
     clock = time.perf_counter
-    was_enabled = METRICS.enabled
-    try:
-        for repeat in range(repeats):
-            legs = {leg: _leg_channel(leg, network, seed) for leg in LEGS}
-            for index, broadcasters in enumerate(rounds_broadcasters):
-                shift = (index + repeat) % len(LEGS)
-                for leg in LEGS[shift:] + LEGS[:shift]:
-                    step = legs[leg][1]
-                    METRICS.enabled = leg == "metrics"
-                    start = clock()
-                    step(broadcasters)
-                    samples[leg][repeat, index] = clock() - start
-            # every leg must simulate the same rounds, or the baseline
-            # is measuring a different simulation
-            counters = [channel.counters.as_dict() for channel, _ in legs.values()]
-            assert all(c == counters[0] for c in counters), (
-                f"an observer changed the simulation: {counters}"
-            )
-            recorder = legs["timeline"][0].observers[0]
-            recorder.finish()
-            assert len(recorder) == rounds
-    finally:
-        METRICS.enabled = was_enabled
+    for repeat in range(repeats):
+        legs = {leg: _leg_channel(leg, network, seed) for leg in LEGS}
+        for index, broadcasters in enumerate(rounds_broadcasters):
+            shift = (index + repeat) % len(LEGS)
+            for leg in LEGS[shift:] + LEGS[:shift]:
+                step = legs[leg][1]
+                start = clock()
+                step(broadcasters)
+                samples[leg][repeat, index] = clock() - start
+        # every leg must simulate the same rounds, or the baseline
+        # is measuring a different simulation
+        counters = [channel.counters.as_dict() for channel, _ in legs.values()]
+        assert all(c == counters[0] for c in counters), (
+            f"an observer changed the simulation: {counters}"
+        )
+        recorder = legs["timeline"][0].observers[0]
+        recorder.finish()
+        assert len(recorder) == rounds
     best = {leg: float(samples[leg].min(axis=0).sum()) for leg in LEGS}
-
-    def leg_entry(leg):
-        seconds = best[leg]
-        overhead = (seconds - best["bare"]) / best["bare"]
-        return {
-            "seconds": round(seconds, 6),
-            "rounds_per_sec": round(rounds / seconds, 2),
-            "overhead_fraction": round(max(0.0, overhead), 4),
-        }
-
     return {
         "name": "channel_round_overhead",
         "rounds": rounds,
@@ -137,7 +152,49 @@ def bench_channel_overhead(rounds, repeats, n, seed=7):
         "n": network.n,
         "m": network.edge_count,
         "broadcasters": network.n // 8,
-        "legs": {leg: leg_entry(leg) for leg in LEGS},
+        "legs": _leg_entries(best, "bare", rounds, "rounds_per_sec"),
+    }
+
+
+def bench_driver_overhead(runs, repeats, n, seed=7):
+    """Best-of-``repeats`` seconds of ``runs`` whole Decay runs per leg,
+    with the metrics leg's overhead over the disabled one."""
+    network = _network(n, seed)
+    faults = FaultConfig.receiver(0.1)
+    rounds = METRICS.counter("repro_channel_rounds_total")
+    samples = {leg: np.empty((repeats, runs)) for leg in DRIVER_LEGS}
+    clock = time.perf_counter
+    was_enabled = METRICS.enabled
+    counted = simulated = 0
+    try:
+        for repeat in range(repeats):
+            for run in range(runs):
+                order = DRIVER_LEGS if (run + repeat) % 2 else DRIVER_LEGS[::-1]
+                outcomes = {}
+                for leg in order:
+                    METRICS.enabled = leg == "metrics"
+                    before = rounds.value
+                    start = clock()
+                    outcomes[leg] = decay_broadcast(network, faults, rng=seed + run)
+                    samples[leg][repeat, run] = clock() - start
+                    counted += rounds.value - before
+                # both legs must simulate the same run, and only the
+                # metrics leg may count it
+                assert outcomes["disabled"] == outcomes["metrics"]
+                simulated += outcomes["metrics"].counters.rounds
+    finally:
+        METRICS.enabled = was_enabled
+    assert counted == simulated, (
+        f"the metrics counted {counted} of the metrics leg's {simulated} rounds"
+    )
+    best = {leg: float(samples[leg].min(axis=0).sum()) for leg in DRIVER_LEGS}
+    return {
+        "name": "driver_run_overhead",
+        "runs": runs,
+        "repeats": repeats,
+        "n": network.n,
+        "m": network.edge_count,
+        "legs": _leg_entries(best, "disabled", runs, "runs_per_sec"),
     }
 
 
@@ -231,15 +288,20 @@ def measure_memory_model(n=_MEMORY_MODEL_N, rows=_MEMORY_MODEL_ROWS):
 def measure(sizes, tmp_dir):
     return [
         bench_channel_overhead(sizes["rounds"], sizes["repeats"], sizes["n"]),
+        bench_driver_overhead(sizes["runs"], sizes["repeats"], sizes["n"]),
         check_byte_identity(tmp_dir),
         measure_memory_model(),
     ]
 
 
-#: allowed overhead over the bare leg, per observed leg
+#: allowed overhead over its baseline leg, per observed leg
 BARS = tuple(
-    Bar(f"channel_round_overhead.legs.{leg}.overhead_fraction", "<=", limit)
-    for leg, limit in (("disabled", 0.01), ("metrics", 0.05), ("timeline", 0.05))
+    Bar(f"{name}.legs.{leg}.overhead_fraction", "<=", limit)
+    for name, leg, limit in (
+        ("channel_round_overhead", "disabled", 0.01),
+        ("channel_round_overhead", "timeline", 0.05),
+        ("driver_run_overhead", "metrics", 0.05),
+    )
 )
 
 

@@ -10,7 +10,9 @@ layer) and a budget function of :func:`budget_terms`. :func:`run_broadcast`
 does the rest, in one place: it coerces the adversary, spawns the run's
 streams, sizes a missing budget, builds the layer, attaches an armed
 timeline capture's recorder, runs the simulator until every node is
-done (or the budget runs out) and returns a :class:`BroadcastOutcome`.
+done (or the budget runs out), adds the run's counters to the
+``repro_channel_*`` and ``repro_mac_*`` metrics when telemetry is on,
+and returns a :class:`BroadcastOutcome`.
 The centralized schedules (the star's, layered routing's and those of
 :mod:`repro.schedules`) are scripts that :func:`run_script` runs on it.
 """
@@ -29,6 +31,7 @@ from repro.core.engine import ProtocolLayer, RoundResult, Simulator
 from repro.core.faults import AdversaryConfig, FaultConfig
 from repro.core.network import RadioNetwork
 from repro.core.trace import ChannelCounters
+from repro.telemetry.metrics import METRICS as _METRICS
 from repro.timeline.capture import armed_recorder
 from repro.timeline.recorder import TimelineRecorder
 from repro.util.rng import RandomSource, spawn_rng
@@ -56,6 +59,38 @@ Budget = Callable[[int, int, float], int]
 #: a schedule as a script: it yields each round's broadcasters and is sent
 #: that round's :class:`RoundResult`
 Script = Generator[np.ndarray, RoundResult, None]
+
+#: each field of a run's counters (:class:`ChannelCounters`, and on the
+#: contention MAC :class:`~repro.mac.channel.MacCounters`) and the
+#: process-wide counter that a finished run adds it to
+_RUN_METRICS = {
+    field: _METRICS.counter(name, help)
+    for field, name, help in (
+        ("rounds", "repro_channel_rounds_total", "channel rounds resolved"),
+        ("broadcasts", "repro_channel_broadcasts_total",
+         "broadcasts that reached the air (on the contention MAC, "
+         "transmissions; its offers are repro_mac_offers_total)"),
+        ("deliveries", "repro_channel_deliveries_total",
+         "successful unique-neighbor deliveries"),
+        ("collisions", "repro_channel_collisions_total",
+         "listeners silenced by collisions"),
+        ("sender_faults", "repro_channel_sender_faults_total",
+         "broadcaster-rounds that sent noise"),
+        ("receiver_faults", "repro_channel_receiver_faults_total",
+         "unique receptions replaced by noise at the receiver"),
+        ("mac_offers", "repro_mac_offers_total", "packets offered to the MAC gate"),
+        ("mac_defers", "repro_mac_defers_total",
+         "contender-slots frozen by carrier sense"),
+        ("mac_transmissions", "repro_mac_transmissions_total",
+         "offers that reached the air"),
+        ("mac_tx_collisions", "repro_mac_collisions_total",
+         "transmissions that failed (no delivery) and escalated backoff"),
+        ("mac_tx_success", "repro_mac_backoff_resets_total",
+         "transmissions that succeeded and reset their contention window"),
+        ("mac_captures", "repro_mac_captures_total",
+         "collided receptions rescued by the capture effect"),
+    )
+}
 
 
 def ilog2(n: int) -> int:
@@ -137,7 +172,9 @@ def run_broadcast(
     source's next child. When a timeline capture is armed
     (:func:`~repro.timeline.capture.capture_timeline`), its recorder goes
     to the layer and to the channel as a round observer, and starts with
-    the layer's active nodes informed.
+    the layer's active nodes informed. With telemetry on, a finished
+    run adds its counters to the metrics of :data:`_RUN_METRICS`; a run
+    that raises adds none.
     """
     adversary = as_adversary(adversary)
     source = spawn_rng(rng)
@@ -155,6 +192,9 @@ def run_broadcast(
         adversary=adversary, channel=channel,
     )
     executed = sim.run(max_rounds)
+    if _METRICS.enabled:
+        for field, value in sim.counters.as_dict().items():
+            _RUN_METRICS[field].inc(value)
     return BroadcastOutcome(
         success=sim.all_done(),
         rounds=executed,

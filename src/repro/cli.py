@@ -1288,17 +1288,18 @@ def _top_frame(client) -> str:
     total_http = sum(entry["value"] for entry in http.get("labeled", []))
     if total_http:
         parts.append(f"http_requests={total_http}")
-    # contention-MAC health: collisions per delivery (only shown once the
-    # service has actually run contention-channel scenarios)
+    # contention-MAC health: collisions per MAC transmission, Bianchi's
+    # collision probability (only shown once the service has run
+    # contention-channel scenarios; default-channel runs count neither)
     mac_collisions = (metrics.get("repro_mac_collisions_total") or {}).get(
         "value", 0
     )
-    deliveries = (metrics.get("repro_channel_deliveries_total") or {}).get(
+    transmissions = (metrics.get("repro_mac_transmissions_total") or {}).get(
         "value", 0
     )
-    if mac_collisions and deliveries:
+    if mac_collisions and transmissions:
         parts.append(
-            f"mac_collisions/deliveries={mac_collisions / deliveries:.3f}"
+            f"mac_collisions/transmissions={mac_collisions / transmissions:.3f}"
         )
     if parts:
         lines.append("metrics: " + "  ".join(parts))

@@ -30,7 +30,6 @@ from repro.core.errors import SimulationError
 from repro.core.faults import AdversaryConfig, FaultConfig
 from repro.core.network import RadioNetwork
 from repro.core.trace import ChannelCounters
-from repro.telemetry.metrics import METRICS as _METRICS
 from repro.util.rng import RandomSource, spawn_rng
 
 __all__ = [
@@ -41,28 +40,6 @@ __all__ = [
     "RoundResult",
     "Simulator",
 ]
-
-# channel hot-seam metrics: registered once at import, bulk-incremented
-# per round behind the single _METRICS.enabled attribute read
-_M_ROUNDS = _METRICS.counter(
-    "repro_channel_rounds_total", "channel rounds resolved"
-)
-_M_BROADCASTS = _METRICS.counter(
-    "repro_channel_broadcasts_total", "broadcast actions offered to the channel"
-)
-_M_DELIVERIES = _METRICS.counter(
-    "repro_channel_deliveries_total", "successful unique-neighbor deliveries"
-)
-_M_COLLISIONS = _METRICS.counter(
-    "repro_channel_collisions_total", "listeners silenced by collisions"
-)
-_M_SENDER_FAULTS = _METRICS.counter(
-    "repro_channel_sender_faults_total", "broadcaster-rounds that sent noise"
-)
-_M_RECEIVER_FAULTS = _METRICS.counter(
-    "repro_channel_receiver_faults_total",
-    "unique receptions replaced by noise at the receiver",
-)
 
 _INT64 = np.dtype(np.int64)
 
@@ -100,9 +77,9 @@ class RoundResult:
     ``*senders`` array is parallel to the receiver array before it:
     ``receivers[i]`` heard ``senders[i]``. Empty fields share one
     read-only empty array. The kernels only fill it;
-    :meth:`Channel._run_round` then derives the counters, the
-    ``repro_channel_*`` metrics and every observer's view from it.
-    Results compare equal when every field holds the same ids.
+    :meth:`Channel._run_round` then sums it into the run's counters and
+    shows it to every observer. Results compare equal when every field
+    holds the same ids.
 
     A plain class with ``__slots__`` rather than a dataclass: one is
     built per round, and array defaults need no factory calls.
@@ -200,12 +177,13 @@ class Channel:
     kernel, ``10**9`` every round to the scalar one.
 
     Either kernel only fills a :class:`RoundResult`. Every round then
-    passes one seam, :meth:`_run_round`: the counters are summed from
-    the result, the ``repro_channel_*`` metrics are updated when
-    telemetry is on, and each observer's ``on_round(result)`` is called.
+    passes one seam, :meth:`_run_round`: the result is summed into
+    ``counters``, and each observer's ``on_round(result)`` is called.
     Event traces (:class:`~repro.core.trace.TraceRecorder`) and flight
     recorders (:class:`~repro.timeline.TimelineRecorder`) are observers,
-    so attaching one never changes the kernel choice.
+    so attaching one never changes the kernel choice. The channel knows
+    no metrics: the run driver (:func:`repro.algorithms.base.run_broadcast`)
+    adds a finished run's counters to the ``repro_channel_*`` metrics.
 
     Parameters
     ----------
@@ -343,23 +321,10 @@ class Channel:
     def _run_round(self, broadcasters: np.ndarray, resolver) -> RoundResult:
         """The one place a resolved round is observed.
 
-        Resolves the round (``broadcasters`` already checked), then feeds
-        the result to the metrics (behind one ``METRICS.enabled`` read)
-        and to every observer.
+        Resolves and counts the round (``broadcasters`` already checked),
+        then shows the result to every observer.
         """
         result = self._resolve_round(broadcasters, resolver)
-        if _METRICS.enabled:
-            _M_ROUNDS.inc()
-            if len(result.broadcasters):
-                _M_BROADCASTS.inc(len(result.broadcasters))
-                if len(result.receivers):
-                    _M_DELIVERIES.inc(len(result.receivers))
-                if len(result.collision_receivers):
-                    _M_COLLISIONS.inc(len(result.collision_receivers))
-                if len(result.faulty_senders):
-                    _M_SENDER_FAULTS.inc(len(result.faulty_senders))
-                if len(result.corrupted_receivers):
-                    _M_RECEIVER_FAULTS.inc(len(result.corrupted_receivers))
         for observer in self.observers:
             observer.on_round(result)
         return result

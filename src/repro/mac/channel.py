@@ -55,34 +55,9 @@ from repro.core.faults import AdversaryConfig, FaultConfig
 from repro.core.network import RadioNetwork
 from repro.core.trace import ChannelCounters
 from repro.mac.config import MacConfig
-from repro.telemetry.metrics import METRICS as _METRICS
 from repro.util.rng import RandomSource
 
 __all__ = ["ContentionChannel", "MacCounters"]
-
-# MAC hot-seam metrics: registered once at import, bulk-incremented per
-# slot behind the single _METRICS.enabled attribute read
-_M_OFFERS = _METRICS.counter(
-    "repro_mac_offers_total", "packets offered to the MAC gate"
-)
-_M_TRANSMISSIONS = _METRICS.counter(
-    "repro_mac_transmissions_total", "offers that reached the air"
-)
-_M_DEFERS = _METRICS.counter(
-    "repro_mac_defers_total", "contender-slots frozen by carrier sense"
-)
-_M_MAC_COLLISIONS = _METRICS.counter(
-    "repro_mac_collisions_total",
-    "transmissions that failed (no delivery) and escalated backoff",
-)
-_M_BACKOFF_RESETS = _METRICS.counter(
-    "repro_mac_backoff_resets_total",
-    "transmissions that succeeded and reset their contention window",
-)
-_M_CAPTURES = _METRICS.counter(
-    "repro_mac_captures_total",
-    "collided receptions rescued by the capture effect",
-)
 
 
 @dataclass
@@ -134,6 +109,11 @@ class ContentionChannel(Channel):
     :class:`~repro.mac.config.MacConfig` describing the MAC. Backoff
     state persists across slots: a node that stops offering keeps its
     counter frozen until it contends again.
+
+    Each slot is summed into ``counters`` (a :class:`MacCounters`) and
+    nowhere else. The run driver adds a finished run's counters to the
+    ``repro_mac_*`` metrics, so a channel built outside it, like
+    :func:`~repro.mac.saturation.saturation_sim`'s, counts into none.
     """
 
     def __init__(
@@ -197,8 +177,6 @@ class ContentionChannel(Channel):
         # a subset of the offers, so they pass to the channel as they are
         offers = self._checked(offers)
         counters = self.counters
-        metrics_on = _METRICS.enabled
-        captures_before = counters.mac_captures
         tx, defers = gate(offers)
         counters.mac_offers += len(offers)
         counters.mac_defers += defers
@@ -208,21 +186,6 @@ class ContentionChannel(Channel):
         successes = feedback(tx, result) if len(tx) else 0
         counters.mac_tx_success += successes
         counters.mac_tx_collisions += len(tx) - successes
-        if metrics_on:
-            if len(offers):
-                _M_OFFERS.inc(len(offers))
-            if defers:
-                _M_DEFERS.inc(defers)
-            if len(tx):
-                _M_TRANSMISSIONS.inc(len(tx))
-                failed = len(tx) - successes
-                if failed:
-                    _M_MAC_COLLISIONS.inc(failed)
-                if successes:
-                    _M_BACKOFF_RESETS.inc(successes)
-            captures = counters.mac_captures - captures_before
-            if captures:
-                _M_CAPTURES.inc(captures)
         return result
 
     def _gate_vectorized(self, contenders: np.ndarray) -> tuple[np.ndarray, int]:

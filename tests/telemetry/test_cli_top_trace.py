@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.cli import main
+from repro.cli import _top_frame, main
 from repro.core.faults import FaultConfig
 from repro.runner import Scenario, expand_grid, run_batch
 from repro.service import ReproService
@@ -140,6 +140,33 @@ class TestTop:
             assert main(["top", "--connect", client_url, "--count", "1"]) == 0
         out = capsys.readouterr().out
         assert "local-worker service: 0 job(s)" in out
+
+    def test_mac_line_is_collisions_per_transmission(self):
+        """Default-channel runs add deliveries but no MAC transmission,
+        so they must not move the MAC line."""
+
+        class StubClient:
+            base_url = "http://stub"
+
+            def health(self):
+                return {"reports": 0, "version": "test"}
+
+            def workers(self):
+                raise RuntimeError("local-worker mode")
+
+            def jobs(self):
+                return []
+
+            def metrics_json(self):
+                return {"metrics": {
+                    "repro_mac_collisions_total": {"value": 30},
+                    "repro_mac_transmissions_total": {"value": 120},
+                    "repro_channel_deliveries_total": {"value": 9000},
+                }}
+
+        frame = _top_frame(StubClient())
+        assert "mac_collisions/transmissions=0.250" in frame.splitlines()[-1]
+        assert "deliveries" not in frame
 
     def test_unreachable_service_reports_and_exits(self, capsys):
         assert main([

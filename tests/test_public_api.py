@@ -163,8 +163,9 @@ def _program_modules():
 class TestOneRunDriver:
     """Every algorithm and schedule on the channel runs through one
     driver, ``repro.algorithms.base.run_broadcast``: it alone builds a
-    ``Simulator``, and so a channel, and binds a timeline, so the engine
-    imports no timeline code."""
+    ``Simulator``, and so a channel, binds a timeline and adds a run's
+    counters to the metrics, so the engine imports no timeline code and
+    neither the engine nor the MAC any telemetry code."""
 
     def test_only_the_driver_builds_a_simulator(self):
         callers = [
@@ -191,10 +192,14 @@ class TestOneRunDriver:
         ]
         assert not callers
 
-    def test_the_engine_imports_no_timeline_code(self):
+    @pytest.mark.parametrize(
+        "packages, banned",
+        [(("core/",), "repro.timeline"), (("core/", "mac/"), "repro.telemetry")],
+    )
+    def test_the_engine_imports_no_timeline_code(self, packages, banned):
         imports = []
         for name, tree in _program_modules():
-            if not name.startswith("core/"):
+            if not name.startswith(packages):
                 continue
             for node in ast.walk(tree):
                 if isinstance(node, ast.Import):
@@ -206,7 +211,6 @@ class TestOneRunDriver:
                 imports += [
                     f"{name}:{node.lineno} {module}"
                     for module in modules
-                    if module == "repro.timeline"
-                    or module.startswith("repro.timeline.")
+                    if module == banned or module.startswith(banned + ".")
                 ]
         assert not imports
