@@ -2,7 +2,7 @@
 
 ``python benchmarks/bench_farm.py [--scale smoke|full] [--output PATH]``
 emits ``BENCH_farm.json`` (see ``bars.py``) with four measurements over
-real processes (one ``repro serve --workers remote`` coordinator, N
+real processes (one ``repro serve --workers 0`` coordinator, N
 ``repro worker`` subprocesses):
 
 * ``farm_scaling``   — scenarios/sec for the same sweep at 1 worker vs
@@ -66,7 +66,7 @@ def _start_coordinator(store_path, chunk, lease_timeout=30.0, port=None,
         [
             sys.executable, "-m", "repro", "serve",
             "--store", store_path, "--port", str(port),
-            "--workers", "remote",
+            "--workers", "0",
             "--lease-scenarios", str(chunk),
             "--lease-timeout", str(lease_timeout),
             *extra,
@@ -210,7 +210,7 @@ def bench_journal_overhead(tmp_dir, scenario_count, n, chunk):
     service = ReproService(
         str(Path(tmp_dir) / "journal"),
         port=0,
-        remote_workers=True,
+        workers=0,
         lease_scenarios=chunk,
     )
     append = service.coordinator._append

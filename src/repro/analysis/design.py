@@ -9,8 +9,10 @@ whose noise is already characterized stop consuming compute; noisy cells
 (bursty adversaries, fault probabilities near the percolation knee) get
 the extra seeds.
 
-Everything flows through :func:`repro.runner.run_batch` with the store
-threaded in (``reuse=True``), so the design is **resumable for free**:
+Every seed batch runs through one ``execute`` hook, by default
+:func:`repro.runner.run_batch` with the store threaded in
+(``reuse=True``); the service passes a hook that submits the batch to
+its job queue instead. Either way the design is **resumable for free**:
 seeds per cell are allocated ``0, 1, 2, ...`` deterministically, every
 decision is a pure function of the (deterministic) run results, and a
 rerun against the same store replays the identical allocation from cache
@@ -26,7 +28,7 @@ from typing import Any, Callable, Mapping, Optional, Sequence
 
 from repro.analysis.aggregate import METRICS, group_seed, rows_from_reports
 from repro.analysis.report import AnalysisReport
-from repro.runner import Scenario, expand_grid, run_batch
+from repro.runner import RunReport, Scenario, expand_grid, run_batch
 from repro.store.store import ResultStore
 from repro.util.stats import bootstrap_ci, mean
 
@@ -67,7 +69,7 @@ def adaptive_sweep(
     seed_start: int = 0,
     store: Optional[ResultStore] = None,
     processes: Optional[int] = None,
-    progress: Optional[Callable[[int, int], None]] = None,
+    execute: Optional[Callable[[list[Scenario]], list[RunReport]]] = None,
 ) -> AnalysisReport:
     """Run seed batches per grid cell until every CI is tight enough.
 
@@ -87,10 +89,12 @@ def adaptive_sweep(
     store:
         A :class:`~repro.store.ResultStore`; strongly recommended — with
         it the sweep is resumable and a rerun executes nothing.
-    progress:
-        Optional callback ``(runs_completed, runs_upper_bound)`` invoked
-        after every batch (the service job layer threads its progress
-        counters through this).
+    execute:
+        Runs one seed batch and returns its reports in order (default:
+        ``run_batch(scenarios, processes=processes, store=store,
+        reuse=True)``). The service's hook submits each batch as a job
+        to its queue, waits for it, and counts progress. Reports must
+        land in ``store`` for ``meta`` to count executions.
 
     Returns a canonical :class:`AnalysisReport` (kind ``adaptive``) with
     one row per cell; ``meta`` records wall time and how many scenarios
@@ -122,10 +126,15 @@ def adaptive_sweep(
         for scenario, combo in zip(cell_scenarios, combos)
     ]
 
+    if execute is None:
+        def execute(scenarios: list[Scenario]) -> list[RunReport]:
+            return run_batch(
+                scenarios, processes=processes, store=store, reuse=True
+            )
+
     start = time.perf_counter()
     stored_before = len(store) if store is not None else 0
     total_runs = 0
-    upper_bound = len(cells) * max_seeds
 
     def extend(cell: _Cell, count: int) -> None:
         nonlocal total_runs
@@ -133,15 +142,10 @@ def adaptive_sweep(
         scenarios = [
             cell.scenario.with_(seed=s) for s in range(first, first + count)
         ]
-        reports = run_batch(
-            scenarios, processes=processes, store=store, reuse=True
-        )
         cell.values.extend(
-            row[metric] for row in rows_from_reports(reports)
+            row[metric] for row in rows_from_reports(execute(scenarios))
         )
         total_runs += count
-        if progress is not None:
-            progress(total_runs, upper_bound)
 
     def refresh(cell: _Cell) -> None:
         low, high = bootstrap_ci(

@@ -3,7 +3,7 @@
 ``python -m repro.chaos.smoke`` (the CI ``chaos`` job) drives one sweep
 through every failure mode the farm claims to survive, at once:
 
-1. starts ``repro serve --workers remote`` on a fresh sharded store and
+1. starts ``repro serve --workers 0`` on a fresh sharded store and
    a :class:`~repro.chaos.ChaosProxy` in front of it (seeded drops,
    delays, injected 500s, black holes);
 2. submits a sweep directly, then starts the workers *through the
@@ -89,7 +89,7 @@ def _spawn_server(store_path: str, port: int, recover: bool = False) -> subproce
     command = [
         sys.executable, "-m", "repro", "serve",
         "--store", store_path, "--port", str(port),
-        "--workers", "remote", "--shards", "2",
+        "--workers", "0", "--shards", "2",
         "--lease-timeout", str(LEASE_TIMEOUT),
         "--lease-scenarios", str(LEASE_SCENARIOS),
     ]

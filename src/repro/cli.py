@@ -25,8 +25,9 @@ Usage::
         --n 32,64 --fault-model receiver --p 0.3 \\
         --target-halfwidth 10 --max-seeds 32
     repro serve --store results.db --port 8765 --workers 2
-    repro serve --store farm.db --workers remote --shards 4 \\
+    repro serve --store farm.db --workers 0 --shards 4 \\
         --lease-scenarios 8 --lease-timeout 30
+    repro serve --store farm.db --workers 2 --recover
     repro worker --connect http://127.0.0.1:8765 --processes 4
     repro store farm.db --stats
     repro store farm.db --stats --format json
@@ -197,24 +198,28 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     srv.add_argument(
         "--workers",
-        default="2",
+        type=int,
+        default=2,
         help=(
-            "background worker threads draining the job queue, or "
-            "'remote': coordinate external 'repro worker' processes "
-            "through chunked leases instead"
+            "in-process worker threads leasing from the job queue; remote "
+            "'repro worker' processes lease from the same queue (0: run "
+            "nothing here, only coordinate remote workers)"
         ),
     )
     srv.add_argument(
         "--processes",
         type=int,
         default=None,
-        help="per-job process fan-out for run_batch (default: in-thread)",
+        help=(
+            "per-lease process fan-out of each in-process worker "
+            "(default: in-thread)"
+        ),
     )
     srv.add_argument(
         "--lease-scenarios",
         type=int,
         default=None,
-        help="scenarios per lease chunk (--workers remote)",
+        help="scenarios per lease chunk",
     )
     srv.add_argument(
         "--lease-timeout",
@@ -222,7 +227,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help=(
             "seconds a lease survives without a heartbeat before its "
-            "scenarios requeue (--workers remote)"
+            "scenarios requeue"
         ),
     )
     srv.add_argument(
@@ -238,17 +243,17 @@ def _build_parser() -> argparse.ArgumentParser:
         "--recover",
         action="store_true",
         help=(
-            "rebuild the coordinator from the store's farm journal: jobs "
-            "and in-flight leases a crashed coordinator left behind "
-            "resume under their original ids (--workers remote only)"
+            "rebuild the job queue from the store's farm journal: jobs "
+            "and in-flight leases a crashed service left behind resume "
+            "under their original ids"
         ),
     )
 
     wrk = sub.add_parser(
         "worker",
         help=(
-            "join a farm: pull scenario leases from a 'repro serve "
-            "--workers remote' coordinator, execute, push reports back"
+            "join a farm: pull scenario leases from a 'repro serve' "
+            "job queue, execute, push reports back"
         ),
     )
     wrk.add_argument(
@@ -1072,38 +1077,21 @@ def _open_store(path: str, shards: Optional[int] = None):
 def _command_serve(args: argparse.Namespace) -> int:
     from repro.service import serve
 
-    remote = args.workers.strip().lower() == "remote"
-    if remote:
-        workers = 0
-    else:
-        try:
-            workers = int(args.workers)
-        except ValueError:
-            print(
-                f"--workers takes a thread count or 'remote', "
-                f"got {args.workers!r}",
-                file=sys.stderr,
-            )
-            return 2
-        if workers < 1:
-            print("--workers must be >= 1 (or 'remote')", file=sys.stderr)
-            return 2
+    if args.workers < 0:
+        print("--workers must be >= 0", file=sys.stderr)
+        return 2
     # fail fast with a usage error if the store is unusable, before
     # binding the socket
     store = _open_store(args.store, shards=args.shards)
     if store is None:
         return 2
     store.close()
-    if args.recover and not remote:
-        print("--recover requires --workers remote", file=sys.stderr)
-        return 2
     return serve(
         args.store,
         host=args.host,
         port=args.port,
-        workers=workers,
+        workers=args.workers,
         processes=args.processes,
-        remote_workers=remote,
         lease_scenarios=args.lease_scenarios,
         lease_timeout=args.lease_timeout,
         shards=args.shards,
@@ -1226,50 +1214,36 @@ def _top_frame(client) -> str:
         f"repro top — {client.base_url}  "
         f"store: {health['reports']} reports  (v{health['version']})"
     ]
-    try:
-        snapshot = client.workers()
-    except Exception:  # noqa: BLE001 - local-worker mode answers 400
-        snapshot = None
-    if snapshot is not None:
-        queue = snapshot["queue"]
-        rates = snapshot.get("rates", {})
-        lines.append(
-            f"queue: {queue['pending_scenarios']} pending, "
-            f"{queue['outstanding_leases']} leased, "
-            f"{queue['scenarios_completed']} completed "
-            f"({queue['duplicates']} duplicate(s), "
-            f"{queue['quarantined_scenarios']} quarantined); "
-            f"throughput {rates.get('scenarios_per_s', 0.0)}/s over "
-            f"{rates.get('window_s', 0)}s"
+    snapshot = client.workers()
+    queue = snapshot["queue"]
+    rates = snapshot.get("rates", {})
+    lines.append(
+        f"queue: {queue['pending_scenarios']} pending, "
+        f"{queue['outstanding_leases']} leased, "
+        f"{queue['scenarios_completed']} completed "
+        f"({queue['duplicates']} duplicate(s), "
+        f"{queue['quarantined_scenarios']} quarantined); "
+        f"throughput {rates.get('scenarios_per_s', 0.0)}/s over "
+        f"{rates.get('window_s', 0)}s"
+    )
+    if snapshot["workers"]:
+        table = Table(
+            ("worker", "name", "idle_s", "leases", "lost",
+             "executed", "cached"),
         )
-        if snapshot["workers"]:
-            table = Table(
-                ("worker", "name", "idle_s", "leases", "lost",
-                 "executed", "cached"),
+        for worker in snapshot["workers"]:
+            table.add_row(
+                worker["id"],
+                worker["name"],
+                worker["idle_s"],
+                worker["leases_completed"],
+                worker["leases_lost"],
+                worker["executed"],
+                worker["cached"],
             )
-            for worker in snapshot["workers"]:
-                table.add_row(
-                    worker["id"],
-                    worker["name"],
-                    worker["idle_s"],
-                    worker["leases_completed"],
-                    worker["leases_lost"],
-                    worker["executed"],
-                    worker["cached"],
-                )
-            lines.append(table.to_text())
-        else:
-            lines.append("no workers registered")
+        lines.append(table.to_text())
     else:
-        jobs = client.jobs()
-        running = sum(1 for job in jobs if job["status"] == "running")
-        finished = sum(
-            1 for job in jobs if job["status"] in ("done", "partial")
-        )
-        lines.append(
-            f"local-worker service: {len(jobs)} job(s), "
-            f"{running} running, {finished} finished"
-        )
+        lines.append("no workers registered")
     try:
         metrics = client.metrics_json().get("metrics", {})
     except Exception:  # noqa: BLE001 - older service without /metrics.json

@@ -1,6 +1,6 @@
 """The farm coordinator: journaled scenario leases with crash recovery.
 
-One :class:`Coordinator` owns the farmed half of the job queue. Workers
+One :class:`Coordinator` owns the service's job queue. Workers
 (:mod:`repro.farm.worker`) register, then pull :class:`Lease` chunks of
 N scenarios each; a lease carries a deadline that heartbeats extend, and
 a lease whose deadline lapses returns its unfinished scenarios to the
@@ -35,10 +35,14 @@ completion record. In-flight leases resume with whatever deadline time
 they had left (journal deadlines are wall-clock, so coordinator
 downtime counts against them), which means a restart mid-lease neither
 double-executes — the content addressing absorbs re-delivery — nor
-stalls waiting on a dead worker. The journal is compacted in place every
-``compact_every`` appends down to one record per job, per live attempt
-counter, per quarantined scenario, and per outstanding lease, so its
-size is bounded by live state, not by history.
+stalls waiting on a dead worker. A lease held by one of the dead
+process's own in-process workers (grants journal ``local``) is
+requeued at once instead: nothing will ever heartbeat it. The journal
+is compacted in place every ``compact_every`` appends down to one
+record per job, per live attempt counter, per quarantined scenario, and
+per outstanding lease, so lease history collapses. Finished jobs keep
+their record, so its size grows with every job the coordinator has
+taken.
 
 A scenario that keeps *failing* (a worker reports an error, not a lost
 lease) is requeued up to :data:`MAX_ATTEMPTS` times and then
@@ -47,9 +51,16 @@ nothing completed) with a per-scenario error map instead of one poison
 scenario sinking the whole sweep. Lease expiries never count toward
 quarantine — a chaos-killed worker must not poison innocent scenarios.
 
-The coordinator is a plain thread-safe object; :mod:`repro.service`
-exposes it over HTTP (``POST /leases``, ``PUT /leases/<id>/heartbeat``,
-``POST /leases/<id>/complete``, ``GET/POST /workers``).
+The coordinator is a plain thread-safe object and the service's only
+job queue: :mod:`repro.service` exposes it over HTTP (``POST /leases``,
+``PUT /leases/<id>/heartbeat``, ``POST /leases/<id>/complete``,
+``GET/POST /workers``), and the service's own in-process workers call it
+directly through :class:`~repro.farm.worker.LocalClient`, waiting in
+:meth:`Coordinator.wait_for_work` while the queue is empty. Jobs share
+the workers round-robin: a job that gets a lease moves behind every
+other job with pending scenarios, so a small job submitted behind a
+large sweep waits for one lease per job ahead of it, not for the whole
+sweep.
 """
 
 from __future__ import annotations
@@ -166,13 +177,17 @@ class _WorkerState:
     """Registration, liveness, and throughput counters for one worker."""
 
     __slots__ = (
-        "id", "name", "registered_at", "last_seen", "leases_completed",
-        "leases_lost", "executed", "cached",
+        "id", "name", "local", "registered_at", "last_seen",
+        "leases_completed", "leases_lost", "executed", "cached",
     )
 
-    def __init__(self, worker_id: str, name: str, now: float) -> None:
+    def __init__(
+        self, worker_id: str, name: str, now: float, local: bool = False
+    ) -> None:
         self.id = worker_id
         self.name = name
+        #: runs in the coordinator's process, so it dies with it
+        self.local = local
         self.registered_at = now
         self.last_seen = now
         self.leases_completed = 0
@@ -251,7 +266,14 @@ class Coordinator:
         self._clock = clock
         self._wall = wall
         self._lock = threading.Lock()
+        #: notified when scenarios are queued or requeued
+        self._work = threading.Condition(self._lock)
+        #: notified when a job reaches a terminal status
+        self._finished = threading.Condition(self._lock)
         self._jobs: dict[str, _JobState] = {}
+        #: ids of jobs that may have pending scenarios, in lease order:
+        #: a job that gets a lease moves to the back (round-robin)
+        self._ready: dict[str, None] = {}
         self._workers: dict[str, _WorkerState] = {}
         self._leases: dict[str, Lease] = {}
         self._key_map: dict[str, list[tuple[str, int]]] = {}
@@ -344,6 +366,13 @@ class Coordinator:
 
         now = clock()
         wall_now = wall()
+        # the dead process's own workers died with it: their leases'
+        # scenarios go straight back to the queue
+        grants = {
+            lease_id: grant
+            for lease_id, grant in grants.items()
+            if not grant.get("local")
+        }
         leased: dict[str, set[int]] = {}
         for grant in grants.values():
             leased.setdefault(grant["job"], set()).update(grant["indexes"])
@@ -372,7 +401,10 @@ class Coordinator:
                 if index not in state.quarantined and index not in out:
                     state.pending.append(index)
             coordinator._jobs[job.id] = state
-            coordinator._maybe_finish(state)
+            if state.pending:
+                coordinator._ready[job.id] = None
+            with coordinator._lock:  # _maybe_finish notifies waiters
+                coordinator._maybe_finish(state)
             if job.status == "queued" and (job.completed or out or per_job):
                 job.status = "running"
                 job.started_at = job.started_at or time.time()
@@ -415,8 +447,8 @@ class Coordinator:
         return coordinator
 
     def jobs(self) -> list["Job"]:
-        """The coordinator's jobs in intake order (for re-adoption by a
-        :class:`~repro.service.jobs.JobManager` after :meth:`recover`)."""
+        """The coordinator's jobs in intake order (for adoption by a
+        :class:`~repro.service.jobs.JobManager`)."""
         with self._lock:
             return [state.job for state in self._jobs.values()]
 
@@ -438,6 +470,8 @@ class Coordinator:
                 else:
                     state.pending.append(index)
                     self._key_map.setdefault(key, []).append((job.id, index))
+            if state.pending:
+                self._ready[job.id] = None
             self._maybe_finish(state)
             self._append(
                 "job",
@@ -449,15 +483,37 @@ class Coordinator:
                     "submitted_at": job.submitted_at,
                 },
             )
+            if state.pending:
+                self._work.notify_all()
+
+    def wait_for_work(self, timeout: float) -> None:
+        """Block until a scenario is queued or requeued, at most
+        ``timeout`` seconds (how an idle in-process worker waits)."""
+        with self._work:
+            if not self._ready:
+                self._work.wait(timeout)
+
+    def wait_finished(self, job: "Job", timeout: float) -> bool:
+        """Block until ``job`` reaches a terminal status, at most
+        ``timeout`` seconds; returns whether it has."""
+        with self._finished:
+            return self._finished.wait_for(
+                lambda: job.status not in ("queued", "running"), timeout
+            )
 
     # -- worker lifecycle ---------------------------------------------------
 
-    def register(self, name: str = "") -> dict[str, Any]:
-        """Register a worker; returns its id and the lease protocol knobs."""
+    def register(self, name: str = "", local: bool = False) -> dict[str, Any]:
+        """Register a worker; returns its id and the lease protocol knobs.
+
+        ``local`` marks a worker in the coordinator's own process: its
+        leases are journaled as such, and :meth:`recover` requeues them
+        at once instead of waiting out their deadline.
+        """
         with self._lock:
             worker_id = f"w-{next(self._worker_ids):04d}"
             self._workers[worker_id] = _WorkerState(
-                worker_id, name or worker_id, self._clock()
+                worker_id, name or worker_id, self._clock(), local
             )
         return {
             "worker": worker_id,
@@ -469,7 +525,11 @@ class Coordinator:
     def lease(
         self, worker_id: str, max_scenarios: Optional[int] = None
     ) -> Optional[dict[str, Any]]:
-        """Check out the next chunk of scenarios (None when queue is idle)."""
+        """Check out the next chunk of scenarios (None when queue is idle).
+
+        Jobs take turns: the chunk comes from the first ready job, which
+        then moves behind every other ready job.
+        """
         limit = self.lease_scenarios if max_scenarios is None else max_scenarios
         if limit < 1:
             raise ValueError(f"max_scenarios must be >= 1, got {limit}")
@@ -477,12 +537,17 @@ class Coordinator:
         with self._lock:
             worker = self._touch(worker_id, now)
             self._expire(now)
-            for state in self._jobs.values():
+            while self._ready:
+                job_id = next(iter(self._ready))
+                del self._ready[job_id]
+                state = self._jobs[job_id]
                 if state.job.status == "failed":
                     continue
                 indexes = self._pop_pending(state, limit)
                 if not indexes:
                     continue
+                if state.pending:
+                    self._ready[job_id] = None
                 job = state.job
                 if job.status == "queued":
                     job.status = "running"
@@ -505,6 +570,7 @@ class Coordinator:
                     {
                         "lease": lease.id,
                         "worker": worker.id,
+                        "local": worker.local,
                         "job": job.id,
                         "indexes": indexes,
                         "expires": self._wall() + self.lease_timeout,
@@ -554,7 +620,10 @@ class Coordinator:
 
         Reports from a lease that already expired are still absorbed
         (``late: true`` in the response) — the bytes are correct under
-        their content address; only the accounting differs.
+        their content address; only the accounting differs. A live
+        lease completed with only part of its reports (a worker that
+        stopped at a scenario boundary) returns the rest to the queue
+        front without counting an attempt, as an expiry would.
         """
         now = self._clock()
         # durability order matters: the reports land in the store BEFORE
@@ -568,21 +637,24 @@ class Coordinator:
             worker = self._touch(worker_id, now)
             self._expire(now)
             lease = self._leases.pop(lease_id, None)
-            if lease is not None:
-                self._append(
-                    "release", {"lease": lease.id, "requeue": False, "error": ""}
-                )
             fresh, duplicates = self._mark_done(
                 [report.cache_key for report in reports]
             )
+            requeued = 0
+            if lease is not None:
+                requeued = self._requeue(lease)
+                self._append(
+                    "release",
+                    {"lease": lease.id, "requeue": bool(requeued), "error": ""},
+                )
+                worker.leases_completed += 1
             worker.executed += int(executed)
             worker.cached += int(cached)
-            if lease is not None:
-                worker.leases_completed += 1
             return {
                 "stored": stored,
                 "completed": fresh,
                 "duplicates": duplicates,
+                "requeued": requeued,
                 "late": lease is None,
             }
 
@@ -712,11 +784,11 @@ class Coordinator:
     def _compact(self) -> None:
         """Rewrite the journal as a snapshot of live state.
 
-        One ``job`` record per job, one ``attempts``/``quarantine``
-        record where those are non-trivial, one ``grant`` per
-        outstanding lease (with its *current* wall-clock deadline) —
-        history collapses, so journal size is bounded by live state no
-        matter how many lease cycles a long job goes through.
+        One ``job`` record per job, finished or not, one
+        ``attempts``/``quarantine`` record where those are non-trivial,
+        one ``grant`` per outstanding lease (with its *current*
+        wall-clock deadline) — lease history collapses, however many
+        lease cycles a long job goes through.
         """
         now = self._clock()
         wall_now = self._wall()
@@ -760,6 +832,7 @@ class Coordinator:
                 {
                     "lease": lease.id,
                     "worker": lease.worker_id,
+                    "local": self._workers[lease.worker_id].local,
                     "job": lease.job_id,
                     "indexes": list(lease.indexes),
                     "expires": wall_now + (lease.deadline - now),
@@ -841,6 +914,7 @@ class Coordinator:
             )
         job.started_at = job.started_at or time.time()
         job.finished_at = time.time()
+        self._finished.notify_all()
 
     def _requeue(self, lease: Lease, error: str = "") -> int:
         """Return a dead lease's unfinished scenarios to the queue front.
@@ -864,8 +938,11 @@ class Coordinator:
                     continue
             state.pending.appendleft(index)
             requeued += 1
-        if requeued and _METRICS.enabled:
-            _M_SCENARIOS_REQUEUED.inc(requeued)
+        if requeued:
+            self._ready[state.job.id] = None
+            self._work.notify_all()
+            if _METRICS.enabled:
+                _M_SCENARIOS_REQUEUED.inc(requeued)
         self._maybe_finish(state)
         return requeued
 

@@ -4,7 +4,7 @@
 central invariant — a distributed sweep with a failing participant
 stores exactly the bytes a serial run produces:
 
-1. starts ``repro serve --workers remote`` as a subprocess on a free
+1. starts ``repro serve --workers 0`` as a subprocess on a free
    port with a fresh *sharded* store;
 2. starts three ``repro worker`` subprocesses against it;
 3. submits a 120-scenario sweep, waits until one worker is observed
@@ -131,7 +131,7 @@ def run_smoke(verbose: bool = True) -> dict[str, Any]:
             [
                 sys.executable, "-m", "repro", "serve",
                 "--store", store_path, "--port", str(port),
-                "--workers", "remote", "--shards", "2",
+                "--workers", "0", "--shards", "2",
                 "--lease-timeout", str(LEASE_TIMEOUT),
                 "--lease-scenarios", "8",
             ],

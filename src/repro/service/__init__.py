@@ -1,21 +1,20 @@
 """The serving layer: run sweeps behind an HTTP API, answer from the store.
 
 ``repro serve --store results.db`` turns the simulator into a long-lived
-service: clients submit scenario sweeps as JSON, a background worker
-pool executes them through the unified runner (with the existing
-``multiprocessing`` fan-out), every canonical report lands in the
-content-addressed :class:`~repro.store.ResultStore`, and repeat queries
-are answered with one SQLite read instead of a recompute.
-
-``repro serve --workers remote`` swaps the local worker pool for a
-:mod:`repro.farm` coordinator: the same jobs become chunked scenario
-leases that external ``repro worker`` processes pull, execute, and push
-back — clients cannot tell which mode ran their sweep.
+service: clients submit scenario sweeps as JSON, every job becomes
+chunked scenario leases in one journaled :mod:`repro.farm` coordinator,
+workers execute them through the unified runner, every canonical report
+lands in the content-addressed :class:`~repro.store.ResultStore`, and
+repeat queries are answered with one SQLite read instead of a
+recompute. The workers are the service's own ``--workers N`` threads
+and any number of remote ``repro worker`` processes, all leasing from
+the same queue — clients cannot tell which ran their sweep, and
+``--recover`` resumes every unfinished job after a crash.
 
 The pieces:
 
-* :mod:`repro.service.jobs`   — :class:`JobManager`: queue + workers
-  (or the farm coordinator in remote mode);
+* :mod:`repro.service.jobs`   — :class:`JobManager`: job ids, adoption
+  of recovered jobs, and the adaptive-sweep drivers;
 * :mod:`repro.service.server` — :class:`ReproService`: the stdlib
   ``ThreadingHTTPServer`` JSON API (``/health``, ``/registry``,
   ``/jobs``, ``/reports``, and the farm's ``/workers``/``/leases``)

@@ -1,49 +1,45 @@
-"""Job queue and background workers for the serving layer.
+"""Job bookkeeping for the serving layer.
 
 A :class:`Job` is a submitted batch of scenarios; a :class:`JobManager`
-owns a queue of them and a pool of worker threads that execute each job
-in chunks through :func:`repro.runner.run_batch` — with the result store
-threaded through, so every chunk lands in SQLite as it finishes, cache
-hits skip execution, and a job that repeats stored work completes in
-milliseconds. Each chunk may itself fan out across the existing
-``multiprocessing`` pool (``processes``), so the service composes thread
--level job concurrency with process-level scenario parallelism.
+gives it an id and hands it to the service's one job queue, the
+journaled farm :class:`~repro.farm.Coordinator`. The coordinator's
+workers execute it: the service's own in-process threads and any remote
+``repro worker`` processes, all leasing from the same queue. Every
+report lands in the content-addressed :class:`~repro.store.ResultStore`,
+scenarios already stored complete at submit time, and a job that
+repeats stored work completes in milliseconds.
 
 Two job kinds exist: ``batch`` (a fixed scenario list) and ``adaptive``
-(an :func:`repro.analysis.design.adaptive_sweep` specification — the
-worker decides how many seeds each grid cell needs as it goes, and the
-finished job's snapshot carries the canonical
-:class:`~repro.analysis.AnalysisReport` under ``result``).
+(an :func:`repro.analysis.design.adaptive_sweep` specification). An
+adaptive job runs on a driver thread that decides how many seeds each
+grid cell needs as it goes, submitting each seed batch as an ordinary
+batch job and waiting for it; the finished job's snapshot carries the
+canonical :class:`~repro.analysis.AnalysisReport` under ``result``.
 
-With a farm :class:`~repro.farm.Coordinator` attached (``repro serve
---workers remote``), the manager keeps the same submission/inspection
-API but executes nothing itself: batch jobs are handed to the
-coordinator's lease queue and remote worker processes drain them.
-
-Shutdown drains instead of dropping: in-flight jobs stop at their next
-chunk boundary and are marked ``cancelled`` (with queued jobs), so no
-job is ever left reading ``running`` forever after the service stops.
+Shutdown drains instead of dropping: every unfinished job is marked
+``cancelled``, so no job is ever left reading ``running`` forever after
+the service stops. A batch job's scenarios stay in the coordinator's
+journal, so a ``--recover`` restart resumes it under its id.
 """
 
 from __future__ import annotations
 
 import itertools
-import queue
 import threading
 import time
 from typing import TYPE_CHECKING, Any, Mapping, Optional, Sequence
 
-from repro.runner import Scenario, run_batch
-from repro.store import ResultStore
+from repro.runner import RunReport, Scenario
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle at type time only
     from repro.farm import Coordinator
 
 __all__ = ["Job", "JobManager", "coerce_grid"]
 
-
-class _Cancelled(Exception):
-    """Internal: the service is shutting down; stop at the chunk boundary."""
+#: an adaptive driver's longest wait on its seed batch: the batch's end
+#: wakes it at once, so this only bounds how long a shutdown takes to
+#: reach it
+_STOP_POLL_S = 0.1
 
 
 def coerce_grid(grid: Mapping[str, Any]) -> dict[str, list]:
@@ -72,9 +68,6 @@ def coerce_grid(grid: Mapping[str, Any]) -> dict[str, list]:
         else:
             coerced[key] = values
     return coerced
-
-#: scenarios per run_batch call — the progress-reporting granularity
-DEFAULT_CHUNK_SIZE = 8
 
 
 class Job:
@@ -140,60 +133,26 @@ class Job:
 
 
 class JobManager:
-    """A queue of jobs drained by ``workers`` background threads.
+    """Job ids, submission and inspection over a farm coordinator.
 
-    Parameters
-    ----------
-    store:
-        The shared result store every job writes to (and reuses from).
-    workers:
-        Concurrent jobs; each worker thread runs one job at a time.
-    processes:
-        Per-chunk ``run_batch`` process fan-out (None/1: in-thread).
-    chunk_size:
-        Scenarios per ``run_batch`` call; smaller chunks mean finer
-        progress reporting and more frequent store commits.
-    coordinator:
-        A farm :class:`~repro.farm.Coordinator`. When given, no local
-        worker threads start — submitted batches go to the lease queue
-        and remote ``repro worker`` processes execute them. A
-        coordinator built by :meth:`~repro.farm.Coordinator.recover`
-        already carries jobs replayed from the journal; the manager
-        adopts them under their original ids, so clients polling
-        ``GET /jobs/<id>`` across a coordinator restart keep working.
+    Batch jobs go to ``coordinator``'s lease queue, and adaptive jobs
+    run on driver threads that feed it seed batches; the manager owns
+    no queue and executes nothing itself. Jobs the coordinator already
+    holds — replayed from its journal by
+    :meth:`~repro.farm.Coordinator.recover` — are adopted under their
+    original ids, so clients polling ``GET /jobs/<id>`` across a
+    restart keep working.
     """
 
-    def __init__(
-        self,
-        store: ResultStore,
-        workers: int = 2,
-        processes: Optional[int] = None,
-        chunk_size: int = DEFAULT_CHUNK_SIZE,
-        coordinator: "Optional[Coordinator]" = None,
-    ) -> None:
-        if workers < 1 and coordinator is None:
-            raise ValueError(f"workers must be >= 1, got {workers}")
-        if chunk_size < 1:
-            raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
-        self.store = store
-        self.processes = processes
-        self.chunk_size = chunk_size
+    def __init__(self, coordinator: "Coordinator") -> None:
         self.coordinator = coordinator
-        self._queue: "queue.Queue[str]" = queue.Queue()
+        self.store = coordinator.store
         self._jobs: dict[str, Job] = {}
         self._lock = threading.Lock()
         self._counter = itertools.count(1)
         self._stop = threading.Event()
-        self._threads = [
-            threading.Thread(
-                target=self._worker, name=f"repro-job-worker-{i}", daemon=True
-            )
-            for i in range(0 if coordinator is not None else workers)
-        ]
-        for thread in self._threads:
-            thread.start()
-        if coordinator is not None:
-            self._adopt(coordinator.jobs())
+        self._drivers: list[threading.Thread] = []
+        self._adopt(coordinator.jobs())
 
     def _adopt(self, jobs: Sequence[Job]) -> None:
         """Adopt journal-recovered jobs under their original ids and
@@ -211,7 +170,7 @@ class JobManager:
     # -- submission and inspection ------------------------------------------
 
     def submit(self, scenarios: Sequence[Scenario]) -> Job:
-        """Enqueue a batch of scenarios."""
+        """Queue a batch of scenarios on the coordinator."""
         if self._stop.is_set():
             raise RuntimeError("the job manager is shut down")
         batch = list(scenarios)
@@ -220,57 +179,55 @@ class JobManager:
         with self._lock:
             job = Job(f"job-{next(self._counter):04d}", batch)
             self._jobs[job.id] = job
-        if self.coordinator is not None:
-            self.coordinator.add_job(job)
-        else:
-            self._queue.put(job.id)
+        self.coordinator.add_job(job)
         return job
 
     def submit_adaptive(self, spec: Mapping[str, Any]) -> Job:
-        """Enqueue an adaptive sweep (see ``adaptive_sweep`` for keys).
+        """Start an adaptive sweep (see ``adaptive_sweep`` for keys).
 
         ``spec`` must hold a ``base`` scenario dict and may
         hold ``grid``, ``target_halfwidth``, ``max_seeds``, ``batch``,
         ``metric``, ``confidence``, ``resamples``, ``seed``,
         ``seed_start``. Every knob is validated here (fail at submit
-        time with a clear error, not later in a worker poll).
+        time with a clear error, not later in the driver).
         """
         from repro.analysis.aggregate import METRICS
+        from repro.runner import expand_grid
 
         if self._stop.is_set():
             raise RuntimeError("the job manager is shut down")
-        if self.coordinator is not None:
-            raise ValueError(
-                "adaptive jobs need local workers; this service farms "
-                "batches to remote workers (serve without --workers remote)"
-            )
-        spec = dict(spec)
         base = Scenario.from_dict(spec.get("base", {}))
-        grid = coerce_grid(spec.get("grid") or {})
-        max_seeds = int(spec.get("max_seeds", 64))
-        batch_size = int(spec.get("batch", 4))
-        if batch_size < 1 or max_seeds < batch_size:
+        options = {
+            "grid": coerce_grid(spec.get("grid") or {}),
+            "target_halfwidth": float(spec.get("target_halfwidth", 1.0)),
+            "max_seeds": int(spec.get("max_seeds", 64)),
+            "batch": int(spec.get("batch", 4)),
+            "metric": str(spec.get("metric", "rounds")),
+            "confidence": float(spec.get("confidence", 0.95)),
+            "resamples": int(spec.get("resamples", 1000)),
+            "seed": int(spec.get("seed", 0)),
+            "seed_start": int(spec.get("seed_start", 0)),
+        }
+        if not 1 <= options["batch"] <= options["max_seeds"]:
             raise ValueError(
-                f"need 1 <= batch <= max_seeds, got batch={batch_size} "
-                f"max_seeds={max_seeds}"
+                f"need 1 <= batch <= max_seeds, got batch={options['batch']} "
+                f"max_seeds={options['max_seeds']}"
             )
-        if float(spec.get("target_halfwidth", 1.0)) <= 0.0:
+        if options["target_halfwidth"] <= 0.0:
             raise ValueError(
-                f"target_halfwidth must be > 0, got {spec['target_halfwidth']}"
+                f"target_halfwidth must be > 0, got {options['target_halfwidth']}"
             )
-        if int(spec.get("resamples", 1000)) < 1:
-            raise ValueError(f"resamples must be >= 1, got {spec['resamples']}")
-        metric = str(spec.get("metric", "rounds"))
-        if metric not in METRICS:
-            raise ValueError(f"unknown metric {metric!r}; allowed: {METRICS}")
-        confidence = float(spec.get("confidence", 0.95))
-        if not 0.0 < confidence < 1.0:
+        if options["resamples"] < 1:
+            raise ValueError(f"resamples must be >= 1, got {options['resamples']}")
+        if options["metric"] not in METRICS:
             raise ValueError(
-                f"confidence must be in (0, 1), got {confidence}"
+                f"unknown metric {options['metric']!r}; allowed: {METRICS}"
             )
-        from repro.runner import expand_grid
-
-        cells = expand_grid(base, seeds=[0], grid=grid)
+        if not 0.0 < options["confidence"] < 1.0:
+            raise ValueError(
+                f"confidence must be in (0, 1), got {options['confidence']}"
+            )
+        cells = expand_grid(base, seeds=[0], grid=options["grid"])
         if not cells:
             raise ValueError("the adaptive grid expands to zero cells")
         with self._lock:
@@ -278,13 +235,18 @@ class JobManager:
                 f"job-{next(self._counter):04d}",
                 cells,
                 kind="adaptive",
-                spec={**spec, "grid": grid, "max_seeds": max_seeds,
-                      "batch": batch_size},
+                spec={"base": base, **options},
             )
             # for adaptive jobs the total is the seed-budget upper bound
-            job.total = len(cells) * max_seeds
+            job.total = len(cells) * options["max_seeds"]
             self._jobs[job.id] = job
-        self._queue.put(job.id)
+            driver = threading.Thread(
+                target=self._drive, args=(job,),
+                name=f"repro-adaptive-{job.id}", daemon=True,
+            )
+            self._drivers = [d for d in self._drivers if d.is_alive()]
+            self._drivers.append(driver)
+            driver.start()
         return job
 
     def get(self, job_id: str) -> Optional[Job]:
@@ -296,108 +258,69 @@ class JobManager:
         with self._lock:
             return list(self._jobs.values())
 
-    # -- execution ----------------------------------------------------------
+    # -- adaptive drivers ----------------------------------------------------
 
-    def _worker(self) -> None:
-        while not self._stop.is_set():
-            try:
-                job_id = self._queue.get(timeout=0.1)
-            except queue.Empty:
-                continue
-            job = self.get(job_id)
-            if job is None:  # pragma: no cover - jobs are never deleted
-                continue
-            self._execute(job)
-            self._queue.task_done()
+    def _run_seed_batch(
+        self, job: Job, scenarios: list[Scenario]
+    ) -> list[RunReport]:
+        """Run one seed batch as a batch job and wait for its reports."""
+        batch = self.submit(scenarios)
+        while not self.coordinator.wait_finished(batch, _STOP_POLL_S):
+            if self._stop.is_set():
+                raise RuntimeError("the job manager is shut down")
+        if batch.status != "done":
+            raise RuntimeError(
+                f"seed batch {batch.id} ended {batch.status}: {batch.error}"
+            )
+        job.completed = min(job.completed + len(scenarios), job.total)
+        return [self.store.get(key) for key in batch.cache_keys]
 
-    def _execute(self, job: Job) -> None:
+    def _drive(self, job: Job) -> None:
+        from repro.analysis.design import adaptive_sweep
+
+        options = dict(job.spec)
         job.status = "running"
         job.started_at = time.time()
         try:
-            if job.kind == "adaptive":
-                self._execute_adaptive(job)
-            else:
-                self._execute_batch(job)
+            report = adaptive_sweep(
+                options.pop("base"),
+                store=self.store,
+                execute=lambda scenarios: self._run_seed_batch(job, scenarios),
+                **options,
+            )
+            job.result = report.to_dict()
+            job.completed = job.total
             job.status = "done"
-        except _Cancelled:
-            # shutdown drained this job at a chunk boundary: completed
-            # chunks are in the store (a resubmission is a cache replay),
-            # and the terminal status is visible instead of a forever
-            # "running"
-            job.status = "cancelled"
-            job.error = "service shut down before the job finished"
-        except Exception as error:  # noqa: BLE001 - report, don't kill worker
-            job.status = "failed"
-            job.error = f"{type(error).__name__}: {error}"
+        except Exception as error:  # noqa: BLE001 - report, don't kill the driver
+            if self._stop.is_set():
+                self._cancel(job)
+            else:
+                job.status = "failed"
+                job.error = f"{type(error).__name__}: {error}"
         finally:
             job.finished_at = time.time()
 
-    def _execute_batch(self, job: Job) -> None:
-        for start in range(0, job.total, self.chunk_size):
-            if self._stop.is_set():
-                raise _Cancelled()
-            chunk = job.scenarios[start : start + self.chunk_size]
-            run_batch(chunk, processes=self.processes, store=self.store)
-            job.completed = min(start + len(chunk), job.total)
-
-    def _execute_adaptive(self, job: Job) -> None:
-        from repro.analysis.design import adaptive_sweep
-
-        spec = job.spec
-
-        def on_progress(done: int, _bound: int) -> None:
-            if self._stop.is_set():
-                raise _Cancelled()
-            job.completed = min(done, job.total)
-
-        report = adaptive_sweep(
-            Scenario.from_dict(spec["base"]),
-            grid=spec.get("grid") or {},
-            target_halfwidth=float(spec.get("target_halfwidth", 1.0)),
-            max_seeds=int(spec["max_seeds"]),
-            batch=int(spec["batch"]),
-            metric=str(spec.get("metric", "rounds")),
-            confidence=float(spec.get("confidence", 0.95)),
-            resamples=int(spec.get("resamples", 1000)),
-            seed=int(spec.get("seed", 0)),
-            seed_start=int(spec.get("seed_start", 0)),
-            store=self.store,
-            processes=self.processes,
-            progress=on_progress,
-        )
-        job.result = report.to_dict()
-        job.completed = job.total
-
     def shutdown(self, timeout: float = 5.0) -> None:
-        """Drain and stop: no job is left looking ``queued``/``running``.
+        """Refuse new jobs and cancel every unfinished one.
 
-        In-flight jobs stop at their next chunk boundary and end up
-        ``cancelled`` (their finished chunks are already in the store,
-        so resubmitting one after a restart replays the done part from
-        cache). Jobs still waiting in the queue are marked ``cancelled``
-        without starting. Worker threads are joined — daemon teardown is
-        the backstop, not the mechanism — and if one is still wedged
-        after ``timeout`` its job is cancelled anyway so clients polling
-        the snapshot always see a terminal status.
+        Called once the workers have stopped. An adaptive driver stops
+        at its next look at its seed batch and is joined; if one is
+        still wedged after ``timeout`` its job is cancelled anyway, so
+        clients polling the snapshot always see a terminal status. A
+        cancelled batch job's finished scenarios are in the store, and
+        the journal still holds the job, so a ``--recover`` restart
+        resumes it (and a resubmission replays the done part).
         """
         self._stop.set()
-        while True:  # jobs the workers will never pick up
-            try:
-                job_id = self._queue.get_nowait()
-            except queue.Empty:
-                break
-            job = self.get(job_id)
-            if job is not None and job.status == "queued":
-                self._cancel(job)
-        for thread in self._threads:
-            thread.join(timeout=timeout)
+        for driver in self._drivers:
+            driver.join(timeout=timeout)
         with self._lock:
-            stuck = [
+            unfinished = [
                 job
                 for job in self._jobs.values()
                 if job.status in ("queued", "running")
             ]
-        for job in stuck:
+        for job in unfinished:
             self._cancel(job)
 
     @staticmethod

@@ -2,9 +2,11 @@
 
 ``repro serve`` binds a :class:`ReproService` — a
 ``ThreadingHTTPServer`` whose handler threads answer reads straight from
-the :class:`~repro.store.ResultStore` while a
-:class:`~repro.service.jobs.JobManager` worker pool executes submitted
-sweeps in the background. Endpoints:
+the :class:`~repro.store.ResultStore` while submitted sweeps wait in the
+journaled farm :class:`~repro.farm.Coordinator`, the one job queue.
+``--workers N`` in-process :class:`~repro.farm.FarmWorker` threads lease
+from it directly, and remote ``repro worker`` processes lease from it
+over the endpoints below. Endpoints:
 
 ==========================  =================================================
 ``GET  /health``            liveness + store size
@@ -37,9 +39,7 @@ sweeps in the background. Endpoints:
                             ``repro top`` polls)
 ==========================  =================================================
 
-With ``remote_workers=True`` (``repro serve --workers remote``) the
-service coordinates a worker farm instead of executing jobs itself, and
-the lease protocol appears:
+The lease protocol, served to remote ``repro worker`` processes:
 
 ==============================  =============================================
 ``POST /workers``               register: ``{"name": ...}`` -> worker id
@@ -148,14 +148,6 @@ def _arm_value(text: str) -> Any:
         return text
 
 
-def _coerce_grid(grid: dict[str, Any]) -> dict[str, list[Any]]:
-    """JSON grid axes -> runner grid axes (see :func:`coerce_grid`)."""
-    try:
-        return coerce_grid(grid)
-    except ValueError as error:
-        raise _BadRequest(str(error)) from error
-
-
 def _scenarios_from_payload(payload: Any) -> list[Scenario]:
     """The POST /jobs body -> a scenario batch (raises _BadRequest)."""
     if not isinstance(payload, dict):
@@ -169,7 +161,7 @@ def _scenarios_from_payload(payload: Any) -> list[Scenario]:
         if "base" in payload:
             base = Scenario.from_dict(payload["base"])
             seeds = payload.get("seeds")
-            grid = _coerce_grid(dict(payload.get("grid") or {}))
+            grid = coerce_grid(dict(payload.get("grid") or {}))
             return expand_grid(base, seeds=seeds, grid=grid)
     except _BadRequest:
         raise
@@ -237,7 +229,13 @@ class _Handler(BaseHTTPRequestHandler):
         self._send_json(status, {"error": message})
 
     def _read_body(self) -> Any:
-        length = int(self.headers.get("Content-Length") or 0)
+        try:
+            length = int(self.headers.get("Content-Length") or 0)
+        except ValueError:
+            length = -1
+        # a negative length would read to EOF, holding the handler thread
+        if length < 0:
+            raise _BadRequest("Content-Length must be a non-negative integer")
         if length > _MAX_BODY_BYTES:
             raise _BadRequest(f"body too large ({length} bytes)")
         try:
@@ -248,86 +246,24 @@ class _Handler(BaseHTTPRequestHandler):
     # -- routing ------------------------------------------------------------
 
     def do_GET(self) -> None:  # noqa: N802 - http.server API
-        url = urlparse(self.path)
-        parts = [part for part in url.path.split("/") if part]
-        self._count_request("GET", parts)
-        try:
-            if parts == ["health"]:
-                self._get_health()
-            elif parts == ["metrics"]:
-                self._get_metrics()
-            elif parts == ["metrics.json"]:
-                self._get_metrics_json()
-            elif parts == ["registry"]:
-                query = parse_qs(url.query)
-                self._send_json(
-                    200, registry_dump(adversaries_only="adversaries" in query)
-                )
-            elif parts == ["jobs"]:
-                service = self.server.service
-                self._send_json(
-                    200, {"jobs": [j.snapshot() for j in service.jobs.jobs()]}
-                )
-            elif len(parts) == 2 and parts[0] == "jobs":
-                self._get_job(parts[1])
-            elif parts == ["reports"]:
-                self._get_reports_query(parse_qs(url.query))
-            elif parts == ["analysis"]:
-                self._get_analysis(parse_qs(url.query))
-            elif parts == ["workers"]:
-                self._send_json(200, self._coordinator().snapshot())
-            elif len(parts) == 2 and parts[0] == "reports":
-                self._get_report(parts[1])
-            elif len(parts) == 2 and parts[0] == "timelines":
-                self._get_timeline(parts[1])
-            else:
-                self._error(404, f"unknown path {url.path!r}")
-        except _BadRequest as error:
-            self._error(400, str(error))
-        except Exception as error:  # noqa: BLE001 - never kill the handler
-            self._error(500, f"{type(error).__name__}: {error}")
+        self._dispatch("GET", self._route_get)
 
     def do_POST(self) -> None:  # noqa: N802 - http.server API
-        from repro.farm import UnknownLease, UnknownWorker
-
-        url = urlparse(self.path)
-        parts = [part for part in url.path.split("/") if part]
-        self._count_request("POST", parts)
-        try:
-            if parts == ["jobs"]:
-                self._post_job()
-            elif parts == ["workers"]:
-                self._post_worker()
-            elif parts == ["leases"]:
-                self._post_lease()
-            elif len(parts) == 3 and parts[0] == "leases" and parts[2] == "complete":
-                self._post_complete(parts[1])
-            else:
-                self._error(404, f"unknown path {url.path!r}")
-        except _BadRequest as error:
-            self._error(400, str(error))
-        except UnknownWorker as error:
-            self._error(404, str(error))
-        except UnknownLease as error:
-            self._error(410, str(error))
-        except Exception as error:  # noqa: BLE001 - never kill the handler
-            self._error(500, f"{type(error).__name__}: {error}")
+        self._dispatch("POST", self._route_post)
 
     def do_PUT(self) -> None:  # noqa: N802 - http.server API
+        self._dispatch("PUT", self._route_put)
+
+    def _dispatch(self, method: str, route) -> None:
+        """Route one request, answering errors with their status; an
+        exception never kills the handler thread."""
         from repro.farm import UnknownLease, UnknownWorker
 
         url = urlparse(self.path)
         parts = [part for part in url.path.split("/") if part]
-        self._count_request("PUT", parts)
+        self._count_request(method, parts)
         try:
-            if len(parts) == 3 and parts[0] == "leases" and parts[2] == "heartbeat":
-                body = self._read_body() or {}
-                worker_id = self._worker_id(body)
-                self._send_json(
-                    200, self._coordinator().heartbeat(parts[1], worker_id)
-                )
-            else:
-                self._error(404, f"unknown path {url.path!r}")
+            route(url, parts)
         except _BadRequest as error:
             self._error(400, str(error))
         except UnknownWorker as error:
@@ -336,6 +272,58 @@ class _Handler(BaseHTTPRequestHandler):
             self._error(410, str(error))
         except Exception as error:  # noqa: BLE001 - never kill the handler
             self._error(500, f"{type(error).__name__}: {error}")
+
+    def _route_get(self, url, parts: list[str]) -> None:
+        if parts == ["health"]:
+            self._get_health()
+        elif parts == ["metrics"]:
+            self._get_metrics()
+        elif parts == ["metrics.json"]:
+            self._get_metrics_json()
+        elif parts == ["registry"]:
+            query = parse_qs(url.query)
+            self._send_json(
+                200, registry_dump(adversaries_only="adversaries" in query)
+            )
+        elif parts == ["jobs"]:
+            service = self.server.service
+            self._send_json(
+                200, {"jobs": [j.snapshot() for j in service.jobs.jobs()]}
+            )
+        elif len(parts) == 2 and parts[0] == "jobs":
+            self._get_job(parts[1])
+        elif parts == ["reports"]:
+            self._get_reports_query(parse_qs(url.query))
+        elif parts == ["analysis"]:
+            self._get_analysis(parse_qs(url.query))
+        elif parts == ["workers"]:
+            self._send_json(200, self.server.service.coordinator.snapshot())
+        elif len(parts) == 2 and parts[0] == "reports":
+            self._get_report(parts[1])
+        elif len(parts) == 2 and parts[0] == "timelines":
+            self._get_timeline(parts[1])
+        else:
+            self._error(404, f"unknown path {url.path!r}")
+
+    def _route_post(self, url, parts: list[str]) -> None:
+        if parts == ["jobs"]:
+            self._post_job()
+        elif parts == ["workers"]:
+            self._post_worker()
+        elif parts == ["leases"]:
+            self._post_lease()
+        elif len(parts) == 3 and parts[0] == "leases" and parts[2] == "complete":
+            self._post_complete(parts[1])
+        else:
+            self._error(404, f"unknown path {url.path!r}")
+
+    def _route_put(self, url, parts: list[str]) -> None:
+        if len(parts) == 3 and parts[0] == "leases" and parts[2] == "heartbeat":
+            worker_id = self._worker_id(self._read_body() or {})
+            coordinator = self.server.service.coordinator
+            self._send_json(200, coordinator.heartbeat(parts[1], worker_id))
+        else:
+            self._error(404, f"unknown path {url.path!r}")
 
     # -- endpoints ----------------------------------------------------------
 
@@ -357,12 +345,10 @@ class _Handler(BaseHTTPRequestHandler):
         """Point-in-time gauges sampled at scrape, not on the hot path."""
         service = self.server.service
         _G_STORE_REPORTS.set(len(service.store))
-        coordinator = service.coordinator
-        if coordinator is not None:
-            snapshot = coordinator.snapshot()
-            _G_PENDING.set(snapshot["queue"]["pending_scenarios"])
-            _G_OUTSTANDING.set(snapshot["queue"]["outstanding_leases"])
-            _G_WORKERS.set(len(snapshot["workers"]))
+        snapshot = service.coordinator.snapshot()
+        _G_PENDING.set(snapshot["queue"]["pending_scenarios"])
+        _G_OUTSTANDING.set(snapshot["queue"]["outstanding_leases"])
+        _G_WORKERS.set(len(snapshot["workers"]))
 
     def _get_metrics(self) -> None:
         self._refresh_scrape_gauges()
@@ -534,15 +520,6 @@ class _Handler(BaseHTTPRequestHandler):
 
     # -- the farm (lease protocol) ------------------------------------------
 
-    def _coordinator(self):
-        coordinator = self.server.service.coordinator
-        if coordinator is None:
-            raise _BadRequest(
-                "this service runs local workers; start it with "
-                "--workers remote to coordinate a farm"
-            )
-        return coordinator
-
     @staticmethod
     def _worker_id(body: Any) -> str:
         if not isinstance(body, dict) or not body.get("worker"):
@@ -550,14 +527,14 @@ class _Handler(BaseHTTPRequestHandler):
         return str(body["worker"])
 
     def _post_worker(self) -> None:
-        coordinator = self._coordinator()
+        coordinator = self.server.service.coordinator
         body = self._read_body() or {}
         if not isinstance(body, dict):
             raise _BadRequest("body must be a JSON object")
         self._send_json(201, coordinator.register(str(body.get("name") or "")))
 
     def _post_lease(self) -> None:
-        coordinator = self._coordinator()
+        coordinator = self.server.service.coordinator
         body = self._read_body() or {}
         worker_id = self._worker_id(body)
         max_scenarios = body.get("max_scenarios")
@@ -577,7 +554,7 @@ class _Handler(BaseHTTPRequestHandler):
         self._send_json(200, {"lease": lease}, extra_headers=headers)
 
     def _post_complete(self, lease_id: str) -> None:
-        coordinator = self._coordinator()
+        coordinator = self.server.service.coordinator
         body = self._read_body() or {}
         worker_id = self._worker_id(body)
         if "error" in body:
@@ -589,18 +566,31 @@ class _Handler(BaseHTTPRequestHandler):
         if not isinstance(dicts, list):
             raise _BadRequest("'reports' must be a list of report dicts")
         try:
+            executed = int(body.get("executed") or 0)
+            cached = int(body.get("cached") or 0)
+        except (TypeError, ValueError):
+            raise _BadRequest("executed and cached must be integers") from None
+        try:
             reports = [RunReport.from_dict(data) for data in dicts]
+            keys = [
+                Scenario.from_dict(report.scenario).cache_key()
+                for report in reports
+            ]
         except (KeyError, ValueError, TypeError) as error:
             message = error.args[0] if error.args else error
             raise _BadRequest(f"malformed report: {message}") from error
+        # the store files a report under the key it carries, so a key
+        # that is not its own scenario's would serve it for another one
+        for report, key in zip(reports, keys):
+            if report.cache_key != key:
+                raise _BadRequest(
+                    f"report key {report.cache_key!r} is not its scenario's "
+                    f"cache key {key!r}"
+                )
         self._send_json(
             200,
             coordinator.complete(
-                lease_id,
-                worker_id,
-                reports,
-                executed=int(body.get("executed") or 0),
-                cached=int(body.get("cached") or 0),
+                lease_id, worker_id, reports, executed=executed, cached=cached
             ),
         )
 
@@ -633,20 +623,23 @@ class _Server(ThreadingHTTPServer):
 
 
 class ReproService:
-    """The store-backed sweep service: HTTP front, job workers behind.
+    """The store-backed sweep service: HTTP front, job queue behind.
 
     ``port=0`` binds an ephemeral port (see :attr:`port` after
     :meth:`start`), which is what the tests and the CI smoke use.
 
-    ``remote_workers=True`` swaps the local worker threads for a farm
-    :class:`~repro.farm.Coordinator`: jobs become leases that external
-    ``repro worker`` processes pull over HTTP, and every coordinator
-    transition is journaled into the store. ``shards`` opens (or
-    creates) the store as a directory of that many SQLite shards.
+    Every job goes through one farm :class:`~repro.farm.Coordinator`,
+    whose transitions are journaled into the store. ``workers`` (0 or
+    more) in-process :class:`~repro.farm.FarmWorker` threads, named
+    ``local-1`` ..., lease from it directly, and remote ``repro worker``
+    processes lease from it over HTTP; ``workers=0`` runs nothing
+    itself. ``processes`` is each local worker's per-lease process
+    fan-out. ``shards`` opens (or creates) the store as a directory of
+    that many SQLite shards.
 
     ``recover=True`` (``repro serve --recover``) rebuilds the
     coordinator from the store's farm journal instead of starting
-    clean: jobs a crashed coordinator left running resume under their
+    clean: jobs a crashed service left unfinished resume under their
     original ids, in-flight leases keep their remaining deadline time,
     and the holders of those leases can heartbeat/complete as if the
     restart never happened. Without ``--recover`` a leftover journal is
@@ -661,54 +654,53 @@ class ReproService:
         workers: int = 2,
         processes: Optional[int] = None,
         verbose: bool = False,
-        remote_workers: bool = False,
         lease_scenarios: Optional[int] = None,
         lease_timeout: Optional[float] = None,
         shards: Optional[int] = None,
         http_threads: int = DEFAULT_HTTP_THREADS,
         recover: bool = False,
     ) -> None:
-        if recover and not remote_workers:
-            raise ValueError(
-                "--recover replays the farm journal; it requires "
-                "--workers remote"
-            )
+        from repro.farm import Coordinator, FarmWorker, LocalClient
+        from repro.farm.coordinator import (
+            DEFAULT_LEASE_SCENARIOS,
+            DEFAULT_LEASE_TIMEOUT,
+        )
+
+        if workers < 0:
+            raise ValueError(f"workers must be >= 0, got {workers}")
         # the service is a long-lived observed process: metrics on by
         # default (REPRO_TELEMETRY=0 opts out); simulation hot paths in
         # worker *processes* are unaffected — they have their own registry
         if os.environ.get("REPRO_TELEMETRY", "") != "0":
             _METRICS.enable()
         self.store = ResultStore(store_path, shards=shards)
-        self.coordinator = None
-        if remote_workers:
-            from repro.farm import Coordinator
-            from repro.farm.coordinator import (
-                DEFAULT_LEASE_SCENARIOS,
-                DEFAULT_LEASE_TIMEOUT,
-            )
-
-            if recover:
-                self.coordinator = Coordinator.recover(
-                    self.store,
-                    lease_scenarios=lease_scenarios or DEFAULT_LEASE_SCENARIOS,
-                    lease_timeout=lease_timeout or DEFAULT_LEASE_TIMEOUT,
-                )
-            else:
-                self.coordinator = Coordinator(
-                    self.store,
-                    lease_scenarios=lease_scenarios or DEFAULT_LEASE_SCENARIOS,
-                    lease_timeout=lease_timeout or DEFAULT_LEASE_TIMEOUT,
-                )
-        self.jobs = JobManager(
+        build = Coordinator.recover if recover else Coordinator
+        self.coordinator = build(
             self.store,
-            workers=workers,
-            processes=processes,
-            coordinator=self.coordinator,
+            lease_scenarios=lease_scenarios or DEFAULT_LEASE_SCENARIOS,
+            lease_timeout=lease_timeout or DEFAULT_LEASE_TIMEOUT,
         )
+        self.jobs = JobManager(self.coordinator)
         self.verbose = verbose
         self._server = _Server((host, port), _Handler, http_threads=http_threads)
         self._server.service = self
         self._thread: Optional[threading.Thread] = None
+        self.workers = [
+            FarmWorker(
+                LocalClient(self.coordinator),
+                name=f"local-{index}",
+                processes=processes,
+                poll=0.0,
+            )
+            for index in range(1, workers + 1)
+        ]
+        self._worker_threads = [
+            threading.Thread(target=worker.run, name=worker.name, daemon=True)
+            for worker in self.workers
+        ]
+        for worker, thread in zip(self.workers, self._worker_threads):
+            worker.register()
+            thread.start()
 
     @property
     def host(self) -> str:
@@ -735,11 +727,21 @@ class ReproService:
         return self
 
     def shutdown(self) -> None:
-        """Stop the HTTP loop, the job workers, and close the store."""
+        """Stop the HTTP loop and the local workers, cancel unfinished
+        jobs, and close the store.
+
+        A local worker stops at its running lease's next scenario
+        boundary and pushes the finished prefix; the coordinator
+        requeues the rest, and the journal keeps it for ``--recover``.
+        """
         self._server.shutdown()
         self._server.server_close()
         if self._thread is not None:
             self._thread.join(timeout=5.0)
+        for worker in self.workers:
+            worker.stop()
+        for thread in self._worker_threads:
+            thread.join(timeout=5.0)
         self.jobs.shutdown()
         self.store.close()
 
@@ -750,43 +752,17 @@ class ReproService:
         self.shutdown()
 
 
-def serve(
-    store_path: str,
-    host: str = "127.0.0.1",
-    port: int = 8765,
-    workers: int = 2,
-    processes: Optional[int] = None,
-    remote_workers: bool = False,
-    lease_scenarios: Optional[int] = None,
-    lease_timeout: Optional[float] = None,
-    shards: Optional[int] = None,
-    recover: bool = False,
-) -> int:
-    """Run the service until interrupted (the ``repro serve`` command)."""
-    service = ReproService(
-        store_path,
-        host=host,
-        port=port,
-        workers=workers,
-        processes=processes,
-        verbose=True,
-        remote_workers=remote_workers,
-        lease_scenarios=lease_scenarios,
-        lease_timeout=lease_timeout,
-        shards=shards,
-        recover=recover,
-    )
-    mode = (
-        "coordinating remote workers (repro worker --connect "
-        f"{service.url})"
-        if remote_workers
-        else f"{workers} workers"
-    )
+def serve(store_path: str, **options: Any) -> int:
+    """Run the service until interrupted (the ``repro serve`` command);
+    ``options`` are :class:`ReproService`'s."""
+    service = ReproService(store_path, verbose=True, **options)
     print(
         f"repro service on {service.url} "
-        f"(store: {store_path}, {len(service.store)} reports; {mode})"
+        f"(store: {store_path}, {len(service.store)} reports; "
+        f"{len(service.workers)} local worker(s); remote workers: repro "
+        f"worker --connect {service.url})"
     )
-    if service.coordinator is not None and service.coordinator.recovered:
+    if service.coordinator.recovered:
         summary = service.coordinator.recovered
         print(
             f"recovered from journal: {summary['jobs']} job(s), "

@@ -4,7 +4,7 @@ import pytest
 
 from repro.analysis import adaptive_sweep
 from repro.core.faults import FaultConfig
-from repro.runner import Scenario
+from repro.runner import Scenario, run_batch
 from repro.store import ResultStore
 
 BASE = Scenario(
@@ -83,10 +83,11 @@ class TestAdaptiveSweep:
 
         calls = {"count": 0}
 
-        def killer(done, bound):
+        def killer(scenarios):
             calls["count"] += 1
             if calls["count"] == 3:  # die mid-sweep
                 raise _Killed()
+            return run_batch(scenarios, store=store)
 
         with ResultStore(path) as store:
             with pytest.raises(_Killed):
@@ -97,7 +98,7 @@ class TestAdaptiveSweep:
                     max_seeds=12,
                     batch=4,
                     store=store,
-                    progress=killer,
+                    execute=killer,
                 )
             partial = len(store)
             assert partial > 0
@@ -134,19 +135,29 @@ class TestAdaptiveSweep:
         assert report.meta["executed"] == report.summary["total_runs"]
         assert report.meta["store_path"] == ""
 
-    def test_progress_callback_sees_monotonic_counts(self, tmp_path):
+    def test_execute_hook_runs_every_batch(self, tmp_path):
         seen = []
+
+        def execute(scenarios):
+            seen.append([scenario.seed for scenario in scenarios])
+            return run_batch(scenarios)
+
         with ResultStore(str(tmp_path / "g.db")) as store:
-            adaptive_sweep(
+            report = adaptive_sweep(
                 BASE,
                 target_halfwidth=10.0,
                 max_seeds=12,
                 batch=4,
                 store=store,
-                progress=lambda done, bound: seen.append((done, bound)),
+                execute=execute,
             )
-        assert seen == sorted(seen)
-        assert all(bound == 12 for _, bound in seen)
+            # the hook ran every scenario; none went through the store
+            assert len(store) == 0
+        assert seen[0] == [0, 1, 2, 3]
+        assert all(len(batch) <= 4 for batch in seen)
+        flat = [seed for batch in seen for seed in batch]
+        assert flat == list(range(len(flat)))
+        assert len(flat) == report.summary["total_runs"]
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -5,6 +5,9 @@ late completion — runs against a fake monotonic clock, so the tests
 are exact, not sleep-and-hope.
 """
 
+import threading
+import time
+
 import pytest
 
 from repro.core.faults import FaultConfig
@@ -101,6 +104,32 @@ class TestLeasing:
         assert coordinator.lease(worker) is None
 
 
+class TestFairness:
+    def test_jobs_take_turns(self, coordinator):
+        """A job that gets a lease moves behind the other ready jobs, so
+        a one-scenario job behind a long sweep waits for one lease per
+        job ahead of it, not for the sweep."""
+        sweep = _job("job-1", seeds=range(40))
+        coordinator.add_job(sweep)
+        worker = coordinator.register("a")["worker"]
+        assert coordinator.lease(worker)["job"] == "job-1"
+        coordinator.add_job(_job("job-2", seeds=[99]))
+        coordinator.add_job(_job("job-3", seeds=[98]))
+        order = []
+        while (lease := coordinator.lease(worker)) is not None:
+            order.append(lease["job"])
+        assert order[:4] == ["job-1", "job-2", "job-3", "job-1"]
+        assert order.count("job-1") == 9
+
+    def test_requeued_job_rejoins_the_rotation(self, coordinator):
+        coordinator.add_job(_job("job-1", seeds=range(4)))
+        worker = coordinator.register("a")["worker"]
+        lease = coordinator.lease(worker)
+        assert coordinator.lease(worker) is None
+        coordinator.fail(lease["id"], worker, "crash")
+        assert coordinator.lease(worker)["job"] == "job-1"
+
+
 class TestCompletion:
     def test_complete_marks_done_and_stores(self, coordinator, store):
         job = _job(seeds=range(4))
@@ -112,7 +141,8 @@ class TestCompletion:
             lease["id"], worker, _reports_for(scenarios), executed=4
         )
         assert ack == {
-            "stored": 4, "completed": 4, "duplicates": 0, "late": False
+            "stored": 4, "completed": 4, "duplicates": 0, "requeued": 0,
+            "late": False,
         }
         assert job.completed == 4
         assert job.status == "done"
@@ -134,10 +164,87 @@ class TestCompletion:
         assert job.completed == 4  # never double-counted
         assert coordinator.duplicates == 4
 
+    def test_partial_completion_requeues_the_rest(
+        self, coordinator, store, clock
+    ):
+        """A worker that stops at a scenario boundary pushes a prefix;
+        the rest of its lease goes back to the queue front, as after an
+        expiry, and no attempt is counted."""
+        job = _job(seeds=range(4))
+        coordinator.add_job(job)
+        worker = coordinator.register("a")["worker"]
+        lease = coordinator.lease(worker)
+        scenarios = [Scenario.from_dict(s) for s in lease["scenarios"]]
+        ack = coordinator.complete(
+            lease["id"], worker, _reports_for(scenarios[:1]), executed=1
+        )
+        assert ack["completed"] == 1
+        assert ack["requeued"] == 3
+        assert not coordinator.idle()
+        # the journal agrees: a restart finds the same three pending
+        recovered = Coordinator.recover(store, clock=clock)
+        assert recovered.recovered["pending_scenarios"] == 3
+        retry = coordinator.lease(worker)
+        assert [Scenario.from_dict(s) for s in retry["scenarios"]] == scenarios[1:]
+        coordinator.complete(retry["id"], worker, _reports_for(scenarios[1:]))
+        assert job.status == "done"
+        assert job.completed == 4
+        assert coordinator.duplicates == 0
+
     def test_unknown_worker_cannot_complete(self, coordinator):
         coordinator.add_job(_job())
         with pytest.raises(UnknownWorker):
             coordinator.complete("lease-000001", "w-9999", [])
+
+
+class TestWakeup:
+    def _waiter(self, coordinator):
+        woke = threading.Event()
+
+        def wait():
+            coordinator.wait_for_work(30.0)
+            woke.set()
+
+        threading.Thread(target=wait, daemon=True).start()
+        # let it start waiting; one that has not yet returns at once
+        # once the work is there, so the checks below still hold
+        time.sleep(0.05)
+        return woke
+
+    def test_queued_work_wakes_a_waiting_worker(self, coordinator):
+        woke = self._waiter(coordinator)
+        assert not woke.is_set()
+        coordinator.add_job(_job(seeds=range(2)))
+        assert woke.wait(5.0)
+
+    def test_requeued_work_wakes_a_waiting_worker(self, coordinator):
+        coordinator.add_job(_job(seeds=range(2)))
+        worker = coordinator.register("a")["worker"]
+        lease = coordinator.lease(worker)
+        woke = self._waiter(coordinator)
+        assert not woke.is_set()
+        coordinator.fail(lease["id"], worker, "crash")
+        assert woke.wait(5.0)
+
+
+class TestWaitFinished:
+    def test_wakes_when_the_job_finishes(self, coordinator):
+        job = _job(seeds=range(2))
+        coordinator.add_job(job)
+        worker = coordinator.register("a")["worker"]
+        lease = coordinator.lease(worker)
+        assert not coordinator.wait_finished(job, 0.0)
+        finished = threading.Event()
+
+        def wait():
+            if coordinator.wait_finished(job, 30.0):
+                finished.set()
+
+        threading.Thread(target=wait, daemon=True).start()
+        scenarios = [Scenario.from_dict(s) for s in lease["scenarios"]]
+        coordinator.complete(lease["id"], worker, _reports_for(scenarios))
+        assert finished.wait(5.0)
+        assert job.status == "done"
 
 
 class TestExpiry:

@@ -1,7 +1,7 @@
 """Satellite acceptance: real coordinator + 3 worker processes, kill one.
 
 Thin pytest wrapper over :func:`repro.farm.smoke.run_smoke`, which
-spawns ``repro serve --workers remote`` plus three ``repro worker``
+spawns ``repro serve --workers 0`` plus three ``repro worker``
 subprocesses, SIGKILLs one observed holding a lease, and checks the
 farm recovers with a store byte-identical to serial ``run_batch`` and
 exactly one recorded execution per scenario.

@@ -258,6 +258,28 @@ class TestLeaseResumption:
         assert recovered.status == "done"
         assert recovered.completed == recovered.total == 4
 
+    def test_local_workers_leases_requeue_at_once(self, store, clock, wall):
+        """The crashed process's own workers died with it: their leases
+        requeue on recovery with no deadline to wait out, while a remote
+        worker's lease beside them resumes."""
+        first = _coordinator(store, clock, wall)
+        job = _job(seeds=range(8))
+        first.add_job(job)
+        local = first.register("local-1", local=True)["worker"]
+        remote = first.register("remote")["worker"]
+        local_lease = first.lease(local)
+        remote_lease = first.lease(remote)
+        second = _recover(store, clock, wall, compact_every=1)
+        assert second.recovered["leases"] == 1
+        assert second.recovered["pending_scenarios"] == 4
+        assert second.heartbeat(remote_lease["id"], remote)
+        again = second.lease(second.register("local-1", local=True)["worker"])
+        assert again["scenarios"] == local_lease["scenarios"]
+        # the flag survives compaction: a second crash requeues it too
+        third = _recover(store, clock, wall)
+        assert third.recovered["leases"] == 1
+        assert third.recovered["pending_scenarios"] == 4
+
     def test_unknown_workers_get_404_after_restart(self, store, clock, wall):
         """A worker with no in-flight lease is forgotten by the restart
         and must re-register (the worker loop does this on 404)."""
@@ -380,7 +402,7 @@ class TestServiceAdoption:
         first = _coordinator(store, clock, wall)
         first.add_job(_job("job-0003", seeds=range(2)))
         second = _recover(store, clock, wall)
-        manager = JobManager(store, coordinator=second)
+        manager = JobManager(second)
         # the recovered job answers under its original id
         assert manager.get("job-0003") is not None
         # and new submissions never collide with recovered ids

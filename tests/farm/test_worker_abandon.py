@@ -4,9 +4,9 @@ The heartbeat thread learns the lease died (expiry under an injected
 coordinator clock, or a coordinator restart) and signals the executing
 chunk, which stops at the next scenario boundary instead of finishing
 work the coordinator will only count as duplicates. The coordinator is
-driven in-process through a shim client, so no sockets and no real
-lease timing are involved — the only real-time element is the heartbeat
-thread itself, synchronized through events.
+driven in-process through a :class:`~repro.farm.LocalClient`, so no
+sockets and no real lease timing are involved — the only real-time
+element is the heartbeat thread itself, synchronized through events.
 """
 
 import threading
@@ -15,9 +15,8 @@ import pytest
 
 import repro.farm.worker as worker_module
 from repro.core.faults import FaultConfig
-from repro.farm import Coordinator
+from repro.farm import Coordinator, LocalClient
 from repro.runner import Scenario, expand_grid
-from repro.service.client import ServiceError
 from repro.service.jobs import Job
 from repro.store import ResultStore
 
@@ -40,47 +39,6 @@ class FakeClock:
         self.now += seconds
 
 
-class InProcessClient:
-    """A ServiceClient stand-in that talks to a Coordinator directly,
-    translating farm exceptions to the HTTP statuses the worker sees."""
-
-    def __init__(self, coordinator: Coordinator) -> None:
-        self.coordinator = coordinator
-
-    def _call(self, method, *args, **kwargs):
-        from repro.farm import UnknownLease, UnknownWorker
-
-        try:
-            return method(*args, **kwargs)
-        except UnknownLease as error:
-            raise ServiceError(410, str(error)) from None
-        except UnknownWorker as error:
-            raise ServiceError(404, str(error)) from None
-
-    def register_worker(self, name=""):
-        return self._call(self.coordinator.register, name)
-
-    def lease(self, worker_id, max_scenarios=None):
-        return self._call(
-            self.coordinator.lease, worker_id, max_scenarios=max_scenarios
-        )
-
-    def heartbeat(self, lease_id, worker_id):
-        return self._call(self.coordinator.heartbeat, lease_id, worker_id)
-
-    def complete(self, lease_id, worker_id, reports, executed=0, cached=0):
-        return self._call(
-            self.coordinator.complete, lease_id, worker_id, reports,
-            executed=executed, cached=cached,
-        )
-
-    def fail(self, lease_id, worker_id, message):
-        return self._call(self.coordinator.fail, lease_id, worker_id, message)
-
-    def workers(self):
-        return self._call(self.coordinator.snapshot)
-
-
 @pytest.fixture()
 def clock():
     return FakeClock()
@@ -101,8 +59,7 @@ def coordinator(store, clock):
 
 
 def _worker(coordinator) -> worker_module.FarmWorker:
-    worker = worker_module.FarmWorker("http://in-process", name="t")
-    worker.client = InProcessClient(coordinator)
+    worker = worker_module.FarmWorker(LocalClient(coordinator), name="t")
     worker.register()
     worker.heartbeat_s = 0.005  # tick fast; the loop is the only real time
     return worker
@@ -114,9 +71,9 @@ def test_heartbeat_410_sets_the_abandon_signal(coordinator, clock):
     worker = _worker(coordinator)
     lease = worker.client.lease(worker.worker_id)
     clock.advance(11.0)  # the lease dies under the injected clock
-    stop = threading.Event()
     abandon = threading.Event()
-    worker._heartbeat_loop(lease["id"], stop, abandon)  # runs inline
+    worker._running = (lease["id"], abandon)
+    worker._beat()  # one heartbeat tick, inline
     assert abandon.is_set()
 
 
@@ -126,23 +83,61 @@ def test_execute_stops_at_the_next_scenario_boundary(coordinator, monkeypatch):
     scenarios = expand_grid(BASE, seeds=range(6))
     worker = _worker(coordinator)
     abandon = threading.Event()
-    real_run_batch = worker_module.run_batch
+    real_run = worker_module.run
     calls = []
 
-    def run_batch_then_abandon(batch, **kwargs):
-        calls.append(len(batch))
-        reports = real_run_batch(batch, **kwargs)
+    def run_then_abandon(scenario):
+        calls.append(scenario.seed)
+        report = real_run(scenario)
         if len(calls) == 2:
             abandon.set()
-        return reports
+        return report
 
-    monkeypatch.setattr(worker_module, "run_batch", run_batch_then_abandon)
+    monkeypatch.setattr(worker_module, "run", run_then_abandon)
     reports, executed, cached = worker._execute(scenarios, abandon)
-    # two sub-chunks ran (stride 1), then the signal stopped the rest
-    assert calls == [1, 1]
+    # two scenarios ran, then the signal stopped the rest
+    assert calls == [0, 1]
     assert len(reports) == 2
     assert executed == 2
     assert cached == 0
+
+
+class _SetAfter:
+    """An abandon signal that reads set from its ``calls``-th look on."""
+
+    def __init__(self, calls: int) -> None:
+        self.looks = 0
+        self.calls = calls
+
+    def is_set(self) -> bool:
+        self.looks += 1
+        return self.looks > self.calls
+
+
+def test_pooled_lease_stops_between_results():
+    """With a process pool the whole lease runs on one pool, and the
+    signal is still checked before each report: the prefix comes back
+    byte-identical to a serial run, and the rest is never taken."""
+    scenarios = expand_grid(BASE, seeds=range(6))
+    pooled = worker_module.FarmWorker(None, name="t", processes=2)
+    reports, executed, cached = pooled._execute(scenarios, _SetAfter(3))
+    assert (executed, cached) == (3, 0)
+    assert [r.to_json(canonical=True) for r in reports] == [
+        worker_module.run(s).to_json(canonical=True) for s in scenarios[:3]
+    ]
+
+
+def test_cache_hits_count_only_in_the_returned_prefix():
+    """A remote worker's cache answers repeats; hits past an abandon
+    are neither returned nor counted, and fresh reports fill the cache."""
+    scenarios = expand_grid(BASE, seeds=range(4))
+    cache = ResultStore(":memory:")
+    cache.put_many([worker_module.run(scenarios[1])])
+    worker = worker_module.FarmWorker(None, name="t", cache=cache)
+    reports, executed, cached = worker._execute(scenarios, _SetAfter(2))
+    assert (len(reports), executed, cached) == (2, 1, 1)
+    assert scenarios[0].cache_key() in cache
+    assert scenarios[2].cache_key() not in cache
 
 
 def test_abandoned_chunk_is_requeued_and_finished_by_rerun(
@@ -156,47 +151,76 @@ def test_abandoned_chunk_is_requeued_and_finished_by_rerun(
     coordinator.add_job(job)
     worker = _worker(coordinator)
 
-    real_run_batch = worker_module.run_batch
+    real_run = worker_module.run
     abandon_observed = threading.Event()
     calls = []
 
-    def run_batch_with_expiry(batch, **kwargs):
-        reports = real_run_batch(batch, **kwargs)
-        calls.append(len(batch))
+    def run_with_expiry(scenario):
+        report = real_run(scenario)
+        calls.append(scenario.seed)
         if len(calls) == 2:
             # the lease's deadline lapses while scenario 2 is in flight;
             # wait for the heartbeat thread to notice before returning,
             # so the boundary check is deterministic
             clock.advance(11.0)
             assert abandon_observed.wait(timeout=10.0), "heartbeat never saw 410"
-        return reports
+        return report
 
-    real_loop = worker_module.FarmWorker._heartbeat_loop
+    real_beat = worker_module.FarmWorker._beat
 
-    def loop_then_flag(self, lease_id, stop, abandon=None):
-        real_loop(self, lease_id, stop, abandon)
-        if abandon is not None and abandon.is_set():
+    def beat_then_flag(self):
+        running = self._running
+        real_beat(self)
+        if running is not None and running[1].is_set():
             abandon_observed.set()
 
-    monkeypatch.setattr(worker_module, "run_batch", run_batch_with_expiry)
-    monkeypatch.setattr(
-        worker_module.FarmWorker, "_heartbeat_loop", loop_then_flag
-    )
+    monkeypatch.setattr(worker_module, "run", run_with_expiry)
+    monkeypatch.setattr(worker_module.FarmWorker, "_beat", beat_then_flag)
 
     lease = worker.client.lease(worker.worker_id)
     assert len(lease["scenarios"]) == 8
     worker.run_lease(lease)
     assert worker.leases_abandoned == 1
-    assert calls == [1, 1]  # six scenarios were never computed
+    assert calls == [0, 1]  # six scenarios were never computed
     assert job.completed == 2  # the late prefix was absorbed
 
     # the expired chunk's remainder is re-leased and finished cleanly
-    monkeypatch.setattr(worker_module, "run_batch", real_run_batch)
-    monkeypatch.setattr(worker_module.FarmWorker, "_heartbeat_loop", real_loop)
+    monkeypatch.setattr(worker_module, "run", real_run)
+    monkeypatch.setattr(worker_module.FarmWorker, "_beat", real_beat)
     lease2 = worker.client.lease(worker.worker_id)
     assert len(lease2["scenarios"]) == 6
     worker.run_lease(lease2)
+    worker.stop()  # ends the heartbeat thread
     assert job.status == "done"
     assert job.completed == 8
     assert coordinator.duplicates == 0
     assert all(key in store for key in job.cache_keys)
+
+
+def test_stop_pushes_the_finished_prefix_and_requeues_the_rest(
+    coordinator, monkeypatch
+):
+    """stop() raises the running lease's abandon signal: the worker
+    pushes what it finished, the coordinator requeues the rest, and
+    run() exits with its summary."""
+    job = Job("job-0001", expand_grid(BASE, seeds=range(8)))
+    coordinator.add_job(job)
+    worker = _worker(coordinator)
+    real_run = worker_module.run
+    calls = []
+
+    def run_then_stop(scenario):
+        calls.append(scenario.seed)
+        if len(calls) == 3:
+            worker.stop()
+        return real_run(scenario)
+
+    monkeypatch.setattr(worker_module, "run", run_then_stop)
+    assert worker.run() == 0  # the one lease was abandoned, not done
+    assert calls == [0, 1, 2]
+    assert worker.leases_abandoned == 1
+    assert job.completed == 3
+    other = coordinator.register("u")["worker"]
+    rest = coordinator.lease(other)
+    assert len(rest["scenarios"]) == 5
+    assert coordinator.snapshot()["queue"]["outstanding_leases"] == 1

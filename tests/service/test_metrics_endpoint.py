@@ -32,7 +32,7 @@ def service(tmp_path_factory):
     with ReproService(
         store_path,
         port=0,
-        remote_workers=True,
+        workers=0,
         lease_scenarios=4,
         lease_timeout=30.0,
     ) as running:

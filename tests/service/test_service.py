@@ -154,6 +154,56 @@ class TestErrors:
             client._json("/jobs", {})
         assert excinfo.value.status == 400
 
+    @pytest.mark.parametrize("length", ["-1", "abc"])
+    def test_bad_content_length_is_400_and_closes(self, service, length):
+        # a negative length would read to EOF, holding the handler
+        # thread for as long as the client kept the socket open
+        reply = _raw_request(
+            service,
+            f"POST /jobs HTTP/1.1\r\nHost: x\r\n"
+            f"Content-Length: {length}\r\n\r\n",
+        )
+        assert reply.startswith(b"HTTP/1.1 400"), reply
+
+    def test_non_integer_completion_counts_are_400(self, service):
+        body = b'{"worker": "w-0001", "reports": [], "executed": "many"}'
+        reply = _raw_request(
+            service,
+            "POST /leases/lease-000001/complete HTTP/1.1\r\nHost: x\r\n"
+            f"Content-Length: {len(body)}\r\n\r\n",
+            body,
+        )
+        assert reply.startswith(b"HTTP/1.1 400"), reply
+        assert b"must be integers" in reply
+
+
+def _raw_request(service, head: str, body: bytes = b"") -> bytes:
+    """Send one request on a raw socket; return everything the server
+    sends before it closes the connection (a timeout fails the test)."""
+    import socket
+
+    with socket.create_connection((service.host, service.port), timeout=5.0) as sock:
+        sock.sendall(head.encode("ascii") + body)
+        chunks = []
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                return b"".join(chunks)
+            chunks.append(chunk)
+
+
+class TestIdleLatency:
+    def test_one_scenario_job_on_an_idle_service(self, client):
+        import time
+
+        time.sleep(0.3)  # the local worker is idle, waiting for work
+        start = time.perf_counter()
+        job = client.submit(scenarios=[BASE.with_(seed=777)])
+        done = client.wait(job["id"], timeout=10.0, poll=0.005)
+        elapsed = time.perf_counter() - start
+        assert done["status"] == "done"
+        assert elapsed < 0.25, elapsed
+
 
 class TestKeepAlive:
     def test_error_with_unread_body_does_not_poison_the_connection(self, service):

@@ -124,7 +124,7 @@ class TestTop:
     def test_single_frame_against_farm_service(self, capsys, tmp_path):
         store_path = str(tmp_path / "farm.db")
         with ReproService(
-            store_path, port=0, remote_workers=True, lease_scenarios=4
+            store_path, port=0, workers=0, lease_scenarios=4
         ) as service:
             assert main(["top", "--connect", service.url, "--count", "1"]) == 0
         out = capsys.readouterr().out
@@ -133,13 +133,13 @@ class TestTop:
         assert "no workers registered" in out
         assert "throughput" in out
 
-    def test_single_frame_against_local_service(self, capsys, tmp_path):
+    def test_single_frame_lists_local_workers(self, capsys, tmp_path):
         store_path = str(tmp_path / "local.db")
         with ReproService(store_path, port=0, workers=1) as service:
-            client_url = service.url
-            assert main(["top", "--connect", client_url, "--count", "1"]) == 0
+            assert main(["top", "--connect", service.url, "--count", "1"]) == 0
         out = capsys.readouterr().out
-        assert "local-worker service: 0 job(s)" in out
+        assert "queue: 0 pending" in out
+        assert "local-1" in out
 
     def test_mac_line_is_collisions_per_transmission(self):
         """Default-channel runs add deliveries but no MAC transmission,
@@ -152,10 +152,16 @@ class TestTop:
                 return {"reports": 0, "version": "test"}
 
             def workers(self):
-                raise RuntimeError("local-worker mode")
-
-            def jobs(self):
-                return []
+                return {
+                    "queue": {
+                        "pending_scenarios": 0,
+                        "outstanding_leases": 0,
+                        "scenarios_completed": 0,
+                        "duplicates": 0,
+                        "quarantined_scenarios": 0,
+                    },
+                    "workers": [],
+                }
 
             def metrics_json(self):
                 return {"metrics": {

@@ -214,3 +214,21 @@ class TestOneRunDriver:
                     if module == banned or module.startswith(banned + ".")
                 ]
         assert not imports
+
+
+class TestOneJobPath:
+    """Every service job runs through the journaled coordinator: the job
+    manager and the HTTP server hand scenarios to its lease queue and
+    never run one themselves."""
+
+    def test_the_service_runs_no_scenario_itself(self):
+        imports = [
+            f"{name}:{node.lineno} {alias.name}"
+            for name, tree in _program_modules()
+            if name in ("service/jobs.py", "service/server.py")
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            for alias in node.names
+            if alias.name in ("run", "run_batch")
+        ]
+        assert not imports
