@@ -1,21 +1,55 @@
-"""The radio network graph: topology container with precomputed adjacency.
+"""The radio network: a topology container with precomputed adjacency.
 
-A :class:`RadioNetwork` wraps an undirected, connected networkx graph. Nodes
-are relabeled to contiguous integers ``0..n-1`` for the simulation hot path;
-the original labels are retained for reporting. Distances from the source
-(BFS levels) and the diameter are computed lazily and cached.
+The model (Section 3.1) needs each node's neighbour list and nothing
+else. A :class:`RadioNetwork` is built from any mapping of node labels to
+their neighbours' labels: a ``dict`` of lists, the ordered adjacency that
+:func:`adjacency_from_edges` writes, or a networkx ``Graph`` (iterating it
+yields the nodes, ``graph[u]`` the neighbours of ``u``). Nodes are
+relabeled to contiguous integers ``0..n-1`` in the mapping's order for the
+simulation hot path, and each node's neighbours keep the mapping's order
+in the CSR arrays; the original labels are retained for reporting. The
+network keeps no graph object. Distances from the source (BFS levels) and
+the diameter are computed lazily and cached.
+
+The fixed topology families build their adjacency with
+:func:`adjacency_from_edges`, which inserts nodes and neighbours in the
+order networkx's ``Graph.add_edge`` would, so a family has the labels and
+CSR arrays of its networkx twin without loading networkx.
 """
 
 from __future__ import annotations
 
-from typing import Hashable, Iterable, Optional
+import itertools
+from typing import Hashable, Iterable, Mapping, Optional
 
-import networkx as nx
 import numpy as np
 
 from repro.core.errors import TopologyError
 
-__all__ = ["RadioNetwork"]
+__all__ = ["RadioNetwork", "adjacency_from_edges"]
+
+
+def adjacency_from_edges(
+    edges: Iterable[tuple[Hashable, Hashable]], nodes: Iterable[Hashable] = ()
+) -> dict[Hashable, dict[Hashable, None]]:
+    """An undirected adjacency in networkx's insertion order.
+
+    ``nodes`` are added first, in order. Each edge ``(u, v)`` then adds
+    ``u`` and ``v`` if they are new (``u`` first) and appends each to the
+    other's neighbours, unless the edge is already there: the node and
+    neighbour order of ``Graph.add_nodes_from(nodes)`` followed by
+    ``Graph.add_edges_from(edges)``. Each node maps to an insertion-ordered
+    ``dict`` whose keys are its neighbours.
+    """
+    adjacency: dict[Hashable, dict[Hashable, None]] = {node: {} for node in nodes}
+    for u, v in edges:
+        if u not in adjacency:
+            adjacency[u] = {}
+        if v not in adjacency:
+            adjacency[v] = {}
+        adjacency[u][v] = None
+        adjacency[v][u] = None
+    return adjacency
 
 
 class RadioNetwork:
@@ -23,54 +57,50 @@ class RadioNetwork:
 
     Parameters
     ----------
-    graph:
-        Undirected networkx graph. Must be connected, contain at least one
-        node, and contain no self-loops.
+    adjacency:
+        A mapping from each node label to its neighbours' labels. Every
+        neighbour must be a node, listed once; every edge must appear in
+        both directions; there must be at least one node, no self-loop,
+        and the network must be connected.
     source:
-        The broadcast source node (a node of ``graph``). Defaults to the
-        first node in iteration order.
+        The broadcast source node (a label of ``adjacency``). Defaults to
+        the first node in iteration order.
     name:
         Optional human-readable topology name for reports.
     """
 
     def __init__(
         self,
-        graph: nx.Graph,
+        adjacency: Mapping[Hashable, Iterable[Hashable]],
         source: Optional[Hashable] = None,
         name: str = "",
     ) -> None:
-        if graph.number_of_nodes() == 0:
+        labels = list(adjacency)
+        if not labels:
             raise TopologyError("radio network requires at least one node")
-        if graph.is_directed():
-            raise TopologyError("radio networks are undirected")
-        if any(u == v for u, v in graph.edges()):
-            raise TopologyError("radio networks must not contain self-loops")
-        if not nx.is_connected(graph):
-            raise TopologyError(
-                "radio network must be connected (broadcast must be able "
-                "to reach every node)"
-            )
-
-        original_nodes = list(graph.nodes())
         if source is None:
-            source = original_nodes[0]
-        if source not in graph:
-            raise TopologyError(f"source {source!r} is not a node of the graph")
+            source = labels[0]
 
         self.name = name or "network"
-        self._labels: list[Hashable] = original_nodes
+        self._labels: list[Hashable] = labels
         self._index_of: dict[Hashable, int] = {
-            label: i for i, label in enumerate(original_nodes)
+            label: i for i, label in enumerate(labels)
         }
-        self.n = len(original_nodes)
+        self.n = len(labels)
+        if source not in self._index_of:
+            raise TopologyError(f"source {source!r} is not a node of the graph")
         self.source: int = self._index_of[source]
 
         # adjacency as tuples of ints — the engine iterates these heavily
-        self.neighbors: list[tuple[int, ...]] = [() for _ in range(self.n)]
-        for label, i in self._index_of.items():
-            self.neighbors[i] = tuple(
-                self._index_of[v] for v in graph.neighbors(label)
-            )
+        lookup = self._index_of.__getitem__
+        try:
+            self.neighbors: list[tuple[int, ...]] = [
+                tuple(map(lookup, adjacency[label])) for label in labels
+            ]
+        except KeyError as missing:
+            raise TopologyError(
+                f"neighbour {missing.args[0]!r} is not a node of the graph"
+            ) from None
 
         # CSR mirror of the adjacency for the vectorized channel kernel:
         # neighbors of node v are indices[indptr[v]:indptr[v + 1]].
@@ -79,7 +109,7 @@ class RadioNetwork:
             [len(adj) for adj in self.neighbors], dtype=np.int64
         )
         self.indices = np.fromiter(
-            (v for adj in self.neighbors for v in adj),
+            itertools.chain.from_iterable(self.neighbors),
             dtype=np.int32,
             count=int(self.indptr[-1]),
         )
@@ -87,21 +117,51 @@ class RadioNetwork:
         self.indptr.flags.writeable = False
         self.indices.flags.writeable = False
 
-        self._graph = graph
+        self._check_edges()
         self._levels: Optional[list[int]] = None
         self._diameter: Optional[int] = None
         self._eccentricity: Optional[int] = None
+        if min(self.levels()) < 0:
+            raise TopologyError(
+                "radio network must be connected (broadcast must be able "
+                "to reach every node)"
+            )
+
+    def _check_edges(self) -> None:
+        """Reject self-loops, repeated neighbours and one-way edges: whole
+        CSR arrays compared at once, not pair by pair."""
+        n = self.n
+        heads = np.repeat(np.arange(n, dtype=np.int64), np.diff(self.indptr))
+        tails = self.indices.astype(np.int64)
+        loops = np.flatnonzero(heads == tails)
+        if loops.size:
+            label = self._labels[int(heads[loops[0]])]
+            raise TopologyError(
+                f"radio networks must not contain self-loops ({label!r})"
+            )
+        forward = heads * n + tails
+        ordered = np.sort(forward)
+        repeated = np.flatnonzero(ordered[1:] == ordered[:-1])
+        if repeated.size:
+            u, v = divmod(int(ordered[repeated[0]]), n)
+            raise TopologyError(
+                f"neighbour {self._labels[v]!r} is listed twice for "
+                f"{self._labels[u]!r}"
+            )
+        backward = tails * n + heads
+        if not np.array_equal(ordered, np.sort(backward)):
+            slot = int(np.flatnonzero(~np.isin(forward, backward))[0])
+            u, v = self._labels[int(heads[slot])], self._labels[int(tails[slot])]
+            raise TopologyError(
+                f"edge {u!r} -> {v!r} has no reverse: radio networks are "
+                "undirected"
+            )
 
     # -- structure ----------------------------------------------------------
 
     @property
-    def graph(self) -> nx.Graph:
-        """The underlying networkx graph (original labels)."""
-        return self._graph
-
-    @property
     def edge_count(self) -> int:
-        return self._graph.number_of_edges()
+        return int(self.indptr[-1]) // 2
 
     def label_of(self, index: int) -> Hashable:
         """Original label of internal node ``index``."""
@@ -138,23 +198,27 @@ class RadioNetwork:
 
     # -- metrics ------------------------------------------------------------
 
+    def _distances(self, start: int) -> list[int]:
+        """BFS distance from ``start`` for every node; -1 if unreached."""
+        dist = [-1] * self.n
+        dist[start] = 0
+        frontier = [start]
+        level = 0
+        while frontier:
+            level += 1
+            next_frontier = []
+            for u in frontier:
+                for v in self.neighbors[u]:
+                    if dist[v] < 0:
+                        dist[v] = level
+                        next_frontier.append(v)
+            frontier = next_frontier
+        return dist
+
     def levels(self) -> list[int]:
         """BFS distance from the source for every node (index order)."""
         if self._levels is None:
-            dist = [-1] * self.n
-            dist[self.source] = 0
-            frontier = [self.source]
-            level = 0
-            while frontier:
-                level += 1
-                next_frontier = []
-                for u in frontier:
-                    for v in self.neighbors[u]:
-                        if dist[v] < 0:
-                            dist[v] = level
-                            next_frontier.append(v)
-                frontier = next_frontier
-            self._levels = dist
+            self._levels = self._distances(self.source)
         return self._levels
 
     @property
@@ -166,12 +230,11 @@ class RadioNetwork:
 
     @property
     def diameter(self) -> int:
-        """Graph diameter. Computed on demand; O(n·m) — cached."""
+        """Graph diameter: one BFS from each node, O(n·m) — cached."""
         if self._diameter is None:
-            if self.n == 1:
-                self._diameter = 0
-            else:
-                self._diameter = nx.diameter(self._graph)
+            self._diameter = max(
+                max(self._distances(node)) for node in range(self.n)
+            )
         return self._diameter
 
     def bfs_layers(self) -> list[list[int]]:

@@ -51,7 +51,6 @@ heartbeat interval past the lease timeout so expiry paths actually run.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import socket
 import threading
@@ -60,6 +59,7 @@ from typing import Any, Iterator, Optional
 
 from repro.farm.coordinator import Coordinator, UnknownLease, UnknownWorker
 from repro.runner import RunReport, Scenario, run
+from repro.runner.runner import fork_pool
 from repro.service.client import ServiceClient, ServiceError
 from repro.store import ResultStore
 from repro.telemetry.metrics import METRICS as _METRICS
@@ -477,9 +477,7 @@ def _run_each(
         for scenario in scenarios:
             yield run(scenario)
         return
-    methods = multiprocessing.get_all_start_methods()
-    context = multiprocessing.get_context("fork" if "fork" in methods else None)
-    with context.Pool(min(processes, len(scenarios))) as pool:
+    with fork_pool(scenarios, processes) as pool:
         yield from pool.imap(run, scenarios)
 
 

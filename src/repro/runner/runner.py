@@ -37,6 +37,7 @@ from repro.telemetry.tracing import TRACER as _TRACER
 from repro.telemetry.tracing import trace_id_for_key
 from repro.timeline.artifact import Timeline
 from repro.timeline.capture import capture_timeline
+from repro.topologies.registry import preload
 
 if TYPE_CHECKING:  # pragma: no cover - repro.store imports the runner
     from repro.store import ResultStore
@@ -137,12 +138,25 @@ def _execute(batch: Sequence[Scenario], processes: Optional[int]) -> list[RunRep
     """
     if processes is None or processes <= 1 or len(batch) <= 1:
         return [run(scenario) for scenario in batch]
-    # fork shares the imported library with the workers; fall back to the
-    # platform default where fork does not exist
+    with fork_pool(batch, processes) as pool:
+        return pool.map(run, batch)
+
+
+def fork_pool(
+    scenarios: Sequence[Scenario], processes: int
+) -> "multiprocessing.pool.Pool":
+    """A pool of ``min(processes, len(scenarios))`` workers to run
+    ``scenarios`` on.
+
+    Fork shares the imported library with the workers, so what building
+    the scenarios' topologies imports (networkx, for ``gnp`` and
+    ``tree``) is loaded first; where fork does not exist the pool falls
+    back to the platform default.
+    """
+    preload(scenario.topology for scenario in scenarios)
     methods = multiprocessing.get_all_start_methods()
     context = multiprocessing.get_context("fork" if "fork" in methods else None)
-    with context.Pool(min(processes, len(batch))) as pool:
-        return pool.map(run, batch)
+    return context.Pool(min(processes, len(scenarios)))
 
 
 def run_batch(

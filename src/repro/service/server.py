@@ -685,6 +685,9 @@ class ReproService:
         self._server = _Server((host, port), _Handler, http_threads=http_threads)
         self._server.service = self
         self._thread: Optional[threading.Thread] = None
+        # socketserver's shutdown() waits for a serve loop to end, so it
+        # must not be called on a service whose loop was never started
+        self._serving = False
         self.workers = [
             FarmWorker(
                 LocalClient(self.coordinator),
@@ -716,10 +719,12 @@ class ReproService:
 
     def serve_forever(self) -> None:
         """Serve on the calling thread until :meth:`shutdown`."""
+        self._serving = True
         self._server.serve_forever(poll_interval=0.1)
 
     def start(self) -> "ReproService":
         """Serve on a daemon thread (for tests and embedding); returns self."""
+        self._serving = True
         self._thread = threading.Thread(
             target=self.serve_forever, name="repro-service", daemon=True
         )
@@ -733,8 +738,10 @@ class ReproService:
         A local worker stops at its running lease's next scenario
         boundary and pushes the finished prefix; the coordinator
         requeues the rest, and the journal keeps it for ``--recover``.
+        A service that never served skips the HTTP loop's stop.
         """
-        self._server.shutdown()
+        if self._serving:
+            self._server.shutdown()
         self._server.server_close()
         if self._thread is not None:
             self._thread.join(timeout=5.0)

@@ -8,9 +8,9 @@ diameter).
 
 from __future__ import annotations
 
-import networkx as nx
+from itertools import chain, combinations, pairwise
 
-from repro.core.network import RadioNetwork
+from repro.core.network import RadioNetwork, adjacency_from_edges
 from repro.util.validation import check_positive
 
 __all__ = [
@@ -28,13 +28,14 @@ __all__ = [
 
 def single_link() -> RadioNetwork:
     """The two-node topology of Appendix A: source s and receiver t."""
-    return RadioNetwork(nx.path_graph(2), source=0, name="single-link")
+    return RadioNetwork(adjacency_from_edges([(0, 1)]), source=0, name="single-link")
 
 
 def path(n: int) -> RadioNetwork:
     """A path of n nodes with the source at the left end (diameter n-1)."""
     check_positive(n, "n")
-    return RadioNetwork(nx.path_graph(n), source=0, name=f"path-{n}")
+    adjacency = adjacency_from_edges(pairwise(range(n)), nodes=range(n))
+    return RadioNetwork(adjacency, source=0, name=f"path-{n}")
 
 
 def star(n_leaves: int) -> RadioNetwork:
@@ -44,14 +45,18 @@ def star(n_leaves: int) -> RadioNetwork:
     nodes"; the returned network has ``n_leaves + 1`` nodes total.
     """
     check_positive(n_leaves, "n_leaves")
-    return RadioNetwork(nx.star_graph(n_leaves), source=0, name=f"star-{n_leaves}")
+    edges = ((0, leaf) for leaf in range(1, n_leaves + 1))
+    adjacency = adjacency_from_edges(edges, nodes=range(n_leaves + 1))
+    return RadioNetwork(adjacency, source=0, name=f"star-{n_leaves}")
 
 
 def cycle(n: int) -> RadioNetwork:
     """A cycle of n >= 3 nodes."""
     if n < 3:
         raise ValueError(f"a cycle requires n >= 3 nodes, got {n}")
-    return RadioNetwork(nx.cycle_graph(n), source=0, name=f"cycle-{n}")
+    edges = chain(pairwise(range(n)), [(n - 1, 0)])
+    adjacency = adjacency_from_edges(edges, nodes=range(n))
+    return RadioNetwork(adjacency, source=0, name=f"cycle-{n}")
 
 
 def complete(n: int) -> RadioNetwork:
@@ -62,15 +67,23 @@ def complete(n: int) -> RadioNetwork:
     carrier-senses, every other.
     """
     check_positive(n, "n")
-    return RadioNetwork(nx.complete_graph(n), source=0, name=f"complete-{n}")
+    adjacency = adjacency_from_edges(combinations(range(n), 2), nodes=range(n))
+    return RadioNetwork(adjacency, source=0, name=f"complete-{n}")
 
 
 def grid(rows: int, cols: int) -> RadioNetwork:
     """A rows x cols 2-D grid, source at one corner."""
     check_positive(rows, "rows")
     check_positive(cols, "cols")
-    g = nx.grid_2d_graph(rows, cols)
-    return RadioNetwork(g, source=(0, 0), name=f"grid-{rows}x{cols}")
+    # one label object per node: the adjacency keeps each edge's labels,
+    # so edges built from fresh tuples would hold a copy per edge end
+    label = [[(i, j) for j in range(cols)] for i in range(rows)]
+    edges = chain(
+        ((label[i][j], label[i - 1][j]) for i in range(1, rows) for j in range(cols)),
+        ((row[j], row[j - 1]) for row in label for j in range(1, cols)),
+    )
+    adjacency = adjacency_from_edges(edges, nodes=chain.from_iterable(label))
+    return RadioNetwork(adjacency, source=(0, 0), name=f"grid-{rows}x{cols}")
 
 
 def balanced_tree(branching: int, height: int) -> RadioNetwork:
@@ -78,8 +91,14 @@ def balanced_tree(branching: int, height: int) -> RadioNetwork:
     check_positive(branching, "branching")
     if height < 0:
         raise ValueError(f"height must be >= 0, got {height}")
-    g = nx.balanced_tree(branching, height)
-    return RadioNetwork(g, source=0, name=f"tree-{branching}-{height}")
+    if branching == 1:
+        n = height + 1
+    else:
+        n = (branching ** (height + 1) - 1) // (branching - 1)
+    # breadth-first numbering: node c's parent is (c - 1) // branching
+    edges = (((child - 1) // branching, child) for child in range(1, n))
+    adjacency = adjacency_from_edges(edges, nodes=range(n))
+    return RadioNetwork(adjacency, source=0, name=f"tree-{branching}-{height}")
 
 
 def caterpillar(spine: int, legs_per_node: int) -> RadioNetwork:
@@ -91,16 +110,15 @@ def caterpillar(spine: int, legs_per_node: int) -> RadioNetwork:
     check_positive(spine, "spine")
     if legs_per_node < 0:
         raise ValueError(f"legs_per_node must be >= 0, got {legs_per_node}")
-    g = nx.Graph()
-    for i in range(spine - 1):
-        g.add_edge(("s", i), ("s", i + 1))
-    if spine == 1:
-        g.add_node(("s", 0))
-    for i in range(spine):
-        for leg in range(legs_per_node):
-            g.add_edge(("s", i), ("l", i, leg))
+    edges = [(("s", i), ("s", i + 1)) for i in range(spine - 1)]
+    edges += [
+        (("s", i), ("l", i, leg))
+        for i in range(spine)
+        for leg in range(legs_per_node)
+    ]
+    adjacency = adjacency_from_edges(edges, nodes=[("s", 0)])
     return RadioNetwork(
-        g, source=("s", 0), name=f"caterpillar-{spine}x{legs_per_node}"
+        adjacency, source=("s", 0), name=f"caterpillar-{spine}x{legs_per_node}"
     )
 
 
@@ -121,16 +139,14 @@ def bramble(spine: int, bag_size: int) -> RadioNetwork:
     check_positive(spine, "spine")
     if bag_size < 0:
         raise ValueError(f"bag_size must be >= 0, got {bag_size}")
-    g = nx.Graph()
-    if spine == 1:
-        g.add_node(("v", 0))
-    for i in range(spine - 1):
-        g.add_edge(("v", i), ("v", i + 1))
+    edges = [(("v", i), ("v", i + 1)) for i in range(spine - 1)]
     for i in range(1, spine - 1):
         for b in range(bag_size):
-            g.add_edge(("v", i - 1), ("b", i, b))
-            g.add_edge(("b", i, b), ("v", i + 1))
-    return RadioNetwork(g, source=("v", 0), name=f"bramble-{spine}x{bag_size}")
+            edges += [(("v", i - 1), ("b", i, b)), (("b", i, b), ("v", i + 1))]
+    adjacency = adjacency_from_edges(edges, nodes=[("v", 0)])
+    return RadioNetwork(
+        adjacency, source=("v", 0), name=f"bramble-{spine}x{bag_size}"
+    )
 
 
 def barbell(clique_size: int, bridge_length: int) -> RadioNetwork:
@@ -143,7 +159,17 @@ def barbell(clique_size: int, bridge_length: int) -> RadioNetwork:
         raise ValueError(f"clique_size must be >= 2, got {clique_size}")
     if bridge_length < 0:
         raise ValueError(f"bridge_length must be >= 0, got {bridge_length}")
-    g = nx.barbell_graph(clique_size, bridge_length)
+    # networkx's barbell_graph order: the first clique and the bridge's
+    # interior, the bridge, the second clique, then the two joins
+    m1, m2 = clique_size, bridge_length
+    edges = chain(
+        combinations(range(m1), 2),
+        pairwise(range(m1, m1 + m2)) if m2 > 1 else (),
+        combinations(range(m1 + m2, 2 * m1 + m2), 2),
+        [(m1 - 1, m1)],
+        [(m1 + m2 - 1, m1 + m2)] if m2 > 0 else (),
+    )
+    adjacency = adjacency_from_edges(edges, nodes=range(m1 + max(0, m2 - 1)))
     return RadioNetwork(
-        g, source=0, name=f"barbell-{clique_size}-{bridge_length}"
+        adjacency, source=0, name=f"barbell-{clique_size}-{bridge_length}"
     )

@@ -9,9 +9,10 @@ layer boundary.
 
 from __future__ import annotations
 
-import networkx as nx
+from itertools import chain
+from typing import Iterator
 
-from repro.core.network import RadioNetwork
+from repro.core.network import RadioNetwork, adjacency_from_edges
 from repro.util.rng import RandomSource, spawn_rng
 from repro.util.validation import check_fraction, check_positive
 
@@ -37,21 +38,16 @@ def bipartite_network(
     check_positive(right, "right")
     check_fraction(edge_probability, "edge_probability")
     source = spawn_rng(rng)
-    g = nx.Graph()
-    g.add_node("s")
-    for i in range(left):
-        g.add_edge("s", ("L", i))
-    for j in range(right):
-        g.add_node(("R", j))
-        attached = False
-        for i in range(left):
-            if edge_probability >= 1.0 or source.bernoulli(edge_probability):
-                g.add_edge(("L", i), ("R", j))
-                attached = True
-        if not attached:
-            g.add_edge(("L", source.randint(0, left - 1)), ("R", j))
+    lefts = [("L", i) for i in range(left)]
+    rights = [("R", j) for j in range(right)]
+    edges = chain(
+        (("s", relay) for relay in lefts),
+        _join(lefts, rights, edge_probability, source),
+    )
     return RadioNetwork(
-        g, source="s", name=f"bipartite-{left}x{right}-{edge_probability}"
+        adjacency_from_edges(edges, nodes=["s", *lefts, *rights]),
+        source="s",
+        name=f"bipartite-{left}x{right}-{edge_probability}",
     )
 
 
@@ -72,20 +68,32 @@ def layered_network(
     check_positive(width, "width")
     check_fraction(edge_probability, "edge_probability")
     source = spawn_rng(rng)
-    g = nx.Graph()
-    g.add_node("s")
-    for i in range(width):
-        g.add_edge("s", (0, i))
-    for layer in range(1, layers):
-        for j in range(width):
-            g.add_node((layer, j))
-            attached = False
-            for i in range(width):
-                if edge_probability >= 1.0 or source.bernoulli(edge_probability):
-                    g.add_edge((layer - 1, i), (layer, j))
-                    attached = True
-            if not attached:
-                g.add_edge((layer - 1, source.randint(0, width - 1)), (layer, j))
-    return RadioNetwork(
-        g, source="s", name=f"layered-{layers}x{width}-{edge_probability}"
+    label = [[(layer, j) for j in range(width)] for layer in range(layers)]
+    edges = chain(
+        (("s", node) for node in label[0]),
+        *(
+            _join(previous, current, edge_probability, source)
+            for previous, current in zip(label, label[1:])
+        ),
     )
+    return RadioNetwork(
+        adjacency_from_edges(edges, nodes=["s", *chain.from_iterable(label)]),
+        source="s",
+        name=f"layered-{layers}x{width}-{edge_probability}",
+    )
+
+
+def _join(
+    relays: list, sinks: list, edge_probability: float, source: RandomSource
+) -> Iterator[tuple]:
+    """The edges from ``relays`` to ``sinks``, drawn sink by sink as the
+    adjacency is built: each edge with ``edge_probability``, and a sink
+    left without one gets one uniformly random relay."""
+    for sink in sinks:
+        attached = False
+        for relay in relays:
+            if edge_probability >= 1.0 or source.bernoulli(edge_probability):
+                yield relay, sink
+                attached = True
+        if not attached:
+            yield relays[source.randint(0, len(relays) - 1)], sink

@@ -4,11 +4,14 @@
 set of bridging edges between components. This keeps the advertised edge
 density while satisfying the model's connectivity requirement — broadcast
 is ill-defined on a disconnected network.
+
+Both families draw through networkx's own seeded generators, so they
+import networkx when they build: no other family and no run needs it. A
+fork pool whose batch holds one of them imports it before it forks
+(:func:`repro.topologies.registry.preload`).
 """
 
 from __future__ import annotations
-
-import networkx as nx
 
 from repro.core.network import RadioNetwork
 from repro.util.rng import RandomSource, spawn_rng
@@ -31,6 +34,8 @@ def gnp(
     rng:
         Seed or random source (deterministic given the seed).
     """
+    import networkx as nx
+
     check_positive(n, "n")
     check_fraction(edge_probability, "edge_probability")
     source = spawn_rng(rng)
@@ -42,12 +47,19 @@ def gnp(
         g = nx.fast_gnp_random_graph(n, edge_probability, seed=seed)
     else:
         g = nx.gnp_random_graph(n, edge_probability, seed=seed)
-    _connect_components(g, source)
+    # join the components by one random edge between consecutive ones
+    components = [sorted(c) for c in nx.connected_components(g)]
+    for first, second in zip(components, components[1:]):
+        u = first[source.randint(0, len(first) - 1)]
+        v = second[source.randint(0, len(second) - 1)]
+        g.add_edge(u, v)
     return RadioNetwork(g, source=0, name=f"gnp-{n}-{edge_probability}")
 
 
 def random_tree(n: int, rng: "int | RandomSource | None" = None) -> RadioNetwork:
     """A uniformly random labeled tree on n nodes, source node 0."""
+    import networkx as nx
+
     check_positive(n, "n")
     source = spawn_rng(rng)
     if n == 1:
@@ -56,14 +68,3 @@ def random_tree(n: int, rng: "int | RandomSource | None" = None) -> RadioNetwork
     else:
         g = nx.random_labeled_tree(n, seed=source.randint(0, 2**31))
     return RadioNetwork(g, source=0, name=f"random-tree-{n}")
-
-
-def _connect_components(g: nx.Graph, rng: RandomSource) -> None:
-    """Join components by adding one random edge between consecutive ones."""
-    components = [sorted(c) for c in nx.connected_components(g)]
-    if len(components) <= 1:
-        return
-    for first, second in zip(components, components[1:]):
-        u = first[rng.randint(0, len(first) - 1)]
-        v = second[rng.randint(0, len(second) - 1)]
-        g.add_edge(u, v)

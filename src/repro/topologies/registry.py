@@ -14,12 +14,12 @@ read-only.
 from __future__ import annotations
 
 import functools
-from typing import Callable
+from typing import Callable, Iterable
 
 from repro.core.network import RadioNetwork
 from repro.topologies import basic, layered, random_graphs
 
-__all__ = ["TOPOLOGY_FAMILIES", "make_topology"]
+__all__ = ["TOPOLOGY_FAMILIES", "make_topology", "preload"]
 
 
 def _path(n: int, seed: int) -> RadioNetwork:
@@ -100,6 +100,21 @@ _SEED_FREE = frozenset(
     {_path, _single_link, _star, _cycle, _complete, _grid, _layered,
      _caterpillar, _bramble}
 )
+
+
+#: builders that draw through networkx, which they import when they build
+_NETWORKX = frozenset({_tree, _gnp})
+
+
+def preload(families: Iterable[str]) -> None:
+    """Import now what building ``families`` imports on its first build.
+
+    A fork pool calls this before it forks, so that its workers share
+    networkx instead of each importing it (~14 MB and 50-130 ms apiece)
+    for the first ``gnp`` or ``tree`` network it builds.
+    """
+    if any(TOPOLOGY_FAMILIES.get(family) in _NETWORKX for family in families):
+        import networkx  # noqa: F401
 
 
 def make_topology(family: str, n: int, seed: int = 0) -> RadioNetwork:

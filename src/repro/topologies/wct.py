@@ -26,10 +26,9 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-import networkx as nx
 import numpy as np
 
-from repro.core.network import RadioNetwork
+from repro.core.network import RadioNetwork, adjacency_from_edges
 from repro.util.rng import RandomSource, spawn_rng
 from repro.util.validation import check_positive
 
@@ -144,10 +143,8 @@ def worst_case_topology(
     budget = n - 1 - num_senders
     num_clusters = max(num_classes, budget // cluster_size)
 
-    graph = nx.Graph()
-    graph.add_node("s")
-    for i in range(num_senders):
-        graph.add_edge("s", ("snd", i))
+    sender_labels = [("snd", i) for i in range(num_senders)]
+    edges = [("s", sender) for sender in sender_labels]
 
     adjacency = np.zeros((num_clusters, num_senders), dtype=bool)
     classes: list[int] = []
@@ -160,10 +157,11 @@ def worst_case_topology(
             adjacency[j, s] = True
         for member in range(cluster_size):
             node = ("c", j, member)
-            for s in chosen:
-                graph.add_edge(("snd", s), node)
+            edges += [(sender_labels[s], node) for s in chosen]
 
-    network = RadioNetwork(graph, source="s", name=f"wct-{n}")
+    network = RadioNetwork(
+        adjacency_from_edges(edges), source="s", name=f"wct-{n}"
+    )
     senders = [network.index_of(("snd", i)) for i in range(num_senders)]
     clusters = [
         [network.index_of(("c", j, member)) for member in range(cluster_size)]

@@ -39,6 +39,47 @@ class TestValidation:
         assert net.n == 1 and net.diameter == 0
 
 
+class TestMappingInput:
+    """Any mapping of node labels to neighbour labels builds a network;
+    the network checks the mapping itself."""
+
+    def test_dict_builds_the_same_network_as_a_graph(self):
+        adjacency = {"a": ["b", "c"], "b": ["a"], "c": ["a"]}
+        net = RadioNetwork(adjacency, source="b")
+        twin = RadioNetwork(nx.Graph([("a", "b"), ("a", "c")]), source="b")
+        assert net.neighbors == twin.neighbors == [(1, 2), (0,), (0,)]
+        assert (net.source, net.edge_count, net.diameter) == (1, 2, 2)
+        assert net.indices.tolist() == twin.indices.tolist() == [1, 2, 0, 0]
+
+    def test_rejects_empty(self):
+        with pytest.raises(TopologyError, match="at least one node"):
+            RadioNetwork({})
+
+    def test_rejects_a_neighbour_that_is_not_a_node(self):
+        with pytest.raises(TopologyError, match="neighbour 'z' is not a node"):
+            RadioNetwork({"a": ["b"], "b": ["a", "z"]})
+
+    def test_rejects_a_one_way_edge(self):
+        with pytest.raises(TopologyError, match="'a' -> 'c' has no reverse"):
+            RadioNetwork({"a": ["b", "c"], "b": ["a", "c"], "c": ["b"]})
+
+    def test_rejects_a_repeated_neighbour(self):
+        with pytest.raises(TopologyError, match="'a' is listed twice for 'b'"):
+            RadioNetwork({"a": ["b"], "b": ["a", "a"]})
+
+    def test_rejects_a_self_loop(self):
+        with pytest.raises(TopologyError, match=r"self-loops \('b'\)"):
+            RadioNetwork({"a": ["b"], "b": ["a", "b"]})
+
+    def test_rejects_a_disconnected_input(self):
+        with pytest.raises(TopologyError, match="must be connected"):
+            RadioNetwork({"a": ["b"], "b": ["a"], "c": ["d"], "d": ["c"]})
+
+    def test_rejects_a_foreign_source(self):
+        with pytest.raises(TopologyError, match="source 'x' is not a node"):
+            RadioNetwork({"a": []}, source="x")
+
+
 class TestIndexing:
     def test_labels_roundtrip(self):
         g = nx.path_graph(["a", "b", "c"])

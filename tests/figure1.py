@@ -16,12 +16,11 @@ valid GBST.
 
 from __future__ import annotations
 
-import networkx as nx
-
-from repro.core.network import RadioNetwork
+from repro.core.network import RadioNetwork, adjacency_from_edges
 from repro.gbst.ranked_bfs import RankedBFSTree
 
 __all__ = [
+    "FIGURE1_EDGES",
     "figure1_network",
     "figure1_tree_invalid",
     "figure1_tree_valid",
@@ -29,17 +28,22 @@ __all__ = [
 
 _CHAIN_LENGTH = 4
 
+#: the two chains from the source, grown in step, then the "yellow"
+#: interference edge
+FIGURE1_EDGES = [
+    ("s", "a1"), ("s", "b1"),
+    ("a1", "a2"), ("b1", "b2"),
+    ("a2", "a3"), ("b2", "b3"),
+    ("a3", "a4"), ("b3", "b4"),
+    ("b1", "a2"),
+]
+
 
 def figure1_network() -> RadioNetwork:
     """The shared graph: two chains from the source plus one cross edge."""
-    g = nx.Graph()
-    previous_a, previous_b = "s", "s"
-    for i in range(1, _CHAIN_LENGTH + 1):
-        g.add_edge(previous_a, f"a{i}")
-        g.add_edge(previous_b, f"b{i}")
-        previous_a, previous_b = f"a{i}", f"b{i}"
-    g.add_edge("b1", "a2")  # the "yellow" interference edge
-    return RadioNetwork(g, source="s", name="figure1")
+    return RadioNetwork(
+        adjacency_from_edges(FIGURE1_EDGES), source="s", name="figure1"
+    )
 
 
 def _parent_vector(network: RadioNetwork, parent_of: dict[str, str]) -> list[int]:

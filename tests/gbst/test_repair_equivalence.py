@@ -10,7 +10,7 @@ whole tree, re-ranks every node and rescans every fast node.
 from hypothesis import given, settings, target
 from hypothesis import strategies as st
 
-from repro.gbst.figure1 import figure1_network
+from figure1 import figure1_network
 from repro.gbst.gbst import GBSTResult, build_gbst
 from repro.gbst.ranked_bfs import RankedBFSTree, build_ranked_bfs_tree
 from repro.gbst.validity import gbst_violations

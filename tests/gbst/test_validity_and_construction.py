@@ -4,12 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.network import RadioNetwork
-from repro.gbst.figure1 import (
+from figure1 import (
+    FIGURE1_EDGES,
     figure1_network,
     figure1_tree_invalid,
     figure1_tree_valid,
 )
+from repro.core.network import RadioNetwork, adjacency_from_edges
 from repro.gbst.gbst import build_gbst
 from repro.gbst.ranked_bfs import build_ranked_bfs_tree
 from repro.gbst.validity import gbst_violations, is_gbst
@@ -116,10 +117,10 @@ class TestBuildGBST:
         # A level-1 node x joined to s and a1 ties a1's degree with b1's,
         # so the degree heuristic parents a2 under a1 (the lower index)
         # and leaves Figure 1's violation for the repair loop.
-        graph = figure1_network().graph.copy()
-        graph.add_edge("s", "x")
-        graph.add_edge("x", "a1")
-        network = RadioNetwork(graph, source="s", name="figure1-plus-x")
+        edges = FIGURE1_EDGES + [("s", "x"), ("x", "a1")]
+        network = RadioNetwork(
+            adjacency_from_edges(edges), source="s", name="figure1-plus-x"
+        )
         label = network.label_of
         initial = build_ranked_bfs_tree(network)
         assert [

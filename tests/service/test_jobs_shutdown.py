@@ -1,5 +1,6 @@
 """Service shutdown drains cleanly: no job is ever left ``running``."""
 
+import threading
 import time
 
 import pytest
@@ -36,6 +37,15 @@ def _wait(predicate, timeout=30.0):
 
 
 class TestDrainShutdown:
+    def test_a_service_that_never_served_shuts_down(self, store_path):
+        service = ReproService(store_path, port=0, workers=1)
+        # a regression hangs in socketserver's shutdown: fail, not hang
+        stopper = threading.Thread(target=service.shutdown, daemon=True)
+        stopper.start()
+        stopper.join(timeout=10.0)
+        assert not stopper.is_alive(), "shutdown() of an unstarted service hung"
+        assert not any(thread.is_alive() for thread in service._worker_threads)
+
     def test_idle_shutdown_is_clean(self, store_path):
         service = _service(store_path, workers=2)
         service.shutdown()

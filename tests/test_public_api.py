@@ -2,12 +2,16 @@
 
 import ast
 import importlib.util
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
 import repro
 
+import figure1
 import per_node
 
 
@@ -126,28 +130,44 @@ class TestOneProtocolSeam:
             assert importlib.util.find_spec(name) is None, name
 
     def test_no_program_module_touches_a_per_node_name(self):
-        moved = set(per_node.__all__)
-        offences = []
-        for path in sorted(pathlib.Path(repro.__file__).parent.rglob("*.py")):
-            for node in ast.walk(ast.parse(path.read_text(), str(path))):
-                if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
-                    names = [node.name]
-                elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-                    targets = getattr(node, "targets", None) or [node.target]
-                    names = [t.id for t in targets if isinstance(t, ast.Name)]
-                elif isinstance(node, ast.Import):
-                    names = [alias.name for alias in node.names]
-                elif isinstance(node, ast.ImportFrom):
-                    names = [node.module or ""]
-                    names += [alias.name for alias in node.names]
-                else:
-                    continue
-                offences += [
-                    f"{path.name}:{node.lineno} {name}"
-                    for name in names
-                    if name in moved or name in self.MODULES
-                ]
-        assert not offences
+        assert not _program_uses(set(per_node.__all__) | set(self.MODULES))
+
+
+class TestFigure1StaysInTests:
+    """The paper's Figure 1 instance is a test fixture, ``tests/figure1.py``:
+    no program module defines or imports it."""
+
+    MODULES = ("figure1", "repro.gbst.figure1")
+
+    def test_the_program_module_is_gone(self):
+        assert importlib.util.find_spec("repro.gbst.figure1") is None
+
+    def test_no_program_module_touches_a_figure1_name(self):
+        assert not _program_uses(set(figure1.__all__) | set(self.MODULES))
+
+
+def _program_uses(banned):
+    """``file:line name`` of every definition or import of a ``banned``
+    name under ``src/repro``."""
+    offences = []
+    for module, tree in _program_modules():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = getattr(node, "targets", None) or [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            elif isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+                names += [alias.name for alias in node.names]
+            else:
+                continue
+            offences += [
+                f"{module}:{node.lineno} {name}" for name in names if name in banned
+            ]
+    return offences
 
 
 def _program_modules():
@@ -232,3 +252,97 @@ class TestOneJobPath:
             if alias.name in ("run", "run_batch")
         ]
         assert not imports
+
+
+class TestNetworkxLeavesTheRunPath:
+    """The fixed families build their own adjacency. Only the seeded
+    ``gnp`` and ``tree`` families draw through networkx, and they import it
+    when they build, so ``import repro`` and a run on a fixed family never
+    load it."""
+
+    def test_only_the_random_families_import_networkx(self):
+        imports = []
+        for name, tree in _program_modules():
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import):
+                    modules = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    modules = [node.module or ""]
+                else:
+                    continue
+                if any(module.split(".")[0] == "networkx" for module in modules):
+                    imports.append((name, node in tree.body))
+        # inside gnp and random_tree, and in the registry's preload before
+        # a fork pool: none at module level
+        assert sorted(imports) == [
+            ("topologies/random_graphs.py", False),
+            ("topologies/random_graphs.py", False),
+            ("topologies/registry.py", False),
+        ]
+
+    SCRIPT = """
+import sys
+sys.modules["networkx"] = None  # an import of networkx now raises
+import repro
+from repro.topologies import registry
+
+families = sorted(
+    name
+    for name, builder in registry.TOPOLOGY_FAMILIES.items()
+    if builder in registry._SEED_FREE
+)
+for family in families:
+    report = repro.run(
+        repro.Scenario(
+            algorithm="fastbc",
+            topology=family,
+            topology_params={"n": 16},
+            faults=repro.FaultConfig.receiver(0.3),
+            seed=1,
+        )
+    )
+    assert report.success, family
+loaded = [name for name in sys.modules if name.split(".")[0] == "networkx"]
+assert loaded == ["networkx"] and sys.modules["networkx"] is None, loaded
+print(" ".join(families))
+"""
+
+    @staticmethod
+    def _python(script: str) -> str:
+        env = dict(os.environ, PYTHONPATH=str(pathlib.Path(repro.__file__).parents[1]))
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        return done.stdout
+
+    def test_fixed_families_run_without_networkx(self):
+        assert self._python(self.SCRIPT).split() == [
+            "bramble", "caterpillar", "complete", "cycle", "grid", "layered",
+            "path", "single_link", "star",
+        ]
+
+    POOL_SCRIPT = """
+import sys
+import repro
+
+def batch(family):
+    return [
+        repro.Scenario("decay", topology=family, topology_params={"n": 16}, seed=s)
+        for s in range(4)
+    ]
+
+repro.run_batch(batch("grid"), processes=2)
+print("networkx" in sys.modules)
+repro.run_batch(batch("gnp"), processes=2)
+print("networkx" in sys.modules)
+"""
+
+    def test_a_fork_pool_loads_networkx_first_only_for_random_families(self):
+        """The workers of a pool running ``gnp`` or ``tree`` scenarios
+        share the parent's networkx instead of each importing it."""
+        assert self._python(self.POOL_SCRIPT).split() == ["False", "True"]
